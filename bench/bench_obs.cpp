@@ -6,8 +6,8 @@
 // the record is near-free. This bench measures:
 //
 //   1. raw TraceRing::record() cost (tight loop, ns/op);
-//   2. the full predicted send path (send + inline post-processing drain,
-//      the bench_deferred inline baseline) with tracing ON vs OFF — the
+//   2. the full predicted send path (send + inline post-processing drain)
+//      with tracing ON vs OFF — the
 //      *record vs no-record* delta. Timestamps and histogram records run in
 //      both modes (they are the metrics layer, always paid); the delta
 //      isolates the ring stores the trace-enabled flag gates.
@@ -42,8 +42,8 @@ std::uint64_t now_ns() {
           .count());
 }
 
-// Wall-clock environment (see bench_deferred): charge() is a no-op, frames
-// are counted and dropped, timers never fire (no peer).
+// Wall-clock environment: charge() is a no-op, frames are counted and
+// dropped, timers never fire (no peer).
 class BenchEnv final : public Env {
  public:
   Vt now() const override { return static_cast<Vt>(now_ns()); }

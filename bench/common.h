@@ -103,7 +103,6 @@ inline void append_phase_percentiles(
   static const char* kPhases[] = {
       "pa_send_fast_ns",    "pa_send_slow_ns",    "pa_deliver_fast_ns",
       "pa_deliver_slow_ns", "pa_post_send_ns",    "pa_post_deliver_ns",
-      "rt_queue_ns",        "rt_run_ns",
   };
   for (const char* name : kPhases) {
     const obs::LatencyHistogram& h = obs::registry().histogram(name, "");

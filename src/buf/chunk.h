@@ -15,9 +15,10 @@
 //     a chunk still referenced by an in-flight frame or a retransmission
 //     buffer is parked until the last foreign reference drops.
 //
-// The refcount is atomic because frames cross threads in the concurrent
-// deferred-work runtime (src/rt/) and under the real UDP loop; all other
-// chunk state is plain data guarded by the refcount contract above.
+// The refcount is atomic so a chain may be shared across threads (the
+// engines and the real UDP loop are single-threaded, but nothing stops an
+// application from handing a message to another thread); all other chunk
+// state is plain data guarded by the refcount contract above.
 #pragma once
 
 #include <atomic>

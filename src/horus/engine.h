@@ -20,9 +20,8 @@
 
 namespace pa {
 
-// All counters are StatCounters (relaxed atomics): the deferred-work
-// runtime (src/rt/) bumps them from worker threads while the owner thread
-// reads them or renders a report.
+// All counters are StatCounters (relaxed atomics): the engine bumps them on
+// its own thread while another thread may read them or render a report.
 struct EngineStats {
   // sending
   StatCounter app_sends;
@@ -50,12 +49,6 @@ struct EngineStats {
                                        // the legacy counters above)
   StatCounter restarts;          // on_restart() invocations
   StatCounter recovery_entries;  // cookie-recovery episodes entered
-  // deferred runtime (rt::Executor integration; zero in inline mode)
-  StatCounter rt_posts_submitted;   // post-processing batches sent to workers
-  StatCounter rt_timer_submits;     // timer work routed through the sink
-  StatCounter rt_inline_fallbacks;  // ring full: work ran on the caller
-  StatCounter rt_parked_sends;      // sends parked while a worker held the engine
-  StatCounter rt_parked_frames;     // frames parked while a worker held the engine
 };
 
 class Engine {

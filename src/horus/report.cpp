@@ -22,12 +22,6 @@ std::string report(const Router::Stats& s) {
   return obs::render_report(reg, "router");
 }
 
-std::string report(const rt::ExecutorStats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_executor_stats(reg, s);
-  return obs::render_report(reg, "deferred runtime");
-}
-
 std::string report(const GcModel::Stats& s) {
   obs::MetricsRegistry reg;
   obs::bind_gc_stats(reg, s);

@@ -8,7 +8,6 @@
 #include "horus/engine.h"
 #include "horus/stack.h"
 #include "pa/router.h"
-#include "rt/executor.h"
 #include "sim/gc_model.h"
 #include "sim/network.h"
 
@@ -16,7 +15,6 @@ namespace pa {
 
 std::string report(const EngineStats& s);
 std::string report(const Router::Stats& s);
-std::string report(const rt::ExecutorStats& s);
 std::string report(const GcModel::Stats& s);
 std::string report(const MessagePool::Stats& s);
 /// The process-global zero-copy accounting: ingest/data-plane/flatten copy

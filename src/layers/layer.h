@@ -191,16 +191,15 @@ class Layer {
 
   // --- canonical post phases ---------------------------------------------
   //
-  // Post phases run DEFERRED — after send()/on_frame() has returned and the
-  // caller's stack frame is gone, possibly on an rt::Executor worker thread
-  // (src/rt/). Anything a post phase (or a timer callback it arms) will
-  // need later must therefore be OWNED by the layer or the deferred record:
-  // copy bytes into a Message / std::vector, capture by value, never keep a
-  // span, pointer or reference into caller state. The `msg`/`hdr` arguments
-  // themselves are engine-owned copies and safe for the duration of the
-  // call only. tests/rt_executor_test.cpp (DeferredRecords.*) clobbers the
-  // caller's buffer before releasing the deferred work and fails on any
-  // violation.
+  // Post phases run DEFERRED — through Env::defer, after send()/on_frame()
+  // has returned and the caller's stack frame is gone. Anything a post
+  // phase (or a timer callback it arms) will need later must therefore be
+  // OWNED by the layer or the deferred record: copy bytes into a Message /
+  // std::vector, capture by value, never keep a span, pointer or reference
+  // into caller state. The `msg`/`hdr` arguments themselves are
+  // engine-owned copies and safe for the duration of the call only.
+  // tests/accelerator_test.cpp (DeferredRecords.*) clobbers the caller's
+  // buffer before releasing the deferred work and fails on any violation.
   virtual void post_send(const Message& msg, const HeaderView& hdr,
                          LayerOps& ops) = 0;
   /// For kConsume the layer takes the message (moves from `msg`).

@@ -6,6 +6,9 @@
 // interesting datum next to the paper's O'Caml pauses): charge() and the GC
 // hooks are no-ops; defer() runs after the current dispatch, which is
 // exactly "when the application is idle".
+//
+// Single-threaded, like the loop it rides on: the endpoint, its engine and
+// every callback (deliveries included) run on the loop's thread.
 #pragma once
 
 #include <memory>
@@ -35,9 +38,7 @@ class RealEndpoint {
   void make_classic(ClassicConfig cfg);
 
   void send(std::span<const std::uint8_t> payload) { engine_->send(payload); }
-  /// With a concurrent DeferredSink in the PaConfig, deliveries can come
-  /// from a worker thread (a parked frame processed during post phases):
-  /// the callback must be thread-safe.
+  /// Deliveries arrive on the loop's thread, inside run_until().
   void on_deliver(DeliverFn fn) { deliver_fn_ = std::move(fn); }
 
   Engine& engine() { return *engine_; }
@@ -57,7 +58,7 @@ class RealEndpoint {
   std::unique_ptr<Env> env_;
   std::unique_ptr<Engine> engine_;
   DeliverFn deliver_fn_;
-  StatCounter received_;  // bumped from workers in concurrent mode
+  StatCounter received_;
 };
 
 }  // namespace pa

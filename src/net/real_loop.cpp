@@ -203,11 +203,7 @@ void RealLoop::raw_send(const Socket& s, const std::uint8_t* data,
 
 void RealLoop::faulted_send(int sock, std::vector<std::uint8_t> bytes) {
   Socket& s = socks_[static_cast<std::size_t>(sock)];
-  resil::FaultSocket::Verdict v;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    v = s.fault->judge(bytes.size());
-  }
+  const resil::FaultSocket::Verdict v = s.fault->judge(bytes.size());
   if (v.drop) {
     loop_counters().faults_injected.inc();
     return;
@@ -218,7 +214,6 @@ void RealLoop::faulted_send(int sock, std::vector<std::uint8_t> bytes) {
   }
   for (std::uint32_t c = 0; c < v.copies; ++c) {
     if (v.delay > 0) {
-      std::lock_guard<std::mutex> lk(mu_);
       held_.push(Held{now() + v.delay, held_seq_++, sock, bytes});
     } else {
       raw_send(s, bytes.data(), bytes.size());
@@ -229,7 +224,7 @@ void RealLoop::faulted_send(int sock, std::vector<std::uint8_t> bytes) {
 
 void RealLoop::send(int sock, const std::uint8_t* data, std::size_t len) {
   Socket& s = socks_.at(sock);
-  if (batch_cfg_.enabled && on_dispatch_thread()) {
+  if (batch_cfg_.enabled && in_dispatch_) {
     s.train.push_back(
         WireFrame::adopt(std::vector<std::uint8_t>(data, data + len)));
     if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
@@ -282,7 +277,7 @@ void RealLoop::immediate_sendv(const Socket& s, const WireFrame& frame) {
 
 void RealLoop::sendv(int sock, const WireFrame& frame) {
   Socket& s = socks_.at(sock);
-  if (batch_cfg_.enabled && on_dispatch_thread()) {
+  if (batch_cfg_.enabled && in_dispatch_) {
     // Copying the frame is a refcount bump per slice; the chunk contract
     // freezes the referenced bytes until the flush drops them.
     s.train.push_back(frame);
@@ -315,11 +310,7 @@ bool RealLoop::flush_train(Socket& s, int sock) {
       ready.push_back(std::move(f));
       continue;
     }
-    resil::FaultSocket::Verdict v;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      v = s.fault->judge(f.size());
-    }
+    const resil::FaultSocket::Verdict v = s.fault->judge(f.size());
     if (v.drop) {
       loop_counters().faults_injected.inc();
       continue;
@@ -337,7 +328,6 @@ bool RealLoop::flush_train(Socket& s, int sock) {
     }
     for (std::uint32_t c = 0; c < v.copies; ++c) {
       if (v.delay > 0) {
-        std::lock_guard<std::mutex> lk(mu_);
         held_.push(Held{now() + v.delay, held_seq_++, sock, bytes});
       } else {
         // Mutated datagrams ride the train too: wrap the private copy.
@@ -459,7 +449,6 @@ void RealLoop::on_frame(int sock, FrameHandler handler) {
 Vt RealLoop::now() const { return steady_ns() - t0_; }
 
 std::uint64_t RealLoop::set_timer(VtDur delay, std::function<void()> fn) {
-  std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t id = timer_seq_++;
   timers_.push(Timer{now() + delay, id, std::move(fn)});
   live_timers_.insert(id);
@@ -467,7 +456,6 @@ std::uint64_t RealLoop::set_timer(VtDur delay, std::function<void()> fn) {
 }
 
 bool RealLoop::cancel_timer(std::uint64_t id) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (live_timers_.erase(id) == 0) return false;
   // Lazy deletion: the heap entry stays; run_until skips it at the pop.
   cancelled_timers_.insert(id);
@@ -476,31 +464,22 @@ bool RealLoop::cancel_timer(std::uint64_t id) {
 }
 
 void RealLoop::drain_deferred() {
-  for (;;) {
-    std::function<void()> fn;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (deferred_.empty()) return;
-      fn = std::move(deferred_.front());
-      deferred_.pop_front();
-    }
+  while (!deferred_.empty()) {
+    std::function<void()> fn = std::move(deferred_.front());
+    deferred_.pop_front();
     fn();  // may defer() again; the loop re-checks
   }
 }
 
 Vt RealLoop::flush_held() {
-  for (;;) {
-    Held h;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (held_.empty()) return -1;
-      if (held_.top().due > now()) return held_.top().due;
-      h = held_.top();
-      held_.pop();
-    }
+  while (!held_.empty()) {
+    if (held_.top().due > now()) return held_.top().due;
+    const Held h = held_.top();
+    held_.pop();
     raw_send(socks_[static_cast<std::size_t>(h.sock)], h.bytes.data(),
              h.bytes.size());
   }
+  return -1;
 }
 
 void RealLoop::prepare_rx_slots(std::size_t n) {
@@ -574,11 +553,8 @@ std::size_t RealLoop::drain_socket(std::size_t i,
           // Receive-side fault lane: judged at ingest, before the handler.
           // The lane's Rng is independent of tx, so judging here never
           // perturbs a send-side schedule (resil/fault_socket.h).
-          resil::FaultSocket::Verdict v;
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            v = s.fault->judge(resil::FaultSocket::Dir::kRx, len);
-          }
+          const resil::FaultSocket::Verdict v =
+              s.fault->judge(resil::FaultSocket::Dir::kRx, len);
           if (v.drop) {
             loop_counters().faults_injected.inc();
             continue;
@@ -655,24 +631,18 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     // Release fault-delayed datagrams that have come due.
     Vt next_held = flush_held();
 
-    // Fire due timers (popped under the lock, run outside it — a timer fn
-    // or a worker thread may arm new timers).
-    for (;;) {
-      std::function<void()> fn;
-      VtDur lag = 0;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (timers_.empty() || timers_.top().at > now()) break;
-        const Timer& top = timers_.top();
-        const bool cancelled = cancelled_timers_.erase(top.seq) > 0;
-        if (!cancelled) {
-          fn = top.fn;
-          lag = now() - top.at;
-          live_timers_.erase(top.seq);
-        }
+    // Fire due timers (popped before they run — a timer fn may arm new
+    // timers).
+    while (!timers_.empty() && timers_.top().at <= now()) {
+      const Timer& top = timers_.top();
+      if (cancelled_timers_.erase(top.seq) > 0) {
         timers_.pop();
-        if (cancelled) continue;
+        continue;
       }
+      const std::function<void()> fn = top.fn;
+      const VtDur lag = now() - top.at;
+      live_timers_.erase(top.seq);
+      timers_.pop();
       loop_counters().wakeup_lag.record(lag);
       if (governor_) governor_->report_loop_lag(lag);
       const Vt t0 = now();
@@ -689,14 +659,11 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     flush_all_trains();
 
     int timeout_ms = 1;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!timers_.empty()) {
-        VtDur until = timers_.top().at - now();
-        timeout_ms = static_cast<int>(until / 1'000'000);
-        if (timeout_ms < 0) timeout_ms = 0;
-        if (timeout_ms > 10) timeout_ms = 10;
-      }
+    if (!timers_.empty()) {
+      VtDur until = timers_.top().at - now();
+      timeout_ms = static_cast<int>(until / 1'000'000);
+      if (timeout_ms < 0) timeout_ms = 0;
+      if (timeout_ms > 10) timeout_ms = 10;
     }
     if (next_held >= 0) {
       // A held datagram may come due before the next timer: cap the sleep.
@@ -744,10 +711,9 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
 }
 
 bool RealLoop::run_until(const std::function<bool()>& done, VtDur budget) {
-  dispatch_tid_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  in_dispatch_.store(true, std::memory_order_release);
+  in_dispatch_ = true;
   const bool ok = run_loop(done, budget);
-  in_dispatch_.store(false, std::memory_order_release);
+  in_dispatch_ = false;
   // No datagram stays parked across calls: drain the trains even when the
   // budget expired mid-round.
   flush_all_trains();

@@ -7,32 +7,27 @@
 // simulator, and to measure the *actual* nanosecond cost of the PA fast
 // paths in C++ (examples/udp_pingpong.cpp).
 //
-// Dispatch is single-threaded: poll(2) over the registered sockets plus a
-// timer heap, all handlers running on the thread inside run_until(). The
-// deferred-work runtime (src/rt/) adds worker threads that call back into
-// the loop, so the mutating entry points they reach are thread-safe:
-//   - set_timer() / cancel_timer() / defer() lock a small mutex around the
-//     timer heap, the cancellation set and the deferral queue;
-//   - send()/sendv() from a non-dispatch thread only read socket state that
-//     is immutable once traffic starts (sockets must be opened, peered and
-//     fault-configured before run_until()) and sendto(2) is atomic per
-//     datagram; the fault injector's held-datagram queue is under the same
-//     mutex.
-// Everything else (open_udp, on_frame, set_batch_*, run_until itself)
-// remains loop-thread-only.
+// Single-threaded: poll(2) over the registered sockets plus a timer heap,
+// every handler, timer and deferred closure running on the thread inside
+// run_until(). The loop has no locks, so every entry point — send, timers,
+// defer, configuration — must be called from the thread that owns the loop
+// (the one that calls run_until(), or sets it up before the first call).
+// Engines driven by the loop inherit the same contract: post-processing
+// goes through defer() and runs on this thread when it is next idle.
 //
 // Kernel-boundary batching (net/batch_io.h; docs/INTERNALS.md, "The kernel
 // boundary"): one wakeup drains each ready socket with recvmmsg(2) into
 // receive buffers recycled from a chunk cache (each datagram becomes a
 // zero-copy WireFrame slice — no ingest memcpy) and hands the whole batch
 // to the frame handler back-to-back, with deferred post-processing drained
-// once per batch so the §3.1 amortization spans the batch. Sends issued on
-// the dispatch thread during a round park in a per-socket train and leave
-// in one sendmmsg(2) at end-of-round (or when the train fills); sends from
-// other threads, or outside run_until(), take the immediate single-datagram
-// path. Partial completions (the kernel accepts k < n) keep the remainder
-// queued for the next flush. On kernels without recvmmsg/sendmmsg the loop
-// swaps in a per-datagram fallback backend with identical semantics.
+// once per batch so the §3.1 amortization spans the batch. Sends issued
+// inside run_until() (from a frame handler, timer or deferred closure) park
+// in a per-socket train and leave in one sendmmsg(2) at end-of-round (or
+// when the train fills); sends issued outside run_until() take the
+// immediate single-datagram path. Partial completions (the kernel accepts
+// k < n) keep the remainder queued for the next flush. On kernels without
+// recvmmsg/sendmmsg the loop swaps in a per-datagram fallback backend with
+// identical semantics.
 //
 // Error handling (overload must degrade, never abort): EINTR is retried,
 // EAGAIN/ENOBUFS on an immediate send counts as backpressure (the datagram
@@ -52,15 +47,12 @@
 // the dispatch loop.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "buf/wire_frame.h"
@@ -132,11 +124,11 @@ class RealLoop {
 
   /// Send one datagram gathering a WireFrame's slices — the kernel
   /// assembles the datagram from the chunk chain; user space never copies
-  /// the frame flat. On the dispatch thread the frame parks in the
-  /// socket's send train and leaves in the round's sendmmsg(2) flush;
-  /// elsewhere it goes out immediately via sendmsg(2). (With a fault
-  /// injector armed, mutated datagrams are flattened privately at
-  /// judgement time; clean ones stay gathered.)
+  /// the frame flat. Inside run_until() the frame parks in the socket's
+  /// send train and leaves in the round's sendmmsg(2) flush; outside it
+  /// goes out immediately via sendmsg(2). (With a fault injector armed,
+  /// mutated datagrams are flattened privately at judgement time; clean
+  /// ones stay gathered.)
   void sendv(int sock, const WireFrame& frame);
 
   void on_frame(int sock, FrameHandler handler);
@@ -155,15 +147,10 @@ class RealLoop {
 
   /// Run `fn` after the current dispatch completes (the engines' deferred
   /// post-processing hook).
-  void defer(std::function<void()> fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    deferred_.push_back(std::move(fn));
-  }
+  void defer(std::function<void()> fn) { deferred_.push_back(std::move(fn)); }
 
-  /// Called whenever poll(2) reports the loop idle (no I/O ready). The
-  /// deferred runtime hooks its batched idle-flush here: drain the workers
-  /// while nothing else wants the CPU, so prediction state is fresh before
-  /// the next send (rt/README.md).
+  /// Called whenever poll(2) reports the loop idle (no I/O ready), before
+  /// the deferred queue is drained.
   void set_idle_hook(std::function<void()> fn) { idle_hook_ = std::move(fn); }
 
   /// Dispatch I/O and timers until `done` returns true or `budget` elapses.
@@ -178,7 +165,7 @@ class RealLoop {
     std::uint16_t peer_port = 0;
     FrameHandler handler;
     std::unique_ptr<resil::FaultSocket> fault;
-    /// Datagrams parked for the next sendmmsg flush (dispatch-thread only).
+    /// Datagrams parked for the next sendmmsg flush.
     std::deque<WireFrame> train;
   };
   struct Timer {
@@ -204,18 +191,13 @@ class RealLoop {
   void raw_send(const Socket& s, const std::uint8_t* data, std::size_t len);
   /// Fault-injected send path: judge, mutate a private copy, hold or send.
   void faulted_send(int sock, std::vector<std::uint8_t> bytes);
-  /// Immediate single-datagram gather send (non-dispatch threads, disabled
+  /// Immediate single-datagram gather send (outside run_until(), disabled
   /// batching, and faulted flat copies).
   void immediate_sendv(const Socket& s, const WireFrame& frame);
   /// Send every held datagram that is due; returns the next deadline
   /// (-1 when the queue is empty).
   Vt flush_held();
 
-  bool on_dispatch_thread() const {
-    return in_dispatch_.load(std::memory_order_acquire) &&
-           dispatch_tid_.load(std::memory_order_relaxed) ==
-               std::this_thread::get_id();
-  }
   net::BatchIoBackend& backend();
   /// Swap to the fallback backend after a runtime ENOSYS.
   void demote_backend();
@@ -239,10 +221,7 @@ class RealLoop {
   std::vector<ChunkRef> rx_cache_;   // loop-owned recv chunks (kernel_buf)
   std::vector<net::RxSlot> rx_slots_;
   std::uint32_t consecutive_full_ = 0;  // full recvmmsg batches in a row
-  std::atomic<bool> in_dispatch_{false};
-  std::atomic<std::thread::id> dispatch_tid_{};
-  mutable std::mutex mu_;  // guards timers_, timer_seq_, live/cancelled
-                           // timer-id sets, deferred_, held_
+  bool in_dispatch_ = false;  // inside run_until(): sends join the trains
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::set<std::uint64_t> live_timers_;
   std::set<std::uint64_t> cancelled_timers_;

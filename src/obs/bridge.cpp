@@ -105,21 +105,6 @@ void bind_engine_stats(MetricsRegistry& reg, const EngineStats& s,
              &s.restarts);
   rd_counter(reg, p + "_recovery_entries_total",
              "cookie-recovery episodes entered", &s.recovery_entries);
-  rd_counter(reg, p + "_rt_posts_submitted_total",
-             "post-processing batches handed to the deferred runtime",
-             &s.rt_posts_submitted);
-  rd_counter(reg, p + "_rt_timer_submits_total",
-             "timer work routed through the deferred sink",
-             &s.rt_timer_submits);
-  rd_counter(reg, p + "_rt_inline_fallbacks_total",
-             "deferred submits that ran inline (ring full)",
-             &s.rt_inline_fallbacks);
-  rd_counter(reg, p + "_rt_parked_sends_total",
-             "sends parked while a worker held the engine",
-             &s.rt_parked_sends);
-  rd_counter(reg, p + "_rt_parked_frames_total",
-             "frames parked while a worker held the engine",
-             &s.rt_parked_frames);
   rd_drops(reg, p, s.drops);
 }
 
@@ -157,34 +142,6 @@ void bind_router_stats(MetricsRegistry& reg, const Router::Stats& s,
              "ident-storm events reported to the overload governor",
              &s.churn_events);
   rd_drops(reg, p, s.drops);
-}
-
-void bind_executor_stats(MetricsRegistry& reg, const rt::ExecutorStats& s,
-                         const std::string& p) {
-  // ExecutorStats arrives as a by-value snapshot — copy it into the
-  // closures (no lifetime requirement on the caller's struct).
-  const auto n = std::make_shared<rt::ExecutorStats>(s);
-  reg.gauge_fn(p + "_workers", "worker threads", "",
-               [n] { return static_cast<double>(n->workers); });
-  reg.counter_fn(p + "_submitted_total", "closures submitted", "",
-                 [n] { return static_cast<double>(n->submitted); });
-  reg.counter_fn(p + "_executed_total", "closures executed", "",
-                 [n] { return static_cast<double>(n->executed); });
-  reg.counter_fn(p + "_rejected_total",
-                 "full-ring submits that fell back inline", "",
-                 [n] { return static_cast<double>(n->rejected); });
-  reg.counter_fn(p + "_wakeups_total", "cv notifications to sleepers", "",
-                 [n] { return static_cast<double>(n->wakeups); });
-  reg.gauge_fn(p + "_queue_depth_max", "high-water ring occupancy", "",
-               [n] { return static_cast<double>(n->queue_depth_max); });
-  reg.counter_fn(p + "_queue_ns_total", "total submit-to-pop latency", "ns",
-                 [n] { return static_cast<double>(n->queue_ns_total); });
-  reg.gauge_fn(p + "_queue_ns_max", "worst submit-to-pop latency", "ns",
-               [n] { return static_cast<double>(n->queue_ns_max); });
-  reg.counter_fn(p + "_run_ns_total", "total closure execution time", "ns",
-                 [n] { return static_cast<double>(n->run_ns_total); });
-  reg.gauge_fn(p + "_run_ns_max", "worst closure execution time", "ns",
-               [n] { return static_cast<double>(n->run_ns_max); });
 }
 
 void bind_gc_stats(MetricsRegistry& reg, const GcModel::Stats& s,

@@ -10,16 +10,14 @@
 //
 //   pa_engine_*    EngineStats incl. the drop-reason taxonomy
 //   pa_router_*    Router::Stats incl. the drop-reason taxonomy
-//   rt_executor_*  rt::ExecutorStats (a by-value snapshot)
 //   sim_gc_*       GcModel::Stats
 //   pa_pool_*      MessagePool::Stats
 //   buf_*          BufStats (process-global zero-copy accounting)
 //   sim_network_*  SimNetwork::Stats
 //   pa_stack_*     per-layer window/bottom/NAK counters
 //
-// Lifetime: except for bind_executor_stats (which copies its snapshot),
-// bridges capture a pointer to the bound struct — the struct must outlive
-// the registry. report() builds throwaway registries around borrowed
+// Lifetime: bridges capture a pointer to the bound struct — the struct must
+// outlive the registry. report() builds throwaway registries around borrowed
 // structs, renders, and discards them, which is always safe.
 //
 // Binding two objects of the same type into one registry requires distinct
@@ -33,7 +31,6 @@
 #include "horus/stack.h"
 #include "obs/metrics.h"
 #include "pa/router.h"
-#include "rt/executor.h"
 #include "sim/gc_model.h"
 #include "sim/network.h"
 
@@ -43,8 +40,6 @@ void bind_engine_stats(MetricsRegistry& reg, const EngineStats& s,
                        const std::string& prefix = "pa_engine");
 void bind_router_stats(MetricsRegistry& reg, const Router::Stats& s,
                        const std::string& prefix = "pa_router");
-void bind_executor_stats(MetricsRegistry& reg, const rt::ExecutorStats& s,
-                         const std::string& prefix = "rt_executor");
 void bind_gc_stats(MetricsRegistry& reg, const GcModel::Stats& s,
                    const std::string& prefix = "sim_gc");
 void bind_pool_stats(MetricsRegistry& reg, const MessagePool::Stats& s,

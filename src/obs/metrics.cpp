@@ -156,7 +156,7 @@ std::vector<MetricSample> MetricsRegistry::collect() const {
 
 MetricsRegistry& registry() {
   static MetricsRegistry* g = new MetricsRegistry();  // never destroyed:
-  // worker threads may record through handles during static teardown.
+  // other threads may record through handles during static teardown.
   return *g;
 }
 

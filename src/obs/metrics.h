@@ -1,10 +1,9 @@
 // Unified metrics: named, typed, near-zero-cost on the hot path.
 //
 // The repo grew telemetry organically — StatCounter fields scattered over
-// EngineStats / Router::Stats / pool / GC / network structs, plus the
-// executor's hand-rolled latency totals. This registry unifies them behind
-// one model: a metric has a *name*, a *help* string, a *unit*, and a
-// *type* (counter / gauge / histogram). Hot paths touch only relaxed
+// EngineStats / Router::Stats / pool / GC / network structs. This registry
+// unifies them behind one model: a metric has a *name*, a *help* string, a
+// *unit*, and a *type* (counter / gauge / histogram). Hot paths touch only relaxed
 // atomics through direct handles obtained once at setup; the registry's
 // mutex is paid only at registration and collection time.
 //
@@ -12,7 +11,7 @@
 //   - owned metrics (`counter()` / `gauge()` / `histogram()`): the registry
 //     allocates the storage and hands back a stable reference;
 //   - read-through metrics (`gauge_fn()`): a callback samples an existing
-//     source (a StatCounter inside EngineStats, an ExecutorStats snapshot
+//     source (a StatCounter inside EngineStats, a MessagePool::Stats
 //     field) at collection time — this is how the legacy stat structs are
 //     unified without rewriting their call sites (see obs/bridge.h).
 //
@@ -182,7 +181,7 @@ class MetricsRegistry {
 };
 
 /// The process-global registry. Subsystems that exist once per process
-/// (the trace ring, the executor, the real-time loop, the engines' shared
+/// (the trace ring, the real-time loop, the engines' shared
 /// phase histograms) register here; per-object stat structs are bound into
 /// throwaway registries by obs/bridge.h instead.
 MetricsRegistry& registry();

@@ -16,8 +16,6 @@ const char* span_kind_name(SpanKind k) {
     case SpanKind::kPostDeliver:  return "post.deliver";
     case SpanKind::kFilterSend:   return "filter.send";
     case SpanKind::kFilterRecv:   return "filter.recv";
-    case SpanKind::kExecQueue:    return "exec.queue";
-    case SpanKind::kExecRun:      return "exec.run";
     case SpanKind::kTimerFire:    return "timer.fire";
     case SpanKind::kGcPause:      return "gc.pause";
     case SpanKind::kBacklogFlush: return "backlog.flush";
@@ -86,7 +84,7 @@ struct GlobalTrace {
 };
 
 GlobalTrace& global() {
-  static GlobalTrace* g = new GlobalTrace();  // never destroyed: worker
+  static GlobalTrace* g = new GlobalTrace();  // never destroyed: other
   // threads may still be recording during static teardown.
   return *g;
 }

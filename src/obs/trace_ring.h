@@ -18,9 +18,8 @@
 //
 // Timestamps carry whatever clock the recording site lives on: virtual
 // nanoseconds under the simulator (Env::now), wall nanoseconds in the
-// real-time loop and the executor. A ring never mixes semantics within one
-// process run in practice, and the exporters only need monotonicity per
-// producer.
+// real-time loop. A ring never mixes semantics within one process run in
+// practice, and the exporters only need monotonicity per producer.
 //
 // The string-based TraceRecorder survives as the *Figure-4 text exporter*
 // for simulator worlds (opt-in via WorldConfig::trace); chrome_trace_json
@@ -44,8 +43,6 @@ enum class SpanKind : std::uint8_t {
   kPostDeliver,     // deferred post-deliver batch (arg = messages in batch)
   kFilterSend,      // send packet filter executed (arg = return code)
   kFilterRecv,      // receive packet filter executed (arg = return code)
-  kExecQueue,       // executor: submit -> pop wait (dur = queue ns)
-  kExecRun,         // executor: closure execution (dur = run ns)
   kTimerFire,       // layer timer callback ran
   kGcPause,         // GC model charged a pause (dur = pause ns)
   kBacklogFlush,    // backlog flushed (arg = messages flushed/packed)

@@ -129,14 +129,6 @@ PaEngine::PaEngine(PaConfig cfg, Env& env)
   Rng cookie_rng(cfg_.cookie_seed);
   out_cookie_ = random_cookie(cookie_rng);
 
-  if (cfg_.deferred_sink) {
-    sink_ = cfg_.deferred_sink;
-  } else {
-    inline_sink_ = std::make_unique<rt::InlineExecutor>(
-        [this](std::function<void()> fn) { env_.defer(std::move(fn)); });
-    sink_ = inline_sink_.get();
-  }
-  mt_ = sink_->concurrent();
   obs_id_ = obs::next_owner_id();
   win_ = dynamic_cast<const WindowLayer*>(stack_.find(LayerKind::kWindow));
 
@@ -175,21 +167,6 @@ bool PaEngine::decode_codecs(Message& m, const HeaderView& v) {
     }
   }
   return true;
-}
-
-PaEngine::~PaEngine() {
-  if (!mt_) return;
-  // Let in-flight worker batches finish, then absorb anything still parked.
-  // in_engine_work_ keeps schedule_post() from handing new closures (which
-  // would capture a dying `this`) to the sink.
-  sink_->drain();
-  std::lock_guard<std::mutex> lk(mu_);
-  in_engine_work_ = true;
-  for (;;) {
-    while (post_scheduled_) run_posts();
-    if (!drain_parked_locked()) break;
-  }
-  in_engine_work_ = false;
 }
 
 void PaEngine::preagree_peer_cookie(std::uint64_t cookie) {
@@ -320,12 +297,11 @@ void PaEngine::report_pressure() {
 void PaEngine::send(std::span<const std::uint8_t> payload) {
   ++stats_.app_sends;
   if (cfg_.governor) {
-    // Admission control runs before any allocation or locking: under
-    // pressure the cheapest place to refuse work is the front door. The
-    // backlog mirror is a relaxed snapshot — admission is a watermark, not
-    // an exact count. The signal is re-fed here (not just from run_posts)
-    // so a send-side blast raises pressure even before any frame returns.
-    const std::size_t depth = backlog_depth_.load(std::memory_order_relaxed);
+    // Admission control runs before any allocation: under pressure the
+    // cheapest place to refuse work is the front door. The signal is re-fed
+    // here (not just from run_posts) so a send-side blast raises pressure
+    // even before any frame returns.
+    const std::size_t depth = backlog_.size();
     cfg_.governor->report_backlog(depth);
     cfg_.governor->tick(env_.now());
     if (!cfg_.governor->admit_ingest(depth)) {
@@ -333,26 +309,7 @@ void PaEngine::send(std::span<const std::uint8_t> payload) {
       return;
     }
   }
-  if (!mt_) {
-    submit(acquire_message(payload));
-    return;
-  }
-  if (mu_.try_lock()) {
-    // FIFO: anything parked while a worker held the engine precedes us.
-    drain_parked_locked();
-    submit(acquire_message(payload));
-    unlock_and_handoff();
-    return;
-  }
-  // A worker is running post phases. Don't wait for it — park a copy of the
-  // payload; the lock holder adopts it on its way out.
-  ++stats_.rt_parked_sends;
-  {
-    std::lock_guard<std::mutex> lk(inbox_mu_);
-    send_inbox_.emplace_back(payload.begin(), payload.end());
-    inbox_count_.fetch_add(1, std::memory_order_release);
-  }
-  adopt_parked();
+  submit(acquire_message(payload));
 }
 
 void PaEngine::send(Message m) {
@@ -362,9 +319,9 @@ void PaEngine::send(Message m) {
   // here — the chain is adopted as-is.
   ++stats_.app_sends;
   if (cfg_.governor) {
-    // Same front-door admission as the span path: refusing before any
-    // locking keeps the shed O(1) whatever the fanout.
-    const std::size_t depth = backlog_depth_.load(std::memory_order_relaxed);
+    // Same front-door admission as the span path: refusing before the
+    // chain is adopted keeps the shed O(1) whatever the fanout.
+    const std::size_t depth = backlog_.size();
     cfg_.governor->report_backlog(depth);
     cfg_.governor->tick(env_.now());
     if (!cfg_.governor->admit_ingest(depth)) {
@@ -373,25 +330,7 @@ void PaEngine::send(Message m) {
     }
   }
   env_.on_alloc(m.capacity());
-  if (!mt_) {
-    submit(std::move(m));
-    return;
-  }
-  if (mu_.try_lock()) {
-    drain_parked_locked();
-    submit(std::move(m));
-    unlock_and_handoff();
-    return;
-  }
-  // A worker holds the engine: park the message itself — moving the chain
-  // is a pointer swap, so unlike the span path no copy is needed.
-  ++stats_.rt_parked_sends;
-  {
-    std::lock_guard<std::mutex> lk(inbox_mu_);
-    msg_inbox_.push_back(std::move(m));
-    inbox_count_.fetch_add(1, std::memory_order_release);
-  }
-  adopt_parked();
+  submit(std::move(m));
 }
 
 void PaEngine::submit(Message m) {
@@ -422,7 +361,6 @@ void PaEngine::enqueue_or_send(Message m) {
     // msgs/sec streaming rate.
     env_.charge(cfg_.costs.pa_backlog_per_msg);
     backlog_.push_back(std::move(m));
-    sync_backlog_depth();
     return;
   }
   const std::uint64_t len = m.payload_len();
@@ -496,7 +434,6 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
       }
       m.pop(fixed_hdr_);
       backlog_.push_front(std::move(m));
-      sync_backlog_depth();
       send_busy_ = false;
       return;
     }
@@ -555,83 +492,7 @@ void PaEngine::queue_post_send(Message m) {
 void PaEngine::schedule_post() {
   if (post_scheduled_) return;
   post_scheduled_ = true;
-  if (!mt_) {
-    // Inline mode: the sink forwards to Env::defer — identical to the
-    // engine's historical single-threaded behaviour.
-    std::function<void()> fn = [this] { run_posts(); };
-    sink_->submit(cfg_.deferred_key, fn);
-    return;
-  }
-  // Concurrent mode (mu_ is held here on every path).
-  if (in_engine_work_) return;  // the active worker_entry loop picks it up
-  ++stats_.rt_posts_submitted;
-  std::function<void()> fn = [this] { worker_entry({}); };
-  if (!sink_->submit(cfg_.deferred_key, fn)) {
-    // Ring full: backpressure contract — run the batch right here, on the
-    // critical path, rather than drop a state mutation.
-    ++stats_.rt_inline_fallbacks;
-    if (cfg_.governor) cfg_.governor->report_ring(1.0);
-    while (post_scheduled_) run_posts();
-  } else if (cfg_.governor) {
-    cfg_.governor->report_ring(0.0);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent-mode machinery: engine lock hand-off (flat-combining style).
-// ---------------------------------------------------------------------------
-void PaEngine::worker_entry(const std::function<void()>& prologue) {
-  mu_.lock();
-  in_engine_work_ = true;
-  if (prologue) prologue();
-  for (;;) {
-    while (post_scheduled_) run_posts();
-    if (!drain_parked_locked()) break;
-  }
-  in_engine_work_ = false;
-  unlock_and_handoff();
-}
-
-bool PaEngine::drain_parked_locked() {
-  std::deque<std::vector<std::uint8_t>> sends;
-  std::deque<Message> msgs;
-  std::deque<WireFrame> frames;
-  {
-    std::lock_guard<std::mutex> lk(inbox_mu_);
-    sends.swap(send_inbox_);
-    msgs.swap(msg_inbox_);
-    frames.swap(frame_inbox_);
-    inbox_count_.fetch_sub(sends.size() + msgs.size() + frames.size(),
-                           std::memory_order_release);
-  }
-  if (sends.empty() && msgs.empty() && frames.empty()) return false;
-  for (auto& p : sends) submit(acquire_message(p));
-  for (auto& m : msgs) submit(std::move(m));
-  for (auto& f : frames) accept_frame(std::move(f));
-  return true;
-}
-
-void PaEngine::unlock_and_handoff() {
-  for (;;) {
-    // Adopted work may schedule post batches; schedule_post() submits them
-    // to the sink (in_engine_work_ is false here), so the drain loop alone
-    // reaches quiescence.
-    while (drain_parked_locked()) {
-    }
-    mu_.unlock();
-    if (inbox_count_.load(std::memory_order_acquire) == 0) return;
-    // Raced with a producer parking just as we released: take the work
-    // back if we can; if try_lock fails, the new holder drains it.
-    if (!mu_.try_lock()) return;
-  }
-}
-
-void PaEngine::adopt_parked() {
-  // The holder checks inbox_count_ after releasing mu_, so either it sees
-  // our parked item, or its release preceded our park — in which case this
-  // try_lock succeeds and we drain it ourselves.
-  if (!mu_.try_lock()) return;
-  unlock_and_handoff();
+  env_.defer([this] { run_posts(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -720,7 +581,6 @@ void PaEngine::flush_backlog() {
 
   Message first = std::move(backlog_.front());
   backlog_.pop_front();
-  sync_backlog_depth();
   const std::uint64_t first_len = first.payload_len();
 
   const bool packable =
@@ -755,7 +615,6 @@ void PaEngine::flush_backlog() {
     batch.push_back(std::move(backlog_.front()));
     backlog_.pop_front();
   }
-  sync_backlog_depth();
 
   if (batch.size() == 1) {
     start_send(std::move(batch.front()), 1, first_len, false);
@@ -779,33 +638,6 @@ void PaEngine::flush_backlog() {
 // ---------------------------------------------------------------------------
 void PaEngine::on_frame(WireFrame frame, Vt) {
   ++stats_.frames_in;
-  if (!mt_) {
-    accept_frame(std::move(frame));
-    return;
-  }
-  if (mu_.try_lock()) {
-    drain_parked_locked();
-    accept_frame(std::move(frame));
-    unlock_and_handoff();
-    return;
-  }
-  // A worker holds the engine: park the frame (bounded — a real NIC ring
-  // overflows too, and retransmission recovers the loss).
-  {
-    std::lock_guard<std::mutex> lk(inbox_mu_);
-    if (frame_inbox_.size() >= cfg_.max_recv_queue) {
-      ++stats_.recv_overflow_drops;
-      stats_.drops.bump(DropReason::kRecvQueueFull);
-      return;
-    }
-    ++stats_.rt_parked_frames;
-    frame_inbox_.push_back(std::move(frame));
-    inbox_count_.fetch_add(1, std::memory_order_release);
-  }
-  adopt_parked();
-}
-
-void PaEngine::accept_frame(WireFrame frame) {
   if (deliver_busy_) {
     // Post-processing of the previous delivery is still pending: the
     // message waits (paper §3.4 — this is the backlog that packing was
@@ -1175,28 +1007,8 @@ void PaEngine::timer_fire(std::size_t layer,
 
 void PaEngine::set_layer_timer(std::size_t layer, VtDur delay,
                                std::function<void(LayerOps&)> cb) {
-  if (!mt_) {
-    env_.set_timer(delay, [this, layer, cb = std::move(cb)] {
-      timer_fire(layer, cb);
-    });
-    return;
-  }
-  // Concurrent mode: the environment's timer fires on its own thread; route
-  // the body through the sink so it runs FIFO with post batches on this
-  // connection's pinned worker. The closure is self-contained (layer index
-  // + the layer's own [this, value...] callback — no stack references).
   env_.set_timer(delay, [this, layer, cb = std::move(cb)] {
-    ++stats_.rt_timer_submits;
-    std::function<void()> fn = [this, layer, cb] {
-      worker_entry([&] { timer_fire(layer, cb); });
-    };
-    if (!sink_->submit(cfg_.deferred_key, fn)) {
-      ++stats_.rt_inline_fallbacks;
-      if (cfg_.governor) cfg_.governor->report_ring(1.0);
-      fn();  // ring full: run on the timer thread (still fully locked)
-    } else if (cfg_.governor) {
-      cfg_.governor->report_ring(0.0);
-    }
+    timer_fire(layer, cb);
   });
 }
 

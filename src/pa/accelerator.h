@@ -18,12 +18,9 @@
 //            protocol-specific header against the prediction → application.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 
 #include "buf/pool.h"
@@ -34,7 +31,6 @@
 #include "pa/packing.h"
 #include "pa/preamble.h"
 #include "resil/governor.h"
-#include "rt/deferred.h"
 #include "sim/cost_model.h"
 
 namespace pa {
@@ -76,49 +72,23 @@ struct PaConfig {
   /// While recovering, ship the full connection identification on this many
   /// outgoing frames so the peer's router can re-learn cookie -> engine.
   std::uint32_t recovery_ident_quota = 8;
-  // --- deferred-work runtime (src/rt/) ------------------------------------
-  /// Where layer post-processing executes. Null (default): an
-  /// engine-internal rt::InlineExecutor forwards to Env::defer — the
-  /// deterministic single-threaded mode the simulator uses, byte-for-byte
-  /// the historical behaviour. Non-null (e.g. an rt::Executor): work runs
-  /// on that sink's worker threads and the engine switches to its
-  /// concurrent integration paths. Non-owning; the sink must outlive the
-  /// engine.
-  rt::DeferredSink* deferred_sink = nullptr;
-  /// Pinning key handed to the sink with every submission: connections
-  /// sharing a key share a worker (per-key FIFO). Give each connection a
-  /// distinct key to spread across workers.
-  std::uint64_t deferred_key = 0;
   // --- overload governor (src/resil/) -------------------------------------
   /// When set, the engine feeds the governor its pressure signals (backlog
-  /// depth, recv-queue depth, pool occupancy, sink backpressure) and obeys
-  /// its degradation policies: ingest admission control, heartbeat/gossip
-  /// shedding, packing-train shrink and window clamp. Every refusal lands in
+  /// depth, recv-queue depth, pool occupancy) and obeys its degradation
+  /// policies: ingest admission control, heartbeat/gossip shedding,
+  /// packing-train shrink and window clamp. Every refusal lands in
   /// stats().drops under a shed_* reason. Non-owning; shared across the
   /// engines and router of one node.
   resil::OverloadGovernor* governor = nullptr;
 };
 
-// Concurrency model (concurrent sink mode only; inline mode is untouched
-// single-threaded code):
-//
-//   - mu_ is the engine lock: all protocol state (stack, predictions, pool,
-//     backlog, queues) is only touched while holding it.
-//   - The critical path never blocks on post-processing. send()/on_frame()
-//     try_lock; on failure (a worker is running post phases) the payload /
-//     frame is parked in a small mutex-protected inbox and the lock holder
-//     adopts it before releasing (unlock_and_handoff) — flat-combining
-//     style, so per-connection FIFO is preserved and nothing is dropped.
-//   - Post batches are submitted to the DeferredSink keyed by
-//     cfg_.deferred_key, so one connection's work is pinned to one worker.
-//     If the sink's ring is full, the work runs on the submitting thread
-//     (backpressure contract: state mutations are never dropped).
-//   - Timer callbacks are routed through the sink too, so they serialize
-//     with post batches on the same worker.
+// Concurrency model: one thread. Every entry point (send, on_frame, timer
+// callbacks, deferred post batches) runs on the thread that drives the
+// engine's Env; post-processing is handed to Env::defer and runs when that
+// thread is next idle (paper §3.1).
 class PaEngine final : public Engine {
  public:
   PaEngine(PaConfig cfg, Env& env);
-  ~PaEngine() override;
 
   // --- Engine interface ---------------------------------------------------
   void send(std::span<const std::uint8_t> payload) override;
@@ -177,7 +147,6 @@ class PaEngine final : public Engine {
   HeaderView bind_zero_header();
 
   void submit(Message m);
-  void accept_frame(WireFrame frame);
   void enqueue_or_send(Message m);
   void start_send(Message m, std::uint64_t pk_count, std::uint64_t pk_each,
                   bool pk_var);
@@ -215,32 +184,12 @@ class PaEngine final : public Engine {
   void retire_message(Message&& m);
 
   // --- overload-governor hooks (no-ops when cfg_.governor is null) --------
-  /// Keep the lock-free backlog-depth mirror in sync (read by admission
-  /// control on the app thread while a worker owns the engine lock).
-  void sync_backlog_depth() {
-    backlog_depth_.store(backlog_.size(), std::memory_order_relaxed);
-  }
   /// True when the governor's window clamp says the send pipeline is full
   /// enough for the current overload level.
   bool window_clamped() const;
   /// Feed the governor the engine-side pressure signals and advance it.
   void report_pressure();
 
-  // --- concurrent-mode machinery (no-ops / unused in inline mode) ---------
-  /// Body of a sink submission: take the engine lock, run `prologue` (e.g.
-  /// a timer callback), then loop post batches + adopted inbox work until
-  /// quiescent, and hand off the lock.
-  void worker_entry(const std::function<void()>& prologue);
-  /// With mu_ held: adopt parked payloads/frames. Returns whether any work
-  /// was adopted (more may have been parked meanwhile).
-  bool drain_parked_locked();
-  /// With mu_ held: release it, but re-acquire and drain if something was
-  /// parked in the window before the release became visible. Exactly one
-  /// thread ends up responsible for any parked item.
-  void unlock_and_handoff();
-  /// After parking: if the lock is free (holder already passed its exit
-  /// check), adopt the work ourselves.
-  void adopt_parked();
 
   PaConfig cfg_;
   Env& env_;
@@ -271,19 +220,6 @@ class PaEngine final : public Engine {
   bool post_scheduled_ = false;
   bool first_send_done_ = false;
 
-  // deferred-work runtime seam
-  std::unique_ptr<rt::InlineExecutor> inline_sink_;  // when no sink injected
-  rt::DeferredSink* sink_ = nullptr;
-  bool mt_ = false;            // sink_->concurrent(): take the locked paths
-  std::mutex mu_;              // engine lock (concurrent mode only)
-  bool in_engine_work_ = false;  // guarded by mu_: a worker_entry loop is
-                                 // active; schedule_post() needn't resubmit
-  std::mutex inbox_mu_;        // guards the parked inboxes below
-  std::deque<std::vector<std::uint8_t>> send_inbox_;   // parked payload copies
-  std::deque<Message> msg_inbox_;      // parked zero-copy sends (chain moves)
-  std::deque<WireFrame> frame_inbox_;                  // parked wire frames
-  std::atomic<std::size_t> inbox_count_{0};
-
   std::uint64_t out_cookie_ = 0;
   std::optional<std::uint64_t> learned_peer_cookie_;
   Endian peer_endian_;
@@ -294,10 +230,8 @@ class PaEngine final : public Engine {
   std::uint32_t recovery_quota_ = 0;   // frames left to carry the conn-ident
 
   // Overload-governor support: the window layer (for the clamp; null when
-  // the stack has none) and a relaxed mirror of backlog_.size() readable
-  // without the engine lock.
+  // the stack has none).
   const WindowLayer* win_ = nullptr;
-  std::atomic<std::size_t> backlog_depth_{0};
 
   // Composable-stack seams, derived from the composition at construction:
   // frame codecs (AEAD) run between the header machinery and the wire;

@@ -48,8 +48,8 @@ inline constexpr std::size_t kNumDropReasons =
 const char* drop_reason_name(DropReason r);
 
 /// Per-reason drop counters; embedded in Router::Stats and EngineStats.
-/// Counters are StatCounters so a report can render while the deferred
-/// runtime's workers are still classifying drops.
+/// Counters are StatCounters so a report can render on another thread
+/// while the engine is still classifying drops.
 struct DropCounters {
   std::array<StatCounter, kNumDropReasons> counts{};
 

@@ -50,8 +50,8 @@ class Router {
  public:
   enum class Kind { kPa, kClassic };
 
-  // StatCounters (relaxed atomics) so a report can render while deferred
-  // workers are active; routing itself stays owner-thread-only.
+  // StatCounters (relaxed atomics) so a report can render on another
+  // thread; routing itself stays owner-thread-only.
   struct Stats {
     StatCounter routed_by_cookie;
     StatCounter routed_by_ident;

@@ -66,15 +66,6 @@ void OverloadGovernor::report_pool(std::size_t in_use, std::size_t capacity) {
       std::memory_order_relaxed);
 }
 
-void OverloadGovernor::report_ring(double pressure) {
-  // Fast EWMA so a burst of handbacks registers within a few events. The
-  // load-then-store is racy under concurrent reporters; acceptable for a
-  // smoothing heuristic.
-  const double prev = sig_ring_.load(std::memory_order_relaxed);
-  sig_ring_.store(prev + 0.25 * (clamp01(pressure) - prev),
-                  std::memory_order_relaxed);
-}
-
 void OverloadGovernor::report_loop_lag(VtDur lag) {
   const double frac = clamp01(static_cast<double>(lag) /
                               static_cast<double>(cfg_.lag_watermark));
@@ -111,7 +102,6 @@ void OverloadGovernor::tick(Vt now) {
   double raw = sig_backlog_.load(std::memory_order_relaxed);
   const double others[] = {sig_recv_.load(std::memory_order_relaxed),
                            sig_pool_.load(std::memory_order_relaxed),
-                           sig_ring_.load(std::memory_order_relaxed),
                            sig_lag_.load(std::memory_order_relaxed),
                            sig_net_tx_.load(std::memory_order_relaxed),
                            sig_net_rx_.load(std::memory_order_relaxed),

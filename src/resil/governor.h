@@ -2,16 +2,15 @@
 // one smoothed overload level, and answers policy questions per level.
 //
 // Nothing in the stack degrades gracefully on its own when offered load
-// exceeds capacity: the rt executor hands work back inline, the recv queue
-// fills and overflows, the backlog grows without bound. Production
-// transports treat overload as a first-class input with explicit pacing and
-// shedding; the governor is that input's aggregation point.
+// exceeds capacity: the recv queue fills and overflows, the backlog grows
+// without bound, the loop's timers fire late. Production transports treat
+// overload as a first-class input with explicit pacing and shedding; the
+// governor is that input's aggregation point.
 //
 // Signals (all normalized to a [0,1] "fraction of watermark"):
 //   - PA backlog depth (admission pressure at ingest),
 //   - recv-queue depth (post-processing is behind the wire),
 //   - MessagePool occupancy (allocation pressure),
-//   - rt::Executor ring backpressure / inline-handback events,
 //   - RealLoop timer wakeup lag (the dispatch thread itself is behind),
 //   - RealLoop send-train depth (datagrams queued for the next sendmmsg
 //     flush: the kernel or the loop is not draining sends fast enough),
@@ -20,8 +19,9 @@
 //   - Router connection churn (the fraction of traffic demanding fresh
 //     conn-ident scans or shed by ident quotas: a churn/join storm).
 //
-// Event-shaped signals (ring handbacks, wakeup lag) are EWMA-smoothed at
-// report time; level-shaped signals (queue depths) keep their latest value.
+// Event-shaped signals (wakeup lag, drain saturation, churn) are
+// EWMA-smoothed at report time; level-shaped signals (queue depths) keep
+// their latest value.
 // tick() folds the maximum of the signals into one smoothed pressure value
 // and maps it onto the ladder
 //
@@ -96,9 +96,6 @@ class OverloadGovernor {
   void report_backlog(std::size_t depth);
   void report_recv_queue(std::size_t depth);
   void report_pool(std::size_t in_use, std::size_t capacity);
-  /// Ring pressure events: 1.0 for an inline handback (ring full), 0.0 for
-  /// a successful submission. EWMA-smoothed at report time.
-  void report_ring(double pressure);
   /// Timer wakeup lag on the dispatch loop (how late a due timer fired).
   void report_loop_lag(VtDur lag);
   /// Depth of the real loop's send trains at a flush point (level-shaped,
@@ -112,7 +109,7 @@ class OverloadGovernor {
   /// frame demanding a fresh conn-ident scan, a quota shed, an unknown
   /// cookie) and 0.0 per established cookie-routed frame, so the signal
   /// tracks the *fraction* of traffic that is churn (event-shaped, EWMA —
-  /// same idiom as report_ring). A churn storm raises the ladder, which
+  /// same idiom as report_net_drain). A churn storm raises the ladder, which
   /// arms reject_new_idents() and the router's scan budget.
   void report_churn(double pressure);
 
@@ -179,7 +176,6 @@ class OverloadGovernor {
   std::atomic<double> sig_net_tx_{0};
   // Event-shaped signals: EWMA at report time (approximate under racy
   // read-modify-write — these are heuristics, not ledgers).
-  std::atomic<double> sig_ring_{0};
   std::atomic<double> sig_lag_{0};
   std::atomic<double> sig_net_rx_{0};
   std::atomic<double> sig_churn_{0};

@@ -1,11 +1,10 @@
 // A statistics counter safe for concurrent writers and readers.
 //
-// The deferred-work runtime (src/rt/) moves engine post-processing onto
-// worker threads, so the EngineStats / Router::Stats counters are bumped by
-// a worker while the owner thread (or a report renderer) reads them. These
-// counters are monotonic telemetry, not synchronization: relaxed atomics
-// are exactly right — no ordering, no torn reads, negligible cost on the
-// inline (single-threaded, simulated) paths.
+// The engines are single-threaded, but a reader on another thread (a
+// metrics exporter, a report renderer) may snapshot EngineStats /
+// Router::Stats while the engine runs. These counters are monotonic
+// telemetry, not synchronization: relaxed atomics are exactly right — no
+// ordering, no torn reads, negligible cost on the engine's paths.
 //
 // The class is a drop-in for the plain std::uint64_t fields it replaces:
 // ++, +=, = and implicit conversion all work at existing call sites.

@@ -1,6 +1,10 @@
 // Focused PaEngine behavior tests: disable counters, receive-queue bounds,
-// prediction-miss paths, pool toggling, and introspection invariants.
+// prediction-miss paths, pool toggling, introspection invariants, and the
+// self-containment of deferred post-processing records.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
 
 #include "horus/world.h"
 
@@ -193,6 +197,108 @@ TEST(MultiCpu, RoundRobinAssignment) {
   EXPECT_EQ(n.next_cpu(), 1u);
   EXPECT_EQ(n.next_cpu(), 2u);
   EXPECT_EQ(n.next_cpu(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred-record self-containment.
+//
+// An Env that *captures* deferred closures instead of running them:
+// everything the engine defers sits in `deferred` until the test releases
+// it. By then the caller's stack frame is long gone and the caller's
+// payload buffer has been clobbered — so this fails (garbage payload bytes
+// on the wire / delivered) if any deferred record keeps a pointer into
+// caller state instead of owning a copy.
+// ---------------------------------------------------------------------------
+class RecordingEnv final : public Env {
+ public:
+  Vt now() const override { return t; }
+  void charge(VtDur) override {}
+  void send_frame(std::vector<std::uint8_t> f) override {
+    wire.push_back(std::move(f));
+  }
+  void deliver(std::span<const std::uint8_t> p) override {
+    delivered.emplace_back(p.begin(), p.end());
+  }
+  void defer(std::function<void()> fn) override {
+    deferred.push_back(std::move(fn));
+  }
+  void set_timer(VtDur d, std::function<void()> fn) override {
+    timers.emplace_back(t + d, std::move(fn));
+  }
+  void trace(std::string_view) override {}
+  void on_alloc(std::size_t) override {}
+  void on_reception() override {}
+  void gc_point() override {}
+
+  /// Run every captured closure, including ones they defer in turn.
+  void drain() {
+    while (!deferred.empty()) {
+      auto fn = std::move(deferred.front());
+      deferred.pop_front();
+      fn();
+    }
+  }
+
+  Vt t = 0;
+  std::deque<std::function<void()>> deferred;
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::vector<std::vector<std::uint8_t>> delivered;
+  std::vector<std::pair<Vt, std::function<void()>>> timers;
+};
+
+bool contains(const std::vector<std::uint8_t>& hay,
+              const std::vector<std::uint8_t>& needle) {
+  return std::search(hay.begin(), hay.end(), needle.begin(), needle.end()) !=
+         hay.end();
+}
+
+TEST(DeferredRecords, SelfContainedAfterCallerFrameClobbered) {
+  RecordingEnv env_a, env_b;
+  PaConfig ca, cb;
+  ca.cookie_seed = 11;
+  cb.cookie_seed = 22;
+  PaEngine a(ca, env_a);
+  PaEngine b(cb, env_b);
+
+  std::vector<std::uint8_t> original(64);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  }
+  {
+    std::vector<std::uint8_t> payload = original;
+    a.send(payload);
+    // The caller's buffer dies here (scope) — clobber it first so a kept
+    // pointer would visibly corrupt.
+    std::fill(payload.begin(), payload.end(), 0xee);
+  }
+
+  // Post-send runs only now, from the stored deferred record.
+  ASSERT_FALSE(env_a.deferred.empty());
+  env_a.drain();
+  ASSERT_EQ(env_a.wire.size(), 1u);
+  EXPECT_TRUE(contains(env_a.wire[0], original));
+
+  // Deliver to B, then run B's deferred post-deliver record.
+  b.on_frame(env_a.wire[0], 0);
+  env_b.drain();
+  ASSERT_EQ(env_b.delivered.size(), 1u);
+  EXPECT_EQ(env_b.delivered[0], original);
+
+  // No ack ever arrives at A; fire A's stored timers (the window RTO). The
+  // retransmission must come from the engine-owned stored copy — original
+  // bytes — even though every caller frame involved is gone.
+  env_a.wire.clear();
+  auto timers = std::move(env_a.timers);
+  env_a.timers.clear();
+  env_a.t += vt_ms(1000);
+  for (auto& [at, fn] : timers) fn();
+  env_a.drain();
+  ASSERT_FALSE(env_a.wire.empty());
+  bool retransmit_intact = false;
+  for (const auto& f : env_a.wire) {
+    if (contains(f, original)) retransmit_intact = true;
+  }
+  EXPECT_TRUE(retransmit_intact);
 }
 
 }  // namespace

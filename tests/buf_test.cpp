@@ -399,8 +399,8 @@ TEST(MessagePool, StressWithSharingNeverLeaksOrCorrupts) {
 }
 
 TEST(BufConcurrency, ChunkRefcountsAreThreadSafe) {
-  // Frames cross threads in the deferred-work runtime: many threads clone,
-  // re-share and drop references to the same payload chunks concurrently.
+  // Chains may be shared across threads: many threads clone, re-share and
+  // drop references to the same payload chunks concurrently.
   // TSan (repro.sh's PA_TSAN pass) verifies the refcount contract; the
   // single-threaded run still checks nothing is lost or corrupted.
   Message origin = Message::with_payload(seq_bytes(512));

@@ -3,12 +3,7 @@
 // sandbox forbids socket creation.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
-#include <thread>
-
 #include "net/real_endpoint.h"
-#include "rt/executor.h"
 
 namespace pa {
 namespace {
@@ -204,55 +199,6 @@ TEST(RealLoop, CancelSiblingDuringDrain) {
   EXPECT_FALSE(victim_fired);
 }
 
-TEST(RealLoop, CrossThreadCancelRearmRace) {
-  // The retransmission-timer shape under the deferred runtime: a worker
-  // thread keeps re-arming and cancelling timers while the dispatch thread
-  // drains the heap. Lazy cancellation's contract must hold across
-  // threads: a cancel_timer() that returned true means the callback never
-  // runs, a cancel that lost the race is reported false and the callback
-  // runs exactly once, and no re-armed id is ever confused with a stale
-  // one — the fire/cancel counts partition the iterations exactly.
-  RealLoop loop;
-  constexpr int kIters = 400;
-  static std::array<std::atomic<bool>, kIters> ran;
-  for (auto& r : ran) r.store(false);
-  std::array<bool, kIters> cancel_won{};
-  std::atomic<int> fired{0};
-  std::atomic<bool> worker_done{false};
-  std::thread worker([&] {
-    for (int i = 0; i < kIters; ++i) {
-      const std::uint64_t id =
-          loop.set_timer(vt_us(10 + 40 * (i % 4)), [&, i] {
-            ran[i].store(true, std::memory_order_relaxed);
-            fired.fetch_add(1, std::memory_order_acq_rel);
-          });
-      if (i % 2) std::this_thread::yield();
-      cancel_won[i] = loop.cancel_timer(id);
-    }
-    worker_done.store(true, std::memory_order_release);
-  });
-  const bool ok = loop.run_until(
-      [&] {
-        if (!worker_done.load(std::memory_order_acquire)) return false;
-        int expected = kIters;
-        for (bool c : cancel_won) expected -= c ? 1 : 0;
-        return fired.load(std::memory_order_acquire) >= expected;
-      },
-      vt_s(10));
-  worker.join();
-  ASSERT_TRUE(ok);
-  int cancelled = 0;
-  for (int i = 0; i < kIters; ++i) {
-    if (cancel_won[i]) {
-      ++cancelled;
-      EXPECT_FALSE(ran[i].load()) << "cancelled timer " << i << " fired";
-    } else {
-      EXPECT_TRUE(ran[i].load()) << "live timer " << i << " lost";
-    }
-  }
-  EXPECT_EQ(fired.load(), kIters - cancelled);
-}
-
 TEST(RealLoop, IdleHookFiresWhenPollIdle) {
   RealLoop loop;
   int idle = 0;
@@ -263,44 +209,6 @@ TEST(RealLoop, IdleHookFiresWhenPollIdle) {
   // once before the timer fires.
   ASSERT_TRUE(loop.run_until([&] { return fired; }, vt_ms(500)));
   EXPECT_GE(idle, 1);
-}
-
-TEST(RealUdp, ConcurrentSinkWithIdleFlush) {
-  REQUIRE_SOCKETS();
-  // Executor declared first: engines (owned by the endpoints) must be
-  // destroyed before the sink they submit to.
-  rt::Executor ex(rt::ExecutorConfig{/*workers=*/2, /*ring_capacity=*/256});
-  RealLoop loop;
-  RealEndpoint a{loop};
-  RealEndpoint b{loop};
-  a.connect_to(b.local_port());
-  b.connect_to(a.local_port());
-  PaConfig ca;
-  ca.costs = CostModel::zero();
-  ca.cookie_seed = 1;
-  ca.deferred_sink = &ex;
-  ca.deferred_key = 0;
-  PaConfig cb = ca;
-  cb.cookie_seed = 2;
-  cb.deferred_key = 1;
-  a.make_pa(ca, Address{{1, 2, 3, 4}}, Address{{5, 6, 7, 8}});
-  b.make_pa(cb, Address{{5, 6, 7, 8}}, Address{{1, 2, 3, 4}});
-  loop.set_idle_hook([&] { ex.drain(); });
-
-  // Deliveries can arrive from executor workers: callbacks must be
-  // thread-safe, hence the atomic.
-  std::atomic<int> done{0};
-  std::vector<std::uint8_t> ping(8, 7);
-  b.on_deliver([&](std::span<const std::uint8_t> d) { b.send(d); });
-  a.on_deliver([&](std::span<const std::uint8_t>) {
-    if (done.fetch_add(1) + 1 < 50) a.send(ping);
-  });
-  a.send(ping);
-  ASSERT_TRUE(loop.run_until([&] { return done.load() >= 50; }, vt_s(10)));
-  ex.drain();
-  const rt::ExecutorStats s = ex.snapshot();
-  EXPECT_GT(s.submitted, 0u);  // post-processing really went through the sink
-  EXPECT_EQ(s.executed, s.submitted);
 }
 
 // Wraps the fallback backend to model a kernel that accepts at most three
@@ -320,6 +228,7 @@ class ClampingSendBackend final : public net::BatchIoBackend {
     }
     return inner_->send_batch(fd, items, n > 3 ? 3 : n);
   }
+  int calls() const { return calls_; }
 
  private:
   std::unique_ptr<net::BatchIoBackend> inner_ = net::make_fallback_backend();
@@ -334,18 +243,41 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
   ASSERT_GE(sa, 0);
   ASSERT_GE(sb, 0);
   loop.set_peer(sa, loop.port(sb));
-  loop.set_batch_backend(std::make_unique<ClampingSendBackend>());
+  loop.set_peer(sb, loop.port(sa));
+  auto backend = std::make_unique<ClampingSendBackend>();
+  const ClampingSendBackend* clamp = backend.get();
+  loop.set_batch_backend(std::move(backend));
+  auto& bc = net::batch_counters();
+
+  // Outside run_until() a send leaves at once as one datagram: a single
+  // sendto(2), no train, no sendmmsg.
+  const std::uint64_t sys0 = bc.syscalls.value();
+  std::uint8_t first[4];
+  store_be32(first, 100);
+  loop.send(sa, first, 4);
+  EXPECT_EQ(bc.syscalls.value(), sys0 + 1);
+  EXPECT_EQ(clamp->calls(), 0);
 
   std::vector<std::uint32_t> got;
+  bool reply_parked = false;
+  bool reply_seen = false;
   loop.on_frame(sb, [&](WireFrame f, Vt) {
     auto flat = f.flatten();
     ASSERT_EQ(flat.size(), 4u);
     got.push_back(load_be32(flat.data()));
+    if (got.back() != 100) return;
+    // A send from a frame handler joins the socket's train: nothing reaches
+    // the kernel until the end-of-round flush.
+    const std::uint64_t sys = bc.syscalls.value();
+    const int calls = clamp->calls();
+    loop.send(sb, flat.data(), flat.size());
+    reply_parked = bc.syscalls.value() == sys && clamp->calls() == calls;
   });
+  loop.on_frame(sa, [&](WireFrame, Vt) { reply_seen = true; });
 
-  const std::uint64_t partial0 = net::batch_counters().tx_partial.value();
-  // Park 12 datagrams in the train from the dispatch thread; the clamped
-  // kernel accepts them 3 at a time with pushback between flushes. Every
+  const std::uint64_t partial0 = bc.tx_partial.value();
+  // Park 12 datagrams in the train from a timer; the clamped kernel
+  // accepts them 3 at a time with pushback between flushes. Every
   // datagram must still arrive, in order — none shed.
   loop.set_timer(vt_us(100), [&] {
     for (std::uint32_t i = 0; i < 12; ++i) {
@@ -354,10 +286,14 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
       loop.send(sa, buf, 4);
     }
   });
-  ASSERT_TRUE(loop.run_until([&] { return got.size() >= 12; }, vt_s(5)));
-  ASSERT_EQ(got.size(), 12u);
-  for (std::uint32_t i = 0; i < 12; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_GT(net::batch_counters().tx_partial.value(), partial0);
+  ASSERT_TRUE(loop.run_until(
+      [&] { return got.size() >= 13 && reply_seen; }, vt_s(5)));
+  ASSERT_EQ(got.size(), 13u);
+  EXPECT_EQ(got[0], 100u);  // in the kernel before the loop ever ran
+  for (std::uint32_t i = 0; i < 12; ++i) EXPECT_EQ(got[i + 1], i);
+  EXPECT_TRUE(reply_parked);
+  EXPECT_GT(clamp->calls(), 0);
+  EXPECT_GT(bc.tx_partial.value(), partial0);
 }
 
 TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
@@ -443,40 +379,6 @@ TEST(RealBatch, DisabledBatchingStillDelivers) {
   }
   ASSERT_TRUE(p.loop.run_until([&] { return got.size() >= 50; }, vt_s(10)));
   for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
-}
-
-TEST(RealBatch, ConcurrentSinkUnderBatchedLoad) {
-  REQUIRE_SOCKETS();
-  // The TSan slice target: batched kernel I/O with the deferred-delivery
-  // executor underneath — receive batches park frames on workers, worker
-  // deliveries race the dispatch thread's train flushes.
-  rt::Executor ex(rt::ExecutorConfig{/*workers=*/2, /*ring_capacity=*/256});
-  RealLoop loop;
-  RealEndpoint a{loop};
-  RealEndpoint b{loop};
-  a.connect_to(b.local_port());
-  b.connect_to(a.local_port());
-  PaConfig ca;
-  ca.costs = CostModel::zero();
-  ca.cookie_seed = 1;
-  ca.deferred_sink = &ex;
-  ca.deferred_key = 0;
-  PaConfig cb = ca;
-  cb.cookie_seed = 2;
-  cb.deferred_key = 1;
-  a.make_pa(ca, Address{{1, 2, 3, 4}}, Address{{5, 6, 7, 8}});
-  b.make_pa(cb, Address{{5, 6, 7, 8}}, Address{{1, 2, 3, 4}});
-  loop.set_idle_hook([&] { ex.drain(); });
-
-  std::atomic<int> done{0};
-  std::vector<std::uint8_t> ping(8, 7);
-  b.on_deliver([&](std::span<const std::uint8_t> d) { b.send(d); });
-  a.on_deliver([&](std::span<const std::uint8_t>) {
-    if (done.fetch_add(1) + 1 < 100) a.send(ping);
-  });
-  a.send(ping);
-  ASSERT_TRUE(loop.run_until([&] { return done.load() >= 100; }, vt_s(10)));
-  ex.drain();
 }
 
 TEST(RealUdp, GarbageDatagramsAreDropped) {

@@ -170,7 +170,7 @@ TEST(TraceRing, SnapshotUnderConcurrentProducerHasNoTornEvents) {
   // event (reader copied half-old, half-new) breaks the pairing.
   std::thread producer([&] {
     for (std::int64_t i = 0; i < kEvents; ++i) {
-      ring.record(SpanKind::kExecRun, i,
+      ring.record(SpanKind::kPostSend, i,
                   /*dur=*/1,
                   /*arg=*/static_cast<std::uint32_t>(i * 2654435761ull));
     }
@@ -284,7 +284,7 @@ TEST(Export, ChromeTraceJson) {
       {0, {2000, 0, 1, 0, static_cast<std::uint8_t>(SpanKind::kFilterSend),
            0}});
   spans.push_back(
-      {1, {1500, 250, 2, 0, static_cast<std::uint8_t>(SpanKind::kExecRun),
+      {1, {1500, 250, 2, 0, static_cast<std::uint8_t>(SpanKind::kPostSend),
            0}});
   const std::string json = chrome_trace_json(spans);
 
@@ -336,13 +336,11 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     MetricsRegistry reg;
     EngineStats es;
     Router::Stats rs;
-    rt::ExecutorStats xs;
     GcModel::Stats gs;
     MessagePool::Stats ps;
     SimNetwork::Stats ns;
     bind_engine_stats(reg, es);
     bind_router_stats(reg, rs);
-    bind_executor_stats(reg, xs);
     bind_gc_stats(reg, gs);
     bind_pool_stats(reg, ps);
     bind_buf_stats(reg);
@@ -386,7 +384,7 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     collect_names(registry(), names);
   }
 
-  // Names only a live real-time loop / executor would register.
+  // Names only a live real-time loop or engine exchange would register.
   for (const char* n :
        {"net_loop_datagrams_tx_total", "net_loop_datagrams_rx_total",
         "net_loop_timers_fired_total", "net_loop_idle_polls_total",
@@ -394,7 +392,7 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
         "net_loop_tx_errors_total", "net_loop_rx_refused_total",
         "net_loop_rx_errors_total", "net_loop_timers_cancelled_total",
         "net_loop_faults_injected_total", "net_loop_wakeup_lag_ns",
-        "rt_queue_ns", "rt_run_ns", "pa_send_fast_ns", "pa_send_slow_ns",
+        "pa_send_fast_ns", "pa_send_slow_ns",
         "pa_deliver_fast_ns", "pa_deliver_slow_ns", "pa_post_send_ns",
         "pa_post_deliver_ns"}) {
     names.push_back(n);
