@@ -217,6 +217,16 @@ if [ -z "$hit" ] || ! awk "BEGIN { exit !($hit >= 0.90) }"; then
   status=1
 fi
 
+echo "==== wall-clock correctness smoke ============================="
+# wallbench checks every delivered payload byte for byte. The inproc
+# workload joins two engines in process and needs no sockets, so it must
+# exit 0 (never 3, "unavailable"); it also exercises zero-copy frames
+# shared between two engines' message pools.
+if ! python3 wallbench/run.py --workload inproc --seed 1 --seconds 2; then
+  echo "FAIL: wallbench inproc smoke run"
+  status=1
+fi
+
 echo "==== examples ================================================="
 for e in quickstart rpc_server file_transfer latency_tour chat_room \
          udp_pingpong secure_chat relay; do

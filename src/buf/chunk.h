@@ -11,9 +11,10 @@
 //   - refcount 1  => the holder may mutate the chunk's bytes in place.
 //   - refcount >1 => the bytes are frozen; a writer must copy first
 //     (copy-on-write) and leave the other holders' view intact.
-//   - MessagePool recycles a chunk only once its refcount has returned to 1;
-//     a chunk still referenced by an in-flight frame or a retransmission
-//     buffer is parked until the last foreign reference drops.
+//   - a chunk is freed when its last reference drops. MessagePool holds no
+//     chunk references (it only accounts sizes for the GC model); the one
+//     physical recycler is the real loop's receive-buffer cache, which
+//     reuses a chunk only once its refcount has returned to 1.
 //
 // The refcount is atomic so a chain may be shared across threads (the
 // engines and the real UDP loop are single-threaded, but nothing stops an
@@ -78,14 +79,6 @@ class Chunk {
   Chunk& operator=(const Chunk&) = delete;
 
   std::vector<std::uint8_t> data;
-
-  /// Set by the real loop on receive buffers it owns and recycles (see
-  /// docs/INTERNALS.md, "The kernel boundary"). MessagePool::release drops
-  /// references to tagged chunks instead of caching or parking them, so the
-  /// refcount returns to the loop's recycler and the buffer is reused for
-  /// the next recvmmsg batch. Without the tag, both recyclers would hold a
-  /// reference waiting for the other to drop — neither ever sees unique().
-  bool kernel_buf = false;
 
   std::uint32_t refs() const noexcept {
     return refs_.load(std::memory_order_acquire);

@@ -8,7 +8,6 @@ namespace pa {
 Message MessagePool::acquire(std::size_t headroom,
                              std::size_t payload_capacity) {
   ++stats_.acquires;
-  sweep_pending();
   const std::size_t want = headroom + payload_capacity;
   bool hit = false;
   for (std::size_t i = 0; i < vsizes_.size(); ++i) {
@@ -22,9 +21,7 @@ Message MessagePool::acquire(std::size_t headroom,
     ++stats_.fresh_allocations;
     stats_.bytes_allocated += want;
   }
-  ChunkRef head = take_exact(headroom);
-  if (!head) head = ChunkRef::make(headroom);
-  Message m(Message::FromPool{}, std::move(head));
+  Message m(Message::FromPool{}, ChunkRef::make(headroom));
   m.pool_vsize_ = want;
   return m;
 }
@@ -33,10 +30,9 @@ Message MessagePool::acquire_with_payload(
     std::span<const std::uint8_t> payload, std::size_t headroom) {
   Message m = acquire(headroom, payload.size());
   if (!payload.empty()) {
-    // Recycle a payload chunk when one fits; the copy itself is the ingest
-    // copy across the application boundary (same as Message::append_payload).
-    ChunkRef c = take_at_least(payload.size());
-    if (!c) c = ChunkRef::make(payload.size());
+    // The copy is the ingest copy across the application boundary (same as
+    // Message::append_payload).
+    ChunkRef c = ChunkRef::make(payload.size());
     std::memcpy(c->data.data(), payload.data(), payload.size());
     buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
     buf_stats().ingest_bytes.fetch_add(payload.size(),
@@ -53,92 +49,12 @@ void MessagePool::release(Message&& msg) {
   if (vsizes_.size() < max_cached_) {
     vsizes_.push_back(std::max(msg.capacity(), msg.pool_vsize_));
   }
-
-  // Harvest the message's chunks. The same chunk can back both the header
-  // region and the first payload slice (adopted wire frames), so dedupe
-  // before testing uniqueness — only references *outside* this message
-  // should keep a chunk out of the cache.
-  ChunkRef refs[8];
-  std::size_t n = 0;
-  auto add = [&](ChunkRef&& r) {
-    if (!r) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (refs[i].get() == r.get()) {
-        r.reset();
-        return;
-      }
-    }
-    if (n < 8) {
-      refs[n++] = std::move(r);
-    } else {
-      r.reset();  // long chains: just drop the ref, refcount frees it
-    }
-  };
-  add(std::move(msg.head_));
-  for (Slice& s : msg.chain_) add(std::move(s.chunk));
+  // Dropping the references frees each chunk once its last holder (an
+  // in-flight frame, a retransmission clone, another engine) lets go.
+  msg.head_.reset();
   msg.chain_.clear();
   msg.plen_ = 0;
   msg.hstart_ = msg.hend_ = msg.hdr_acct_ = 0;
-
-  sweep_pending();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (refs[i]->kernel_buf) {
-      // Kernel receive buffers belong to the real loop's recycler, which is
-      // itself waiting for uniqueness; caching or parking the ref here would
-      // deadlock both recyclers at refcount 2 (see chunk.h).
-      refs[i].reset();
-    } else if (refs[i]->unique()) {
-      stash(std::move(refs[i]));
-    } else if (pending_.size() < kMaxPending) {
-      pending_.push_back(std::move(refs[i]));
-    } else {
-      refs[i].reset();
-    }
-  }
-}
-
-void MessagePool::sweep_pending() {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i]->unique()) {
-      stash(std::move(pending_[i]));
-    } else {
-      pending_[kept++] = std::move(pending_[i]);
-    }
-  }
-  pending_.resize(kept);
-}
-
-void MessagePool::stash(ChunkRef&& c) {
-  if (cache_.size() >= max_cached_ * 2) {
-    c.reset();
-    return;
-  }
-  cache_.push_back(std::move(c));
-}
-
-ChunkRef MessagePool::take_exact(std::size_t size) {
-  for (std::size_t i = 0; i < cache_.size(); ++i) {
-    if (cache_[i]->data.size() == size) {
-      ChunkRef c = std::move(cache_[i]);
-      cache_.erase(cache_.begin() + static_cast<std::ptrdiff_t>(i));
-      buf_stats().chunks_recycled.fetch_add(1, std::memory_order_relaxed);
-      return c;
-    }
-  }
-  return ChunkRef();
-}
-
-ChunkRef MessagePool::take_at_least(std::size_t size) {
-  for (std::size_t i = 0; i < cache_.size(); ++i) {
-    if (cache_[i]->data.size() >= size) {
-      ChunkRef c = std::move(cache_[i]);
-      cache_.erase(cache_.begin() + static_cast<std::ptrdiff_t>(i));
-      buf_stats().chunks_recycled.fetch_add(1, std::memory_order_relaxed);
-      return c;
-    }
-  }
-  return ChunkRef();
 }
 
 }  // namespace pa

@@ -8,17 +8,14 @@
 // what the GC model charges for.
 //
 // Since the zero-copy refactor a released message decomposes into refcounted
-// chunks (header chunk + payload chain) rather than one flat vector, and a
-// chunk may still be referenced by an in-flight frame or a retransmission
-// clone at release time. The pool therefore keeps two views:
-//   - an *accounting* view (`vsizes_`) that mirrors the flat-buffer pool's
-//     hit/miss behaviour storage-size for storage-size, so fresh_allocations,
-//     bytes_allocated and the GC model's timing are unchanged by the
-//     refactor;
-//   - a *physical* view (`cache_`/`pending_`): chunks whose refcount has
-//     returned to 1 are recycled immediately, chunks still shared are parked
-//     on `pending_` and swept into the cache once the last foreign reference
-//     drops. A chunk is never handed out while anyone else can see it.
+// chunks (header chunk + payload chain) that may still be referenced by an
+// in-flight frame, a retransmission clone or another engine at release time.
+// The pool is therefore an *accounting* view only: `vsizes_` mirrors the
+// flat-buffer pool's hit/miss behaviour storage-size for storage-size, so
+// fresh_allocations, bytes_allocated and the GC model's timing are unchanged
+// by the refactor. The pool holds no chunk references: acquire makes fresh
+// chunks, and release drops the message's references so each chunk is freed
+// when its last holder lets go, exactly as for unpooled messages.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "buf/chunk.h"
 #include "buf/message.h"
 
 namespace pa {
@@ -44,7 +40,8 @@ class MessagePool {
   explicit MessagePool(std::size_t max_cached = 64) : max_cached_(max_cached) {}
 
   /// Get a message with the given headroom and at least `payload_capacity`
-  /// bytes of room behind it, reusing cached storage when possible.
+  /// bytes of room behind it; a hit on a cached storage size is not counted
+  /// as a fresh allocation.
   Message acquire(std::size_t headroom = Message::kDefaultHeadroom,
                   std::size_t payload_capacity = 0);
 
@@ -52,32 +49,16 @@ class MessagePool {
   Message acquire_with_payload(std::span<const std::uint8_t> payload,
                                std::size_t headroom = Message::kDefaultHeadroom);
 
-  /// Return a message's storage to the pool for reuse. Chunks still shared
-  /// with in-flight frames or clones are parked until they become unique.
+  /// Account a message's storage as cached for reuse, then drop it.
   void release(Message&& msg);
 
   const Stats& stats() const { return stats_; }
   std::size_t cached() const { return vsizes_.size(); }
-  std::size_t parked() const { return pending_.size(); }
 
  private:
-  // Parked chunks are pinned by their foreign references anyway, so the cap
-  // only bounds the pool's own bookkeeping.
-  static constexpr std::size_t kMaxPending = 256;
-
-  void sweep_pending();
-  void stash(ChunkRef&& c);
-  ChunkRef take_exact(std::size_t size);
-  ChunkRef take_at_least(std::size_t size);
-
-  // Accounting view: sizes of the flat storages the pre-refactor pool would
-  // be caching right now, in release order (its scan order matters for
-  // hit/miss parity).
+  // Sizes of the flat storages the pre-refactor pool would be caching right
+  // now, in release order (its scan order matters for hit/miss parity).
   std::vector<std::size_t> vsizes_;
-  // Physical view. One cache serves header and payload chunks; messages
-  // split into two chunks each, hence the doubled cap.
-  std::vector<ChunkRef> cache_;
-  std::vector<ChunkRef> pending_;
   std::size_t max_cached_;
   Stats stats_;
 };

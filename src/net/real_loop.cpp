@@ -495,7 +495,6 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
       // reassembly buffer) still references this chunk — or the slot is
       // new. Leave the old chunk to its holders and allocate fresh.
       c = ChunkRef::make(batch_cfg_.recv_buf_bytes);
-      c->kernel_buf = true;
       bc.rx_buf_fresh.inc();
     }
     rx_slots_[i] = net::RxSlot{c->data.data(), batch_cfg_.recv_buf_bytes, 0};

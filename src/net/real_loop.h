@@ -218,7 +218,7 @@ class RealLoop {
   resil::OverloadGovernor* governor_ = nullptr;
   net::BatchConfig batch_cfg_;
   std::unique_ptr<net::BatchIoBackend> backend_;
-  std::vector<ChunkRef> rx_cache_;   // loop-owned recv chunks (kernel_buf)
+  std::vector<ChunkRef> rx_cache_;   // loop-owned recv chunks, reused if unique
   std::vector<net::RxSlot> rx_slots_;
   std::uint32_t consecutive_full_ = 0;  // full recvmmsg batches in a row
   bool in_dispatch_ = false;  // inside run_until(): sends join the trains

@@ -213,7 +213,8 @@ void bind_buf_stats(MetricsRegistry& reg, const BufStats& s,
             &s.headroom_regrows);
   rd_atomic(p + "_chunks_allocated_total", "chunks allocated",
             &s.chunks_allocated);
-  rd_atomic(p + "_chunks_recycled_total", "chunks recycled from the pool",
+  rd_atomic(p + "_chunks_recycled_total",
+            "chunks recycled from the pool (reads 0: the pool only accounts)",
             &s.chunks_recycled);
 }
 

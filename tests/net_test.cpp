@@ -326,10 +326,10 @@ TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
 
   // A second burst on the same loop must recycle receive chunks instead of
   // allocating per datagram: the first run's buffers were dispatched and
-  // released (the MessagePool hands kernel_buf chunks straight back), so
-  // this drain's prepare finds them unique. (The first burst alone can
-  // legally complete inside a single drain round — packing folds 200 tiny
-  // messages into a couple of datagrams — so it proves nothing here.)
+  // released (the MessagePool keeps no chunk references), so this drain's
+  // prepare finds them unique. (The first burst alone can legally complete
+  // inside a single drain round — packing folds 200 tiny messages into a
+  // couple of datagrams — so it proves nothing here.)
   for (std::uint32_t i = 200; i < 220; ++i) {
     std::uint8_t buf[4];
     store_be32(buf, i);
