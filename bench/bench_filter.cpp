@@ -17,7 +17,7 @@ namespace pa {
 namespace {
 
 struct Fix {
-  Stack stack{StackParams{}};
+  Stack stack{StackSpec::paper()};
   CompiledLayout layout;
   std::vector<std::uint8_t> hdr;
   Message msg{Message::with_payload(std::vector<std::uint8_t>(64, 0x5a))};

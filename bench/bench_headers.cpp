@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
          "paper §2 (76 B conn-ident; >=12 B classic padding; <40 B compact)");
 
   // Build the standard 4-layer stack's registry exactly as the engines do.
-  Stack stack{StackParams{}};
+  Stack stack{StackSpec::paper()};
   PackingFields pf = register_packing_fields(stack.registry());
   (void)pf;
   stack.init();

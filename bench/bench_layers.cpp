@@ -34,9 +34,16 @@ double phase(const TraceRecorder& t, const std::string& node,
   return (t0 >= 0 && t1 >= 0) ? vt_to_us(t1 - t0) : -1;
 }
 
-Sample run(std::size_t window_copies) {
+Sample run(std::size_t windows) {
+  StackSpec spec;
+  spec.add(LayerSpec::frag_layer(FragConfig{/*threshold=*/8192}))
+      .add(LayerSpec::seq_layer());
+  for (std::size_t i = 0; i < windows; ++i) {
+    spec.add(LayerSpec::window_layer(WindowConfig{}));
+  }
+  spec.add(LayerSpec::bottom_layer(BottomConfig{}));
   ConnOptions opt;
-  opt.stack.window_copies = window_copies;
+  opt.stack.spec = std::move(spec);
 
   WorldConfig wc;
   wc.seed = g_world_seed;

@@ -101,7 +101,8 @@ struct Interleaved {
 Interleaved interleaved_send_path() {
   BenchEnv env;
   PaConfig cfg;
-  cfg.stack.window.size = 1u << 20;  // flow control never stalls
+  // Flow control never stalls.
+  cfg.stack.spec.find(LayerSpec::Type::kWindow)->window.size = 1u << 20;
   cfg.cookie_seed = 7;
   PaEngine e(cfg, env);
   const auto payload = bench::payload_of(kPayloadBytes);

@@ -39,11 +39,16 @@ constexpr Mix kMixes[] = {
 ConnOptions options_for(const Mix& m, bool use_pa) {
   ConnOptions opt;
   opt.use_pa = use_pa;
-  opt.stack.with_comp = m.comp;
-  opt.stack.with_crypt = m.crypt;
-  opt.stack.with_relay = m.relay;
-  if (m.relay) opt.stack.relay = {/*local_hop=*/0, /*peer_hop=*/0};  // World
-  return opt;                                                       // assigns
+  StackSpec s;
+  if (m.comp) s.add(LayerSpec::comp_layer());
+  s.add(LayerSpec::frag_layer(FragConfig{/*threshold=*/8192}))
+      .add(LayerSpec::seq_layer())
+      .add(LayerSpec::window_layer(WindowConfig{}));
+  if (m.crypt) s.add(LayerSpec::crypt_layer());
+  if (m.relay) s.add(LayerSpec::relay_layer());  // World assigns the hops
+  s.add(LayerSpec::bottom_layer(BottomConfig{}));
+  opt.stack.spec = std::move(s);
+  return opt;
 }
 
 struct Point {

@@ -82,7 +82,7 @@ Point run_point(bool batched, bool packing, int total, int burst) {
   // The paper's window of 16 would cap in-flight datagrams below the batch
   // size; open it so saturation actually fills recvmmsg batches (applied to
   // baseline and batched alike — see docs/PERFORMANCE.md on window sizing).
-  ca.stack.window.size = 64;
+  ca.stack.spec.find(LayerSpec::Type::kWindow)->window.size = 64;
   PaConfig cb = ca;
   cb.cookie_seed = 2;
   a.make_pa(ca, Address{{1, 2, 3, 4}}, Address{{5, 6, 7, 8}});

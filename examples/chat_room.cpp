@@ -147,9 +147,10 @@ int run_legacy() {
   Node& carol = world.add_node("carol");
 
   ConnOptions opt;
-  opt.stack.with_heartbeat = true;
-  opt.stack.heartbeat.interval = vt_ms(20);
-  opt.stack.heartbeat.suspect_after = vt_ms(100);
+  HeartbeatConfig hb;
+  hb.interval = vt_ms(20);
+  hb.suspect_after = vt_ms(100);
+  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
 
   Group room(world, hub, {&alice, &bob, &carol}, opt);
   const char* names[] = {"alice", "bob", "carol"};

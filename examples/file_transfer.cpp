@@ -36,7 +36,8 @@ int main() {
   Node& dst_node = world.add_node("downloader");
 
   ConnOptions opt;
-  opt.stack.frag.threshold = 1024;  // each 4 KiB chunk → 4 fragments
+  // Each 4 KiB chunk → 4 fragments.
+  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 1024;
   auto [tx, rx] = world.connect(src_node, dst_node, opt);
 
   std::vector<std::uint8_t> received;

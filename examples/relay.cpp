@@ -34,20 +34,27 @@ int main() {
 
   PaConfig base;
   base.costs = CostModel::zero();
-  base.stack.with_crypt = true;
-  base.stack.with_relay = true;
+  base.stack.spec = StackSpec{}
+                        .add(LayerSpec::frag_layer(FragConfig{8192}))
+                        .add(LayerSpec::seq_layer())
+                        .add(LayerSpec::window_layer(WindowConfig{}))
+                        .add(LayerSpec::crypt_layer())
+                        .add(LayerSpec::relay_layer())
+                        .add(LayerSpec::bottom_layer(BottomConfig{}));
   PaConfig ca = base;
   ca.cookie_seed = 0xaaaa;
-  ca.stack.relay = {/*local_hop=*/1, /*peer_hop=*/2};
+  ca.stack.spec.find(LayerSpec::Type::kRelay)->relay = {/*local_hop=*/1,
+                                                         /*peer_hop=*/2};
   PaConfig cb = base;
   cb.cookie_seed = 0xbbbb;
-  cb.stack.relay = {/*local_hop=*/2, /*peer_hop=*/1};
+  cb.stack.spec.find(LayerSpec::Type::kRelay)->relay = {/*local_hop=*/2,
+                                                         /*peer_hop=*/1};
   a.make_pa(ca, Address{{1, 2, 3, 4}}, Address{{5, 6, 7, 8}});
   b.make_pa(cb, Address{{5, 6, 7, 8}}, Address{{1, 2, 3, 4}});
 
   // Wire geometry derived from the composition, not hand-pinned. Hop
   // values in the spec don't matter for layout — only the layer list does.
-  RelayForwarder fwd(StackSpec::from_params(base.stack));
+  RelayForwarder fwd(base.stack.spec);
   std::uint64_t fwd_to_b = 0, fwd_to_a = 0, refused = 0;
   loop.on_frame(fa, [&](WireFrame f, Vt) {
     const auto dst = fwd.peek_dst_hop(f.first());

@@ -145,8 +145,13 @@ int main() {
 
   PaConfig cfg;
   cfg.costs = CostModel::zero();  // real time: no modeled charges
-  cfg.stack.with_comp = true;
-  cfg.stack.with_crypt = true;
+  cfg.stack.spec = StackSpec{}
+                       .add(LayerSpec::comp_layer())
+                       .add(LayerSpec::frag_layer(FragConfig{8192}))
+                       .add(LayerSpec::seq_layer())
+                       .add(LayerSpec::window_layer(WindowConfig{}))
+                       .add(LayerSpec::crypt_layer())
+                       .add(LayerSpec::bottom_layer(BottomConfig{}));
   PaConfig ca = cfg;
   ca.cookie_seed = 0xa11ce;
   PaConfig cb = cfg;
@@ -154,7 +159,7 @@ int main() {
   alice.make_pa(ca, Address{{1, 1, 1, 1}}, Address{{2, 2, 2, 2}});
   bob.make_pa(cb, Address{{2, 2, 2, 2}}, Address{{1, 1, 1, 1}});
 
-  Mallory mallory(StackSpec::from_params(cfg.stack));
+  Mallory mallory(cfg.stack.spec);
   std::uint64_t through = 0;
   loop.on_frame(ma, [&](WireFrame f, Vt) {
     ++through;

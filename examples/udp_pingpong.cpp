@@ -32,11 +32,13 @@ RunResult run_classic() {
   ca.costs = CostModel::zero();
   Address addr_a{{1, 2, 3, 4}};
   Address addr_b{{5, 6, 7, 8}};
-  ca.stack.bottom.local = addr_a;
-  ca.stack.bottom.remote = addr_b;
   ClassicConfig cb = ca;
-  cb.stack.bottom.local = addr_b;
-  cb.stack.bottom.remote = addr_a;
+  BottomConfig& ba = ca.stack.spec.find(LayerSpec::Type::kBottom)->bottom;
+  ba.local = addr_a;
+  ba.remote = addr_b;
+  BottomConfig& bb = cb.stack.spec.find(LayerSpec::Type::kBottom)->bottom;
+  bb.local = addr_b;
+  bb.remote = addr_a;
   a.make_classic(ca);
   b.make_classic(cb);
   b.on_deliver([&](std::span<const std::uint8_t> p) { b.send(p); });

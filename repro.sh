@@ -226,6 +226,14 @@ if ! python3 wallbench/run.py --workload inproc --seed 1 --seconds 2; then
   echo "FAIL: wallbench inproc smoke run"
   status=1
 fi
+# The traced run builds every layer through LayerSpec::custom (TimedLayer
+# wrappers) and checks its frames are byte-identical to the plain stack's,
+# so it covers the custom-layer path of StackSpec.
+if ! python3 wallbench/run.py --workload inproc --seed 1 --seconds 2 \
+    --trace 1; then
+  echo "FAIL: wallbench inproc traced smoke run"
+  status=1
+fi
 
 echo "==== examples ================================================="
 for e in quickstart rpc_server file_transfer latency_tour chat_room \

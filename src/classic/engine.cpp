@@ -44,7 +44,7 @@ class ClassicEngine::Ops final : public LayerOps {
 };
 
 ClassicEngine::ClassicEngine(ClassicConfig cfg, Env& env)
-    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack) {
+    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec) {
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kClassic);
   region_off_.resize(layout_.num_regions());

@@ -57,7 +57,7 @@ McastGroup::McastGroup(World& w, Node& sender,
     // World::connect builds the a-side engine first, then the b-side; the
     // factory below relies on that to hand the coordinator-facing layer to
     // the a side and the member-facing layer to the b side.
-    c.stack.extra_top_layers.push_back(
+    c.stack.spec.push_top(LayerSpec::custom(
         [this, mi, gcfg, calls = std::make_shared<int>(0)]()
             -> std::unique_ptr<Layer> {
           const bool sender_side = (*calls)++ == 0;
@@ -91,7 +91,7 @@ McastGroup::McastGroup(World& w, Node& sender,
           };
           return std::make_unique<GroupGossipLayer>(gcfg, member_outs_[mi],
                                                     std::move(hooks));
-        });
+        }));
 
     auto [se, me] = w.connect(sender, *members[i], c);
     sender_eps_.push_back(se);

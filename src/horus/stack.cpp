@@ -5,19 +5,14 @@
 
 namespace pa {
 
-Stack::Stack(const StackParams& params)
-    : Stack(StackSpec::from_params(params)) {}
-
 Stack::Stack(const StackSpec& spec) {
   // Build first, validate the built layers: custom-layer factories may be
   // stateful (McastGroup's sender/member split), so each must run exactly
   // once per constructed stack.
-  layers_ = spec.build();
+  layers_.reserve(spec.layers.size());
+  for (const LayerSpec& l : spec.layers) layers_.push_back(l.build());
   StackSpec::validate_built(layers_);
 }
-
-Stack::Stack(std::vector<std::unique_ptr<Layer>> layers)
-    : layers_(std::move(layers)) {}
 
 void Stack::init() {
   if (initialized_) throw std::logic_error("stack already initialized");

@@ -10,70 +10,24 @@
 #include <memory>
 #include <vector>
 
-#include <functional>
-
 #include "horus/stack_spec.h"
-#include "layers/bottom_layer.h"
-#include "layers/frag_layer.h"
-#include "layers/heartbeat_layer.h"
 #include "layers/layer.h"
-#include "layers/meter_layer.h"
-#include "layers/nak_layer.h"
 #include "layers/pace_layer.h"
-#include "layers/seq_layer.h"
-#include "layers/window_layer.h"
 
 namespace pa {
 
+/// The stack slot of an engine's config. Its one field is the composition;
+/// everything else about a stack (layout, filters, predictions) derives
+/// from that list.
 struct StackParams {
-  bool with_frag = true;
-  bool with_seq = true;
-  std::uint32_t initial_seq = 0;  // window + seq layers start here
-  std::size_t window_copies = 1;  // >1 reproduces the doubled-window study
-  bool with_meter = false;
-  // Keepalive / failure detection. NOTE: a heartbeat layer re-arms its
-  // timer forever, so simulations using it must run with a bounded horizon
-  // (World::run_for / run_until), not run-to-drain.
-  bool with_heartbeat = false;
-  HeartbeatConfig heartbeat{};
-  /// User-defined layers, inserted above all built-ins (index 0 first).
-  std::vector<std::function<std::unique_ptr<Layer>()>> extra_top_layers;
-  /// Receiver-driven reliability (NAK protocol) instead of the sliding
-  /// window. No flow control; repairs bounded by nak.history.
-  bool use_nak = false;
-  NakConfig nak{};
-  /// LZ4-class payload compression above fragmentation.
-  bool with_comp = false;
-  CompConfig comp{};
-  /// AEAD encryption below the reliability layer (headers stay cleartext).
-  bool with_crypt = false;
-  CryptConfig crypt{};
-  /// Hop addressing for forwarding nodes, just above the bottom.
-  bool with_relay = false;
-  RelayConfig relay{};
-  FragConfig frag{/*threshold=*/8192};
-  WindowConfig window{};
-  BottomConfig bottom{};
-  /// Full takeover: when non-empty this exact composition is used and every
-  /// flag above (except bottom addressing, which World still patches) is
-  /// ignored. See StackSpec::from_params.
-  StackSpec spec{};
+  StackSpec spec = StackSpec::paper();
 };
 
 class Stack {
  public:
-  /// Build the layer list from params by lowering onto a StackSpec (top to
-  /// bottom: [meter] [heartbeat] [comp] frag seq [nak | window*N] [crypt]
-  /// [relay] bottom) and validating the composition.
-  explicit Stack(const StackParams& params);
-
-  /// Build from an explicit composition; validates it (throws
+  /// Build the composition's layers and validate them (throws
   /// std::invalid_argument on constraint violations).
   explicit Stack(const StackSpec& spec);
-
-  /// Custom layer list (top first). NOT validated: tests and harnesses
-  /// compose deliberately weird stacks through this door.
-  explicit Stack(std::vector<std::unique_ptr<Layer>> layers);
 
   Stack(Stack&&) noexcept = default;
   Stack& operator=(Stack&&) noexcept = default;

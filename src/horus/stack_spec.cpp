@@ -2,84 +2,50 @@
 
 #include <stdexcept>
 
-#include "horus/stack.h"
-
 namespace pa {
 
 LayerSpec LayerSpec::custom(std::function<std::unique_ptr<Layer>()> make) {
-  LayerSpec s;
-  s.type = Type::kCustom;
-  s.make_custom = std::move(make);
-  return s;
+  return {.type = Type::kCustom, .make_custom = std::move(make)};
 }
 
 LayerSpec LayerSpec::meter() {
-  LayerSpec s;
-  s.type = Type::kMeter;
-  return s;
+  return {.type = Type::kMeter};
 }
 
 LayerSpec LayerSpec::heartbeat_layer(HeartbeatConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kHeartbeat;
-  s.heartbeat = cfg;
-  return s;
+  return {.type = Type::kHeartbeat, .heartbeat = cfg};
 }
 
 LayerSpec LayerSpec::comp_layer(CompConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kComp;
-  s.comp = cfg;
-  return s;
+  return {.type = Type::kComp, .comp = cfg};
 }
 
 LayerSpec LayerSpec::frag_layer(FragConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kFrag;
-  s.frag = cfg;
-  return s;
+  return {.type = Type::kFrag, .frag = cfg};
 }
 
 LayerSpec LayerSpec::seq_layer(std::uint32_t initial_seq) {
-  LayerSpec s;
-  s.type = Type::kSeq;
-  s.initial_seq = initial_seq;
-  return s;
+  return {.type = Type::kSeq, .initial_seq = initial_seq};
 }
 
 LayerSpec LayerSpec::window_layer(WindowConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kWindow;
-  s.window = cfg;
-  return s;
+  return {.type = Type::kWindow, .window = cfg};
 }
 
 LayerSpec LayerSpec::nak_layer(NakConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kNak;
-  s.nak = cfg;
-  return s;
+  return {.type = Type::kNak, .nak = cfg};
 }
 
 LayerSpec LayerSpec::crypt_layer(CryptConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kCrypt;
-  s.crypt = cfg;
-  return s;
+  return {.type = Type::kCrypt, .crypt = cfg};
 }
 
 LayerSpec LayerSpec::relay_layer(RelayConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kRelay;
-  s.relay = cfg;
-  return s;
+  return {.type = Type::kRelay, .relay = cfg};
 }
 
 LayerSpec LayerSpec::bottom_layer(BottomConfig cfg) {
-  LayerSpec s;
-  s.type = Type::kBottom;
-  s.bottom = cfg;
-  return s;
+  return {.type = Type::kBottom, .bottom = cfg};
 }
 
 std::unique_ptr<Layer> LayerSpec::build() const {
@@ -105,39 +71,10 @@ std::unique_ptr<Layer> LayerSpec::build() const {
   throw std::invalid_argument("StackSpec: unknown layer type");
 }
 
-const char* LayerSpec::type_name() const {
-  switch (type) {
-    case Type::kCustom: return "custom";
-    case Type::kMeter: return "meter";
-    case Type::kHeartbeat: return "heartbeat";
-    case Type::kComp: return "comp";
-    case Type::kFrag: return "frag";
-    case Type::kSeq: return "seq";
-    case Type::kWindow: return "window";
-    case Type::kNak: return "nak";
-    case Type::kCrypt: return "crypt";
-    case Type::kRelay: return "relay";
-    case Type::kBottom: return "bottom";
-  }
-  return "?";
-}
-
-std::vector<std::unique_ptr<Layer>> StackSpec::build() const {
-  std::vector<std::unique_ptr<Layer>> out;
-  out.reserve(layers.size());
-  for (const LayerSpec& l : layers) out.push_back(l.build());
-  return out;
-}
-
-void StackSpec::validate() const {
-  if (layers.empty()) {
-    throw std::invalid_argument(
-        "StackSpec: empty — a stack needs at least a bottom layer "
-        "(add LayerSpec::bottom_layer())");
-  }
-  // Build once to interrogate each layer's self-declared traits (layers are
-  // cheap until init()).
-  validate_built(build());
+StackSpec StackSpec::paper() {
+  return {{LayerSpec::frag_layer(FragConfig{/*threshold=*/8192}),
+           LayerSpec::seq_layer(), LayerSpec::window_layer(WindowConfig{}),
+           LayerSpec::bottom_layer(BottomConfig{})}};
 }
 
 void StackSpec::validate_built(
@@ -203,43 +140,11 @@ void StackSpec::validate_built(
   // bottoms > 1 is unreachable here: a non-terminal bottom already threw.
 }
 
-StackSpec StackSpec::from_params(const StackParams& params) {
-  if (!params.spec.empty()) return params.spec;
-
-  StackSpec s;
-  for (const auto& make : params.extra_top_layers) {
-    s.add(LayerSpec::custom(make));
-  }
-  if (params.with_meter) s.add(LayerSpec::meter());
-  if (params.with_heartbeat) s.add(LayerSpec::heartbeat_layer(params.heartbeat));
-  if (params.with_comp) s.add(LayerSpec::comp_layer(params.comp));
-  if (params.with_frag) s.add(LayerSpec::frag_layer(params.frag));
-  if (params.with_seq) s.add(LayerSpec::seq_layer(params.initial_seq));
-  if (params.use_nak) {
-    s.add(LayerSpec::nak_layer(params.nak));
-  } else {
-    for (std::size_t i = 0; i < params.window_copies; ++i) {
-      WindowConfig wcfg = params.window;
-      wcfg.initial_seq = params.initial_seq;
-      s.add(LayerSpec::window_layer(wcfg));
-    }
-  }
-  if (params.with_crypt) s.add(LayerSpec::crypt_layer(params.crypt));
-  if (params.with_relay) s.add(LayerSpec::relay_layer(params.relay));
-  s.add(LayerSpec::bottom_layer(params.bottom));
-  return s;
-}
-
-BottomConfig* StackSpec::bottom_config() {
+LayerSpec* StackSpec::find(LayerSpec::Type type, std::size_t nth) {
   for (LayerSpec& l : layers) {
-    if (l.type == LayerSpec::Type::kBottom) return &l.bottom;
-  }
-  return nullptr;
-}
-
-RelayConfig* StackSpec::relay_config() {
-  for (LayerSpec& l : layers) {
-    if (l.type == LayerSpec::Type::kRelay) return &l.relay;
+    if (l.type != type) continue;
+    if (nth == 0) return &l;
+    --nth;
   }
   return nullptr;
 }

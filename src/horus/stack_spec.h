@@ -14,16 +14,17 @@
 //     same one are allowed: the paper's doubled-window study runs
 //     window/window; window above nak is rejected).
 //
-// validate() throws std::invalid_argument with an actionable message (which
-// layer, which rule, what to change). From a valid spec, Stack::init()
-// derives everything downstream exactly as before — the layout registry,
-// both packet-filter programs, the prediction templates and the conn-ident
-// set are all computed from the composed layer list, never hand-assembled
-// per stack (the P4 argument: artifacts follow the composition).
+// Stack's constructor runs validate_built(), which throws
+// std::invalid_argument with an actionable message (which layer, which rule,
+// what to change). From a valid spec, Stack::init() derives everything
+// downstream — the layout registry, both packet-filter programs, the
+// prediction templates and the conn-ident set are all computed from the
+// composed layer list, never hand-assembled per stack (the P4 argument:
+// artifacts follow the composition).
 //
-// StackParams (the legacy flag struct) now *lowers onto* a StackSpec via
-// StackSpec::from_params(), so the two construction paths produce
-// byte-identical stacks and every existing caller keeps working.
+// A spec is the only way to state a stack. Start from StackSpec::paper()
+// and edit a layer's config through find(), or compose a different list
+// with add() / push_top().
 #pragma once
 
 #include <functional>
@@ -44,8 +45,6 @@
 #include "layers/window_layer.h"
 
 namespace pa {
-
-struct StackParams;
 
 /// One layer in a composed stack: a type tag plus the matching config.
 /// Build with the factory helpers; kCustom wraps any user Layer factory.
@@ -76,10 +75,14 @@ struct LayerSpec {
   CryptConfig crypt{};
   RelayConfig relay{};
   BottomConfig bottom{};
-  std::function<std::unique_ptr<Layer>()> make_custom;
+  // `{}` lets the factories' designated initializers leave it out.
+  std::function<std::unique_ptr<Layer>()> make_custom{};
 
   static LayerSpec custom(std::function<std::unique_ptr<Layer>()> make);
   static LayerSpec meter();
+  /// A heartbeat layer re-arms its timer forever, so simulations using it
+  /// must run with a bounded horizon (World::run_for / run_until), not
+  /// run-to-drain.
   static LayerSpec heartbeat_layer(HeartbeatConfig cfg);
   static LayerSpec comp_layer(CompConfig cfg = {});
   static LayerSpec frag_layer(FragConfig cfg);
@@ -92,45 +95,33 @@ struct LayerSpec {
 
   /// Instantiate this spec's layer.
   std::unique_ptr<Layer> build() const;
-
-  const char* type_name() const;
 };
 
 struct StackSpec {
   std::vector<LayerSpec> layers;  // top (application side) first
+
+  /// The paper's evaluation stack: frag(8192) / seq / window / bottom.
+  static StackSpec paper();
 
   StackSpec& add(LayerSpec l) {
     layers.push_back(std::move(l));
     return *this;
   }
 
-  bool empty() const { return layers.empty(); }
+  /// Insert above every layer already in the spec.
+  StackSpec& push_top(LayerSpec l) {
+    layers.insert(layers.begin(), std::move(l));
+    return *this;
+  }
 
-  /// Instantiate all layers (top first). Does not validate.
-  std::vector<std::unique_ptr<Layer>> build() const;
+  /// The nth layer of a type (top first), or nullptr if there are fewer.
+  LayerSpec* find(LayerSpec::Type type, std::size_t nth = 0);
 
-  /// Check the composition constraints (see file comment); throws
-  /// std::invalid_argument naming the offending layer and the fix.
-  /// Instantiates the layers once to interrogate their traits — callers
-  /// with stateful custom factories should build() and then run
-  /// validate_built() on the result instead (Stack does exactly that, so
-  /// each factory is invoked exactly once per constructed stack).
-  void validate() const;
-
-  /// The constraint check itself, over already-built layers.
+  /// Check the composition constraints (see file comment) over built
+  /// layers; throws std::invalid_argument naming the offending layer and
+  /// the fix.
   static void validate_built(
       const std::vector<std::unique_ptr<Layer>>& built);
-
-  /// The legacy StackParams composition, lowered onto a spec. When
-  /// params.spec is non-empty it wins verbatim; otherwise the flag-derived
-  /// sequence is produced (extra_top, [meter], [heartbeat], [comp], [frag],
-  /// [seq], [nak | window*N], [crypt], [relay], bottom).
-  static StackSpec from_params(const StackParams& params);
-
-  /// The bottom layer's config, or nullptr if the spec has none (World
-  /// patches addressing in before building engines).
-  BottomConfig* bottom_config();
-  RelayConfig* relay_config();
 };
 
 }  // namespace pa

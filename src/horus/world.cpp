@@ -74,28 +74,18 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
     const std::size_t cpu_index = self.next_cpu();
     auto ep = std::make_unique<Endpoint>(self, net_, peer.id(), tracer_,
                                          cpu_index);
+    // Addressing is the World's to assign: patch the spec's bottom (and
+    // relay) configs before the engine builds the layers.
     StackParams sp = opt.stack;
-    sp.bottom.local = local;
-    sp.bottom.remote = remote;
-    sp.bottom.group = group;
-    if (sp.with_relay && sp.relay.local_hop == 0 && sp.relay.peer_hop == 0) {
-      sp.relay.local_hop = local_hop;
-      sp.relay.peer_hop = peer_hop;
+    if (LayerSpec* b = sp.spec.find(LayerSpec::Type::kBottom)) {
+      b->bottom.local = local;
+      b->bottom.remote = remote;
+      b->bottom.group = group;
     }
-    if (!sp.spec.empty()) {
-      // A full spec takes over layer composition, but addressing is still
-      // the World's to assign — patch the spec's bottom (and relay) configs
-      // the same way the flag path above patches sp.bottom.
-      if (BottomConfig* bc = sp.spec.bottom_config()) {
-        bc->local = local;
-        bc->remote = remote;
-        bc->group = group;
-      }
-      if (RelayConfig* rc = sp.spec.relay_config()) {
-        if (rc->local_hop == 0 && rc->peer_hop == 0) {
-          rc->local_hop = local_hop;
-          rc->peer_hop = peer_hop;
-        }
+    if (LayerSpec* r = sp.spec.find(LayerSpec::Type::kRelay)) {
+      if (r->relay.local_hop == 0 && r->relay.peer_hop == 0) {
+        r->relay.local_hop = local_hop;
+        r->relay.peer_hop = peer_hop;
       }
     }
     std::unique_ptr<Engine> engine;

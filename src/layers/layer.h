@@ -110,9 +110,9 @@ class LayerOps {
 enum class ShedClass : std::uint8_t { kNever, kLiveness, kGossipAck };
 
 /// Composition constraints a layer declares about itself (consumed by
-/// StackSpec::validate(), src/horus/stack_spec.h). `rank` orders layers top
-/// (application) to bottom (wire): within a stack, non-zero ranks must be
-/// non-decreasing walking downward. Rank-0 layers (meters, heartbeats,
+/// StackSpec::validate_built(), src/horus/stack_spec.h). `rank` orders
+/// layers top (application) to bottom (wire): within a stack, non-zero
+/// ranks must be non-decreasing walking downward. Rank-0 layers (meters, heartbeats,
 /// gossip carriers, arbitrary custom layers) compose anywhere. At most one
 /// *named* reliability protocol may appear (repeated instances of the same
 /// one are allowed — the paper's doubled-window study), and exactly one

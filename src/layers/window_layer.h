@@ -120,6 +120,7 @@ class WindowLayer final : public Layer {
   const Stats& stats() const { return stats_; }
 
   std::uint32_t in_flight() const { return next_seq_ - base_; }
+  std::uint32_t size() const { return cfg_.size; }
   std::uint32_t next_seq() const { return next_seq_; }
   std::uint32_t expected_seq() const { return expected_; }
 

@@ -57,8 +57,10 @@ void RealEndpoint::connect_to(std::uint16_t peer_port) {
 
 void RealEndpoint::make_pa(PaConfig cfg, const Address& local,
                            const Address& remote) {
-  cfg.stack.bottom.local = local;
-  cfg.stack.bottom.remote = remote;
+  if (LayerSpec* b = cfg.stack.spec.find(LayerSpec::Type::kBottom)) {
+    b->bottom.local = local;
+    b->bottom.remote = remote;
+  }
   auto engine = std::make_unique<PaEngine>(std::move(cfg), *env_);
   router_.set_kind(Router::Kind::kPa);
   router_.add(engine.get());

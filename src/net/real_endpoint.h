@@ -32,8 +32,8 @@ class RealEndpoint {
   std::uint16_t local_port() const { return loop_->port(sock_); }
   void connect_to(std::uint16_t peer_port);
 
-  /// Instantiate the engine. `cfg.stack.bottom` addressing is filled from
-  /// the two ports so the conn-ident matching works.
+  /// Instantiate the engine. `local`/`remote` are written into the bottom
+  /// layer of `cfg.stack.spec` so the conn-ident matching works.
   void make_pa(PaConfig cfg, const Address& local, const Address& remote);
   void make_classic(ClassicConfig cfg);
 

@@ -96,7 +96,7 @@ class PaEngine::Ops final : public LayerOps {
 // Construction: compile the layout and filters, build initial predictions.
 // ---------------------------------------------------------------------------
 PaEngine::PaEngine(PaConfig cfg, Env& env)
-    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack),
+    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
       pool_(cfg_.pool_capacity) {
   pf_ = register_packing_fields(stack_.registry());
   stack_.init();
@@ -277,7 +277,7 @@ void PaEngine::retire_message(Message&& m) {
 
 bool PaEngine::window_clamped() const {
   if (!cfg_.governor || !win_) return false;
-  return win_->in_flight() >= cfg_.governor->window_clamp(cfg_.stack.window.size);
+  return win_->in_flight() >= cfg_.governor->window_clamp(win_->size());
 }
 
 void PaEngine::report_pressure() {

@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "horus/world.h"
+#include "resil/governor.h"
 
 namespace pa {
 namespace {
@@ -120,12 +121,19 @@ TEST(Accelerator, IntrospectionConsistent) {
   EXPECT_EQ(e->layout().mode(), LayoutMode::kCompact);
 }
 
+StackSpec no_frag_stack(WindowConfig win) {
+  return StackSpec{}
+      .add(LayerSpec::seq_layer())
+      .add(LayerSpec::window_layer(win))
+      .add(LayerSpec::bottom_layer({}));
+}
+
 TEST(Accelerator, LargePayloadWithoutFragLayer) {
   World w;
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.with_frag = false;
+  opt.stack.spec = no_frag_stack(WindowConfig{});
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint8_t> big(9'000, 0x3c);  // within MTU 9180 minus hdrs
   std::vector<std::uint8_t> got;
@@ -142,8 +150,9 @@ TEST(Accelerator, BeyondMtuWithoutFragIsLostNotCorrupted) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.with_frag = false;
-  opt.stack.window.rto = vt_ms(5);
+  WindowConfig win;
+  win.rto = vt_ms(5);
+  opt.stack.spec = no_frag_stack(win);
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -299,6 +308,46 @@ TEST(DeferredRecords, SelfContainedAfterCallerFrameClobbered) {
     if (contains(f, original)) retransmit_intact = true;
   }
   EXPECT_TRUE(retransmit_intact);
+}
+
+// The governor clamps the send window relative to the window layer the
+// stack actually built, not a default: a window of 64 held at Saturated
+// clamps in-flight at 64 / 2.
+TEST(Accelerator, GovernorClampsTheBuiltWindowSize) {
+  resil::OverloadGovernor gov;
+  Vt clock = vt_ms(1);
+  for (int i = 0; i < 60; ++i) {
+    // The engine never reports a send train, so this signal holds.
+    gov.report_net_train(gov.config().net_train_watermark * 3 / 4);
+    clock += gov.config().tick_interval;
+    gov.tick(clock);
+  }
+  ASSERT_EQ(gov.level(), resil::OverloadLevel::kSaturated);
+
+  RecordingEnv env;
+  env.t = clock;  // the engine's own ticks land inside the interval
+  WindowConfig win;
+  win.size = 64;
+  PaConfig cfg;
+  cfg.stack.spec = StackSpec{}
+                       .add(LayerSpec::frag_layer({/*threshold=*/8192}))
+                       .add(LayerSpec::seq_layer())
+                       .add(LayerSpec::window_layer(win))
+                       .add(LayerSpec::bottom_layer({}));
+  cfg.enable_packing = false;  // one message per frame
+  cfg.governor = &gov;
+  PaEngine e(cfg, env);
+
+  for (int i = 0; i < 48; ++i) {
+    e.send(std::vector<std::uint8_t>{static_cast<std::uint8_t>(i)});
+    env.drain();
+  }
+  ASSERT_EQ(gov.level(), resil::OverloadLevel::kSaturated);
+  const auto* w =
+      dynamic_cast<const WindowLayer*>(e.stack().find(LayerKind::kWindow));
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->in_flight(), 32u);
+  EXPECT_EQ(env.wire.size(), 32u);
 }
 
 }  // namespace

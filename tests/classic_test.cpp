@@ -18,7 +18,7 @@ TEST(Classic, WindowFullQueuesAndFlushes) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt = classic_options();
-  opt.stack.window.size = 4;
+  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.size = 4;
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -66,9 +66,10 @@ TEST(Classic, HeartbeatWorksUnderClassicEngine) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt = classic_options();
-  opt.stack.with_heartbeat = true;
-  opt.stack.heartbeat.interval = vt_ms(10);
-  opt.stack.heartbeat.suspect_after = vt_ms(50);
+  HeartbeatConfig hcfg;
+  hcfg.interval = vt_ms(10);
+  hcfg.suspect_after = vt_ms(50);
+  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hcfg));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});

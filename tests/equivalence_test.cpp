@@ -52,7 +52,8 @@ RunResult run_engine(const Workload& wl, bool use_pa, std::uint64_t seed,
   auto& b = w.add_node("b");
   ConnOptions opt;
   opt.use_pa = use_pa;
-  opt.stack.frag.threshold = 128;  // exercise fragmentation too
+  // Exercise fragmentation too.
+  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
   auto [ea, eb] = w.connect(a, b, opt);
 
   RunResult rr;

@@ -228,8 +228,9 @@ TEST(Gossip, ZeroedGossipRegionsAreHarmless) {
   McastOptions o;
   o.beacon_interval = vt_ms(10);
   o.suspect_after = 0;
-  o.conn.stack.with_heartbeat = true;  // extra below-gossip emissions
-  o.conn.stack.heartbeat.interval = vt_ms(5);
+  HeartbeatConfig hb;  // extra below-gossip emissions
+  hb.interval = vt_ms(5);
+  o.conn.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   McastGroup g(w, hub, {&m0}, o);
 
   const auto payload = pattern(16);
@@ -262,8 +263,10 @@ TEST(Gossip, RouterGroupCookieFanout) {
   // Build N windowless member connections on one shard node. The sender
   // side of connection 0 is the one whose frames we fan out.
   ConnOptions opt;
-  opt.stack.window_copies = 0;  // simplex: members never ack
-  opt.stack.with_frag = false;
+  // Simplex: no window, so members never ack.
+  opt.stack.spec = StackSpec{}
+                       .add(LayerSpec::seq_layer())
+                       .add(LayerSpec::bottom_layer({}));
   opt.cookie_preagreed = true;
   auto [s0, r0] = w.connect(hub, shard, opt);
   auto [s1, r1] = w.connect(hub, shard, opt);

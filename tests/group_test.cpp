@@ -78,9 +78,10 @@ TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.with_heartbeat = true;
-  opt.stack.heartbeat.interval = vt_ms(10);
-  opt.stack.heartbeat.suspect_after = vt_ms(50);
+  HeartbeatConfig hb;
+  hb.interval = vt_ms(10);
+  hb.suspect_after = vt_ms(50);
+  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   auto [ea, eb] = w.connect(a, b, opt);
 
   // One message to open the connection, then silence except heartbeats.
@@ -105,9 +106,10 @@ TEST(Heartbeat, SilentPeerGetsSuspected) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.with_heartbeat = true;
-  opt.stack.heartbeat.interval = vt_ms(10);
-  opt.stack.heartbeat.suspect_after = vt_ms(50);
+  HeartbeatConfig hb;
+  hb.interval = vt_ms(10);
+  hb.suspect_after = vt_ms(50);
+  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});
@@ -129,7 +131,7 @@ TEST(Heartbeat, DataTrafficStaysOnFastPath) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.with_heartbeat = true;
+  opt.stack.spec.push_top(LayerSpec::heartbeat_layer({}));
   auto [ea, eb] = w.connect(a, b, opt);
   int n = 0;
   eb->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -179,8 +181,8 @@ TEST(CustomLayer, ExtensionHookWorks) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.extra_top_layers.push_back(
-      [] { return std::make_unique<TapLayer>(); });
+  opt.stack.spec.push_top(
+      LayerSpec::custom([] { return std::make_unique<TapLayer>(); }));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   for (int i = 0; i < 12; ++i) ea->send(std::vector<std::uint8_t>{9});

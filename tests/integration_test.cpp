@@ -179,7 +179,7 @@ TEST(Integration, PaFragmentation) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt;
-  opt.stack.frag.threshold = 256;
+  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 256;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::vector<std::uint8_t> big = pattern(2000);

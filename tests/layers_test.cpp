@@ -591,7 +591,7 @@ class CanonicalForm : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CanonicalForm, PrePhasesDoNotMutateState) {
   Rng rng(GetParam());
   // A full standard stack, poked with random messages.
-  Stack s{StackParams{}};
+  Stack s{StackSpec::paper()};
   s.init();
   auto cl = s.registry().compile(LayoutMode::kCompact);
   std::size_t hdr = 0;

@@ -137,7 +137,7 @@ TEST(Layout, ClassicAlignsWithinHeader) {
 // ---------------------------------------------------------------------------
 
 LayoutRegistry standard_stack_registry() {
-  Stack s{StackParams{}};
+  Stack s{StackSpec::paper()};
   // Steal the registry state by initializing a full stack.
   register_packing_fields(s.registry());
   s.init();

@@ -22,16 +22,28 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   // Random composition.
   ConnOptions opt;
   opt.use_pa = rng.chance(0.7);
-  opt.stack.with_frag = rng.chance(0.8);
-  opt.stack.with_seq = rng.chance(0.7);
-  opt.stack.with_meter = rng.chance(0.3);
-  opt.stack.use_nak = rng.chance(0.25);
-  if (!opt.stack.use_nak) {
-    opt.stack.window_copies = 1 + rng.next_below(2);
-    opt.stack.window.selective_ack = rng.chance(0.5);
-    opt.stack.window.size = 4 + static_cast<std::uint32_t>(rng.next_below(28));
+  const bool frag = rng.chance(0.8);
+  const bool seq = rng.chance(0.7);
+  const bool meter = rng.chance(0.3);
+  const bool nak = rng.chance(0.25);
+  std::uint64_t windows = 0;
+  WindowConfig win;
+  if (!nak) {
+    windows = 1 + rng.next_below(2);
+    win.selective_ack = rng.chance(0.5);
+    win.size = 4 + static_cast<std::uint32_t>(rng.next_below(28));
   }
-  opt.stack.frag.threshold = 64 + rng.next_below(512);
+  const FragConfig frag_cfg{64 + rng.next_below(512)};
+  StackSpec s;
+  if (meter) s.add(LayerSpec::meter());
+  if (frag) s.add(LayerSpec::frag_layer(frag_cfg));
+  if (seq) s.add(LayerSpec::seq_layer());
+  if (nak) s.add(LayerSpec::nak_layer({}));
+  for (std::uint64_t i = 0; i < windows; ++i) {
+    s.add(LayerSpec::window_layer(win));
+  }
+  s.add(LayerSpec::bottom_layer({}));
+  opt.stack.spec = std::move(s);
   if (opt.use_pa) {
     opt.compiled_filters = rng.chance(0.7);
     opt.packing = rng.chance(0.8);
@@ -46,13 +58,13 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   wc.seed = GetParam();
   const bool faulty = rng.chance(0.6);
   if (faulty) {
-    wc.link.loss_prob = opt.stack.use_nak ? 0.02 : 0.05;
+    wc.link.loss_prob = nak ? 0.02 : 0.05;
     wc.link.dup_prob = 0.02;
     // NAK reliability has a bounded repair horizon by design; keep the
     // reordering within it (jitter of several ms would age losses out of
     // the sender's history — the documented, surfaced stall, not a bug).
     wc.link.reorder_jitter =
-        vt_us(rng.next_below(opt.stack.use_nak ? 60 : 300));
+        vt_us(rng.next_below(nak ? 60 : 300));
   }
   wc.gc_policy = rng.chance(0.5) ? GcPolicy::kEveryReception
                                  : GcPolicy::kDisabled;
@@ -88,7 +100,7 @@ TEST_P(Matrix, ExactInOrderDelivery) {
 
   ASSERT_EQ(got.size(), sent.size())
       << "seed=" << GetParam() << " pa=" << opt.use_pa
-      << " nak=" << opt.stack.use_nak << " faulty=" << faulty;
+      << " nak=" << nak << " faulty=" << faulty;
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(got[i], sent[i]) << "message " << i << " seed=" << GetParam();
   }

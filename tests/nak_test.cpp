@@ -8,7 +8,7 @@ namespace {
 
 ConnOptions nak_options() {
   ConnOptions opt;
-  opt.stack.use_nak = true;
+  *opt.stack.spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
   return opt;
 }
 
@@ -94,7 +94,7 @@ TEST(Nak, LossBeyondHistoryIsUnrepairable) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt = nak_options();
-  opt.stack.nak.history = 8;  // tiny horizon
+  opt.stack.spec.find(LayerSpec::Type::kNak)->nak.history = 8;  // tiny horizon
   opt.packing = false;
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
@@ -133,7 +133,7 @@ TEST(Nak, FragmentedTransferOverNak) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt = nak_options();
-  opt.stack.frag.threshold = 128;
+  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint8_t> big(1000);
   for (std::size_t i = 0; i < big.size(); ++i) {

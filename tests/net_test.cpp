@@ -3,6 +3,7 @@
 // sandbox forbids socket creation.
 #include <gtest/gtest.h>
 
+#include "horus/wire_debug.h"
 #include "net/real_endpoint.h"
 
 namespace pa {
@@ -379,6 +380,44 @@ TEST(RealBatch, DisabledBatchingStillDelivers) {
   }
   ASSERT_TRUE(p.loop.run_until([&] { return got.size() >= 50; }, vt_s(10)));
   for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
+}
+
+// make_pa writes the given addresses into the bottom layer of whatever
+// spec the config carries, so the first frame's conn-ident names them.
+TEST(RealUdp, MakePaAddressesTheSpecsBottom) {
+  REQUIRE_SOCKETS();
+  RealLoop loop;
+  RealEndpoint a{loop};
+  const int sink = loop.open_udp(0);
+  ASSERT_GE(sink, 0);
+  a.connect_to(loop.port(sink));
+  std::vector<std::vector<std::uint8_t>> frames;
+  loop.on_frame(sink, [&](WireFrame f, Vt) { frames.push_back(f.flatten()); });
+
+  PaConfig cfg;
+  cfg.costs = CostModel::zero();
+  cfg.cookie_seed = 1;
+  cfg.stack.spec = StackSpec{}
+                       .add(LayerSpec::seq_layer())
+                       .add(LayerSpec::window_layer({}))
+                       .add(LayerSpec::bottom_layer({}));
+  a.make_pa(cfg, Address{{1, 2, 3, 4}}, Address{{5, 6, 7, 8}});
+  a.send(std::vector<std::uint8_t>{1, 2, 3});
+  ASSERT_TRUE(loop.run_until([&] { return !frames.empty(); }, vt_s(5)));
+
+  auto* pa = dynamic_cast<PaEngine*>(&a.engine());
+  ASSERT_NE(pa, nullptr);
+  DecodedFrame d =
+      decode_pa_frame(frames[0], pa->stack().registry(), pa->layout());
+  ASSERT_TRUE(d.valid) << d.error;
+  ASSERT_TRUE(d.conn_ident_present);
+  std::vector<std::uint64_t> src, dst;
+  for (const DecodedField& f : d.fields) {
+    if (f.name == "src_addr") src.push_back(f.value);
+    if (f.name == "dst_addr") dst.push_back(f.value);
+  }
+  EXPECT_EQ(src, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(dst, (std::vector<std::uint64_t>{5, 6, 7, 8}));
 }
 
 TEST(RealUdp, GarbageDatagramsAreDropped) {

@@ -345,7 +345,7 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     bind_pool_stats(reg, ps);
     bind_buf_stats(reg);
     bind_network_stats(reg, ns);
-    Stack window_stack{StackParams{}};
+    Stack window_stack{StackSpec::paper()};
     bind_stack_stats(reg, window_stack);
     collect_names(reg, names);
   }
@@ -353,19 +353,25 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     // The layer variants the default stack does not contain: the NAK
     // protocol and the doubled-window ablation.
     MetricsRegistry reg;
-    StackParams nak;
-    nak.use_nak = true;
+    StackSpec nak = StackSpec::paper();
+    *nak.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
     Stack nak_stack{nak};
     bind_stack_stats(reg, nak_stack);
-    StackParams dbl;
-    dbl.window_copies = 2;
-    Stack dbl_stack{dbl};
+    Stack dbl_stack{StackSpec{}
+                        .add(LayerSpec::frag_layer({/*threshold=*/8192}))
+                        .add(LayerSpec::seq_layer())
+                        .add(LayerSpec::window_layer({}))
+                        .add(LayerSpec::window_layer({}))
+                        .add(LayerSpec::bottom_layer({}))};
     bind_stack_stats(reg, dbl_stack);
-    StackParams mix;
-    mix.with_comp = true;
-    mix.with_crypt = true;
-    mix.with_relay = true;
-    Stack mix_stack{mix};
+    Stack mix_stack{StackSpec{}
+                        .add(LayerSpec::comp_layer())
+                        .add(LayerSpec::frag_layer({/*threshold=*/8192}))
+                        .add(LayerSpec::seq_layer())
+                        .add(LayerSpec::window_layer({}))
+                        .add(LayerSpec::crypt_layer())
+                        .add(LayerSpec::relay_layer())
+                        .add(LayerSpec::bottom_layer({}))};
     bind_stack_stats(reg, mix_stack);
     collect_names(reg, names);
   }

@@ -182,12 +182,12 @@ TEST(Pace, CapsThroughputAtConfiguredRate) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.extra_top_layers.push_back([] {
+  opt.stack.spec.push_top(LayerSpec::custom([] {
     PaceConfig pc;
     pc.msgs_per_sec = 2000;
     pc.burst = 4;
     return std::make_unique<PaceLayer>(pc);
-  });
+  }));
   auto [src, dst] = w.connect(a, b, opt);
   std::uint64_t got = 0;
   Vt last = 0;
@@ -221,12 +221,12 @@ TEST(Pace, IdleBucketRefillsToBurst) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.extra_top_layers.push_back([] {
+  opt.stack.spec.push_top(LayerSpec::custom([] {
     PaceConfig pc;
     pc.msgs_per_sec = 1000;
     pc.burst = 5;
     return std::make_unique<PaceLayer>(pc);
-  });
+  }));
   auto [src, dst] = w.connect(a, b, opt);
   dst->on_deliver([](std::span<const std::uint8_t>) {});
   for (int i = 0; i < 5; ++i) src->send(std::vector<std::uint8_t>{1});

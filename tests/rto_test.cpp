@@ -6,6 +6,10 @@
 namespace pa {
 namespace {
 
+WindowConfig& window_cfg(ConnOptions& o) {
+  return o.stack.spec.find(LayerSpec::Type::kWindow)->window;
+}
+
 WindowLayer* win_of(Endpoint* e) {
   return dynamic_cast<WindowLayer*>(
       e->engine().stack().find(LayerKind::kWindow));
@@ -25,10 +29,10 @@ TEST(AdaptiveRto, ConvergesAndRecoversFasterThanFixed) {
     w.network().set_link(b.id(), a.id(), LinkParams{});
     ConnOptions opt;
     opt.packing = false;
-    opt.stack.window.fast_retransmit = false;
-    opt.stack.window.adaptive_rto = adaptive;
-    opt.stack.window.ack_every = 1;  // ack every frame: crisp RTT samples
-    opt.stack.window.ack_delay = vt_ms(1);  // tight floor
+    window_cfg(opt).fast_retransmit = false;
+    window_cfg(opt).adaptive_rto = adaptive;
+    window_cfg(opt).ack_every = 1;  // ack every frame: crisp RTT samples
+    window_cfg(opt).ack_delay = vt_ms(1);  // tight floor
     auto [src, dst] = w.connect(a, b, opt);
     int got = 0;
     Vt done = 0;
@@ -55,8 +59,8 @@ TEST(AdaptiveRto, NoSpuriousRetransmitsOnCleanLink) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.window.adaptive_rto = true;
-  opt.stack.window.ack_delay = vt_ms(1);
+  window_cfg(opt).adaptive_rto = true;
+  window_cfg(opt).ack_delay = vt_ms(1);
   opt.packing = false;
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
@@ -116,8 +120,8 @@ TEST(AdaptiveRto, KarnsRuleKeepsEstimatorSane) {
   w.network().set_link(b.id(), a.id(), LinkParams{});
   ConnOptions opt;
   opt.packing = false;
-  opt.stack.window.ack_every = 1;
-  opt.stack.window.ack_delay = vt_ms(1);
+  window_cfg(opt).ack_every = 1;
+  window_cfg(opt).ack_delay = vt_ms(1);
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
@@ -155,8 +159,8 @@ TEST(AdaptiveRto, DupAckStormCannotPoisonTheEstimator) {
   w.network().set_link(b.id(), a.id(), back);
   ConnOptions opt;
   opt.packing = false;
-  opt.stack.window.ack_every = 1;
-  opt.stack.window.ack_delay = vt_ms(1);
+  window_cfg(opt).ack_every = 1;
+  window_cfg(opt).ack_delay = vt_ms(1);
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
@@ -187,7 +191,7 @@ TEST(AdaptiveRto, BackoffJitterDeterministicPerSeed) {
     auto& b = w.add_node("b");
     ConnOptions opt;
     opt.packing = false;
-    opt.stack.window.jitter_seed = seed;
+    window_cfg(opt).jitter_seed = seed;
     auto [src, dst] = w.connect(a, b, opt);
     dst->on_deliver([](std::span<const std::uint8_t>) {});
     // Blackhole a->b: every send retransmits with growing (jittered)
@@ -209,8 +213,8 @@ TEST(AdaptiveRto, SurvivesLossBothWays) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.window.adaptive_rto = true;
-  opt.stack.window.ack_delay = vt_ms(1);
+  window_cfg(opt).adaptive_rto = true;
+  window_cfg(opt).ack_delay = vt_ms(1);
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {

@@ -32,7 +32,7 @@ TEST(Sack, EndToEndWithLoss) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt;
-  opt.stack.window.selective_ack = true;
+  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::vector<std::uint32_t> got;
@@ -61,7 +61,7 @@ TEST(Sack, RecoversFasterUnderDeterministicMultiLoss) {
     w.network().set_link(a.id(), b.id(), wc.link);
     w.network().set_link(b.id(), a.id(), LinkParams{});
     ConnOptions opt;
-    opt.stack.window.selective_ack = sack;
+    opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = sack;
     auto [src, dst] = w.connect(a, b, opt);
     int got = 0;
     Vt done_at = 0;
@@ -84,16 +84,11 @@ TEST(Sack, RecoversFasterUnderDeterministicMultiLoss) {
 }
 
 TEST(Sack, HeaderCostIsFourGossipBytes) {
-  Stack plain{[] {
-    StackParams p;
-    return p;
-  }()};
+  Stack plain{StackSpec::paper()};
   plain.init();
-  Stack sacked{[] {
-    StackParams p;
-    p.window.selective_ack = true;
-    return p;
-  }()};
+  StackSpec spec = StackSpec::paper();
+  spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
+  Stack sacked{spec};
   sacked.init();
   auto cl_plain = plain.registry().compile(LayoutMode::kCompact);
   auto cl_sack = sacked.registry().compile(LayoutMode::kCompact);
@@ -106,7 +101,7 @@ TEST(Sack, PredictionStillWorks) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.window.selective_ack = true;
+  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });

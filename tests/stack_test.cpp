@@ -8,7 +8,7 @@ namespace pa {
 namespace {
 
 TEST(Stack, StandardCompositionOrder) {
-  Stack s{StackParams{}};
+  Stack s{StackSpec::paper()};
   ASSERT_EQ(s.size(), 4u);
   EXPECT_EQ(s.layer(0).name(), "frag");
   EXPECT_EQ(s.layer(1).name(), "seq");
@@ -17,11 +17,14 @@ TEST(Stack, StandardCompositionOrder) {
 }
 
 TEST(Stack, AllOptionsComposition) {
-  StackParams p;
-  p.with_meter = true;
-  p.with_heartbeat = true;
-  p.window_copies = 2;
-  Stack s{p};
+  Stack s{StackSpec{}
+              .add(LayerSpec::meter())
+              .add(LayerSpec::heartbeat_layer({}))
+              .add(LayerSpec::frag_layer({/*threshold=*/8192}))
+              .add(LayerSpec::seq_layer())
+              .add(LayerSpec::window_layer({}))
+              .add(LayerSpec::window_layer({}))
+              .add(LayerSpec::bottom_layer({}))};
   ASSERT_EQ(s.size(), 7u);
   EXPECT_EQ(s.layer(0).name(), "meter");
   EXPECT_EQ(s.layer(1).name(), "heartbeat");
@@ -30,22 +33,22 @@ TEST(Stack, AllOptionsComposition) {
 }
 
 TEST(Stack, NakReplacesWindow) {
-  StackParams p;
-  p.use_nak = true;
-  Stack s{p};
+  StackSpec spec = StackSpec::paper();
+  *spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
+  Stack s{spec};
   EXPECT_EQ(s.find(LayerKind::kWindow), nullptr);
   ASSERT_NE(s.find(LayerKind::kCustom), nullptr);
   EXPECT_EQ(s.find(LayerKind::kCustom)->name(), "nak");
 }
 
 TEST(Stack, DoubleInitThrows) {
-  Stack s{StackParams{}};
+  Stack s{StackSpec::paper()};
   s.init();
   EXPECT_THROW(s.init(), std::logic_error);
 }
 
 TEST(Stack, DescribeListsLayersAndFields) {
-  Stack s{StackParams{}};
+  Stack s{StackSpec::paper()};
   s.init();
   std::string d = s.describe();
   EXPECT_NE(d.find("window"), std::string::npos);
@@ -54,9 +57,10 @@ TEST(Stack, DescribeListsLayersAndFields) {
 }
 
 TEST(Stack, FindNthInstance) {
-  StackParams p;
-  p.window_copies = 3;
-  Stack s{p};
+  StackSpec spec;
+  for (int i = 0; i < 3; ++i) spec.add(LayerSpec::window_layer({}));
+  spec.add(LayerSpec::bottom_layer({}));
+  Stack s{spec};
   Layer* w0 = s.find(LayerKind::kWindow, 0);
   Layer* w2 = s.find(LayerKind::kWindow, 2);
   ASSERT_NE(w0, nullptr);

@@ -72,12 +72,16 @@ std::vector<Mix> all_mixes() {
 ConnOptions mix_options(const Mix& mix, bool use_pa) {
   ConnOptions o;
   o.use_pa = use_pa;
-  o.stack.with_comp = mix.comp;
-  o.stack.with_crypt = mix.crypt;
-  o.stack.with_relay = mix.relay;
-  o.stack.with_frag = mix.frag;
-  o.stack.with_seq = mix.seq;
-  o.stack.frag.threshold = 2048;  // exercised by the 4 KiB payload below
+  StackSpec s;
+  if (mix.comp) s.add(LayerSpec::comp_layer());
+  // 2048 is exercised by the 4 KiB payload below.
+  if (mix.frag) s.add(LayerSpec::frag_layer({/*threshold=*/2048}));
+  if (mix.seq) s.add(LayerSpec::seq_layer());
+  s.add(LayerSpec::window_layer({}));
+  if (mix.crypt) s.add(LayerSpec::crypt_layer());
+  if (mix.relay) s.add(LayerSpec::relay_layer());
+  s.add(LayerSpec::bottom_layer({}));
+  o.stack.spec = std::move(s);
   return o;
 }
 
@@ -231,28 +235,6 @@ TEST(StackMix, RepeatedSameReliabilityAllowed) {
   EXPECT_NO_THROW(Stack{s});
 }
 
-TEST(StackMix, ExplicitSpecEqualsLoweredFlags) {
-  // The two construction paths must compose identical pipelines.
-  StackParams flags;
-  flags.with_comp = true;
-  flags.with_crypt = true;
-  flags.with_relay = true;
-  Stack from_flags(flags);
-  StackSpec spec;
-  spec.add(LayerSpec::comp_layer())
-      .add(LayerSpec::frag_layer({/*threshold=*/8192}))
-      .add(LayerSpec::seq_layer())
-      .add(LayerSpec::window_layer({}))
-      .add(LayerSpec::crypt_layer())
-      .add(LayerSpec::relay_layer())
-      .add(LayerSpec::bottom_layer({}));
-  Stack from_spec(spec);
-  ASSERT_EQ(from_flags.size(), from_spec.size());
-  for (std::size_t i = 0; i < from_flags.size(); ++i) {
-    EXPECT_EQ(from_flags.layer(i).name(), from_spec.layer(i).name()) << i;
-  }
-}
-
 // --- LZ codec --------------------------------------------------------------
 
 void lz_round_trip(const std::vector<std::uint8_t>& src) {
@@ -304,7 +286,8 @@ TEST(StackMix, TamperedFramesDieAtTheTagAndAreRepaired) {
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
   ConnOptions o;
-  o.stack.with_crypt = true;
+  std::vector<LayerSpec>& layers = o.stack.spec.layers;
+  layers.insert(layers.end() - 1, LayerSpec::crypt_layer());  // above bottom
   auto [ea, eb] = w.connect(na, nb, o);
 
   std::vector<std::uint32_t> got;
@@ -395,9 +378,10 @@ TEST(StackMix, MismatchedHopsAreDroppedAsMisrouted) {
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
   ConnOptions o;
-  o.stack.with_relay = true;
   // Force a hop mismatch: a stamps dst=7 but b expects 3.
-  o.stack.relay = RelayConfig{/*local_hop=*/3, /*peer_hop=*/7};
+  std::vector<LayerSpec>& layers = o.stack.spec.layers;
+  layers.insert(layers.end() - 1,
+                LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
   auto [ea, eb] = w.connect(na, nb, o);
 
   std::size_t got = 0;

@@ -58,12 +58,18 @@ class CapEnv final : public Env {
   }
 };
 
-StackParams golden_stack() {
-  StackParams sp;
-  sp.bottom.local.words = {1, 2, 3, 4};
-  sp.bottom.remote.words = {5, 6, 7, 8};
-  sp.bottom.group = 9;
-  return sp;
+StackSpec golden_stack() {
+  StackSpec s = StackSpec::paper();
+  BottomConfig& b = s.find(LayerSpec::Type::kBottom)->bottom;
+  b.local.words = {1, 2, 3, 4};
+  b.remote.words = {5, 6, 7, 8};
+  b.group = 9;
+  return s;
+}
+
+// Insert a layer just above the bottom (crypt and relay sit there).
+void add_above_bottom(StackSpec& s, LayerSpec l) {
+  s.layers.insert(s.layers.end() - 1, std::move(l));
 }
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
@@ -248,7 +254,7 @@ void check(const char* scenario, Endian e, const CapEnv& env) {
 
 PaConfig pa_config(Endian e) {
   PaConfig cfg;
-  cfg.stack = golden_stack();
+  cfg.stack.spec = golden_stack();
   cfg.self_endian = e;
   cfg.cookie_seed = 42;
   return cfg;
@@ -288,7 +294,7 @@ TEST_P(WireGolden, PackedTrain) {
 TEST_P(WireGolden, FragmentedSend) {
   CapEnv env;
   PaConfig cfg = pa_config(GetParam());
-  cfg.stack.frag.threshold = 16;
+  cfg.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 16;
   PaEngine eng(cfg, env);
   auto big = pattern(40, 0x01);
   eng.send(big);
@@ -301,7 +307,7 @@ TEST_P(WireGolden, FragmentedSend) {
 TEST_P(WireGolden, CryptFrames) {
   CapEnv env;
   PaConfig cfg = pa_config(GetParam());
-  cfg.stack.with_crypt = true;
+  add_above_bottom(cfg.stack.spec, LayerSpec::crypt_layer());
   PaEngine eng(cfg, env);
   auto p0 = pattern(16, 0x10);
   eng.send(p0);
@@ -315,8 +321,8 @@ TEST_P(WireGolden, CryptFrames) {
 TEST_P(WireGolden, RelayFrames) {
   CapEnv env;
   PaConfig cfg = pa_config(GetParam());
-  cfg.stack.with_relay = true;
-  cfg.stack.relay = RelayConfig{/*local_hop=*/3, /*peer_hop=*/7};
+  add_above_bottom(cfg.stack.spec,
+                   LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
   PaEngine eng(cfg, env);
   auto p0 = pattern(16, 0x10);
   eng.send(p0);
@@ -327,7 +333,7 @@ TEST_P(WireGolden, RelayFrames) {
 TEST_P(WireGolden, CompFrames) {
   CapEnv env;
   PaConfig cfg = pa_config(GetParam());
-  cfg.stack.with_comp = true;
+  cfg.stack.spec.push_top(LayerSpec::comp_layer());
   PaEngine eng(cfg, env);
   // Compressible (ships [0x01][varint len][lz]) then stored pass-through
   // (too small: ships [0x00][raw]).
@@ -343,10 +349,10 @@ TEST_P(WireGolden, CompFrames) {
 TEST_P(WireGolden, MixedStackFrames) {
   CapEnv env;
   PaConfig cfg = pa_config(GetParam());
-  cfg.stack.with_comp = true;
-  cfg.stack.with_crypt = true;
-  cfg.stack.with_relay = true;
-  cfg.stack.relay = RelayConfig{/*local_hop=*/3, /*peer_hop=*/7};
+  cfg.stack.spec.push_top(LayerSpec::comp_layer());
+  add_above_bottom(cfg.stack.spec, LayerSpec::crypt_layer());
+  add_above_bottom(cfg.stack.spec,
+                   LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
   PaEngine eng(cfg, env);
   std::vector<std::uint8_t> runs(128, 0x55);
   eng.send(runs);
@@ -357,7 +363,7 @@ TEST_P(WireGolden, MixedStackFrames) {
 TEST_P(WireGolden, ClassicStackFrames) {
   CapEnv env;
   ClassicConfig cfg;
-  cfg.stack = golden_stack();
+  cfg.stack.spec = golden_stack();
   cfg.self_endian = GetParam();
   cfg.peer_endian = GetParam();
   ClassicEngine eng(cfg, env);

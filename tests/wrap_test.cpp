@@ -9,6 +9,16 @@ namespace {
 
 constexpr std::uint32_t kNearWrap = 0xFFFFFFF0u;
 
+// The paper's stack with the seq layer and the window starting just below
+// the wrap.
+ConnOptions near_wrap() {
+  ConnOptions opt;
+  StackSpec& s = opt.stack.spec;
+  s.find(LayerSpec::Type::kSeq)->initial_seq = kNearWrap;
+  s.find(LayerSpec::Type::kWindow)->window.initial_seq = kNearWrap;
+  return opt;
+}
+
 void paced_sends(World& w, Endpoint* src, int n, VtDur gap) {
   for (int i = 0; i < n; ++i) {
     w.queue().at(gap * i, [&, i, src] {
@@ -30,8 +40,7 @@ TEST(Wraparound, WindowCleanStream) {
   World w;
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
-  ConnOptions opt;
-  opt.stack.initial_seq = kNearWrap;
+  ConnOptions opt = near_wrap();
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
@@ -53,9 +62,9 @@ TEST(Wraparound, WindowWithLossAndReorder) {
   World w(wc);
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
-  ConnOptions opt;
-  opt.stack.initial_seq = kNearWrap;
-  opt.stack.window.selective_ack = true;  // sack bitmap across the wrap too
+  ConnOptions opt = near_wrap();
+  // Sack bitmap across the wrap too.
+  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
@@ -70,9 +79,8 @@ TEST(Wraparound, ClassicEngine) {
   World w;
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
-  ConnOptions opt;
+  ConnOptions opt = near_wrap();
   opt.use_pa = false;
-  opt.stack.initial_seq = kNearWrap;
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
@@ -140,9 +148,9 @@ TEST(Wraparound, NakProtocolAcrossWrap) {
   auto& b = w.add_node("b");
   w.network().set_link(a.id(), b.id(), wc.link);
   w.network().set_link(b.id(), a.id(), LinkParams{});
-  ConnOptions opt;
-  opt.stack.use_nak = true;
-  opt.stack.initial_seq = kNearWrap;  // seq layer wraps; nak uses own seq
+  // The seq layer wraps; nak uses its own seq.
+  ConnOptions opt = near_wrap();
+  *opt.stack.spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
