@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
 
   // The figure's load axis assumes the send path does not burn CPU copying
   // payload: publish the zero-copy sweep next to the latency curves.
-  obs::bind_buf_stats(obs::registry());
+  obs::bind_stats(obs::registry(), buf_stats());
   const bool zc_ok = zc_sweep(metrics);
 
   bool ok = flat_solid > 140 && flat_solid < 220 && knee_solid >= 1000 &&

@@ -60,7 +60,7 @@ int main() {
   // 5. The zero-copy invariant, by measurement: steady-state sends across
   // payload sizes must perform no data-plane payload copies on the
   // predicted path (the gather chain goes app -> engine -> wire untouched).
-  obs::bind_buf_stats(obs::registry());
+  obs::bind_stats(obs::registry(), buf_stats());
   const bool zc_ok = zc_sweep(metrics);
 
   std::printf(

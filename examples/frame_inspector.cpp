@@ -71,11 +71,11 @@ int main(int argc, char** argv) {
               shown);
 
   if (want_metrics) {
-    // One registry: this connection's stats bound through the bridge plus
-    // the process-global phase histograms.
+    // One registry: this connection's stats (obs/bridge.h) plus the
+    // process-global phase histograms.
     obs::MetricsRegistry reg;
-    obs::bind_engine_stats(reg, src->engine().stats());
-    obs::bind_router_stats(reg, b.router().stats());
+    obs::bind_stats(reg, src->engine().stats());
+    obs::bind_stats(reg, b.router().stats());
     obs::bind_stack_stats(reg, src->engine().stack());
     std::printf("\n%s%s", obs::prometheus_text(reg).c_str(),
                 obs::prometheus_text(obs::registry()).c_str());

@@ -236,10 +236,13 @@ if ! python3 wallbench/run.py --workload inproc --seed 1 --seconds 2 \
 fi
 
 echo "==== examples ================================================="
+# frame_inspector --metrics binds the engine, router and stack stats and
+# prints the Prometheus export end to end ($e is left unquoted so it can
+# carry an example's flags).
 for e in quickstart rpc_server file_transfer latency_tour chat_room \
-         udp_pingpong secure_chat relay; do
+         udp_pingpong secure_chat relay bank "frame_inspector --metrics"; do
   echo "---- $e"
-  "./build/examples/$e" || status=1
+  ./build/examples/$e || status=1
 done
 
 exit $status

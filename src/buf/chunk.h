@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/stat_fields.h"
+
 namespace pa {
 
 /// Process-global data-plane copy accounting. Every counter is a relaxed
@@ -44,19 +46,37 @@ namespace pa {
 ///     legacy consumer (an Env that only accepts flat vectors, a debug tap,
 ///     a golden-frame test). Kept separate from memcpy_* because they are
 ///     observation-boundary costs, not data-plane costs.
+/// One row per field (util/stat_fields.h).
+#define PA_BUF_STATS(X)                                                        \
+  X(std::atomic<std::uint64_t>, ingest_copies, "ingest_copies_total", "",      \
+    "payload copies crossing the application boundary")                        \
+  X(std::atomic<std::uint64_t>, ingest_bytes, "ingest_bytes_total", "bytes",   \
+    "payload bytes copied crossing the application boundary")                  \
+  X(std::atomic<std::uint64_t>, memcpy_count, "memcpy_total", "",              \
+    "data-plane payload copies after ingest (zero on the steady-state path)")  \
+  X(std::atomic<std::uint64_t>, memcpy_bytes, "memcpy_bytes_total", "bytes",   \
+    "data-plane payload bytes copied after ingest")                            \
+  X(std::atomic<std::uint64_t>, flattens, "flattens_total", "",                \
+    "chained frames flattened for a legacy consumer or tap")                   \
+  X(std::atomic<std::uint64_t>, flatten_bytes, "flatten_bytes_total", "bytes", \
+    "bytes copied by flattening")                                              \
+  X(std::atomic<std::uint64_t>, cow_copies, "cow_copies_total", "",            \
+    "copy-on-write header copies (shared chunk written)")                      \
+  X(std::atomic<std::uint64_t>, chain_clones, "chain_clones_total", "",        \
+    "message clones that shared the payload chain by refcount bump")           \
+  X(std::atomic<std::uint64_t>, chain_clone_bytes_shared,                      \
+    "chain_clone_bytes_shared_total", "bytes",                                 \
+    "payload bytes shared (not copied) by chain clones")                       \
+  X(std::atomic<std::uint64_t>, headroom_regrows, "headroom_regrows_total",    \
+    "", "header pushes that outgrew the headroom and reallocated")             \
+  X(std::atomic<std::uint64_t>, chunks_allocated, "chunks_allocated_total",    \
+    "", "chunks allocated")                                                    \
+  X(std::atomic<std::uint64_t>, chunks_recycled, "chunks_recycled_total", "",  \
+    "chunks recycled from the pool (reads 0: the pool only accounts)")
+
 struct BufStats {
-  std::atomic<std::uint64_t> ingest_copies{0};
-  std::atomic<std::uint64_t> ingest_bytes{0};
-  std::atomic<std::uint64_t> memcpy_count{0};
-  std::atomic<std::uint64_t> memcpy_bytes{0};
-  std::atomic<std::uint64_t> flattens{0};
-  std::atomic<std::uint64_t> flatten_bytes{0};
-  std::atomic<std::uint64_t> cow_copies{0};
-  std::atomic<std::uint64_t> chain_clones{0};
-  std::atomic<std::uint64_t> chain_clone_bytes_shared{0};
-  std::atomic<std::uint64_t> headroom_regrows{0};
-  std::atomic<std::uint64_t> chunks_allocated{0};
-  std::atomic<std::uint64_t> chunks_recycled{0};
+  static constexpr const char* kMetricPrefix = "buf";
+  PA_STAT_FIELDS(PA_BUF_STATS)
 };
 
 BufStats& buf_stats();

@@ -24,17 +24,27 @@
 #include <vector>
 
 #include "buf/message.h"
+#include "util/stat_fields.h"
 
 namespace pa {
+
+// MessagePool::Stats, one row per field (util/stat_fields.h).
+#define PA_POOL_STATS(X)                                                       \
+  X(std::uint64_t, acquires, "acquires_total", "", "buffer acquisitions")      \
+  X(std::uint64_t, fresh_allocations, "fresh_allocations_total", "",           \
+    "acquisitions that hit the allocator (pool miss)")                         \
+  X(std::uint64_t, releases, "releases_total", "",                             \
+    "buffers returned to the pool")                                            \
+  X(std::uint64_t, bytes_allocated, "bytes_allocated_total", "bytes",          \
+    "bytes from fresh allocations")                                            \
+  X(std::uint64_t, headroom_regrow, "headroom_regrow_total", "",               \
+    "header pushes that outgrew the headroom and reallocated")
 
 class MessagePool {
  public:
   struct Stats {
-    std::uint64_t acquires = 0;
-    std::uint64_t fresh_allocations = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t bytes_allocated = 0;  // bytes from fresh allocations only
-    std::uint64_t headroom_regrow = 0;  // released messages' headroom regrows
+    static constexpr const char* kMetricPrefix = "pa_pool";
+    PA_STAT_FIELDS(PA_POOL_STATS)
   };
 
   explicit MessagePool(std::size_t max_cached = 64) : max_cached_(max_cached) {}

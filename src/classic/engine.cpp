@@ -154,7 +154,6 @@ void ClassicEngine::flush_queue() {
 void ClassicEngine::on_frame(WireFrame frame, Vt) {
   ++stats_.frames_in;
   if (frame.size() < total_hdr_) {
-    ++stats_.malformed_drops;
     stats_.drops.bump(DropReason::kTruncatedHeader);
     return;
   }
@@ -182,7 +181,6 @@ void ClassicEngine::deliver_msg(Message m, std::size_t entered_below) {
     if (verdict != DeliverVerdict::kDeliver) break;
     if (stack_.layer(i).has_frame_codec() &&
         !stack_.layer(i).decode_frame(m, v)) {
-      ++stats_.malformed_drops;
       stats_.drops.bump(DropReason::kAeadAuth);
       verdict = DeliverVerdict::kDrop;
       break;
@@ -224,7 +222,6 @@ void ClassicEngine::deliver_part(std::span<const std::uint8_t> part) {
     std::span<const std::uint8_t> res;
     if (!stack_.layer(deliver_transform_).decode_part(part, res,
                                                       part_scratch_)) {
-      ++stats_.malformed_drops;
       stats_.drops.bump(DropReason::kCompCodec);
       return;
     }

@@ -16,39 +16,56 @@
 #include "horus/stack.h"
 #include "pa/drop_reason.h"
 #include "util/stat_counter.h"
+#include "util/stat_fields.h"
 #include "util/types.h"
 
 namespace pa {
 
-// All counters are StatCounters (relaxed atomics): the engine bumps them on
-// its own thread while another thread may read them or render a report.
+// EngineStats' counters, one row per field (util/stat_fields.h). All are
+// StatCounters (relaxed atomics): the engine bumps them on its own thread
+// while another thread may read them or render a report.
+#define PA_ENGINE_STATS(X)                                                     \
+  /* sending */                                                                \
+  X(StatCounter, app_sends, "app_sends_total", "", "application send() calls") \
+  X(StatCounter, fast_sends, "fast_sends_total", "",                           \
+    "sends that bypassed the stack (predicted header)")                        \
+  X(StatCounter, slow_sends, "slow_sends_total", "",                           \
+    "sends through the stack pre-send")                                        \
+  X(StatCounter, backlogged, "backlogged_total", "",                           \
+    "sends parked behind pending post-processing")                             \
+  X(StatCounter, packed_batches, "packed_batches_total", "",                   \
+    "backlog flushes packed into one frame")                                   \
+  X(StatCounter, packed_msgs, "packed_msgs_total", "",                         \
+    "messages carried by packing")                                             \
+  X(StatCounter, frames_out, "frames_out_total", "",                           \
+    "wire frames transmitted")                                                 \
+  X(StatCounter, conn_ident_sent, "conn_ident_sent_total", "",                 \
+    "frames carrying the connection identification")                           \
+  X(StatCounter, protocol_emits, "protocol_emits_total", "",                   \
+    "layer-generated messages (acks, naks)")                                   \
+  X(StatCounter, raw_resends, "raw_resends_total", "",                         \
+    "verbatim retransmissions")                                                \
+  /* delivering */                                                             \
+  X(StatCounter, frames_in, "frames_in_total", "", "wire frames received")     \
+  X(StatCounter, fast_delivers, "fast_delivers_total", "",                     \
+    "deliveries on the predicted path (memcmp hit)")                           \
+  X(StatCounter, slow_delivers, "slow_delivers_total", "",                     \
+    "deliveries through the stack pre-deliver")                                \
+  X(StatCounter, predict_misses, "predict_misses_total", "",                   \
+    "received headers that missed the prediction")                             \
+  X(StatCounter, delivered_to_app, "delivered_to_app_total", "",               \
+    "application messages delivered (post-unpack)")                            \
+  X(StatCounter, recv_queued, "recv_queued_total", "",                         \
+    "frames parked behind post-processing")                                    \
+  /* chaos / recovery */                                                       \
+  X(StatCounter, restarts, "restarts_total", "", "simulated process restarts") \
+  X(StatCounter, recovery_entries, "recovery_entries_total", "",               \
+    "cookie-recovery episodes entered")
+
 struct EngineStats {
-  // sending
-  StatCounter app_sends;
-  StatCounter fast_sends;        // bypassed the stack entirely
-  StatCounter slow_sends;        // stack pre-send path
-  StatCounter backlogged;
-  StatCounter packed_batches;
-  StatCounter packed_msgs;
-  StatCounter frames_out;
-  StatCounter conn_ident_sent;   // frames carrying the conn-ident
-  StatCounter protocol_emits;    // layer-generated messages (acks)
-  StatCounter raw_resends;       // verbatim retransmissions
-  // delivering
-  StatCounter frames_in;
-  StatCounter fast_delivers;     // predicted header matched
-  StatCounter slow_delivers;     // stack pre-deliver path
-  StatCounter filter_drops;      // receive packet filter said drop
-  StatCounter predict_misses;
-  StatCounter delivered_to_app;  // application messages (post-unpack)
-  StatCounter recv_queued;       // frames parked behind post-processing
-  StatCounter recv_overflow_drops;
-  StatCounter malformed_drops;
-  // chaos / recovery
-  DropCounters drops;                  // per-reason breakdown (additive to
-                                       // the legacy counters above)
-  StatCounter restarts;          // on_restart() invocations
-  StatCounter recovery_entries;  // cookie-recovery episodes entered
+  static constexpr const char* kMetricPrefix = "pa_engine";
+  PA_STAT_FIELDS(PA_ENGINE_STATS)
+  DropCounters drops;  // every dropped frame, by reason
 };
 
 class Engine {

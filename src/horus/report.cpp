@@ -1,5 +1,5 @@
-// Every overload now renders through one pipeline: bind the stat struct
-// into a throwaway MetricsRegistry (obs/bridge.h) and print it with
+// Every overload renders through one pipeline: bind the stat struct into a
+// throwaway MetricsRegistry (obs/bridge.h) and print it with
 // obs::render_report — so the human report, the Prometheus exposition and
 // the catalog in docs/OBSERVABILITY.md all share one set of metric names
 // and one line format: `name value  # help`.
@@ -12,37 +12,37 @@ namespace pa {
 
 std::string report(const EngineStats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_engine_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "engine");
 }
 
 std::string report(const Router::Stats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_router_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "router");
 }
 
 std::string report(const GcModel::Stats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_gc_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "gc");
 }
 
 std::string report(const MessagePool::Stats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_pool_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "message pool");
 }
 
 std::string report(const BufStats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_buf_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "zero-copy buffers");
 }
 
 std::string report(const SimNetwork::Stats& s) {
   obs::MetricsRegistry reg;
-  obs::bind_network_stats(reg, s);
+  obs::bind_stats(reg, s);
   return obs::render_report(reg, "network");
 }
 

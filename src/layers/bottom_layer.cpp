@@ -1,6 +1,7 @@
 #include "layers/bottom_layer.h"
 
 #include "filter/interp.h"
+#include "obs/bridge.h"
 
 namespace pa {
 
@@ -96,6 +97,11 @@ void BottomLayer::predict_send(HeaderView&) const {
 }
 
 void BottomLayer::predict_deliver(HeaderView&) const {}
+
+void BottomLayer::bind_stats(obs::MetricsRegistry& reg,
+                            const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
+}
 
 std::uint64_t BottomLayer::state_digest() const {
   std::uint64_t h = 0xcbf29ce484222325ull;

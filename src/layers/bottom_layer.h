@@ -11,6 +11,7 @@
 
 #include "layers/layer.h"
 #include "util/checksum.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -37,6 +38,15 @@ struct BottomConfig {
   bool checksum_covers_headers = true;
 };
 
+// BottomLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_BOTTOM_STATS(X)                                                     \
+  X(std::uint64_t, sent, "sent_total", "", "frames framed")                    \
+  X(std::uint64_t, delivered, "delivered_total", "", "frames accepted")        \
+  X(std::uint64_t, checksum_drops, "checksum_drops_total", "",                 \
+    "frames failing the checksum")                                             \
+  X(std::uint64_t, length_drops, "length_drops_total", "",                     \
+    "frames failing the length check")
+
 class BottomLayer final : public Layer {
  public:
   explicit BottomLayer(BottomConfig cfg) : cfg_(cfg) {}
@@ -59,11 +69,11 @@ class BottomLayer final : public Layer {
   void predict_deliver(HeaderView& hdr) const override;
   std::uint64_t state_digest() const override;
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t checksum_drops = 0;
-    std::uint64_t length_drops = 0;
+    PA_STAT_FIELDS(PA_BOTTOM_STATS)
   };
   const Stats& stats() const { return stats_; }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "obs/bridge.h"
+
 namespace pa {
 
 namespace {
@@ -239,6 +241,11 @@ bool CompLayer::decode_part(std::span<const std::uint8_t> in,
   ++stats_.msgs_inflated;
   res = std::span<const std::uint8_t>(scratch.data(), scratch.size());
   return true;
+}
+
+void CompLayer::bind_stats(obs::MetricsRegistry& reg,
+                          const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
 }
 
 std::uint64_t CompLayer::state_digest() const {

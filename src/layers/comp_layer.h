@@ -23,6 +23,7 @@
 #pragma once
 
 #include "layers/layer.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -31,6 +32,21 @@ struct CompConfig {
   // Keep the compressed form only if it saves at least this fraction.
   double min_gain = 0.05;
 };
+
+// CompLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_COMP_STATS(X)                                                       \
+  X(std::uint64_t, msgs_compressed, "msgs_compressed_total", "",               \
+    "payloads shipped in compressed form")                                     \
+  X(std::uint64_t, msgs_stored, "msgs_stored_total", "",                       \
+    "payloads shipped stored (small or incompressible)")                       \
+  X(std::uint64_t, msgs_inflated, "msgs_inflated_total", "",                   \
+    "payloads decompressed on delivery")                                       \
+  X(std::uint64_t, bytes_in, "bytes_in_total", "bytes",                        \
+    "payload bytes offered to the compressor")                                 \
+  X(std::uint64_t, bytes_out, "bytes_out_total", "bytes",                      \
+    "payload bytes shipped (tag framing included)")                            \
+  X(std::uint64_t, codec_errors, "codec_errors_total", "",                     \
+    "undecodable compressed payloads dropped")
 
 class CompLayer final : public Layer {
  public:
@@ -60,13 +76,11 @@ class CompLayer final : public Layer {
 
   std::uint64_t state_digest() const override;
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t msgs_compressed = 0;
-    std::uint64_t msgs_stored = 0;      // pass-through (incompressible/small)
-    std::uint64_t msgs_inflated = 0;    // deliver-side decompressions
-    std::uint64_t bytes_in = 0;         // plaintext bytes offered
-    std::uint64_t bytes_out = 0;        // bytes shipped (tag included)
-    std::uint64_t codec_errors = 0;     // undecodable framing seen
+    PA_STAT_FIELDS(PA_COMP_STATS)
   };
   const Stats& stats() const { return stats_; }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "obs/bridge.h"
+
 namespace pa {
 
 namespace {
@@ -156,6 +158,17 @@ bool CryptLayer::decode_frame(Message& msg, const HeaderView& hdr) const {
   ++stats_.frames_opened;
   msg.replace_payload(std::move(pt));
   return true;
+}
+
+void CryptLayer::bind_stats(obs::MetricsRegistry& reg,
+                           const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
+  reg.gauge_fn(prefix + "_next_nonce",
+               "send-side nonce cursor (next frame's nonce)", "",
+               [this] { return static_cast<double>(next_nonce_); });
+  reg.gauge_fn(prefix + "_expected_nonce",
+               "deliver-side nonce cursor (predicted next nonce)", "",
+               [this] { return static_cast<double>(expected_in_); });
 }
 
 std::uint64_t CryptLayer::state_digest() const {

@@ -32,6 +32,7 @@
 #pragma once
 
 #include "layers/layer.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -39,6 +40,17 @@ struct CryptConfig {
   std::uint64_t key0 = 0x6a09e667f3bcc908ull;  // shared key halves; both
   std::uint64_t key1 = 0xbb67ae8584caa73bull;  // sides must agree
 };
+
+// CryptLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_CRYPT_STATS(X)                                                      \
+  X(std::uint64_t, frames_sealed, "frames_sealed_total", "",                   \
+    "frames encrypted and tagged")                                             \
+  X(std::uint64_t, frames_opened, "frames_opened_total", "",                   \
+    "frames decrypted after tag verification")                                 \
+  X(std::uint64_t, auth_failures, "auth_failures_total", "",                   \
+    "frames dropped on tag mismatch")                                          \
+  X(std::uint64_t, bytes_sealed, "bytes_sealed_total", "bytes",                \
+    "plaintext bytes encrypted")
 
 class CryptLayer final : public Layer {
  public:
@@ -70,11 +82,11 @@ class CryptLayer final : public Layer {
   // is never re-sent, so the cursors legitimately diverge across endpoints.
   // No convergent state => sync_digest stays the default 0.
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t frames_sealed = 0;    // encode_frame successes
-    std::uint64_t frames_opened = 0;    // decode_frame successes
-    std::uint64_t auth_failures = 0;    // tag mismatches (frame dropped)
-    std::uint64_t bytes_sealed = 0;     // plaintext bytes encrypted
+    PA_STAT_FIELDS(PA_CRYPT_STATS)
   };
   const Stats& stats() const { return stats_; }
   std::uint32_t next_nonce() const { return next_nonce_; }

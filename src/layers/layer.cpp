@@ -8,6 +8,8 @@ bool Layer::match_conn_ident(const HeaderView&) const { return true; }
 
 std::vector<Message> Layer::transform_send(Message&) { return {}; }
 
+void Layer::bind_stats(obs::MetricsRegistry&, const std::string&) const {}
+
 LayerTraits Layer::traits() const {
   switch (kind()) {
     case LayerKind::kMeter:

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -30,6 +31,10 @@
 #include "util/types.h"
 
 namespace pa {
+
+namespace obs {
+class MetricsRegistry;
+}
 
 enum class SendVerdict : std::uint8_t {
   kOk,      // header written; pass downward
@@ -233,6 +238,13 @@ class Layer {
   /// commutative sum makes A.send+A.recv == B.send+B.recv exactly when the
   /// halves pair up crosswise. Layers with no such state return 0.
   virtual std::uint64_t sync_digest() const { return 0; }
+
+  /// Register this layer's counters as read-through metrics named
+  /// `<prefix>_<metric>` (obs/bridge.h). The stack walker picks the prefix
+  /// (pa_stack_window, pa_stack_window2, …). Layers without exported stats
+  /// keep this no-op, and so does a wrapper that does not forward it.
+  virtual void bind_stats(obs::MetricsRegistry& reg,
+                          const std::string& prefix) const;
 
  protected:
   /// One half of a sync_digest: a cursor plus unconverged-buffer occupancy

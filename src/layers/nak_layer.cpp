@@ -1,5 +1,7 @@
 #include "layers/nak_layer.h"
 
+#include "obs/bridge.h"
+
 namespace pa {
 
 void NakLayer::init(LayerInit& ctx) {
@@ -139,6 +141,14 @@ void NakLayer::predict_deliver(HeaderView& hdr) const {
   hdr.set(f_type_, kData);
   hdr.set(f_seq_, expected_);
   hdr.set(f_rex_, 0);
+}
+
+void NakLayer::bind_stats(obs::MetricsRegistry& reg,
+                         const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
+  reg.gauge_fn(prefix + "_stalled",
+               "1 when the NAK protocol is terminally stalled", "",
+               [this] { return stalled_ ? 1.0 : 0.0; });
 }
 
 std::uint64_t NakLayer::state_digest() const {

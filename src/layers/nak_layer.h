@@ -18,6 +18,7 @@
 #include <map>
 
 #include "layers/layer.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -31,6 +32,23 @@ struct NakConfig {
   // NAK-protocol failure mode, surfaced instead of spun on.
   std::uint32_t max_nak_retries = 100;
 };
+
+// NakLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_NAK_STATS(X)                                                        \
+  X(std::uint64_t, data_sent, "data_sent_total", "", "data messages sent")     \
+  X(std::uint64_t, data_delivered, "data_delivered_total", "",                 \
+    "data messages delivered")                                                 \
+  X(std::uint64_t, naks_sent, "naks_sent_total", "", "negative acks sent")     \
+  X(std::uint64_t, naks_received, "naks_received_total", "",                   \
+    "negative acks received")                                                  \
+  X(std::uint64_t, repairs, "repairs_total", "",                               \
+    "retransmissions answering a NAK")                                         \
+  X(std::uint64_t, unrepairable, "unrepairable_total", "",                     \
+    "NAKs for sequences older than the history")                               \
+  X(std::uint64_t, duplicates, "duplicates_total", "",                         \
+    "duplicate data messages discarded")                                       \
+  X(std::uint64_t, gaps_abandoned, "gaps_abandoned_total", "",                 \
+    "receive gaps given up on")
 
 class NakLayer final : public Layer {
  public:
@@ -60,15 +78,11 @@ class NakLayer final : public Layer {
     return sync_half(next_seq_, 0) + sync_half(expected_, stash_.size());
   }
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t data_sent = 0;
-    std::uint64_t data_delivered = 0;
-    std::uint64_t naks_sent = 0;
-    std::uint64_t naks_received = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t unrepairable = 0;  // NAK for a seq older than the history
-    std::uint64_t duplicates = 0;
-    std::uint64_t gaps_abandoned = 0;
+    PA_STAT_FIELDS(PA_NAK_STATS)
   };
   const Stats& stats() const { return stats_; }
   std::uint32_t expected_seq() const { return expected_; }

@@ -1,5 +1,7 @@
 #include "layers/relay_layer.h"
 
+#include "obs/bridge.h"
+
 namespace pa {
 
 void RelayLayer::init(LayerInit& ctx) {
@@ -41,6 +43,11 @@ void RelayLayer::predict_send(HeaderView& hdr) const {
 void RelayLayer::predict_deliver(HeaderView& hdr) const {
   hdr.set(f_dst_, cfg_.local_hop);
   hdr.set(f_src_, cfg_.peer_hop);
+}
+
+void RelayLayer::bind_stats(obs::MetricsRegistry& reg,
+                           const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
 }
 
 std::uint64_t RelayLayer::state_digest() const {

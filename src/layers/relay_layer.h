@@ -21,6 +21,7 @@
 #pragma once
 
 #include "layers/layer.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -28,6 +29,15 @@ struct RelayConfig {
   std::uint16_t local_hop = 0;  // our hop id (checked on delivery)
   std::uint16_t peer_hop = 0;   // destination hop id (stamped on send)
 };
+
+// RelayLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_RELAY_STATS(X)                                                      \
+  X(std::uint64_t, stamped, "stamped_total", "",                               \
+    "frames stamped with hop identifiers")                                     \
+  X(std::uint64_t, accepted, "accepted_total", "",                             \
+    "frames addressed to this hop")                                            \
+  X(std::uint64_t, misrouted, "misrouted_total", "",                           \
+    "frames for another hop dropped")
 
 class RelayLayer final : public Layer {
  public:
@@ -50,10 +60,11 @@ class RelayLayer final : public Layer {
 
   std::uint64_t state_digest() const override;
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t stamped = 0;    // frames sent with hop ids
-    std::uint64_t accepted = 0;   // frames addressed to us
-    std::uint64_t misrouted = 0;  // frames for another hop (dropped)
+    PA_STAT_FIELDS(PA_RELAY_STATS)
   };
   const Stats& stats() const { return stats_; }
   const RelayConfig& config() const { return cfg_; }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/bridge.h"
+
 namespace pa {
 
 void WindowLayer::init(LayerInit& ctx) {
@@ -348,6 +350,11 @@ std::uint64_t WindowLayer::sync_digest() const {
   // connection both are zero and next_seq_ equals the peer's expected_.
   return sync_half(next_seq_, sent_buf_.size() + (next_seq_ - base_)) +
          sync_half(expected_, stash_.size());
+}
+
+void WindowLayer::bind_stats(obs::MetricsRegistry& reg,
+                            const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
 }
 
 std::uint64_t WindowLayer::state_digest() const {

@@ -20,6 +20,7 @@
 
 #include "layers/layer.h"
 #include "util/rng.h"
+#include "util/stat_fields.h"
 
 namespace pa {
 
@@ -79,6 +80,23 @@ struct WindowConfig {
   std::uint32_t dup_notify_threshold = 3;
 };
 
+// WindowLayer::Stats, one row per field (util/stat_fields.h).
+#define PA_WINDOW_STATS(X)                                                     \
+  X(std::uint64_t, data_sent, "data_sent_total", "", "data messages sent")     \
+  X(std::uint64_t, data_delivered, "data_delivered_total", "",                 \
+    "data messages delivered")                                                 \
+  X(std::uint64_t, acks_sent, "acks_sent_total", "", "acks sent")              \
+  X(std::uint64_t, acks_received, "acks_received_total", "", "acks received")  \
+  X(std::uint64_t, retransmits, "retransmits_total", "", "timer retransmits")  \
+  X(std::uint64_t, fast_retransmits, "fast_retransmits_total", "",             \
+    "dup-ack fast retransmits")                                                \
+  X(std::uint64_t, duplicates, "duplicates_total", "",                         \
+    "duplicate data messages discarded")                                       \
+  X(std::uint64_t, stashed, "stashed_total", "",                               \
+    "out-of-order messages stashed")                                           \
+  X(std::uint64_t, window_stalls, "stalls_total", "",                          \
+    "times the window filled")
+
 class WindowLayer final : public Layer {
  public:
   explicit WindowLayer(WindowConfig cfg) : cfg_(cfg) {}
@@ -106,16 +124,11 @@ class WindowLayer final : public Layer {
   std::uint64_t state_digest() const override;
   std::uint64_t sync_digest() const override;
 
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
+
   struct Stats {
-    std::uint64_t data_sent = 0;
-    std::uint64_t data_delivered = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t acks_received = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t stashed = 0;
-    std::uint64_t window_stalls = 0;  // times the window filled
+    PA_STAT_FIELDS(PA_WINDOW_STATS)
   };
   const Stats& stats() const { return stats_; }
 

@@ -1,12 +1,12 @@
-// Bridges: bind the repo's pre-existing stat structs into a
-// MetricsRegistry as named, typed, read-through metrics.
+// Binding stat structs into a MetricsRegistry as named, typed, read-through
+// metrics.
 //
-// EngineStats, Router::Stats, the pool/GC/network structs and the layers'
-// counters predate the registry; their hot-path call sites stay exactly as
-// they are (relaxed StatCounter bumps, plain uint64 fields mutated by the
-// owner thread). A bridge registers one read-through metric per field, so
-// collection-time consumers — report(), the Prometheus exporter, the
-// catalog test — see every number in the system under one naming scheme:
+// Every bound stat struct declares its fields once, as an X-macro list
+// (util/stat_fields.h) whose rows carry each field's metric name, unit and
+// help. One generic binder walks that list; hot-path call sites stay plain
+// field bumps (relaxed StatCounters, plain uint64 fields mutated by the
+// owner thread). Collection-time consumers — report(), the Prometheus
+// exporter, the catalog test — see every number under one naming scheme:
 //
 //   pa_engine_*    EngineStats incl. the drop-reason taxonomy
 //   pa_router_*    Router::Stats incl. the drop-reason taxonomy
@@ -14,44 +14,67 @@
 //   pa_pool_*      MessagePool::Stats
 //   buf_*          BufStats (process-global zero-copy accounting)
 //   sim_network_*  SimNetwork::Stats
-//   pa_stack_*     per-layer window/bottom/NAK counters
+//   pa_stack_*     per-layer counters (Layer::bind_stats)
 //
-// Lifetime: bridges capture a pointer to the bound struct — the struct must
-// outlive the registry. report() builds throwaway registries around borrowed
-// structs, renders, and discards them, which is always safe.
+// Lifetime: bindings capture a reference to the bound struct — the struct
+// must outlive the registry. report() builds throwaway registries around
+// borrowed structs, renders, and discards them, which is always safe.
 //
 // Binding two objects of the same type into one registry requires distinct
 // prefixes (names are deduplicated; the first registration wins).
 #pragma once
 
+#include <atomic>
+#include <cstdint>
+#include <functional>
 #include <string>
 
-#include "buf/pool.h"
-#include "horus/engine.h"
-#include "horus/stack.h"
 #include "obs/metrics.h"
-#include "pa/router.h"
-#include "sim/gc_model.h"
-#include "sim/network.h"
+#include "pa/drop_reason.h"
+#include "util/stat_counter.h"
+
+namespace pa {
+class Stack;
+}
 
 namespace pa::obs {
 
-void bind_engine_stats(MetricsRegistry& reg, const EngineStats& s,
-                       const std::string& prefix = "pa_engine");
-void bind_router_stats(MetricsRegistry& reg, const Router::Stats& s,
-                       const std::string& prefix = "pa_router");
-void bind_gc_stats(MetricsRegistry& reg, const GcModel::Stats& s,
-                   const std::string& prefix = "sim_gc");
-void bind_pool_stats(MetricsRegistry& reg, const MessagePool::Stats& s,
-                     const std::string& prefix = "pa_pool");
-/// The process-global zero-copy accounting (buf/chunk.h BufStats): ingest /
-/// data-plane / flatten copy counters plus chunk allocation traffic.
-void bind_buf_stats(MetricsRegistry& reg, const BufStats& s = buf_stats(),
-                    const std::string& prefix = "buf");
-void bind_network_stats(MetricsRegistry& reg, const SimNetwork::Stats& s,
-                        const std::string& prefix = "sim_network");
-/// Window / bottom / NAK layer counters for every layer in the stack.
-/// Multiple instances of one kind get a numeric suffix (window, window2…).
+/// Read one stat field, whatever its storage.
+inline double stat_value(const StatCounter& c) {
+  return static_cast<double>(c.load());
+}
+inline double stat_value(const std::atomic<std::uint64_t>& v) {
+  return static_cast<double>(v.load(std::memory_order_relaxed));
+}
+inline double stat_value(std::uint64_t v) { return static_cast<double>(v); }
+inline double stat_value(std::int64_t v) { return static_cast<double>(v); }
+
+/// Register one read-through metric: a counter when `name` ends in
+/// `_total`, a gauge otherwise.
+void bind_stat(MetricsRegistry& reg, const std::string& name,
+               const std::string& help, const std::string& unit,
+               std::function<double()> read);
+
+/// One `<prefix>_drop_<reason>_total` counter per DropReason.
+void bind_drops(MetricsRegistry& reg, const std::string& prefix,
+                const DropCounters& d);
+
+/// Bind every field of a stat struct declared with PA_STAT_FIELDS as
+/// `<prefix>_<metric>`, plus its drop taxonomy if it has one.
+template <class S>
+void bind_stats(MetricsRegistry& reg, const S& s,
+                const std::string& prefix = S::kMetricPrefix) {
+  s.for_each_stat([&](const auto& field, const char* metric,
+                      const char* unit, const char* help) {
+    bind_stat(reg, prefix + "_" + metric, help, unit,
+              [&field] { return stat_value(field); });
+  });
+  if constexpr (requires { s.drops; }) bind_drops(reg, prefix, s.drops);
+}
+
+/// Every layer's counters: each layer binds itself (Layer::bind_stats)
+/// under `<prefix>_<name>`; repeats of one name get a numeric suffix
+/// (window, window2…).
 void bind_stack_stats(MetricsRegistry& reg, const Stack& s,
                       const std::string& prefix = "pa_stack");
 

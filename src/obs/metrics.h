@@ -10,10 +10,11 @@
 // Two registration styles:
 //   - owned metrics (`counter()` / `gauge()` / `histogram()`): the registry
 //     allocates the storage and hands back a stable reference;
-//   - read-through metrics (`gauge_fn()`): a callback samples an existing
-//     source (a StatCounter inside EngineStats, a MessagePool::Stats
-//     field) at collection time — this is how the legacy stat structs are
-//     unified without rewriting their call sites (see obs/bridge.h).
+//   - read-through metrics (`counter_fn()` / `gauge_fn()`): a callback
+//     samples a field of a stat struct (EngineStats, a layer's Stats, …) at
+//     collection time. Each struct declares its fields once, with their
+//     names and help (util/stat_fields.h); obs::bind_stats (obs/bridge.h)
+//     is the one binder that turns that list into read-through metrics.
 //
 // LatencyHistogram is log-bucketed (power-of-two majors, 16 linear
 // sub-buckets each → ≤ 6.25% relative value error), fixed 976 slots of
@@ -183,7 +184,7 @@ class MetricsRegistry {
 /// The process-global registry. Subsystems that exist once per process
 /// (the trace ring, the real-time loop, the engines' shared
 /// phase histograms) register here; per-object stat structs are bound into
-/// throwaway registries by obs/bridge.h instead.
+/// throwaway registries by obs::bind_stats (obs/bridge.h) instead.
 MetricsRegistry& registry();
 
 }  // namespace pa::obs

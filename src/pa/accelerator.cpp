@@ -161,7 +161,6 @@ bool PaEngine::decode_codecs(Message& m, const HeaderView& v) {
     const std::size_t i = codec_layers_[k];
     env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_deliver);
     if (!stack_.layer(i).decode_frame(m, v)) {
-      ++stats_.malformed_drops;
       stats_.drops.bump(DropReason::kAeadAuth);
       return false;
     }
@@ -644,7 +643,6 @@ void PaEngine::on_frame(WireFrame frame, Vt) {
     // invented to shrink, on the send side). A bounded buffer: a real NIC
     // receive ring overflows too, and retransmission recovers the loss.
     if (recv_queue_.size() >= cfg_.max_recv_queue) {
-      ++stats_.recv_overflow_drops;
       stats_.drops.bump(DropReason::kRecvQueueFull);
       return;
     }
@@ -668,14 +666,12 @@ void PaEngine::process_frame(WireFrame frame) {
 
   auto p = decode_preamble(preamble_bytes);
   if (!p) {
-    ++stats_.malformed_drops;
     stats_.drops.bump(DropReason::kMalformedPreamble);
     return;
   }
   const std::size_t total_hdr =
       kPreambleBytes + (p->conn_ident_present ? ci_ : 0) + fixed_hdr_;
   if (m.size() < total_hdr) {
-    ++stats_.malformed_drops;
     stats_.drops.bump(DropReason::kTruncatedHeader);
     return;
   }
@@ -702,7 +698,6 @@ void PaEngine::process_frame(WireFrame frame) {
   obs::span(obs::SpanKind::kFilterRecv, t0, 0,
             static_cast<std::uint32_t>(rc != 0), obs_id_);
   if (rc == 0) {
-    ++stats_.filter_drops;
     stats_.drops.bump(DropReason::kChecksumFilter);
     return;
   }
@@ -753,7 +748,6 @@ void PaEngine::process_frame(WireFrame frame) {
     }
     if (stack_.layer(i).has_frame_codec() &&
         !stack_.layer(i).decode_frame(m, v)) {
-      ++stats_.malformed_drops;
       stats_.drops.bump(DropReason::kAeadAuth);
       verdict = DeliverVerdict::kDrop;
       break;
@@ -790,7 +784,6 @@ void PaEngine::deliver_part(std::span<const std::uint8_t> part) {
     env_.charge(cfg_.costs.ml_costs(l.kind()).pre_deliver);
     std::span<const std::uint8_t> res;
     if (!l.decode_part(part, res, part_scratch_)) {
-      ++stats_.malformed_drops;
       stats_.drops.bump(DropReason::kCompCodec);
       return;
     }
@@ -820,7 +813,6 @@ void PaEngine::deliver_to_app(Message& m, bool charge_unpack) {
   }
   std::vector<std::span<const std::uint8_t>> parts;
   if (!unpack_payload(m.payload(), var, count, each, parts)) {
-    ++stats_.malformed_drops;
     stats_.drops.bump(DropReason::kMalformedPacking);
     return;
   }

@@ -2,10 +2,8 @@
 //
 // Every place a frame can die — the router, either engine's receive path,
 // the network-facing queues — classifies the drop with one of these reasons
-// and bumps a DropCounters slot. The legacy aggregate counters
-// (EngineStats::malformed_drops etc.) are kept in parallel for backwards
-// compatibility; the taxonomy is what reports render and what the soak
-// harness asserts on.
+// and bumps a DropCounters slot: the taxonomy is the only drop accounting,
+// what reports render and what the soak harness asserts on.
 #pragma once
 
 #include <array>

@@ -100,14 +100,12 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
         return e;
       }
     }
-    ++stats_.dropped_no_match;
     stats_.drops.bump(DropReason::kNoIdentMatch);
     return nullptr;
   }
 
   auto p = decode_preamble(frame);
   if (!p) {
-    ++stats_.dropped_malformed;
     stats_.drops.bump(DropReason::kMalformedPreamble);
     return nullptr;
   }
@@ -117,13 +115,10 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
       // No identification and no usable mapping: classify, then drop
       // (paper §2.2 — "when in doubt, drop").
       if (ambiguous_.count(p->cookie)) {
-        ++stats_.dropped_cookie_collision;
         stats_.drops.bump(DropReason::kCookieCollision);
       } else if (stale_.count(p->cookie)) {
-        ++stats_.dropped_stale_epoch;
         stats_.drops.bump(DropReason::kStaleEpoch);
       } else {
-        ++stats_.dropped_unknown_cookie;
         stats_.drops.bump(DropReason::kUnknownCookie);
       }
       report_churn_event(at);
@@ -165,7 +160,6 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
   // the storm detector's positive signal, quota shed or not.
   report_churn_event(at);
   if (quota_exceeded(p->cookie, at)) {
-    ++stats_.dropped_ident_quota;
     stats_.drops.bump(DropReason::kIdentQuota);
     return nullptr;
   }
@@ -177,7 +171,6 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
     }
   }
   note_ident_failure(p->cookie, at);
-  ++stats_.dropped_no_match;
   stats_.drops.bump(DropReason::kNoIdentMatch);
   return nullptr;
 }

@@ -43,8 +43,24 @@
 #include "horus/engine.h"
 #include "pa/drop_reason.h"
 #include "resil/governor.h"
+#include "util/stat_fields.h"
 
 namespace pa {
+
+// Router::Stats' counters, one row per field (util/stat_fields.h).
+#define PA_ROUTER_STATS(X)                                                     \
+  X(StatCounter, routed_by_cookie, "routed_by_cookie_total", "",               \
+    "frames routed by connection cookie")                                      \
+  X(StatCounter, routed_by_ident, "routed_by_ident_total", "",                 \
+    "frames routed by full connection identification")                         \
+  X(StatCounter, group_frames, "group_frames_total", "",                       \
+    "frames fanned out by a registered group cookie")                          \
+  X(StatCounter, group_deliveries, "group_deliveries_total", "",               \
+    "engine deliveries produced by group-cookie fanout")                       \
+  X(StatCounter, cookies_reaped, "cookies_reaped_total", "",                   \
+    "idle learned cookies forgotten by the reaper")                            \
+  X(StatCounter, churn_events, "churn_events_total", "",                       \
+    "ident-storm events reported to the overload governor")
 
 class Router {
  public:
@@ -53,19 +69,9 @@ class Router {
   // StatCounters (relaxed atomics) so a report can render on another
   // thread; routing itself stays owner-thread-only.
   struct Stats {
-    StatCounter routed_by_cookie;
-    StatCounter routed_by_ident;
-    StatCounter dropped_unknown_cookie;
-    StatCounter dropped_no_match;
-    StatCounter dropped_malformed;
-    StatCounter dropped_stale_epoch;
-    StatCounter dropped_cookie_collision;
-    StatCounter group_frames;      // frames fanned out by a group cookie
-    StatCounter group_deliveries;  // engine deliveries those frames produced
-    StatCounter dropped_ident_quota;  // shed by a per-cookie ident quota
-    StatCounter cookies_reaped;       // idle learned cookies forgotten
-    StatCounter churn_events;         // storm-detector events observed
-    DropCounters drops;  // per-reason breakdown (additive)
+    static constexpr const char* kMetricPrefix = "pa_router";
+    PA_STAT_FIELDS(PA_ROUTER_STATS)
+    DropCounters drops;  // every dropped frame, by reason
   };
 
   /// Churn-storm hardening knobs. Quotas default on (they only throttle

@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "util/rng.h"
+#include "util/stat_fields.h"
 #include "util/types.h"
 
 namespace pa {
@@ -30,13 +31,19 @@ enum class GcPolicy : std::uint8_t {
   kAllocThreshold,
 };
 
+// GcModel::Stats, one row per field (util/stat_fields.h).
+#define PA_GC_STATS(X)                                                         \
+  X(std::uint64_t, collections, "collections_total", "", "GC collections")     \
+  X(VtDur, total_pause, "pause_ns_total", "ns", "total GC pause time")         \
+  X(VtDur, max_pause, "pause_ns_max", "ns", "longest single GC pause")         \
+  X(std::uint64_t, allocated_bytes, "allocated_bytes_total", "bytes",          \
+    "bytes allocated")
+
 class GcModel {
  public:
   struct Stats {
-    std::uint64_t collections = 0;
-    VtDur total_pause = 0;
-    std::uint64_t allocated_bytes = 0;
-    VtDur max_pause = 0;
+    static constexpr const char* kMetricPrefix = "sim_gc";
+    PA_STAT_FIELDS(PA_GC_STATS)
   };
 
   GcModel() = default;

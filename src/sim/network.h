@@ -21,6 +21,7 @@
 #include "buf/wire_frame.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
+#include "util/stat_fields.h"
 #include "util/types.h"
 
 namespace pa {
@@ -69,21 +70,35 @@ enum class PartitionMode : std::uint8_t {
 
 const char* partition_mode_name(PartitionMode m);
 
+// SimNetwork::Stats, one row per field (util/stat_fields.h).
+#define PA_NETWORK_STATS(X)                                                    \
+  X(std::uint64_t, frames_sent, "frames_sent_total", "",                       \
+    "frames entering the network")                                             \
+  X(std::uint64_t, frames_delivered, "frames_delivered_total", "",             \
+    "frames delivered")                                                        \
+  X(std::uint64_t, frames_lost, "frames_lost_total", "",                       \
+    "frames dropped by loss")                                                  \
+  X(std::uint64_t, frames_duplicated, "frames_duplicated_total", "",           \
+    "frames duplicated")                                                       \
+  X(std::uint64_t, frames_oversize, "frames_oversize_total", "",               \
+    "frames exceeding the link MTU")                                           \
+  X(std::uint64_t, frames_corrupted, "frames_corrupted_total", "",             \
+    "frames bit-flipped")                                                      \
+  X(std::uint64_t, frames_truncated, "frames_truncated_total", "",             \
+    "frames cut short")                                                        \
+  X(std::uint64_t, frames_blackholed, "frames_blackholed_total", "",           \
+    "frames swallowed by a paused link")                                       \
+  X(std::uint64_t, bytes_sent, "bytes_sent_total", "bytes",                    \
+    "payload bytes sent")
+
 class SimNetwork {
  public:
   using FrameHandler =
       std::function<void(NodeId from, WireFrame frame, Vt at)>;
 
   struct Stats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_delivered = 0;
-    std::uint64_t frames_lost = 0;
-    std::uint64_t frames_duplicated = 0;
-    std::uint64_t frames_oversize = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t frames_corrupted = 0;
-    std::uint64_t frames_truncated = 0;
-    std::uint64_t frames_blackholed = 0;  // swallowed by a paused link
+    static constexpr const char* kMetricPrefix = "sim_network";
+    PA_STAT_FIELDS(PA_NETWORK_STATS)
   };
 
   SimNetwork(EventQueue& q, Rng& rng) : q_(&q), rng_(&rng) {}

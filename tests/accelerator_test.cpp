@@ -83,7 +83,7 @@ TEST(Accelerator, RecvQueueOverflowDropsAndRecovers) {
   }
   w.run();
 
-  EXPECT_GT(dst->engine().stats().recv_overflow_drops, 0u);
+  EXPECT_GT(dst->engine().stats().drops[DropReason::kRecvQueueFull], 0u);
   // Retransmission must still complete the stream, in order.
   ASSERT_EQ(got.size(), 12u);
   for (std::uint32_t i = 0; i < 12; ++i) EXPECT_EQ(got[i], i);

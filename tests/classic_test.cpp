@@ -107,7 +107,7 @@ TEST(Classic, RetransmissionCarriesFullHeaders) {
   ASSERT_EQ(got.size(), 30u);
   for (std::uint32_t i = 0; i < 30; ++i) EXPECT_EQ(got[i], i);
   EXPECT_GT(src->engine().stats().raw_resends, 0u);
-  EXPECT_EQ(b.router().stats().dropped_no_match, 0u);
+  EXPECT_EQ(b.router().stats().drops[DropReason::kNoIdentMatch], 0u);
 }
 
 TEST(Classic, HeaderBytesMatchCompiledLayout) {

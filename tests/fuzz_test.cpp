@@ -96,8 +96,12 @@ TEST_P(WireFuzz, MutatedRealFramesNeverMisdeliver) {
   // Nothing beyond the 5 legitimate messages may have reached the app: a
   // random body fails the length/checksum receive filter.
   EXPECT_EQ(delivered.size(), 5u);
-  EXPECT_GT(dst->engine().stats().filter_drops +
-                dst->engine().stats().malformed_drops,
+  const DropCounters& drops = dst->engine().stats().drops;
+  EXPECT_GT(drops[DropReason::kChecksumFilter] +
+                drops[DropReason::kMalformedPreamble] +
+                drops[DropReason::kTruncatedHeader] +
+                drops[DropReason::kAeadAuth] + drops[DropReason::kCompCodec] +
+                drops[DropReason::kMalformedPacking],
             0u);
 
   // And the connection still works afterwards.

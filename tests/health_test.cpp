@@ -531,18 +531,18 @@ TEST(RouterChurn, IdentQuotaShedsRepeatedFailures) {
   for (std::uint32_t i = 0; i < quota; ++i) {
     EXPECT_EQ(r.route(frame, vt_ms(1)), nullptr);
   }
-  EXPECT_EQ(r.stats().dropped_no_match, quota);
-  EXPECT_EQ(r.stats().dropped_ident_quota, 0u);
+  EXPECT_EQ(r.stats().drops[DropReason::kNoIdentMatch], quota);
+  EXPECT_EQ(r.stats().drops[DropReason::kIdentQuota], 0u);
   // The quota is burned: further attempts this window are shed without the
   // O(engines) scan.
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r.route(frame, vt_ms(2)), nullptr);
-  EXPECT_EQ(r.stats().dropped_no_match, quota) << "no further scans";
-  EXPECT_EQ(r.stats().dropped_ident_quota, 5u);
+  EXPECT_EQ(r.stats().drops[DropReason::kNoIdentMatch], quota)
+      << "no further scans";
   EXPECT_EQ(r.stats().drops[DropReason::kIdentQuota], 5u);
   // A new window restores the budget.
   const Vt later = vt_ms(2) + r.churn_config().ident_quota_window;
   EXPECT_EQ(r.route(frame, later), nullptr);
-  EXPECT_EQ(r.stats().dropped_no_match, quota + 1);
+  EXPECT_EQ(r.stats().drops[DropReason::kNoIdentMatch], quota + 1);
 }
 
 TEST(RouterChurn, QuotaIsPerCookieAndClearedByASuccessfulIdent) {
@@ -558,9 +558,10 @@ TEST(RouterChurn, QuotaIsPerCookieAndClearedByASuccessfulIdent) {
   for (std::uint32_t i = 0; i <= quota; ++i) {
     r.route(ident_frame(0xaaaaull), vt_ms(1));
   }
-  EXPECT_EQ(r.stats().dropped_ident_quota, 1u);
+  EXPECT_EQ(r.stats().drops[DropReason::kIdentQuota], 1u);
   r.route(ident_frame(0xbbbbull), vt_ms(1));
-  EXPECT_EQ(r.stats().dropped_ident_quota, 1u) << "other cookies unaffected";
+  EXPECT_EQ(r.stats().drops[DropReason::kIdentQuota], 1u)
+      << "other cookies unaffected";
 
   // A successful identification under a quota-burdened cookie clears its
   // debt (the learn path erases the attempts entry).
@@ -604,7 +605,7 @@ TEST(RouterChurn, IdleCookieReaperForgetsQuietMappings) {
   std::vector<std::uint8_t> idle(kPreambleBytes);
   encode_preamble(idle.data(), Preamble{false, Endian::kBig, 0x1d1eull});
   EXPECT_EQ(r.route(idle, vt_ms(60) * 9), nullptr);
-  EXPECT_GT(r.stats().dropped_unknown_cookie, 0u);
+  EXPECT_GT(r.stats().drops[DropReason::kUnknownCookie], 0u);
   // Re-registration stamps the router's current time: the mapping is live
   // again, not instantly reapable.
   r.register_cookie(0x1d1eull, &e1b->engine());

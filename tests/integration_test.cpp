@@ -170,7 +170,7 @@ TEST(Integration, UnknownCookieFramesAreDropped) {
   w.network().send(a.id(), b.id(), frame, 0);
   w.run();
 
-  EXPECT_EQ(b.router().stats().dropped_unknown_cookie, 1u);
+  EXPECT_EQ(b.router().stats().drops[DropReason::kUnknownCookie], 1u);
   EXPECT_EQ(dst->received(), 0u);
 }
 

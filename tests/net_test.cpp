@@ -440,9 +440,10 @@ TEST(RealUdp, GarbageDatagramsAreDropped) {
   p.a.send(msg);
   ASSERT_TRUE(p.loop.run_until([&] { return delivered >= 1; }, vt_s(5)));
   EXPECT_EQ(delivered, 1);
-  EXPECT_GT(p.b.router().stats().dropped_unknown_cookie +
-                p.b.router().stats().dropped_no_match +
-                p.b.router().stats().dropped_malformed,
+  const DropCounters& drops = p.b.router().stats().drops;
+  EXPECT_GT(drops[DropReason::kUnknownCookie] +
+                drops[DropReason::kNoIdentMatch] +
+                drops[DropReason::kMalformedPreamble],
             0u);
 }
 

@@ -1,25 +1,32 @@
 // Tests for the unified observability layer (src/obs/): histogram bucket
 // geometry and percentile math, trace-ring wrap-around and concurrent
 // snapshots, exporter output (Prometheus text, Chrome trace JSON, the
-// normalized report format), and the docs/OBSERVABILITY.md catalog — every
-// metric the system can export must be documented there.
+// normalized report format), per-layer stack binding, and the
+// docs/OBSERVABILITY.md catalog — every metric the system can export must be
+// documented there, and every stat it documents must be exported.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "horus/report.h"
+#include "horus/stack.h"
+#include "horus/stack_spec.h"
 #include "horus/world.h"
 #include "obs/bridge.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "group/group_metrics.h"
 #include "health/health_metrics.h"
+#include "layers/window_layer.h"
 #include "obs/trace_ring.h"
 #include "resil/governor.h"
 
@@ -143,6 +150,70 @@ TEST(Registry, MetricSlug) {
   EXPECT_EQ(metric_slug("stale cookie epoch"), "stale_cookie_epoch");
   EXPECT_EQ(metric_slug("Recv-ring overflow!"), "recv_ring_overflow");
   EXPECT_EQ(metric_slug("  already_ok  "), "already_ok");
+}
+
+// ---------------------------------------------------------------------------
+// Stack binding
+
+// A decorator that forwards kind() and name() to the WindowLayer it owns, as
+// a timing wrapper does, but not bind_stats(): by kind and name it looks
+// like a window layer, yet it is not a WindowLayer object.
+class WrappedWindow final : public Layer {
+ public:
+  explicit WrappedWindow(std::unique_ptr<Layer> inner)
+      : inner_(std::move(inner)) {}
+
+  LayerKind kind() const override { return inner_->kind(); }
+  std::string_view name() const override { return inner_->name(); }
+  LayerTraits traits() const override { return inner_->traits(); }
+  void init(LayerInit& ctx) override { inner_->init(ctx); }
+  SendVerdict pre_send(Message& msg, HeaderView& hdr) const override {
+    return inner_->pre_send(msg, hdr);
+  }
+  DeliverVerdict pre_deliver(const Message& msg,
+                             const HeaderView& hdr) const override {
+    return inner_->pre_deliver(msg, hdr);
+  }
+  void post_send(const Message& msg, const HeaderView& hdr,
+                 LayerOps& ops) override {
+    inner_->post_send(msg, hdr, ops);
+  }
+  void post_deliver(Message& msg, const HeaderView& hdr,
+                    DeliverVerdict verdict, LayerOps& ops) override {
+    inner_->post_deliver(msg, hdr, verdict, ops);
+  }
+  void predict_send(HeaderView& hdr) const override {
+    inner_->predict_send(hdr);
+  }
+  void predict_deliver(HeaderView& hdr) const override {
+    inner_->predict_deliver(hdr);
+  }
+  std::uint64_t state_digest() const override {
+    return inner_->state_digest();
+  }
+
+ private:
+  std::unique_ptr<Layer> inner_;
+};
+
+TEST(StackBinding, WrapperWithAWindowKindIsNotBoundAsAWindow) {
+  StackSpec spec = StackSpec::paper();
+  *spec.find(LayerSpec::Type::kWindow) = LayerSpec::custom([] {
+    return std::make_unique<WrappedWindow>(
+        std::make_unique<WindowLayer>(WindowConfig{}));
+  });
+  Stack stack{spec};
+  ASSERT_EQ(stack.find(LayerKind::kWindow)->name(), "window");
+
+  MetricsRegistry reg;
+  bind_stack_stats(reg, stack);
+  bool bottom_bound = false;
+  for (const MetricSample& m : reg.collect()) {
+    EXPECT_NE(m.name.rfind("pa_stack_window", 0), 0u)
+        << "`" << m.name << "` read the wrapper as a WindowLayer";
+    bottom_bound |= m.name == "pa_stack_bottom_sent_total";
+  }
+  EXPECT_TRUE(bottom_bound) << "the layers around the wrapper still bind";
 }
 
 // ---------------------------------------------------------------------------
@@ -325,13 +396,10 @@ void collect_names(const MetricsRegistry& reg, std::vector<std::string>& out) {
   for (const MetricSample& s : reg.collect()) out.push_back(s.name);
 }
 
-TEST(Catalog, EveryExportedMetricNameIsDocumented) {
-  const std::string doc = read_catalog();
-  ASSERT_FALSE(doc.empty()) << "docs/OBSERVABILITY.md missing or empty";
-
+// Every name the stat-struct bindings export, over default-constructed (or
+// default-built) sources.
+std::vector<std::string> bound_stat_names() {
   std::vector<std::string> names;
-
-  // Every bridge over default-constructed (or default-built) sources.
   {
     MetricsRegistry reg;
     EngineStats es;
@@ -339,12 +407,12 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     GcModel::Stats gs;
     MessagePool::Stats ps;
     SimNetwork::Stats ns;
-    bind_engine_stats(reg, es);
-    bind_router_stats(reg, rs);
-    bind_gc_stats(reg, gs);
-    bind_pool_stats(reg, ps);
-    bind_buf_stats(reg);
-    bind_network_stats(reg, ns);
+    bind_stats(reg, es);
+    bind_stats(reg, rs);
+    bind_stats(reg, gs);
+    bind_stats(reg, ps);
+    bind_stats(reg, buf_stats());
+    bind_stats(reg, ns);
     Stack window_stack{StackSpec::paper()};
     bind_stack_stats(reg, window_stack);
     collect_names(reg, names);
@@ -375,6 +443,15 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     bind_stack_stats(reg, mix_stack);
     collect_names(reg, names);
   }
+  return names;
+}
+
+TEST(Catalog, EveryExportedMetricNameIsDocumented) {
+  const std::string doc = read_catalog();
+  ASSERT_FALSE(doc.empty()) << "docs/OBSERVABILITY.md missing or empty";
+
+  // Every stat-struct binding.
+  std::vector<std::string> names = bound_stat_names();
 
   // The process-global registry: run one exchange so the engine's phase
   // histograms lazily register, then take whatever is there.
@@ -442,6 +519,29 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     EXPECT_NE(doc.find(n), std::string::npos)
         << "metric `" << n << "` is exported but not in docs/OBSERVABILITY.md";
   }
+}
+
+// The reverse direction for the stat-struct prefixes: every backticked
+// metric name the catalog documents under them must really be exported, so
+// a deleted or renamed stat cannot linger in the docs.
+TEST(Catalog, EveryDocumentedStatIsExported) {
+  const std::string doc = read_catalog();
+  ASSERT_FALSE(doc.empty());
+  const std::vector<std::string> bound = bound_stat_names();
+  const std::set<std::string> exported(bound.begin(), bound.end());
+  const std::regex documented(
+      "`((pa_engine|pa_router|sim_gc|pa_pool|buf|sim_network|pa_stack)_"
+      "[a-z0-9_]+)`");
+  std::size_t checked = 0;
+  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), documented);
+       it != std::sregex_iterator(); ++it) {
+    const std::string name = (*it)[1];
+    ++checked;
+    EXPECT_EQ(exported.count(name), 1u)
+        << "metric `" << name
+        << "` is in docs/OBSERVABILITY.md but no binding exports it";
+  }
+  EXPECT_GT(checked, 100u);  // the pattern actually matches the catalog
 }
 
 TEST(Catalog, EverySpanKindIsDocumented) {

@@ -144,7 +144,7 @@ TEST(Router, MalformedFrameCounted) {
   (void)dst;
   w.network().send(a.id(), b.id(), std::vector<std::uint8_t>{1, 2}, 0);
   w.run();
-  EXPECT_EQ(b.router().stats().dropped_malformed, 1u);
+  EXPECT_EQ(b.router().stats().drops[DropReason::kMalformedPreamble], 1u);
 }
 
 TEST(Router, IdentMismatchDropped) {
@@ -195,7 +195,7 @@ TEST(PaEngine, CorruptedFrameDroppedByFilter) {
   w.run();
 
   EXPECT_EQ(dst->received(), 1u);  // not delivered
-  EXPECT_EQ(dst->engine().stats().filter_drops, 1u);
+  EXPECT_EQ(dst->engine().stats().drops[DropReason::kChecksumFilter], 1u);
 }
 
 TEST(PaEngine, InterpretedFiltersBehaveLikeCompiled) {

@@ -232,7 +232,7 @@ TEST(SoakRestart, SenderRestartRecoversViaCookieEpoch) {
   EXPECT_NE(ea->pa()->out_cookie(), cookie_before);
   // The receiver's acks were dropped at the restarted router until the
   // dup-streak detector pushed the receiver into recovery.
-  EXPECT_GT(a.router().stats().dropped_unknown_cookie, 0u);
+  EXPECT_GT(a.router().stats().drops[DropReason::kUnknownCookie], 0u);
   EXPECT_GE(eb->pa()->stats().recovery_entries, 1u);
   EXPECT_EQ(ea->engine().stack().sync_digest(),
             eb->engine().stack().sync_digest());
