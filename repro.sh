@@ -10,6 +10,15 @@ cmake --build build
 echo "==== tests ===================================================="
 ctest --test-dir build --output-on-failure
 
+echo "==== tests with assertions on ================================="
+# Every other slice builds RelWithDebInfo, whose -DNDEBUG compiles out
+# every assert. This one keeps the optimiser and drops NDEBUG, so the
+# layout, window and engine invariants are checked across the suite.
+cmake -B build-assert -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
+cmake --build build-assert
+ctest --test-dir build-assert --output-on-failure
+
 echo "==== tests under ASan+UBSan ==================================="
 cmake -B build-san -G Ninja -DPA_SANITIZE=ON
 cmake --build build-san

@@ -9,15 +9,17 @@ Message MessagePool::acquire(std::size_t headroom,
                              std::size_t payload_capacity) {
   ++stats_.acquires;
   const std::size_t want = headroom + payload_capacity;
-  bool hit = false;
-  for (std::size_t i = 0; i < vsizes_.size(); ++i) {
-    if (vsizes_[i] >= want) {
-      vsizes_.erase(vsizes_.begin() + static_cast<std::ptrdiff_t>(i));
-      hit = true;
-      break;
-    }
-  }
-  if (!hit) {
+  // First fit, starting past the prefix the hint proves too small. Erasing
+  // at or beyond the hint and appending on release both keep the prefix
+  // intact, so the hint stays true until a smaller request resets it.
+  std::size_t i = want >= skip_below_ ? skip_len_ : 0;
+  while (i < vsizes_.size() && vsizes_[i] < want) ++i;
+  skip_len_ = i;
+  skip_below_ = want;
+  const bool hit = i < vsizes_.size();
+  if (hit) {
+    vsizes_.erase(vsizes_.begin() + static_cast<std::ptrdiff_t>(i));
+  } else {
     ++stats_.fresh_allocations;
     stats_.bytes_allocated += want;
   }

@@ -68,7 +68,14 @@ class MessagePool {
  private:
   // Sizes of the flat storages the pre-refactor pool would be caching right
   // now, in release order (its scan order matters for hit/miss parity).
+  // Most of them are received frames, released at their wire size, which
+  // never fit a send's headroom + payload request.
   std::vector<std::size_t> vsizes_;
+  // Skip hint for the first-fit scan: the first `skip_len_` entries are all
+  // below `skip_below_`, so a request at least that large starts past them.
+  // It keeps acquire O(1) when the cache is full of frames that never fit.
+  std::size_t skip_len_ = 0;
+  std::size_t skip_below_ = 0;
   std::size_t max_cached_;
   Stats stats_;
 };

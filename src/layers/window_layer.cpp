@@ -1,5 +1,7 @@
 #include "layers/window_layer.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "obs/bridge.h"
@@ -58,8 +60,8 @@ std::uint64_t WindowLayer::stash_bitmap() const {
 void WindowLayer::process_sack(std::uint32_t ack, std::uint64_t bitmap) {
   for (std::uint32_t i = 0; i < 32 && bitmap != 0; ++i) {
     if (!(bitmap & (1ull << i))) continue;
-    auto it = sent_buf_.find(ack + 1 + i);
-    if (it != sent_buf_.end()) it->second.sacked = true;
+    const std::uint32_t off = ack + 1 + i - base_;
+    if (off < in_flight()) sent(off)->sacked = true;
   }
 }
 
@@ -78,7 +80,8 @@ void WindowLayer::post_send(const Message& msg, const HeaderView& hdr,
   (void)hdr;
   // Save for retransmission: the stored copy is the complete wire message
   // (headers included), resent verbatim on timeout.
-  sent_buf_.emplace(next_seq_, SentEntry{msg.clone(), ops.now()});
+  if (in_flight() == sent_ring_.size()) grow_sent_ring();
+  sent(in_flight()) = SentEntry{msg.clone(), ops.now()};
   ++next_seq_;
   ++stats_.data_sent;
   recv_since_ack_ = 0;  // this message piggybacked our current ack
@@ -97,14 +100,13 @@ void WindowLayer::process_ack(std::uint64_t ack64, LayerOps& ops) {
   if (!seq_lt(base_, ack)) return;
   if (seq_lt(next_seq_, ack)) return;  // nonsense ack: ignore
   while (seq_lt(base_, ack)) {
-    auto it = sent_buf_.find(base_);
-    if (it != sent_buf_.end()) {
-      // Karn's rule: only never-retransmitted messages yield RTT samples.
-      if (cfg_.adaptive_rto && !it->second.retransmitted) {
-        rtt_sample(ops.now() - it->second.sent_at);
-      }
-      sent_buf_.erase(it);
+    std::optional<SentEntry>& head = sent(0);
+    // Karn's rule: only never-retransmitted messages yield RTT samples.
+    if (cfg_.adaptive_rto && !head->retransmitted) {
+      rtt_sample(ops.now() - head->sent_at);
     }
+    head.reset();
+    sent_head_ = (sent_head_ + 1) & (sent_ring_.size() - 1);
     ++base_;
   }
   rto_shift_ = 0;  // forward progress: reset the retransmission backoff
@@ -112,7 +114,7 @@ void WindowLayer::process_ack(std::uint64_t ack64, LayerOps& ops) {
   fast_recovery_ = false;
   // Restart the retransmission timer against the new head (and any fresher
   // RTT estimate).
-  if (!sent_buf_.empty()) arm_rto(ops);
+  if (in_flight() > 0) arm_rto(ops);
   if (send_disabled_ && in_flight() < cfg_.size) {
     send_disabled_ = false;
     ops.enable_send();
@@ -156,7 +158,7 @@ void WindowLayer::post_deliver(Message& msg, const HeaderView& hdr,
         // got something out of order — after a few of those, the head is
         // almost certainly lost. (Only standalone acks count: piggybacked
         // gossip on data can be stale without meaning loss.)
-        if (cfg_.fast_retransmit && !sent_buf_.empty() && !fast_recovery_ &&
+        if (cfg_.fast_retransmit && in_flight() > 0 && !fast_recovery_ &&
             static_cast<std::uint32_t>(hdr.get(f_ack_)) == base_) {
           if (++dup_acks_ >= cfg_.dup_ack_threshold) {
             dup_acks_ = 0;
@@ -166,12 +168,13 @@ void WindowLayer::post_deliver(Message& msg, const HeaderView& hdr,
             // Without SACK only the head is known-missing.
             std::uint32_t repair_below = base_ + 1;  // head only
             if (cfg_.selective_ack) {
-              for (const auto& [seq, entry] : sent_buf_) {
-                if (entry.sacked) repair_below = seq;
+              for (std::uint32_t i = 0; i < in_flight(); ++i) {
+                if (sent(i)->sacked) repair_below = base_ + i;
               }
             }
-            for (auto& [seq, entry] : sent_buf_) {
-              if (!seq_lt(seq, repair_below)) break;
+            for (std::uint32_t i = 0; i < in_flight(); ++i) {
+              if (!seq_lt(base_ + i, repair_below)) break;
+              SentEntry& entry = *sent(i);
               if (entry.sacked) continue;
               ++stats_.fast_retransmits;
               ++stats_.retransmits;
@@ -244,15 +247,25 @@ VtDur WindowLayer::backoff_deadline() {
   return next;
 }
 
+void WindowLayer::grow_sent_ring() {
+  // The window bounds application messages, but protocol messages of the
+  // layers above are not flow-controlled, so the ring can still overfill.
+  std::vector<std::optional<SentEntry>> ring(std::max<std::size_t>(
+      std::bit_ceil(std::size_t{cfg_.size}), 2 * sent_ring_.size()));
+  for (std::uint32_t i = 0; i < in_flight(); ++i) ring[i] = std::move(sent(i));
+  sent_ring_ = std::move(ring);
+  sent_head_ = 0;
+}
+
 void WindowLayer::arm_rto(LayerOps& ops) {
-  if (sent_buf_.empty()) return;
+  if (in_flight() == 0) return;
   // The timeout is measured from the *send time of the oldest unacked
   // message* — a timer armed long ago must not fire onto a freshly sent
   // message and retransmit traffic that is merely in flight. With the
   // adaptive estimator the deadline can also *shrink* after arming, so an
   // earlier re-arm supersedes the outstanding timer (epoch check below).
   const VtDur deadline = backoff_deadline();
-  Vt fire_at = sent_buf_.begin()->second.sent_at + deadline;
+  Vt fire_at = sent(0)->sent_at + deadline;
   if (fire_at < ops.now()) fire_at = ops.now();
   if (rto_armed_ && fire_at >= rto_fire_at_) return;  // current timer is fine
   rto_armed_ = true;
@@ -262,8 +275,8 @@ void WindowLayer::arm_rto(LayerOps& ops) {
   ops.set_timer(fire_at - ops.now(), [this, epoch](LayerOps& t) {
     if (epoch != rto_epoch_) return;  // superseded by a re-arm
     rto_armed_ = false;
-    if (sent_buf_.empty()) return;
-    SentEntry& head = sent_buf_.begin()->second;
+    if (in_flight() == 0) return;
+    SentEntry& head = *sent(0);
     // Compare against the deadline this timer was armed with (a jittered
     // draw can sit below the current estimator value; re-deriving it here
     // would make the timer fire "early" against itself and spin).
@@ -346,9 +359,9 @@ void WindowLayer::predict_deliver(HeaderView& hdr) const {
 
 std::uint64_t WindowLayer::sync_digest() const {
   // Commutative send-half + recv-half (see Layer::sync_digest). Unacked
-  // messages and the base/next gap are send-side pending; on a drained
-  // connection both are zero and next_seq_ equals the peer's expected_.
-  return sync_half(next_seq_, sent_buf_.size() + (next_seq_ - base_)) +
+  // messages are send-side pending; on a drained connection there are none
+  // and next_seq_ equals the peer's expected_.
+  return sync_half(next_seq_, in_flight()) +
          sync_half(expected_, stash_.size());
 }
 
@@ -362,9 +375,9 @@ std::uint64_t WindowLayer::state_digest() const {
   h = digest_mix(h, next_seq_);
   h = digest_mix(h, base_);
   h = digest_mix(h, expected_);
-  h = digest_mix(h, sent_buf_.size());
-  for (const auto& [seq, e] : sent_buf_) {
-    if (e.sacked) h = digest_mix(h, seq);
+  h = digest_mix(h, in_flight());
+  for (std::uint32_t i = 0; i < in_flight(); ++i) {
+    if (sent(i)->sacked) h = digest_mix(h, base_ + i);
   }
   h = digest_mix(h, stash_.size());
   h = digest_mix(h, recv_since_ack_);

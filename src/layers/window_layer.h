@@ -17,6 +17,8 @@
 #pragma once
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "layers/layer.h"
 #include "util/rng.h"
@@ -163,6 +165,7 @@ class WindowLayer final : public Layer {
   std::uint64_t stash_bitmap() const;
   void write_gossip(HeaderView& hdr) const;
   void rtt_sample(VtDur sample);
+  void grow_sent_ring();
   VtDur current_rto() const;
   VtDur backoff_deadline();
 
@@ -186,7 +189,17 @@ class WindowLayer final : public Layer {
 
   std::uint32_t next_seq_ = cfg_.initial_seq;
   std::uint32_t base_ = cfg_.initial_seq;  // lowest unacked
-  std::map<std::uint32_t, SentEntry, SerialLess> sent_buf_;
+  // Unacked messages, one per sequence in [base_, next_seq_), so the ring
+  // holds in_flight() entries. The entry for `seq` is sent(seq - base_)
+  // (wrap-safe in 32-bit arithmetic). The capacity is a power of two.
+  std::vector<std::optional<SentEntry>> sent_ring_;
+  std::size_t sent_head_ = 0;  // slot of base_
+  std::optional<SentEntry>& sent(std::uint32_t off) {
+    return sent_ring_[(sent_head_ + off) & (sent_ring_.size() - 1)];
+  }
+  const std::optional<SentEntry>& sent(std::uint32_t off) const {
+    return sent_ring_[(sent_head_ + off) & (sent_ring_.size() - 1)];
+  }
   bool send_disabled_ = false;
   bool rto_armed_ = false;
   Vt rto_fire_at_ = 0;            // when the armed timer is due

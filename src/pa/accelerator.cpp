@@ -1,5 +1,6 @@
 #include "pa/accelerator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -381,6 +382,9 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
                         disable_send_ == 0 && !cfg_.disable_prediction;
   bool encoded = false;  // frame codecs (AEAD) applied exactly once per frame
   if (try_fast) {
+    // A send from inside a post batch (a drained release, a re-enabled
+    // window) can find the prediction marked stale: bring it up to date.
+    if (send_pred_stale_) rebuild_send_prediction();
     // Predicted protocol-specific + gossip headers (paper §3.2), then the
     // send filter fills the message-specific fields (§3.3).
     // Guards: a minimal stack may register no fields in a class, and the
@@ -502,7 +506,9 @@ void PaEngine::schedule_post() {
 void PaEngine::run_posts() {
   post_scheduled_ = false;
 
+  // One clock read per boundary: post-deliver starts where post-send ends.
   const Vt ts0 = env_.now();
+  Vt td0 = ts0;
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
       static_cast<std::uint32_t>(pending_post_send_.size());
@@ -519,16 +525,15 @@ void PaEngine::run_posts() {
     retire_message(std::move(m));
   }
   if (had_sends) {
-    rebuild_send_prediction();
+    send_pred_stale_ = true;  // post-deliver may move it too: rebuilt below
     env_.trace("POSTSEND DONE");
     send_busy_ = false;
-    const Vt ts1 = env_.now();
-    phase_hists().post_send.record(static_cast<std::uint64_t>(ts1 - ts0));
-    obs::span(obs::SpanKind::kPostSend, ts0, clamp_dur(ts1 - ts0), n_sends,
+    td0 = env_.now();
+    phase_hists().post_send.record(static_cast<std::uint64_t>(td0 - ts0));
+    obs::span(obs::SpanKind::kPostSend, ts0, clamp_dur(td0 - ts0), n_sends,
               obs_id_);
   }
 
-  const Vt td0 = env_.now();
   const bool had_delivers = !pending_post_deliver_.empty();
   const std::uint32_t n_delivers =
       static_cast<std::uint32_t>(pending_post_deliver_.size());
@@ -549,9 +554,12 @@ void PaEngine::run_posts() {
   if (had_delivers) {
     rebuild_deliver_prediction();
     // Delivery post-processing also moves send-side gossip (the cumulative
-    // ack): refresh the predicted send header so the next outgoing message
-    // piggybacks the up-to-date ack instead of trailing one message behind.
-    rebuild_send_prediction();
+    // ack), so the next outgoing message must not trail one message behind.
+    send_pred_stale_ = true;
+  }
+  // One send-prediction rebuild per batch, whichever phases moved it.
+  if (send_pred_stale_) rebuild_send_prediction();
+  if (had_delivers) {
     env_.trace("POSTDELIVER DONE");
     deliver_busy_ = false;
     const Vt td1 = env_.now();
@@ -874,26 +882,43 @@ void PaEngine::drain_releases() {
 // ---------------------------------------------------------------------------
 // Header prediction (paper §3.2).
 // ---------------------------------------------------------------------------
-void PaEngine::rebuild_send_prediction() {
-  std::fill(pred_send_proto_.begin(), pred_send_proto_.end(), 0);
-  std::fill(pred_send_gossip_.begin(), pred_send_gossip_.end(), 0);
-  HeaderView v = bind_prediction(pred_send_proto_.data(),
-                                 pred_send_gossip_.data(), cfg_.self_endian);
+void PaEngine::predict_send_into(std::uint8_t* proto,
+                                 std::uint8_t* gossip) const {
+  std::fill_n(proto, pr_, 0);
+  std::fill_n(gossip, go_, 0);
+  HeaderView v = bind_prediction(proto, gossip, cfg_.self_endian);
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     stack_.layer(i).predict_send(v);
   }
 }
 
-void PaEngine::rebuild_deliver_prediction() {
-  std::fill(pred_deliver_proto_.begin(), pred_deliver_proto_.end(), 0);
+void PaEngine::predict_deliver_into(std::uint8_t* proto) const {
+  std::fill_n(proto, pr_, 0);
   // Gossip is not compared on delivery; give predict_deliver writers of
   // gossip fields a scratch area.
-  HeaderView v = bind_prediction(pred_deliver_proto_.data(),
-                                 scratch_.data() + ms_ + pk_, peer_endian_);
+  HeaderView v =
+      bind_prediction(proto, scratch_.data() + ms_ + pk_, peer_endian_);
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     stack_.layer(i).predict_deliver(v);
   }
+}
+
+void PaEngine::rebuild_send_prediction() {
+  predict_send_into(pred_send_proto_.data(), pred_send_gossip_.data());
+  send_pred_stale_ = false;
+}
+
+void PaEngine::rebuild_deliver_prediction() {
+  predict_deliver_into(pred_deliver_proto_.data());
   pred_deliver_endian_ = peer_endian_;
+}
+
+bool PaEngine::predictions_fresh() const {
+  std::vector<std::uint8_t> proto(pr_), gossip(go_);
+  predict_send_into(proto.data(), gossip.data());
+  if (proto != pred_send_proto_ || gossip != pred_send_gossip_) return false;
+  predict_deliver_into(proto.data());
+  return pred_deliver_endian_ == peer_endian_ && proto == pred_deliver_proto_;
 }
 
 // ---------------------------------------------------------------------------

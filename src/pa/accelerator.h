@@ -113,6 +113,9 @@ class PaEngine final : public Engine {
   bool in_recovery() const { return recovery_quota_ > 0; }
   const PaConfig& config() const { return cfg_; }
   const MessagePool& pool() const { return pool_; }
+  /// True when the stored send and deliver predictions equal a rebuild from
+  /// the layers' current state. Holds after every post batch and timer fire.
+  bool predictions_fresh() const;
 
   /// For the pre-agreed-cookie extension: both sides call this with the
   /// peer's cookie before traffic starts.
@@ -171,6 +174,10 @@ class PaEngine final : public Engine {
   void drain_releases();
   void rebuild_send_prediction();
   void rebuild_deliver_prediction();
+  /// Build the predictions from the layers' current state into the given
+  /// buffers (pr_ proto bytes, go_ gossip bytes).
+  void predict_send_into(std::uint8_t* proto, std::uint8_t* gossip) const;
+  void predict_deliver_into(std::uint8_t* proto) const;
   void emit_down(std::size_t from_layer, Message m,
                  const std::function<void(HeaderView&)>& fill, bool unusual);
   void resend_raw(const Message& stored,
@@ -218,6 +225,7 @@ class PaEngine final : public Engine {
   bool send_busy_ = false;     // Table 3 "mode": post-send pending
   bool deliver_busy_ = false;  // post-deliver pending
   bool post_scheduled_ = false;
+  bool send_pred_stale_ = false;  // post phases moved it; rebuild before use
   bool first_send_done_ = false;
 
   std::uint64_t out_cookie_ = 0;

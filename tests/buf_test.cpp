@@ -3,6 +3,7 @@
 // zero-copy path depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <thread>
 
@@ -304,6 +305,70 @@ TEST(MessagePool, CapRespected) {
   pool.release(Message());
   pool.release(Message());
   EXPECT_EQ(pool.cached(), 2u);
+}
+
+// The first-fit scan's skip hint must not change what the pool computes.
+// Random acquire/release traffic goes through the pool and through a naive
+// first-fit model of it. Most releases are received frames, which are too
+// small for a default-headroom send: in service they fill the cache.
+TEST(MessagePool, SkipHintMatchesNaiveFirstFit) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::size_t cap = seed % 2 ? 16 : 256;
+    MessagePool pool(cap);
+    std::vector<std::size_t> model;  // cached sizes in release order
+    std::uint64_t fresh = 0, bytes = 0, hits = 0;
+    struct Held {
+      Message m;
+      std::size_t want;
+    };
+    std::vector<Held> held;
+    auto model_release = [&](std::size_t size) {
+      if (model.size() < cap) model.push_back(size);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t r = rng.next_below(10);
+      if (r < 4) {
+        // Mostly sends at the default headroom; a few small requests that
+        // frames can satisfy, which must reset the hint.
+        const bool small = rng.next_below(8) == 0;
+        const std::size_t headroom = small ? 8 : Message::kDefaultHeadroom;
+        const std::size_t payload = rng.next_below(small ? 64 : 2048);
+        const std::size_t want = headroom + payload;
+        const auto it = std::find_if(model.begin(), model.end(),
+                                     [&](std::size_t s) { return s >= want; });
+        const bool model_hit = it != model.end();
+        if (model_hit) {
+          model.erase(it);
+          ++hits;
+        } else {
+          ++fresh;
+          bytes += want;
+        }
+        const std::uint64_t before = pool.stats().fresh_allocations;
+        held.push_back({pool.acquire(headroom, payload), want});
+        ASSERT_EQ(pool.stats().fresh_allocations == before, model_hit)
+            << "op " << op;
+      } else if (r < 7 || held.empty()) {
+        Message frame = Message::from_wire(
+            Message::with_payload(seq_bytes(16 + rng.next_below(80)))
+                .to_wire());
+        model_release(frame.capacity());
+        pool.release(std::move(frame));
+      } else {
+        const std::size_t k = rng.next_below(held.size());
+        Held h = std::move(held[k]);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+        model_release(std::max(h.m.capacity(), h.want));
+        pool.release(std::move(h.m));
+      }
+      ASSERT_EQ(pool.cached(), model.size()) << "op " << op;
+    }
+    EXPECT_EQ(pool.stats().fresh_allocations, fresh);
+    EXPECT_EQ(pool.stats().bytes_allocated, bytes);
+    EXPECT_GT(hits, 100u);  // the run exercised reuse, not just misses
+  }
 }
 
 TEST(MessagePool, ReleaseHoldsNoChunkReference) {

@@ -258,9 +258,10 @@ TEST_P(FilterEquivalence, CompiledMatchesInterpreter) {
   Rng rng(GetParam());
   LayoutRegistry reg;
   std::vector<FieldHandle> fields;
+  std::vector<unsigned> bits;
   for (int i = 0; i < 4; ++i) {
-    fields.push_back(reg.add_field(FieldClass::kMsgSpec, "f",
-                                   8u << rng.next_below(3)));  // 8/16/32
+    bits.push_back(8u << rng.next_below(3));  // 8/16/32
+    fields.push_back(reg.add_field(FieldClass::kMsgSpec, "f", bits.back()));
   }
   auto cl = reg.compile(LayoutMode::kCompact);
 
@@ -284,7 +285,11 @@ TEST_P(FilterEquivalence, CompiledMatchesInterpreter) {
         break;
       case 3:
         if (depth >= 1) {
-          p.pop_field(fields[rng.next_below(fields.size())]);
+          // Mask to the field's width: HeaderView::set asserts the value
+          // fits, and arithmetic on the stack produces wider values.
+          const std::size_t f = rng.next_below(fields.size());
+          p.push_const((1ull << bits[f]) - 1).op(FilterOp::kAnd);
+          p.pop_field(fields[f]);
           --depth;
         }
         break;

@@ -399,6 +399,63 @@ TEST(WindowLayer, SackMarksSentEntries) {
   ASSERT_EQ(r.ops.resent.size(), 2u);
 }
 
+// The sent buffer is a ring indexed by `seq - base`. Crossing 2^32, and
+// growing while its head is mid-ring, must not move which entries a SACK
+// marks or a fast retransmit resends.
+TEST(WindowLayer, SackFastRetransmitAcrossSeqWrap) {
+  WindowConfig wc;
+  wc.size = 4;
+  wc.selective_ack = true;
+  wc.initial_seq = 0xfffffffeu;
+  WindowRig r{wc};
+  // seqs 0xfffffffe, 0xffffffff, 0, 1: the window is full.
+  for (int i = 0; i < 4; ++i) r.send({static_cast<std::uint8_t>(i)});
+  r.ops.clock = vt_us(700);
+  // The peer acks 0xfffffffe and sacks 1 and 3 (bit i <=> seq ack+1+i).
+  Message ack;
+  {
+    HeaderView v = r.prep(ack);
+    v.set(FieldHandle{0}, 1);                      // kAck
+    v.set(FieldHandle{3}, 0xffffffffu);            // wack
+    v.set(FieldHandle{4}, (1u << 1) | (1u << 3));  // seqs 1 and 3
+  }
+  // The advancing ack counts as the first of three non-advancing ones.
+  r.deliver(ack.clone());
+  // seq 2 refills the window; seq 3 is a protocol message of a layer
+  // above, which the window does not flow-control, so the ring grows.
+  r.send({4});
+  {
+    const std::vector<std::uint8_t> five{5};
+    Message m = Message::with_payload(five);
+    m.cb.protocol = true;
+    HeaderView v = r.prep(m);
+    ASSERT_EQ(r.layer->pre_send(m, v), SendVerdict::kOk);
+    r.layer->post_send(m, v, r.ops);
+  }
+  ASSERT_EQ(r.layer->in_flight(), 5u);
+  r.deliver(ack.clone());
+  EXPECT_TRUE(r.ops.resent.empty());
+  r.deliver(std::move(ack));
+  // Holes below the highest sacked seq (3), skipping sacked 1.
+  std::vector<std::uint64_t> resent;
+  for (Message& m : r.ops.resent) {
+    resent.push_back(r.bind(m).get(FieldHandle{1}));
+  }
+  EXPECT_EQ(resent, (std::vector<std::uint64_t>{0xffffffffu, 0, 2}));
+  EXPECT_EQ(r.layer->stats().fast_retransmits, 3u);
+  // Pinned from a std::map keyed by seq: an indexing error changes it.
+  EXPECT_EQ(r.layer->state_digest(), 11121070074855199779ull);
+  // A cumulative ack past the wrap drains the window.
+  Message all;
+  {
+    HeaderView v = r.prep(all);
+    v.set(FieldHandle{0}, 1);
+    v.set(FieldHandle{3}, 4);
+  }
+  r.deliver(std::move(all));
+  EXPECT_EQ(r.layer->in_flight(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // SeqLayer
 // ---------------------------------------------------------------------------

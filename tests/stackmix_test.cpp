@@ -85,6 +85,23 @@ ConnOptions mix_options(const Mix& mix, bool use_pa) {
   return o;
 }
 
+// Runs the world to quiescence. Under the PA it steps one event at a time
+// and checks, after each, that both engines' stored predictions equal a
+// rebuild from their layers' state: the send prediction is rebuilt lazily,
+// once per post batch, and must never be left stale.
+void run_checking_predictions(World& w, Endpoint* ea, Endpoint* eb) {
+  if (!ea->pa()) {
+    w.run();
+    return;
+  }
+  std::uint64_t events = 0;
+  while (w.queue().step()) {
+    ++events;
+    ASSERT_TRUE(ea->pa()->predictions_fresh()) << "a, event " << events;
+    ASSERT_TRUE(eb->pa()->predictions_fresh()) << "b, event " << events;
+  }
+}
+
 // One matrix body shared by the PA and classic runs: bidirectional traffic
 // mixing sizes (small, compressible, incompressible, above-frag-threshold),
 // then full delivery + payload fidelity + digest convergence.
@@ -116,7 +133,7 @@ void run_mix(const Mix& mix, bool use_pa) {
     w.queue().at(vt_ms(1) * (i + 1) + vt_us(250),
                  [&, i, eb = eb] { eb->send(sent[i]); });
   }
-  w.run();
+  run_checking_predictions(w, ea, eb);
 
   ASSERT_EQ(got_b.size(), sent.size());
   ASSERT_EQ(got_a.size(), sent.size());
@@ -160,6 +177,39 @@ TEST(StackMix, FullStackKeepsPredictionHot) {
   EXPECT_GT(ss.fast_sends, 90u);
   EXPECT_GT(ds.fast_delivers, 90u);
   EXPECT_EQ(ds.predict_misses, 0u);
+}
+
+// Lazy send prediction under chaos: burst loss and corruption drive
+// retransmissions and out-of-order arrivals, and the predictions must
+// still be fresh after every event.
+TEST(StackMix, PredictionsStayFreshUnderChaos) {
+  WorldConfig wc;
+  wc.seed = 11;
+  wc.link.ge_enabled = true;
+  wc.link.corrupt_prob = 0.03;
+  World w(wc);
+  auto& na = w.add_node("a");
+  auto& nb = w.add_node("b");
+  Mix full{true, true, true, true, true};
+  auto [ea, eb] = w.connect(na, nb, mix_options(full, true));
+
+  std::size_t got_a = 0, got_b = 0;
+  ea->on_deliver([&](std::span<const std::uint8_t>) { ++got_a; });
+  eb->on_deliver([&](std::span<const std::uint8_t>) { ++got_b; });
+  const auto small = compressible(200);
+  const auto large = noise(3000);
+  for (int i = 0; i < 80; ++i) {
+    const auto& p = i % 5 == 0 ? large : small;
+    w.queue().at(vt_us(300) * i, [&, ea = ea] { ea->send(p); });
+    w.queue().at(vt_us(300) * i + vt_us(150), [&, eb = eb] { eb->send(p); });
+  }
+  run_checking_predictions(w, ea, eb);
+
+  EXPECT_EQ(got_a, 80u);
+  EXPECT_EQ(got_b, 80u);
+  EXPECT_GT(w.network().stats().frames_corrupted, 0u);
+  EXPECT_GT(ea->pa()->stats().raw_resends + eb->pa()->stats().raw_resends,
+            0u);
 }
 
 // --- invalid compositions --------------------------------------------------
