@@ -3,10 +3,11 @@
 // PR 4 made the predicted path zero-copy down to a single sendmsg() gather;
 // at saturation the syscall per datagram is the remaining per-message wall.
 // This sweep runs the same localhost closed-loop echo workload (the
-// udp_pingpong/bench_maxload shape) through the real loop twice — batching
-// disabled (the historical one-syscall-per-datagram loop) and enabled
-// (recvmmsg/sendmmsg trains, net/batch_io.h) — and reports syscalls per
-// application message, messages per wakeup, and goodput.
+// udp_pingpong/bench_maxload shape) through the real loop twice — with
+// one-datagram batches ({recv_batch = 1, send_train = 1}: one syscall per
+// datagram) and with the default recvmmsg/sendmmsg trains (net/batch_io.h)
+// — and reports syscalls per application message, messages per wakeup, and
+// goodput.
 //
 // Accounting: "messages" are application-level deliveries summed over both
 // endpoints (the echo at B and the pong at A each count), i.e. one closed-
@@ -65,7 +66,10 @@ struct Point {
 Point run_point(bool batched, bool packing, int total, int burst) {
   RealLoop loop;
   net::BatchConfig cfg;
-  cfg.enabled = batched;
+  if (!batched) {
+    cfg.recv_batch = 1;
+    cfg.send_train = 1;
+  }
   loop.set_batch_config(cfg);
 
   RealEndpoint a{loop};

@@ -166,7 +166,7 @@ int main() {
     if (through % 16 == 0) {
       std::vector<std::uint8_t> flat = f.flatten();
       if (mallory.tamper(flat)) {
-        loop.send(mb, flat.data(), flat.size());
+        loop.sendv(mb, WireFrame::adopt(std::move(flat)));
         return;
       }
     }

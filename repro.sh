@@ -243,6 +243,15 @@ if ! python3 wallbench/run.py --workload inproc --seed 1 --seconds 2 \
   echo "FAIL: wallbench inproc traced smoke run"
   status=1
 fi
+# inproc never enters RealLoop. The rpc workload runs both engines over
+# loopback UDP on one RealLoop, so it covers the loop's send trains and
+# receive batches end to end. Exit 3 means the sandbox has no UDP sockets.
+rc=0
+python3 wallbench/run.py --workload rpc --seed 1 --seconds 2 || rc=$?
+if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
+  echo "FAIL: wallbench rpc smoke run (exit $rc)"
+  status=1
+fi
 
 echo "==== examples ================================================="
 # frame_inspector --metrics binds the engine, router and stack stats and

@@ -96,8 +96,6 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
       pc.use_compiled_filters = opt.compiled_filters;
       pc.enable_packing = opt.packing;
       pc.variable_packing = opt.variable_packing;
-      pc.max_pack_bytes = opt.max_pack_bytes;
-      pc.max_pack_batch = opt.max_pack_batch;
       pc.use_message_pool = opt.message_pool;
       pc.cookie_preagreed = opt.cookie_preagreed;
       pc.always_send_conn_ident = opt.always_send_conn_ident;

@@ -94,8 +94,6 @@ struct ConnOptions {
   bool compiled_filters = true;
   bool packing = true;
   bool variable_packing = false;
-  std::size_t max_pack_bytes = 8192;
-  std::size_t max_pack_batch = 128;
   bool message_pool = true;
   bool cookie_preagreed = false;
   bool always_send_conn_ident = false;  // ablation: no cookie compression

@@ -10,7 +10,7 @@ BatchCounters& batch_counters() {
   auto& r = obs::registry();
   static BatchCounters c{
       r.counter("net_batch_syscalls_total",
-                "kernel I/O crossings (poll, recv/send batches, legacy sends)"),
+                "kernel I/O crossings (poll, recv/send batches)"),
       r.counter("net_batch_wakeups_total",
                 "poll(2) returns that reported I/O ready"),
       r.counter("net_batch_rx_batches_total",
@@ -36,7 +36,7 @@ BatchCounters& batch_counters() {
 namespace {
 
 // One recvmsg/sendmsg per datagram with the exact return contract of the
-// mmsg backend: used where the platform (or a test config) rules out
+// mmsg backend: used where the platform or the kernel rules out
 // recvmmsg/sendmmsg, and as the inner engine for test backends that wrap
 // it to force partial completions.
 class FallbackBackend final : public BatchIoBackend {
@@ -161,19 +161,6 @@ std::unique_ptr<BatchIoBackend> make_mmsg_backend() {
 
 std::unique_ptr<BatchIoBackend> make_fallback_backend() {
   return std::make_unique<FallbackBackend>();
-}
-
-std::unique_ptr<BatchIoBackend> make_backend(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kMmsg:
-      return make_mmsg_backend();
-    case BackendKind::kFallback:
-      return make_fallback_backend();
-    case BackendKind::kAuto:
-    default:
-      if (auto b = make_mmsg_backend()) return b;
-      return make_fallback_backend();
-  }
 }
 
 }  // namespace pa::net

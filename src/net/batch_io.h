@@ -1,21 +1,18 @@
 // The kernel-boundary batch I/O seam.
 //
-// PR 4 reduced the predicted send path to a single sendmsg(2) iovec gather
-// per datagram; at heavy traffic that one-syscall-per-datagram is the next
-// wall (paper §3.4 packs messages above the stack for the same reason —
-// amortize a fixed per-crossing cost over many messages). This seam batches
-// the kernel boundary itself: RealLoop drains receives with recvmmsg(2) and
-// flushes per-socket send trains with sendmmsg(2), many datagrams per
-// crossing, the modern analogue of the paper's U-Net substrate and of
-// Laminar's batched doorbells.
+// RealLoop's one send path is a per-socket train flushed through
+// send_batch; its one receive path drains a ready socket through
+// recv_batch. Paper §3.4 packs messages above the stack to amortize a
+// fixed per-crossing cost over many messages; this seam does the same at
+// the kernel boundary, the modern analogue of the paper's U-Net substrate
+// and of Laminar's batched doorbells.
 //
-// The seam is an abstract backend so the syscall strategy is swappable
-// without touching callers:
-//   - MmsgBackend ("mmsg"): recvmmsg/sendmmsg, Linux;
+// Two backends implement it:
+//   - MmsgBackend ("mmsg"): recvmmsg/sendmmsg, Linux. The loop's default.
 //   - FallbackBackend ("fallback"): a recvmsg/sendmsg loop with identical
-//     semantics for kernels (or platforms) without the mmsg calls;
-//   - an io_uring backend can slot in later behind the same two calls;
-//   - tests install wrapping backends to force partial completions.
+//     semantics. The loop uses it when the platform has no mmsg calls and
+//     demotes to it when the kernel answers ENOSYS; tests wrap it to force
+//     partial completions.
 //
 // Contract (modelled on sendmmsg's own semantics so the mmsg backend is a
 // thin shim):
@@ -68,37 +65,27 @@ class BatchIoBackend {
   virtual int send_batch(int fd, const TxDatagram* items, std::size_t n) = 0;
 };
 
-enum class BackendKind {
-  kAuto,      // mmsg when the platform has it, else fallback
-  kMmsg,      // recvmmsg/sendmmsg (nullptr from the factory if unsupported)
-  kFallback,  // one recvmsg/sendmsg per datagram, same semantics
-};
-
 /// nullptr when the platform has no recvmmsg/sendmmsg (the caller falls
 /// back). A kernel that *compiles* but rejects the calls at runtime
 /// (ENOSYS) is handled by RealLoop swapping backends on first use.
 std::unique_ptr<BatchIoBackend> make_mmsg_backend();
 std::unique_ptr<BatchIoBackend> make_fallback_backend();
-std::unique_ptr<BatchIoBackend> make_backend(BackendKind kind);
 
 /// Batching knobs on the real loop (docs/PERFORMANCE.md, "Kernel boundary").
-/// Configure before RealLoop::run_until; the loop normalizes a disabled
-/// config to single-datagram crossings (the pre-batching behaviour, used as
-/// the bench_syscall baseline).
+/// Configure before RealLoop::run_until. {recv_batch = 1, send_train = 1}
+/// is the one-syscall-per-datagram loop (the bench_syscall baseline).
 struct BatchConfig {
-  /// Master switch: false = one syscall per datagram, no send trains.
-  bool enabled = true;
   /// recvmmsg slots per crossing: the most datagrams one wakeup ingests per
   /// syscall. Bigger batches amortize harder but hold the dispatch loop
   /// longer before timers run again.
   std::size_t recv_batch = 32;
-  /// Per-socket send-train length that forces an early flush; trains also
-  /// flush at the end of every poll round, so this only bounds burst memory.
+  /// Per-socket send-train length that forces an early flush inside
+  /// run_until(); trains also flush at the end of every poll round (and at
+  /// once outside run_until()), so this only bounds burst memory.
   std::size_t send_train = 32;
   /// Per-slot receive buffer size. 64 KiB covers any UDP datagram; smaller
   /// buffers save memory but silently truncate larger datagrams.
   std::size_t recv_buf_bytes = 65536;
-  BackendKind backend = BackendKind::kAuto;
 };
 
 /// Process-global kernel-boundary counters (obs registry; catalogued in

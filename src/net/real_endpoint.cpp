@@ -10,11 +10,11 @@ class RealEndpoint::LoopEnv final : public Env {
   void charge(VtDur) override {}  // real CPUs charge themselves
 
   void send_frame(std::vector<std::uint8_t> frame) override {
-    ep_.loop_->send(ep_.sock_, frame.data(), frame.size());
+    ep_.loop_->sendv(ep_.sock_, WireFrame::adopt(std::move(frame)));
   }
 
   void send_frame(WireFrame frame) override {
-    ep_.loop_->sendv(ep_.sock_, frame);
+    ep_.loop_->sendv(ep_.sock_, std::move(frame));
   }
 
   void deliver(std::span<const std::uint8_t> payload) override {

@@ -49,7 +49,8 @@ LoopCounters& loop_counters() {
                               "idle poll() rounds (batched flush points)"),
       obs::registry().counter(
           "net_loop_tx_backpressure_total",
-          "sends shed on EAGAIN/ENOBUFS (kernel buffers full)"),
+          "train flushes pushed back on EAGAIN/ENOBUFS, plus datagrams "
+          "shed from an overflowing train"),
       obs::registry().counter(
           "net_loop_tx_refused_total",
           "sends refused by ICMP port-unreachable (peer gone)"),
@@ -147,241 +148,120 @@ void RealLoop::set_batch_config(const net::BatchConfig& cfg) {
   if (batch_cfg_.recv_batch == 0) batch_cfg_.recv_batch = 1;
   if (batch_cfg_.send_train == 0) batch_cfg_.send_train = 1;
   if (batch_cfg_.recv_buf_bytes == 0) batch_cfg_.recv_buf_bytes = 65536;
-  backend_.reset();   // re-resolve against the new kind on next use
   rx_cache_.clear();  // resize lazily to the new batch geometry
 }
 
 void RealLoop::set_batch_backend(std::unique_ptr<net::BatchIoBackend> b) {
   backend_ = std::move(b);
+  net::batch_counters().fallback_active.set(
+      std::strcmp(backend_->name(), "mmsg") == 0 ? 0 : 1);
 }
 
 const char* RealLoop::batch_backend_name() { return backend().name(); }
 
 net::BatchIoBackend& RealLoop::backend() {
   if (!backend_) {
-    backend_ = net::make_backend(batch_cfg_.backend);
-    if (!backend_) backend_ = net::make_fallback_backend();
-    net::batch_counters().fallback_active.set(
-        std::strcmp(backend_->name(), "mmsg") == 0 ? 0 : 1);
+    auto b = net::make_mmsg_backend();
+    set_batch_backend(b ? std::move(b) : net::make_fallback_backend());
   }
   return *backend_;
 }
 
-void RealLoop::demote_backend() {
-  backend_ = net::make_fallback_backend();
-  net::batch_counters().fallback_active.set(1);
-}
-
-void RealLoop::raw_send(const Socket& s, const std::uint8_t* data,
-                        std::size_t len) {
-  sockaddr_in peer = loopback_dst(s.peer_port);
-  for (;;) {
-    ssize_t n = ::sendto(s.fd, data, len, 0,
-                         reinterpret_cast<const sockaddr*>(&peer), sizeof peer);
-    net::batch_counters().syscalls.inc();
-    if (n >= 0) {
-      loop_counters().tx.inc();
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
-      // Kernel buffers full. Shed the datagram — it's UDP; window-layer
-      // retransmission recovers — and make the pressure visible.
-      loop_counters().tx_backpressure.inc();
-      return;
-    }
-    if (errno == ECONNREFUSED) {
-      // ICMP port-unreachable from a dead peer on a connected socket.
-      // The peer restarting is an expected chaos event, not a fault.
-      loop_counters().tx_refused.inc();
-      return;
-    }
-    loop_counters().tx_errors.inc();
+void RealLoop::sendv(int sock, WireFrame frame) {
+  Socket& s = socks_.at(sock);
+  if (!s.fault) {
+    // The train holds references, not copies; the chunk contract freezes
+    // the referenced bytes until the flush drops them.
+    s.train.push_back(std::move(frame));
+    flush_if_due(s);
     return;
   }
-}
-
-void RealLoop::faulted_send(int sock, std::vector<std::uint8_t> bytes) {
-  Socket& s = socks_[static_cast<std::size_t>(sock)];
-  const resil::FaultSocket::Verdict v = s.fault->judge(bytes.size());
+  // The tx fault lane judges each datagram once, here, in send order.
+  const resil::FaultSocket::Verdict v = s.fault->judge(frame.size());
   if (v.drop) {
     loop_counters().faults_injected.inc();
     return;
   }
   if (v.corrupt || v.truncate_to != 0) {
+    // The injector mutates a private flat copy, never the shared chunks.
+    std::vector<std::uint8_t> bytes = frame.flatten();
     resil::FaultSocket::apply(v, bytes);
+    frame = WireFrame::adopt(std::move(bytes));
     loop_counters().faults_injected.inc();
   }
+  if (v.copies > 1) loop_counters().faults_injected.inc();
   for (std::uint32_t c = 0; c < v.copies; ++c) {
     if (v.delay > 0) {
-      held_.push(Held{now() + v.delay, held_seq_++, sock, bytes});
+      // Re-enter through the timer heap, reordered against later sends;
+      // the datagram joins the train when due, without a second verdict.
+      set_timer(v.delay, [this, sock, frame] {
+        Socket& ds = socks_[static_cast<std::size_t>(sock)];
+        ds.train.push_back(frame);
+        flush_if_due(ds);
+      });
     } else {
-      raw_send(s, bytes.data(), bytes.size());
+      s.train.push_back(frame);
     }
   }
-  if (v.copies > 1) loop_counters().faults_injected.inc();
+  flush_if_due(s);
 }
 
-void RealLoop::send(int sock, const std::uint8_t* data, std::size_t len) {
-  Socket& s = socks_.at(sock);
-  if (batch_cfg_.enabled && in_dispatch_) {
-    s.train.push_back(
-        WireFrame::adopt(std::vector<std::uint8_t>(data, data + len)));
-    if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
-    return;
-  }
-  if (s.fault) {
-    faulted_send(sock, std::vector<std::uint8_t>(data, data + len));
-    return;
-  }
-  raw_send(s, data, len);
-}
-
-void RealLoop::immediate_sendv(const Socket& s, const WireFrame& frame) {
-  sockaddr_in peer = loopback_dst(s.peer_port);
-
-  // Gather the slice list straight into the kernel. iovec wants a mutable
-  // void*; sendmsg(2) only reads, so the const_cast is safe.
-  std::vector<iovec> iov;
-  iov.reserve(frame.num_slices());
-  for (const Slice& sl : frame.slices()) {
-    if (sl.len == 0) continue;
-    iov.push_back(iovec{
-        const_cast<std::uint8_t*>(sl.chunk->data.data() + sl.off), sl.len});
-  }
-  msghdr msg{};
-  msg.msg_name = &peer;
-  msg.msg_namelen = sizeof peer;
-  msg.msg_iov = iov.data();
-  msg.msg_iovlen = iov.size();
-  for (;;) {
-    ssize_t n = ::sendmsg(s.fd, &msg, 0);
-    net::batch_counters().syscalls.inc();
-    if (n >= 0) {
-      loop_counters().tx.inc();
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
-      loop_counters().tx_backpressure.inc();
-      return;
-    }
-    if (errno == ECONNREFUSED) {
-      loop_counters().tx_refused.inc();
-      return;
-    }
-    loop_counters().tx_errors.inc();
-    return;
+void RealLoop::flush_if_due(Socket& s) {
+  if (!in_dispatch_ || s.train.size() >= batch_cfg_.send_train) {
+    flush_train(s);
   }
 }
 
-void RealLoop::sendv(int sock, const WireFrame& frame) {
-  Socket& s = socks_.at(sock);
-  if (batch_cfg_.enabled && in_dispatch_) {
-    // Copying the frame is a refcount bump per slice; the chunk contract
-    // freezes the referenced bytes until the flush drops them.
-    s.train.push_back(frame);
-    if (s.train.size() >= batch_cfg_.send_train) flush_train(s, sock);
-    return;
-  }
-  if (s.fault) {
-    // The injector mutates a private flat copy; the zero-copy gather path
-    // is reserved for clean sockets.
-    faulted_send(sock, frame.flatten());
-    return;
-  }
-  immediate_sendv(s, frame);
-}
-
-bool RealLoop::flush_train(Socket& s, int sock) {
-  if (s.train.empty()) return true;
+void RealLoop::flush_train(Socket& s) {
+  if (s.train.empty()) return;
   auto& bc = net::batch_counters();
   if (governor_) governor_->report_net_train(queued_train_depth());
 
-  // Judge every parked datagram first (FIFO — the verdict sequence matches
-  // the unbatched loop exactly), then hand the clean survivors to the
-  // kernel in sendmmsg-sized groups.
-  std::vector<WireFrame> ready;
-  ready.reserve(s.train.size());
-  while (!s.train.empty()) {
-    WireFrame f = std::move(s.train.front());
-    s.train.pop_front();
-    if (!s.fault) {
-      ready.push_back(std::move(f));
-      continue;
-    }
-    const resil::FaultSocket::Verdict v = s.fault->judge(f.size());
-    if (v.drop) {
-      loop_counters().faults_injected.inc();
-      continue;
-    }
-    const bool clean =
-        !v.corrupt && v.truncate_to == 0 && v.delay == 0 && v.copies == 1;
-    if (clean) {
-      ready.push_back(std::move(f));
-      continue;
-    }
-    std::vector<std::uint8_t> bytes = f.flatten();
-    if (v.corrupt || v.truncate_to != 0) {
-      resil::FaultSocket::apply(v, bytes);
-      loop_counters().faults_injected.inc();
-    }
-    for (std::uint32_t c = 0; c < v.copies; ++c) {
-      if (v.delay > 0) {
-        held_.push(Held{now() + v.delay, held_seq_++, sock, bytes});
-      } else {
-        // Mutated datagrams ride the train too: wrap the private copy.
-        ready.push_back(WireFrame::adopt(bytes));
-      }
-    }
-    if (v.copies > 1) loop_counters().faults_injected.inc();
-  }
-
   // Build the gather lists. iovec storage must stay stable across the
-  // send_batch call, so slices are flattened into one arena first.
+  // send_batch call, so every slice goes into one arena sized up front.
   const sockaddr_in dst = loopback_dst(s.peer_port);
-  std::vector<iovec> iovs;
   std::size_t total_slices = 0;
-  for (const WireFrame& f : ready) total_slices += f.num_slices();
-  iovs.reserve(total_slices);
-  std::vector<net::TxDatagram> items;
-  items.reserve(ready.size());
-  for (const WireFrame& f : ready) {
-    const std::size_t start = iovs.size();
+  for (const WireFrame& f : s.train) total_slices += f.num_slices();
+  tx_iovs_.clear();
+  tx_iovs_.reserve(total_slices);
+  tx_items_.clear();
+  for (const WireFrame& f : s.train) {
+    const std::size_t start = tx_iovs_.size();
     for (const Slice& sl : f.slices()) {
       if (sl.len == 0) continue;
-      iovs.push_back(iovec{
+      // iovec wants a mutable void*; the kernel only reads.
+      tx_iovs_.push_back(iovec{
           const_cast<std::uint8_t*>(sl.chunk->data.data() + sl.off), sl.len});
     }
     net::TxDatagram d;
     d.dst = dst;
-    d.iov = iovs.data() + start;
-    d.iovlen = iovs.size() - start;
+    d.iov = tx_iovs_.data() + start;
+    d.iovlen = tx_iovs_.size() - start;
     d.bytes = f.size();
-    items.push_back(d);
+    tx_items_.push_back(d);
   }
 
   std::size_t off = 0;
-  bool kernel_ok = true;
-  while (off < items.size()) {
-    const std::size_t want = items.size() - off;
+  while (off < tx_items_.size()) {
+    const std::size_t want = tx_items_.size() - off;
     const Vt t0 = now();
-    int rc = backend().send_batch(s.fd, items.data() + off, want);
+    int rc = backend().send_batch(s.fd, tx_items_.data() + off, want);
     if (rc < 0) {
       if (errno == ENOSYS) {
-        demote_backend();
+        set_batch_backend(net::make_fallback_backend());
         continue;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
         // Kernel pushed back on the first datagram: keep the remainder
         // queued and retry next round (a fast re-poll, not a shed).
         loop_counters().tx_backpressure.inc();
-        kernel_ok = false;
         break;
       }
       if (errno == ECONNREFUSED) {
+        // ICMP port-unreachable from a dead peer: the peer restarting is
+        // an expected chaos event, not a fault. It consumed the datagram.
         loop_counters().tx_refused.inc();
-        ++off;  // the refusal consumed the first datagram
+        ++off;
         continue;
       }
       loop_counters().tx_errors.inc();
@@ -396,28 +276,13 @@ bool RealLoop::flush_train(Socket& s, int sock) {
               static_cast<std::uint32_t>(rc));
     if (static_cast<std::size_t>(rc) < want) bc.tx_partial.inc();
     off += static_cast<std::size_t>(rc);
-    if (rc == 0) {  // defensive: avoid spinning on a zero-progress backend
-      kernel_ok = false;
-      break;
-    }
+    if (rc == 0) break;  // defensive: avoid spinning on a zero-progress backend
   }
 
-  // Anything not accepted goes back on the train, order preserved, for the
-  // next flush. Faulted entries were already judged, so requeue the flat
-  // bytes as clean frames.
-  for (std::size_t i = items.size(); i-- > off;) {
-    s.train.push_front(std::move(ready[i]));
-  }
-  if (s.fault) {
-    // Mark requeued entries as pre-judged by detaching them from the fault
-    // path: they already consumed their verdicts. Simplest correct form:
-    // flush them immediately via the raw path to preserve verdict ordering.
-    while (!s.train.empty()) {
-      std::vector<std::uint8_t> flat = s.train.front().flatten();
-      s.train.pop_front();
-      raw_send(s, flat.data(), flat.size());
-    }
-  }
+  // Accepted datagrams leave the train; the rest stay queued, in order,
+  // for the next flush.
+  s.train.erase(s.train.begin(),
+                s.train.begin() + static_cast<std::ptrdiff_t>(off));
 
   // Overflow guard: a train the kernel will not drain cannot grow without
   // bound. Shed the oldest beyond 4x the configured length (UDP semantics;
@@ -427,13 +292,10 @@ bool RealLoop::flush_train(Socket& s, int sock) {
     s.train.pop_front();
     loop_counters().tx_backpressure.inc();
   }
-  return kernel_ok;
 }
 
 void RealLoop::flush_all_trains() {
-  for (std::size_t i = 0; i < socks_.size(); ++i) {
-    flush_train(socks_[i], static_cast<int>(i));
-  }
+  for (Socket& s : socks_) flush_train(s);
 }
 
 std::size_t RealLoop::queued_train_depth() const {
@@ -471,17 +333,6 @@ void RealLoop::drain_deferred() {
   }
 }
 
-Vt RealLoop::flush_held() {
-  while (!held_.empty()) {
-    if (held_.top().due > now()) return held_.top().due;
-    const Held h = held_.top();
-    held_.pop();
-    raw_send(socks_[static_cast<std::size_t>(h.sock)], h.bytes.data(),
-             h.bytes.size());
-  }
-  return -1;
-}
-
 void RealLoop::prepare_rx_slots(std::size_t n) {
   if (rx_cache_.size() < n) rx_cache_.resize(n);
   if (rx_slots_.size() < n) rx_slots_.resize(n);
@@ -505,7 +356,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
                                    const std::function<bool()>& done) {
   Socket& s = socks_[i];
   auto& bc = net::batch_counters();
-  const std::size_t batch = batch_cfg_.enabled ? batch_cfg_.recv_batch : 1;
+  const std::size_t batch = batch_cfg_.recv_batch;
   // Bound the per-socket drain so a firehose socket cannot starve timers
   // and its siblings: at most 4 full batches per wakeup, then re-poll.
   const std::size_t max_rounds = 4;
@@ -517,7 +368,7 @@ std::size_t RealLoop::drain_socket(std::size_t i,
     int rc = backend().recv_batch(s.fd, rx_slots_.data(), batch);
     if (rc < 0) {
       if (errno == ENOSYS) {
-        demote_backend();
+        set_batch_backend(net::make_fallback_backend());
         continue;
       }
       if (errno == ECONNREFUSED) {
@@ -621,14 +472,11 @@ std::size_t RealLoop::drain_socket(std::size_t i,
 
 bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
   const Vt deadline = now() + budget;
-  std::vector<pollfd> pfds(socks_.size());
+  std::vector<pollfd> pfds;
   auto& bc = net::batch_counters();
 
   while (!done()) {
     if (now() >= deadline) return false;
-
-    // Release fault-delayed datagrams that have come due.
-    Vt next_held = flush_held();
 
     // Fire due timers (popped before they run — a timer fn may arm new
     // timers).
@@ -664,18 +512,13 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
       if (timeout_ms < 0) timeout_ms = 0;
       if (timeout_ms > 10) timeout_ms = 10;
     }
-    if (next_held >= 0) {
-      // A held datagram may come due before the next timer: cap the sleep.
-      VtDur until = next_held - now();
-      int held_ms = static_cast<int>(until / 1'000'000);
-      if (held_ms < 0) held_ms = 0;
-      if (held_ms < timeout_ms) timeout_ms = held_ms;
-    }
     if (queued_train_depth() > 0 && timeout_ms > 1) {
       // The kernel pushed back on a flush: re-poll soon to retry the train.
       timeout_ms = 1;
     }
 
+    // Handlers and timers may have opened sockets since the last round.
+    pfds.resize(socks_.size());
     for (std::size_t i = 0; i < socks_.size(); ++i) {
       pfds[i].fd = socks_[i].fd;
       pfds[i].events = POLLIN;
@@ -697,7 +540,7 @@ bool RealLoop::run_loop(const std::function<bool()>& done, VtDur budget) {
     }
     bc.wakeups.inc();
     std::size_t ingested = 0;
-    for (std::size_t i = 0; i < socks_.size(); ++i) {
+    for (std::size_t i = 0; i < pfds.size(); ++i) {
       if (!(pfds[i].revents & (POLLIN | POLLERR))) continue;
       ingested += drain_socket(i, done);
     }

@@ -20,31 +20,32 @@
 // receive buffers recycled from a chunk cache (each datagram becomes a
 // zero-copy WireFrame slice — no ingest memcpy) and hands the whole batch
 // to the frame handler back-to-back, with deferred post-processing drained
-// once per batch so the §3.1 amortization spans the batch. Sends issued
-// inside run_until() (from a frame handler, timer or deferred closure) park
-// in a per-socket train and leave in one sendmmsg(2) at end-of-round (or
-// when the train fills); sends issued outside run_until() take the
-// immediate single-datagram path. Partial completions (the kernel accepts
-// k < n) keep the remainder queued for the next flush. On kernels without
+// once per batch so the §3.1 amortization spans the batch.
+//
+// One way out: every datagram joins its socket's send train and leaves
+// through the backend's send_batch. Inside run_until() (a frame handler,
+// timer or deferred closure) the train flushes in one sendmmsg(2) at the
+// end of the round, or earlier when it reaches send_train; outside
+// run_until() it flushes at once, so such a send still costs one kernel
+// crossing. Partial completions (the kernel accepts k < n) keep the
+// remainder queued for the next flush. On kernels without
 // recvmmsg/sendmmsg the loop swaps in a per-datagram fallback backend with
 // identical semantics.
 //
-// Error handling (overload must degrade, never abort): EINTR is retried,
-// EAGAIN/ENOBUFS on an immediate send counts as backpressure (the datagram
-// is shed — UDP semantics — and retransmission recovers); a train hitting
-// EAGAIN keeps its datagrams queued and retries next round, shedding its
-// oldest entries only when it overflows 4x the configured train length;
-// ECONNREFUSED from ICMP port-unreachable is tolerated on both directions;
-// anything else is counted and survived.
+// Error handling (overload must degrade, never abort): EINTR is retried;
+// EAGAIN/ENOBUFS keeps the train queued as counted backpressure and retries
+// next round, shedding the oldest entries only when the train overflows 4x
+// the configured length; ECONNREFUSED from ICMP port-unreachable is
+// tolerated on both directions; anything else is counted and survived.
 //
 // Fault injection (src/resil/fault_socket.h): set_fault() arms a
 // deterministic, seed-reproducible injector on a socket's send side —
 // drop, duplicate, corrupt, truncate, delay/reorder — so the chaos
-// scenarios run against real sockets. Trained datagrams are judged one at
-// a time, in FIFO order, when the train flushes (the verdict sequence is
-// identical to the unbatched loop's); clean survivors still leave in one
-// sendmmsg. Delayed datagrams are held in a deadline queue and flushed by
-// the dispatch loop.
+// scenarios run against real sockets. Each datagram is judged once, in
+// send order, as it joins the train; survivors and mutated copies ride the
+// train like any other datagram. A delayed datagram re-enters through the
+// timer heap and joins the train when it comes due, without a second
+// verdict.
 #pragma once
 
 #include <cstdint>
@@ -108,28 +109,25 @@ class RealLoop {
   void set_governor(resil::OverloadGovernor* g) { governor_ = g; }
 
   /// Reconfigure kernel-boundary batching (docs/PERFORMANCE.md). Call
-  /// before run_until(); `enabled = false` restores one-syscall-per-
-  /// datagram behaviour (the bench_syscall baseline).
+  /// before run_until(); {recv_batch = 1, send_train = 1} is one syscall
+  /// per datagram (the bench_syscall baseline).
   void set_batch_config(const net::BatchConfig& cfg);
   const net::BatchConfig& batch_config() const { return batch_cfg_; }
 
-  /// Install a specific batch backend (tests wrap the fallback backend to
-  /// force partial completions; an io_uring backend slots in here).
+  /// Install a specific batch backend (tests install the fallback, or wrap
+  /// it to force partial completions) and set net_batch_fallback_active.
   void set_batch_backend(std::unique_ptr<net::BatchIoBackend> backend);
   /// The active backend's name ("mmsg", "fallback", or a test wrapper's).
   const char* batch_backend_name();
 
-  /// Send one datagram to the socket's peer.
-  void send(int sock, const std::uint8_t* data, std::size_t len);
-
-  /// Send one datagram gathering a WireFrame's slices — the kernel
-  /// assembles the datagram from the chunk chain; user space never copies
-  /// the frame flat. Inside run_until() the frame parks in the socket's
-  /// send train and leaves in the round's sendmmsg(2) flush; outside it
-  /// goes out immediately via sendmsg(2). (With a fault injector armed,
-  /// mutated datagrams are flattened privately at judgement time; clean
-  /// ones stay gathered.)
-  void sendv(int sock, const WireFrame& frame);
+  /// Send one datagram to the socket's peer, gathering a WireFrame's
+  /// slices — the kernel assembles the datagram from the chunk chain; user
+  /// space never copies the frame flat. The frame (a refcount bump per
+  /// slice) joins the socket's send train: inside run_until() it leaves in
+  /// the round's sendmmsg(2) flush, outside it leaves at once. An armed
+  /// fault injector judges it here; mutated datagrams are private flat
+  /// copies, clean ones stay gathered.
+  void sendv(int sock, WireFrame frame);
 
   void on_frame(int sock, FrameHandler handler);
 
@@ -176,59 +174,40 @@ class RealLoop {
       return at != o.at ? at > o.at : seq > o.seq;
     }
   };
-  /// A datagram the fault injector is holding back (delay/reorder).
-  struct Held {
-    Vt due;
-    std::uint64_t seq;
-    int sock;
-    std::vector<std::uint8_t> bytes;
-    bool operator>(const Held& o) const {
-      return due != o.due ? due > o.due : seq > o.seq;
-    }
-  };
 
   void drain_deferred();
-  void raw_send(const Socket& s, const std::uint8_t* data, std::size_t len);
-  /// Fault-injected send path: judge, mutate a private copy, hold or send.
-  void faulted_send(int sock, std::vector<std::uint8_t> bytes);
-  /// Immediate single-datagram gather send (outside run_until(), disabled
-  /// batching, and faulted flat copies).
-  void immediate_sendv(const Socket& s, const WireFrame& frame);
-  /// Send every held datagram that is due; returns the next deadline
-  /// (-1 when the queue is empty).
-  Vt flush_held();
-
   net::BatchIoBackend& backend();
-  /// Swap to the fallback backend after a runtime ENOSYS.
-  void demote_backend();
+  /// Flush the train at once outside run_until(), or when it is full.
+  void flush_if_due(Socket& s);
   /// Ensure rx chunk cache slots exist, are uniquely owned, and are sized;
   /// fills rx_slots_ for a recv_batch call of `n` datagrams.
   void prepare_rx_slots(std::size_t n);
   /// Drain one ready socket in kernel batches; returns datagrams ingested.
   std::size_t drain_socket(std::size_t i, const std::function<bool()>& done);
-  /// Flush one socket's send train (judging faults per datagram); leaves
-  /// unaccepted datagrams queued. Returns false if the kernel pushed back.
-  bool flush_train(Socket& s, int sock);
+  /// Flush one socket's send train; leaves unaccepted datagrams queued.
+  void flush_train(Socket& s);
   void flush_all_trains();
   std::size_t queued_train_depth() const;
   bool run_loop(const std::function<bool()>& done, VtDur budget);
 
-  std::vector<Socket> socks_;
+  /// A deque, so a handler that opens a socket never moves the one (and
+  /// the handler) it is running on.
+  std::deque<Socket> socks_;
   std::function<void()> idle_hook_;
   resil::OverloadGovernor* governor_ = nullptr;
   net::BatchConfig batch_cfg_;
   std::unique_ptr<net::BatchIoBackend> backend_;
   std::vector<ChunkRef> rx_cache_;   // loop-owned recv chunks, reused if unique
   std::vector<net::RxSlot> rx_slots_;
+  std::vector<iovec> tx_iovs_;          // flush_train scratch, reused
+  std::vector<net::TxDatagram> tx_items_;
   std::uint32_t consecutive_full_ = 0;  // full recvmmsg batches in a row
-  bool in_dispatch_ = false;  // inside run_until(): sends join the trains
+  bool in_dispatch_ = false;  // inside run_until(): trains wait for round end
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::set<std::uint64_t> live_timers_;
   std::set<std::uint64_t> cancelled_timers_;
-  std::priority_queue<Held, std::vector<Held>, std::greater<>> held_;
   std::deque<std::function<void()>> deferred_;
   std::uint64_t timer_seq_ = 0;
-  std::uint64_t held_seq_ = 0;
   Vt t0_ = 0;
 };
 

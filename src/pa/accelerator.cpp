@@ -11,6 +11,21 @@
 namespace pa {
 namespace {
 
+// Message pool capacity: it must cover the deepest backlog (>=
+// kMaxPackBatch) or the pool thrashes and allocation pressure returns.
+constexpr std::size_t kPoolCapacity = 256;
+
+// Cookie-epoch recovery (chaos/robustness). After this many consecutive raw
+// retransmissions with no frame heard back, assume the peer's router no
+// longer knows our cookie (peer restarted, or learned state was wiped) and
+// enter recovery. The window layer's RTO already backs off exponentially,
+// so "consecutive resends" doubles as an exponential-backoff probe schedule
+// for free.
+constexpr std::uint32_t kRecoveryResendThreshold = 2;
+// While recovering, ship the full connection identification on this many
+// outgoing frames so the peer's router can re-learn cookie -> engine.
+constexpr std::uint32_t kRecoveryIdentQuota = 8;
+
 // Engine phase histograms (process-global: engines are cheap to create in
 // tests, so per-engine histograms would churn the registry; the `owner` tag
 // on span events keeps engines distinguishable where it matters). Durations
@@ -98,7 +113,7 @@ class PaEngine::Ops final : public LayerOps {
 // ---------------------------------------------------------------------------
 PaEngine::PaEngine(PaConfig cfg, Env& env)
     : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
-      pool_(cfg_.pool_capacity) {
+      pool_(kPoolCapacity) {
   pf_ = register_packing_fields(stack_.registry());
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kCompact);
@@ -181,7 +196,7 @@ void PaEngine::preagree_peer_cookie(std::uint64_t cookie) {
 // cookie -> engine mapping:
 //   - the restarted node knows it restarted: it ships the full connection
 //     identification on its next few frames (on_restart below);
-//   - the surviving node only sees silence: after `recovery_resend_threshold`
+//   - the surviving node only sees silence: after `kRecoveryResendThreshold`
 //     consecutive raw retransmissions with nothing heard back it assumes its
 //     cookie was forgotten and starts shipping the identification too. The
 //     window layer's RTO doubles between those resends, so the probes back
@@ -189,7 +204,7 @@ void PaEngine::preagree_peer_cookie(std::uint64_t cookie) {
 // ---------------------------------------------------------------------------
 void PaEngine::enter_recovery() {
   if (recovery_quota_ == 0) ++stats_.recovery_entries;
-  recovery_quota_ = cfg_.recovery_ident_quota;
+  recovery_quota_ = kRecoveryIdentQuota;
   silent_resends_ = 0;
 }
 
@@ -204,7 +219,7 @@ void PaEngine::on_restart() {
   silent_resends_ = 0;
   // Announce the fresh cookie: quota (not just the usual first-frame ident)
   // so the announcement survives a lossy link.
-  recovery_quota_ = cfg_.recovery_ident_quota;
+  recovery_quota_ = kRecoveryIdentQuota;
 }
 
 void PaEngine::enable_send_prediction() {
@@ -288,7 +303,7 @@ void PaEngine::report_pressure() {
   const std::uint64_t in_use =
       ps.acquires >= ps.releases ? ps.acquires - ps.releases : 0;
   cfg_.governor->report_pool(static_cast<std::size_t>(in_use),
-                             cfg_.pool_capacity);
+                             kPoolCapacity);
   cfg_.governor->tick(env_.now());
 }
 
@@ -600,8 +615,8 @@ void PaEngine::flush_backlog() {
   // Shrink the packing train under pressure: long trains amortize headers
   // but widen the burst each reception must absorb.
   const std::size_t pack_limit =
-      cfg_.governor ? cfg_.governor->pack_batch_limit(cfg_.max_pack_batch)
-                    : cfg_.max_pack_batch;
+      cfg_.governor ? cfg_.governor->pack_batch_limit(kMaxPackBatch)
+                    : kMaxPackBatch;
 
   std::vector<Message> batch;
   std::size_t total = first.payload_len();
@@ -612,10 +627,10 @@ void PaEngine::flush_backlog() {
     if (batch.size() >= pack_limit) return false;
     if (cfg_.variable_packing) {
       return total + next.payload_len() + 2 * (batch.size() + 1) <=
-             cfg_.max_pack_bytes;
+             kMaxPackBytes;
     }
     return next.payload_len() == first_len &&
-           total + next.payload_len() <= cfg_.max_pack_bytes;
+           total + next.payload_len() <= kMaxPackBytes;
   };
   while (!backlog_.empty() && can_take(backlog_.front())) {
     total += backlog_.front().payload_len();
@@ -989,7 +1004,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
 void PaEngine::resend_raw(const Message& stored,
                           const std::function<void(HeaderView&)>& patch) {
   ++stats_.raw_resends;
-  if (++silent_resends_ >= cfg_.recovery_resend_threshold) enter_recovery();
+  if (++silent_resends_ >= kRecoveryResendThreshold) enter_recovery();
   Message m = stored.clone();
   env_.on_alloc(m.capacity());
   m.cb.retransmit = true;

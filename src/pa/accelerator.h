@@ -37,19 +37,19 @@ namespace pa {
 
 class WindowLayer;
 
+/// Packing train limits (§3.4): one packed frame carries at most this many
+/// messages and this many payload bytes.
+inline constexpr std::size_t kMaxPackBatch = 128;
+inline constexpr std::size_t kMaxPackBytes = 8192;
+
 struct PaConfig {
   StackParams stack;
   CostModel costs = CostModel::paper();
   bool use_compiled_filters = true;
   bool enable_packing = true;
   bool variable_packing = false;   // extension: pack unequal sizes
-  std::size_t max_pack_batch = 128;
-  std::size_t max_pack_bytes = 8192;
   std::size_t max_recv_queue = 1024;  // frames parked behind post-processing
   bool use_message_pool = true;    // §6: explicit alloc/dealloc of messages
-  // Pool capacity must cover the deepest backlog (>= max_pack_batch) or the
-  // pool thrashes and allocation pressure returns.
-  std::size_t pool_capacity = 256;
   Endian self_endian = host_endian();
   std::uint64_t cookie_seed = 1;   // deterministic cookie source
   /// Extension (paper §2.2 "agree on a cookie before starting to use it"):
@@ -62,16 +62,6 @@ struct PaConfig {
   /// Ablation: never use the predicted-header fast paths (every message
   /// takes the stack's pre phases on the critical path).
   bool disable_prediction = false;
-  // --- cookie-epoch recovery (chaos/robustness) ---------------------------
-  /// After this many consecutive raw retransmissions with no frame heard
-  /// back, assume the peer's router no longer knows our cookie (peer
-  /// restarted, or learned state was wiped) and enter recovery. The window
-  /// layer's RTO already backs off exponentially, so "consecutive resends"
-  /// doubles as an exponential-backoff probe schedule for free.
-  std::uint32_t recovery_resend_threshold = 2;
-  /// While recovering, ship the full connection identification on this many
-  /// outgoing frames so the peer's router can re-learn cookie -> engine.
-  std::uint32_t recovery_ident_quota = 8;
   // --- overload governor (src/resil/) -------------------------------------
   /// When set, the engine feeds the governor its pressure signals (backlog
   /// depth, recv-queue depth, pool occupancy) and obeys its degradation

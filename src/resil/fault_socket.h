@@ -14,11 +14,12 @@
 //
 // The split of responsibilities keeps the wrapper kernel-free and testable:
 // judge() draws the fate of one datagram and apply() mutates a byte buffer
-// accordingly; RealLoop owns the syscalls and the delayed-datagram queue.
+// accordingly; RealLoop owns the syscalls and re-injects delayed datagrams
+// through its timer heap.
 //
 // Direction split: the socket carries two fully independent fault lanes,
-// tx (applied by RealLoop before sendto) and rx (applied at ingest, before
-// the datagram reaches the handler). Each lane has its own config, Rng
+// tx (applied by RealLoop as a datagram joins its socket's send train) and
+// rx (applied at ingest, before the datagram reaches the handler). Each lane has its own config, Rng
 // (derived from the one seed with a per-lane salt), Gilbert–Elliott channel
 // state, drop-every counter and stats — so the interleaving of sends and
 // receives never perturbs either lane's schedule, and an asymmetric link
@@ -27,7 +28,7 @@
 // pre-split schedule for a given seed.
 //
 // Thread-safety: none. A FaultSocket belongs to the loop that owns the
-// socket; RealLoop serializes access under its own lock.
+// socket and is used only from that loop's thread.
 #pragma once
 
 #include <cstddef>

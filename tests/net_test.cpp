@@ -17,6 +17,12 @@ bool sockets_available() {
 #define REQUIRE_SOCKETS() \
   if (!sockets_available()) GTEST_SKIP() << "no UDP sockets in this sandbox"
 
+WireFrame be32_frame(std::uint32_t v) {
+  std::vector<std::uint8_t> bytes(4);
+  store_be32(bytes.data(), v);
+  return WireFrame::adopt(std::move(bytes));
+}
+
 struct Pair {
   RealLoop loop;
   RealEndpoint a{loop};
@@ -212,6 +218,38 @@ TEST(RealLoop, IdleHookFiresWhenPollIdle) {
   EXPECT_GE(idle, 1);
 }
 
+TEST(RealLoop, OpenSocketFromHandler) {
+  REQUIRE_SOCKETS();
+  // A frame handler that opens sockets grows the loop's socket table while
+  // that very handler runs: neither the socket being drained nor the
+  // running handler may move, and the next poll round must watch the new
+  // sockets. Each new socket sends one datagram to itself.
+  RealLoop loop;
+  const int sa = loop.open_udp(0);
+  const int sb = loop.open_udp(0);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  loop.set_peer(sa, loop.port(sb));
+  int got = 0;
+  int echoes = 0;
+  loop.on_frame(sb, [&](WireFrame, Vt) {
+    for (int k = 0; k < 8; ++k) {
+      const int s = loop.open_udp(0);
+      ASSERT_GE(s, 0);
+      loop.set_peer(s, loop.port(s));
+      loop.on_frame(s, [&echoes](WireFrame, Vt) { ++echoes; });
+      loop.sendv(s, be32_frame(static_cast<std::uint32_t>(k)));
+    }
+    ++got;  // reads the handler's captures after the table grew
+  });
+  loop.sendv(sa, be32_frame(1));
+  loop.sendv(sa, be32_frame(2));
+  ASSERT_TRUE(loop.run_until([&] { return got >= 2 && echoes >= 16; },
+                             vt_s(5)));
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(echoes, 16);
+}
+
 // Wraps the fallback backend to model a kernel that accepts at most three
 // datagrams per sendmmsg and pushes back (EAGAIN) on every other call —
 // the partial-completion shapes the batched loop must survive.
@@ -250,14 +288,12 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
   loop.set_batch_backend(std::move(backend));
   auto& bc = net::batch_counters();
 
-  // Outside run_until() a send leaves at once as one datagram: a single
-  // sendto(2), no train, no sendmmsg.
+  // Outside run_until() a send leaves at once as one datagram: one
+  // syscall, made by the backend.
   const std::uint64_t sys0 = bc.syscalls.value();
-  std::uint8_t first[4];
-  store_be32(first, 100);
-  loop.send(sa, first, 4);
+  loop.sendv(sa, be32_frame(100));
   EXPECT_EQ(bc.syscalls.value(), sys0 + 1);
-  EXPECT_EQ(clamp->calls(), 0);
+  EXPECT_EQ(clamp->calls(), 1);
 
   std::vector<std::uint32_t> got;
   bool reply_parked = false;
@@ -271,7 +307,7 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
     // the kernel until the end-of-round flush.
     const std::uint64_t sys = bc.syscalls.value();
     const int calls = clamp->calls();
-    loop.send(sb, flat.data(), flat.size());
+    loop.sendv(sb, f);
     reply_parked = bc.syscalls.value() == sys && clamp->calls() == calls;
   });
   loop.on_frame(sa, [&](WireFrame, Vt) { reply_seen = true; });
@@ -281,11 +317,7 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
   // accepts them 3 at a time with pushback between flushes. Every
   // datagram must still arrive, in order — none shed.
   loop.set_timer(vt_us(100), [&] {
-    for (std::uint32_t i = 0; i < 12; ++i) {
-      std::uint8_t buf[4];
-      store_be32(buf, i);
-      loop.send(sa, buf, 4);
-    }
+    for (std::uint32_t i = 0; i < 12; ++i) loop.sendv(sa, be32_frame(i));
   });
   ASSERT_TRUE(loop.run_until(
       [&] { return got.size() >= 13 && reply_seen; }, vt_s(5)));
@@ -295,6 +327,152 @@ TEST(RealBatch, PartialSendKeepsRemainderQueued) {
   EXPECT_TRUE(reply_parked);
   EXPECT_GT(clamp->calls(), 0);
   EXPECT_GT(bc.tx_partial.value(), partial0);
+}
+
+// Counts the datagrams the kernel accepted through the backend seam.
+class CountingBackend final : public net::BatchIoBackend {
+ public:
+  explicit CountingBackend(std::unique_ptr<net::BatchIoBackend> inner)
+      : inner_(std::move(inner)) {}
+  const char* name() const override { return "count-test"; }
+  int recv_batch(int fd, net::RxSlot* slots, std::size_t n) override {
+    return inner_->recv_batch(fd, slots, n);
+  }
+  int send_batch(int fd, const net::TxDatagram* items,
+                 std::size_t n) override {
+    const int rc = inner_->send_batch(fd, items, n);
+    if (rc > 0) accepted_ += static_cast<std::uint64_t>(rc);
+    return rc;
+  }
+  std::uint64_t accepted() const { return accepted_; }
+
+ private:
+  std::unique_ptr<net::BatchIoBackend> inner_;
+  std::uint64_t accepted_ = 0;
+};
+
+// Two sockets on one loop whose sends all go through a CountingBackend;
+// sb counts arrivals, and echoes them back to sa when `echo` is set.
+struct CountedPair {
+  RealLoop loop;
+  int sa = loop.open_udp(0);
+  int sb = loop.open_udp(0);
+  CountingBackend* backend = nullptr;
+  std::size_t arrived = 0;
+  bool echo = false;
+
+  explicit CountedPair(std::unique_ptr<net::BatchIoBackend> inner) {
+    loop.set_peer(sa, loop.port(sb));
+    loop.set_peer(sb, loop.port(sa));
+    auto b = std::make_unique<CountingBackend>(std::move(inner));
+    backend = b.get();
+    loop.set_batch_backend(std::move(b));
+    loop.on_frame(sb, [this](WireFrame f, Vt) {
+      ++arrived;
+      if (echo) loop.sendv(sb, std::move(f));
+    });
+    loop.on_frame(sa, [this](WireFrame, Vt) { ++arrived; });
+  }
+};
+
+std::unique_ptr<net::BatchIoBackend> default_backend() {
+  auto b = net::make_mmsg_backend();
+  return b ? std::move(b) : net::make_fallback_backend();
+}
+
+// Runs `traffic`, waits for `arrivals`, and checks that the loop counted
+// exactly the datagrams the backend accepted: none went around it.
+void expect_every_datagram_crosses(CountedPair& p,
+                                   const std::function<void()>& traffic,
+                                   const std::function<std::size_t()>& want) {
+  obs::Counter& tx =
+      obs::registry().counter("net_loop_datagrams_tx_total", "");
+  const std::uint64_t tx0 = tx.value();
+  const std::uint64_t acc0 = p.backend->accepted();
+  traffic();
+  ASSERT_TRUE(p.loop.run_until([&] { return p.arrived >= want(); }, vt_s(5)))
+      << p.arrived << " of " << want() << " arrived";
+  EXPECT_EQ(p.arrived, want());
+  EXPECT_EQ(tx.value() - tx0, p.backend->accepted() - acc0);
+  EXPECT_EQ(p.backend->accepted() - acc0, p.arrived);
+}
+
+TEST(RealBatch, EveryDatagramCrossesTheBackend) {
+  REQUIRE_SOCKETS();
+  {
+    SCOPED_TRACE("send outside run_until");
+    CountedPair p(default_backend());
+    expect_every_datagram_crosses(
+        p, [&] { p.loop.sendv(p.sa, be32_frame(1)); }, [] { return 1u; });
+  }
+  {
+    SCOPED_TRACE("send from a handler");
+    CountedPair p(default_backend());
+    p.echo = true;
+    expect_every_datagram_crosses(
+        p, [&] { p.loop.sendv(p.sa, be32_frame(1)); }, [] { return 2u; });
+  }
+  {
+    SCOPED_TRACE("timer burst");
+    CountedPair p(default_backend());
+    expect_every_datagram_crosses(
+        p,
+        [&] {
+          p.loop.set_timer(vt_us(100), [&] {
+            for (std::uint32_t i = 0; i < 100; ++i) {
+              p.loop.sendv(p.sa, be32_frame(i));
+            }
+          });
+        },
+        [] { return 100u; });
+  }
+  {
+    SCOPED_TRACE("tx faults: dup, corrupt, truncate, delay");
+    CountedPair p(default_backend());
+    resil::FaultConfig fc;
+    fc.dup_prob = 0.2;
+    fc.corrupt_prob = 0.2;
+    fc.truncate_prob = 0.2;
+    fc.delay_jitter = vt_ms(2);
+    p.loop.set_fault(p.sa, fc, /*seed=*/9);
+    const resil::FaultStats& fs = p.loop.fault(p.sa)->stats();
+    expect_every_datagram_crosses(
+        p,
+        [&] {
+          for (std::uint32_t i = 0; i < 10; ++i) {
+            p.loop.sendv(p.sa, be32_frame(i));
+          }
+          p.loop.set_timer(vt_us(100), [&] {
+            for (std::uint32_t i = 10; i < 60; ++i) {
+              p.loop.sendv(p.sa, be32_frame(i));
+            }
+          });
+        },
+        // Nothing is dropped: all 60 datagrams and every duplicate
+        // arrive, mutated or not.
+        [&] { return 60 + fs.duplicated; });
+    EXPECT_EQ(fs.offered, 60u);
+    EXPECT_EQ(fs.dropped, 0u);
+    EXPECT_GT(fs.duplicated, 0u);
+    EXPECT_GT(fs.corrupted, 0u);
+    EXPECT_GT(fs.truncated, 0u);
+    EXPECT_GT(fs.delayed, 0u);
+  }
+  {
+    SCOPED_TRACE("clamped pushback");
+    CountedPair p(std::make_unique<ClampingSendBackend>());
+    expect_every_datagram_crosses(
+        p,
+        [&] {
+          p.loop.sendv(p.sa, be32_frame(100));
+          p.loop.set_timer(vt_us(100), [&] {
+            for (std::uint32_t i = 0; i < 12; ++i) {
+              p.loop.sendv(p.sa, be32_frame(i));
+            }
+          });
+        },
+        [] { return 13u; });
+  }
 }
 
 TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
@@ -344,9 +522,7 @@ TEST(RealBatch, RecvBatchStraddlesTimerDeadline) {
 TEST(RealBatch, FallbackBackendDelivers) {
   REQUIRE_SOCKETS();
   Pair p;
-  net::BatchConfig cfg;
-  cfg.backend = net::BackendKind::kFallback;
-  p.loop.set_batch_config(cfg);
+  p.loop.set_batch_backend(net::make_fallback_backend());
   EXPECT_STREQ(p.loop.batch_backend_name(), "fallback");
   EXPECT_EQ(net::batch_counters().fallback_active.value(), 1);
 
@@ -365,7 +541,8 @@ TEST(RealBatch, DisabledBatchingStillDelivers) {
   REQUIRE_SOCKETS();
   Pair p;
   net::BatchConfig cfg;
-  cfg.enabled = false;  // the bench_syscall baseline: 1 syscall per datagram
+  cfg.recv_batch = 1;  // the bench_syscall baseline: 1 syscall per datagram
+  cfg.send_train = 1;
   p.loop.set_batch_config(cfg);
 
   std::vector<std::uint32_t> got;
@@ -432,9 +609,7 @@ TEST(RealUdp, GarbageDatagramsAreDropped) {
   ASSERT_GE(s, 0);
   attacker_loop.set_peer(s, p.b.local_port());
   std::vector<std::uint8_t> junk(64, 0xee);
-  for (int i = 0; i < 20; ++i) {
-    attacker_loop.send(s, junk.data(), junk.size());
-  }
+  for (int i = 0; i < 20; ++i) attacker_loop.sendv(s, WireFrame::adopt(junk));
   // A legitimate message must still get through.
   std::vector<std::uint8_t> msg{9, 9, 9};
   p.a.send(msg);
