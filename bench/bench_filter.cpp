@@ -1,4 +1,4 @@
-// Packet-filter execution microbenchmarks (real wall-clock, google-benchmark).
+// Packet-filter execution microbenchmarks (real wall-clock, std::chrono).
 //
 // Paper §3.3: "Packet filter programs are currently interpreted. We note
 // that in the Exokernel project, a significant performance improvement was
@@ -6,7 +6,13 @@
 // to adopt this approach eventually." — this bench quantifies that gap for
 // our interpreter vs the fused/compiled backend, on the actual filter
 // programs the standard 4-layer stack installs.
-#include <benchmark/benchmark.h>
+//
+// Each row doubles its iteration count until one timed run takes at least
+// kMinRun, then prints that run's wall-clock ns per operation.
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "filter/compiled.h"
 #include "filter/interp.h"
@@ -15,6 +21,34 @@
 
 namespace pa {
 namespace {
+
+constexpr std::chrono::milliseconds kMinRun{250};
+
+/// Keep `v` alive: the compiler must assume it is read, so the work that
+/// produced it cannot be optimised away.
+template <class T>
+void keep(const T& v) {
+  asm volatile("" : : "r,m"(v) : "memory");
+}
+
+/// Time `op` (one operation per call) and print its ns/op row.
+template <class Op>
+void measure(const char* name, Op op) {
+  using Clock = std::chrono::steady_clock;
+  for (std::uint64_t n = 1024;; n *= 2) {
+    const Clock::time_point t0 = Clock::now();
+    for (std::uint64_t i = 0; i < n; ++i) op();
+    const Clock::duration took = Clock::now() - t0;
+    if (took >= kMinRun) {
+      const double ns =
+          std::chrono::duration<double, std::nano>(took).count() /
+          static_cast<double>(n);
+      std::printf("%-28s %10.2f ns/op %12llu iterations\n", name, ns,
+                  static_cast<unsigned long long>(n));
+      return;
+    }
+  }
+}
 
 struct Fix {
   Stack stack{StackSpec::paper()};
@@ -56,41 +90,33 @@ Fix& fix() {
   return f;
 }
 
-void BM_SendFilterInterpreted(benchmark::State& state) {
+void SendFilterInterpreted() {
   Fix& f = fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_filter(f.stack.send_prog(), v, f.msg));
-  }
+  measure("SendFilterInterpreted", [&] {
+    keep(run_filter(f.stack.send_prog(), v, f.msg));
+  });
 }
-BENCHMARK(BM_SendFilterInterpreted);
 
-void BM_SendFilterCompiled(benchmark::State& state) {
+void SendFilterCompiled() {
   Fix& f = fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.csend.run(v, f.msg));
-  }
+  measure("SendFilterCompiled", [&] { keep(f.csend.run(v, f.msg)); });
 }
-BENCHMARK(BM_SendFilterCompiled);
 
-void BM_RecvFilterInterpreted(benchmark::State& state) {
+void RecvFilterInterpreted() {
   Fix& f = fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_filter(f.stack.recv_prog(), v, f.msg));
-  }
+  measure("RecvFilterInterpreted", [&] {
+    keep(run_filter(f.stack.recv_prog(), v, f.msg));
+  });
 }
-BENCHMARK(BM_RecvFilterInterpreted);
 
-void BM_RecvFilterCompiled(benchmark::State& state) {
+void RecvFilterCompiled() {
   Fix& f = fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.crecv.run(v, f.msg));
-  }
+  measure("RecvFilterCompiled", [&] { keep(f.crecv.run(v, f.msg)); });
 }
-BENCHMARK(BM_RecvFilterCompiled);
 
 // The stack programs above are dominated by the CRC-32C digest over the
 // payload; to expose the dispatch/fusion gap itself, run a digest-free
@@ -131,26 +157,22 @@ CheckFix& check_fix() {
   return f;
 }
 
-void BM_CheckFilterInterpreted(benchmark::State& state) {
+void CheckFilterInterpreted() {
   CheckFix& f = check_fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_filter(f.prog, v, f.msg));
-  }
+  measure("CheckFilterInterpreted", [&] {
+    keep(run_filter(f.prog, v, f.msg));
+  });
 }
-BENCHMARK(BM_CheckFilterInterpreted);
 
-void BM_CheckFilterCompiled(benchmark::State& state) {
+void CheckFilterCompiled() {
   CheckFix& f = check_fix();
   HeaderView v = f.view();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.compiled.run(v, f.msg));
-  }
+  measure("CheckFilterCompiled", [&] { keep(f.compiled.run(v, f.msg)); });
 }
-BENCHMARK(BM_CheckFilterCompiled);
 
 // Header field access: aligned fast path vs bit-granular path.
-void BM_FieldAccessAligned(benchmark::State& state) {
+void FieldAccessAligned() {
   LayoutRegistry reg;
   auto h = reg.add_field(FieldClass::kProtoSpec, "seq", 32);
   auto cl = reg.compile(LayoutMode::kCompact);
@@ -158,14 +180,13 @@ void BM_FieldAccessAligned(benchmark::State& state) {
   HeaderView v(&cl, host_endian());
   v.set_region(1, buf);
   std::uint64_t x = 0;
-  for (auto _ : state) {
+  measure("FieldAccessAligned", [&] {
     v.set(h, ++x & 0xffffffff);
-    benchmark::DoNotOptimize(v.get(h));
-  }
+    keep(v.get(h));
+  });
 }
-BENCHMARK(BM_FieldAccessAligned);
 
-void BM_FieldAccessBitGranular(benchmark::State& state) {
+void FieldAccessBitGranular() {
   LayoutRegistry reg;
   reg.add_field(FieldClass::kProtoSpec, "pad", 3);
   auto h = reg.add_field(FieldClass::kProtoSpec, "odd", 13);
@@ -174,27 +195,38 @@ void BM_FieldAccessBitGranular(benchmark::State& state) {
   HeaderView v(&cl, host_endian());
   v.set_region(1, buf.data());
   std::uint64_t x = 0;
-  for (auto _ : state) {
+  measure("FieldAccessBitGranular", [&] {
     v.set(h, ++x & 0x1fff);
-    benchmark::DoNotOptimize(v.get(h));
-  }
+    keep(v.get(h));
+  });
 }
-BENCHMARK(BM_FieldAccessBitGranular);
 
 // Prediction check: the PA's fast-path memcmp of the proto-spec region.
-void BM_PredictionCompare(benchmark::State& state) {
+void PredictionCompare() {
   Fix& f = fix();
   std::vector<std::uint8_t> predicted(f.layout.class_bytes(
       FieldClass::kProtoSpec));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
+  measure("PredictionCompare", [&] {
+    keep(
         std::memcmp(f.hdr.data() + f.layout.class_bytes(FieldClass::kConnId),
                     predicted.data(), predicted.size()));
-  }
+  });
 }
-BENCHMARK(BM_PredictionCompare);
 
 }  // namespace
 }  // namespace pa
 
-BENCHMARK_MAIN();
+int main() {
+  std::printf("bench_filter — packet-filter execution, interpreted vs "
+              "compiled (wall clock)\n");
+  pa::SendFilterInterpreted();
+  pa::SendFilterCompiled();
+  pa::RecvFilterInterpreted();
+  pa::RecvFilterCompiled();
+  pa::CheckFilterInterpreted();
+  pa::CheckFilterCompiled();
+  pa::FieldAccessAligned();
+  pa::FieldAccessBitGranular();
+  pa::PredictionCompare();
+  return 0;
+}

@@ -144,7 +144,7 @@ Interleaved interleaved_send_path() {
   // anything.
   if (e.stats().fast_sends < sends * 95ull / 100ull) {
     std::printf("WARNING: only %llu/%d sends took the fast path\n",
-                static_cast<unsigned long long>(e.stats().fast_sends.load()),
+                static_cast<unsigned long long>(e.stats().fast_sends),
                 sends);
   }
 
@@ -158,7 +158,7 @@ Interleaved interleaved_send_path() {
 
 // Raw ring-record cost, ns/op.
 double raw_record_ns() {
-  obs::TraceRing& ring = obs::thread_ring();
+  obs::TraceRing& ring = obs::process_ring();
   constexpr int kOps = 1 << 20;
   const std::uint64_t t0 = now_ns();
   for (int i = 0; i < kOps; ++i) {

@@ -82,10 +82,10 @@ Point run_point(const ConnOptions& opt, std::size_t payload_bytes) {
         if (done == kWarm) {
           const EngineStats& es = s->engine().stats();
           const EngineStats& ec = c->engine().stats();
-          fd0 = es.fast_delivers.load();
-          sd0 = es.slow_delivers.load();
-          fs0 = ec.fast_sends.load();
-          ss0 = ec.slow_sends.load();
+          fd0 = es.fast_delivers;
+          sd0 = es.slow_delivers;
+          fs0 = ec.fast_sends;
+          ss0 = ec.slow_sends;
         }
         sent_at = c->now();
         c->send(msg);
@@ -98,10 +98,10 @@ Point run_point(const ConnOptions& opt, std::size_t payload_bytes) {
 
   const EngineStats& es = s->engine().stats();
   const EngineStats& ec = c->engine().stats();
-  const double fd = static_cast<double>(es.fast_delivers.load() - fd0);
-  const double sd = static_cast<double>(es.slow_delivers.load() - sd0);
-  const double fs = static_cast<double>(ec.fast_sends.load() - fs0);
-  const double ss = static_cast<double>(ec.slow_sends.load() - ss0);
+  const double fd = static_cast<double>(es.fast_delivers - fd0);
+  const double sd = static_cast<double>(es.slow_delivers - sd0);
+  const double fs = static_cast<double>(ec.fast_sends - fs0);
+  const double ss = static_cast<double>(ec.slow_sends - ss0);
   Point p;
   p.rt_us = total_rt / kMeas;
   p.deliver_hit = (fd + sd) > 0 ? fd / (fd + sd) : 0;

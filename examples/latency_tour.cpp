@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "horus/world.h"
 #include "obs/export.h"
@@ -119,11 +120,12 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) {
     FILE* f = std::fopen(trace_out.c_str(), "w");
     if (f) {
-      const std::string json = obs::chrome_trace_json(obs::snapshot_all());
+      const std::vector<obs::SpanEvent> spans = obs::process_ring().snapshot();
+      const std::string json = obs::chrome_trace_json(spans);
       std::fwrite(json.data(), 1, json.size(), f);
       std::fclose(f);
       std::printf("wrote %s (%zu span events)\n", trace_out.c_str(),
-                  obs::snapshot_all().size());
+                  spans.size());
     }
   }
   return first / last > 5 ? 0 : 1;

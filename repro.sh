@@ -24,15 +24,16 @@ cmake -B build-san -G Ninja -DPA_SANITIZE=ON
 cmake --build build-san
 ctest --test-dir build-san --output-on-failure
 
-echo "==== concurrent suites under TSan ============================="
-# Only the suites that start threads: the engines and the real-time loop
-# are single-threaded, so the rest of the tree has nothing for TSan to
-# check and would triple its runtime for nothing. What is still shared
-# across threads: chunk refcounts (BufConcurrency) and the trace rings,
-# which any thread may snapshot while their producer writes (TraceRing).
+echo "==== chunk chains under TSan =================================="
+# One thread owns every engine, router, loop and all telemetry
+# (docs/INTERNALS.md, "Threading contract"). The only objects that may
+# cross threads are chains of payload chunks: their refcounts and the
+# BufStats counters that clone and allocation bump. BufConcurrency is the
+# suite that hands chains between threads; the rest of the tree starts no
+# thread and has nothing for TSan to check.
 cmake -B build-tsan -G Ninja -DPA_TSAN=ON
 cmake --build build-tsan
-ctest --test-dir build-tsan --output-on-failure -R 'BufConcurrency|TraceRing'
+ctest --test-dir build-tsan --output-on-failure -R 'BufConcurrency'
 
 echo "==== clang-tidy (buffer / engine / layers / horus / health / group) ="
 # Static races and perf regressions in the zero-copy data plane plus the
@@ -55,6 +56,19 @@ for b in build/bench/bench_*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "---- $b"
   "$b" || status=1
+done
+
+echo "==== modeled benches match their goldens ======================"
+# The modeled benches run in virtual time from fixed seeds, so their JSON
+# is byte-identical from run to run. bench/golden/ holds the committed
+# outputs; any difference is a behaviour change that must be explained and
+# the golden regenerated in the same change. BENCH_obs.json and
+# BENCH_syscall.json are wall-clock and have no golden.
+for g in fanout fig5 headline overload partition stackmix table4; do
+  if ! cmp "BENCH_$g.json" "bench/golden/$g.json"; then
+    echo "FAIL: BENCH_$g.json differs from bench/golden/$g.json"
+    status=1
+  fi
 done
 
 echo "==== bench percentile keys ===================================="

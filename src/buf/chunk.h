@@ -16,10 +16,10 @@
 //     physical recycler is the real loop's receive-buffer cache, which
 //     reuses a chunk only once its refcount has returned to 1.
 //
-// The refcount is atomic so a chain may be shared across threads (the
-// engines and the real UDP loop are single-threaded, but nothing stops an
-// application from handing a message to another thread); all other chunk
-// state is plain data guarded by the refcount contract above.
+// The refcount is atomic so a chain may be shared across threads: chunk
+// chains are the one exception to the single-thread contract
+// (docs/INTERNALS.md, "Threading contract"). All other chunk state is plain
+// data guarded by the refcount contract above.
 #pragma once
 
 #include <atomic>
@@ -34,8 +34,9 @@
 namespace pa {
 
 /// Process-global data-plane copy accounting. Every counter is a relaxed
-/// atomic: hot paths bump them from whichever thread runs the engine, and
-/// report()/benchmarks read them without coordination. The split matters:
+/// atomic: a chain may be cloned, copied or freed on any thread that holds
+/// it, and report()/benchmarks read them without coordination. The split
+/// matters:
 ///   - ingest_*  : bytes copied across the application boundary (send(span)
 ///     hands us borrowed memory — one copy is the price of admission unless
 ///     the caller transfers ownership of a vector).

@@ -15,51 +15,52 @@
 #include "buf/wire_frame.h"
 #include "horus/stack.h"
 #include "pa/drop_reason.h"
-#include "util/stat_counter.h"
 #include "util/stat_fields.h"
 #include "util/types.h"
 
 namespace pa {
 
-// EngineStats' counters, one row per field (util/stat_fields.h). All are
-// StatCounters (relaxed atomics): the engine bumps them on its own thread
-// while another thread may read them or render a report.
+// EngineStats' counters, one row per field (util/stat_fields.h). Plain
+// integers: the engine's thread bumps them and the same thread reads them
+// (docs/INTERNALS.md, "Threading contract").
 #define PA_ENGINE_STATS(X)                                                     \
   /* sending */                                                                \
-  X(StatCounter, app_sends, "app_sends_total", "", "application send() calls") \
-  X(StatCounter, fast_sends, "fast_sends_total", "",                           \
+  X(std::uint64_t, app_sends, "app_sends_total", "",                           \
+    "application send() calls")                                                \
+  X(std::uint64_t, fast_sends, "fast_sends_total", "",                         \
     "sends that bypassed the stack (predicted header)")                        \
-  X(StatCounter, slow_sends, "slow_sends_total", "",                           \
+  X(std::uint64_t, slow_sends, "slow_sends_total", "",                         \
     "sends through the stack pre-send")                                        \
-  X(StatCounter, backlogged, "backlogged_total", "",                           \
+  X(std::uint64_t, backlogged, "backlogged_total", "",                         \
     "sends parked behind pending post-processing")                             \
-  X(StatCounter, packed_batches, "packed_batches_total", "",                   \
+  X(std::uint64_t, packed_batches, "packed_batches_total", "",                 \
     "backlog flushes packed into one frame")                                   \
-  X(StatCounter, packed_msgs, "packed_msgs_total", "",                         \
+  X(std::uint64_t, packed_msgs, "packed_msgs_total", "",                       \
     "messages carried by packing")                                             \
-  X(StatCounter, frames_out, "frames_out_total", "",                           \
+  X(std::uint64_t, frames_out, "frames_out_total", "",                         \
     "wire frames transmitted")                                                 \
-  X(StatCounter, conn_ident_sent, "conn_ident_sent_total", "",                 \
+  X(std::uint64_t, conn_ident_sent, "conn_ident_sent_total", "",               \
     "frames carrying the connection identification")                           \
-  X(StatCounter, protocol_emits, "protocol_emits_total", "",                   \
+  X(std::uint64_t, protocol_emits, "protocol_emits_total", "",                 \
     "layer-generated messages (acks, naks)")                                   \
-  X(StatCounter, raw_resends, "raw_resends_total", "",                         \
+  X(std::uint64_t, raw_resends, "raw_resends_total", "",                       \
     "verbatim retransmissions")                                                \
   /* delivering */                                                             \
-  X(StatCounter, frames_in, "frames_in_total", "", "wire frames received")     \
-  X(StatCounter, fast_delivers, "fast_delivers_total", "",                     \
+  X(std::uint64_t, frames_in, "frames_in_total", "", "wire frames received")   \
+  X(std::uint64_t, fast_delivers, "fast_delivers_total", "",                   \
     "deliveries on the predicted path (memcmp hit)")                           \
-  X(StatCounter, slow_delivers, "slow_delivers_total", "",                     \
+  X(std::uint64_t, slow_delivers, "slow_delivers_total", "",                   \
     "deliveries through the stack pre-deliver")                                \
-  X(StatCounter, predict_misses, "predict_misses_total", "",                   \
+  X(std::uint64_t, predict_misses, "predict_misses_total", "",                 \
     "received headers that missed the prediction")                             \
-  X(StatCounter, delivered_to_app, "delivered_to_app_total", "",               \
+  X(std::uint64_t, delivered_to_app, "delivered_to_app_total", "",             \
     "application messages delivered (post-unpack)")                            \
-  X(StatCounter, recv_queued, "recv_queued_total", "",                         \
+  X(std::uint64_t, recv_queued, "recv_queued_total", "",                       \
     "frames parked behind post-processing")                                    \
   /* chaos / recovery */                                                       \
-  X(StatCounter, restarts, "restarts_total", "", "simulated process restarts") \
-  X(StatCounter, recovery_entries, "recovery_entries_total", "",               \
+  X(std::uint64_t, restarts, "restarts_total", "",                             \
+    "simulated process restarts")                                              \
+  X(std::uint64_t, recovery_entries, "recovery_entries_total", "",             \
     "cookie-recovery episodes entered")
 
 struct EngineStats {

@@ -47,7 +47,7 @@ class RealEndpoint {
   /// send path via RealLoop::set_fault).
   int sock() const { return sock_; }
   Vt now() const { return loop_->now(); }
-  std::uint64_t received() const { return received_.load(); }
+  std::uint64_t received() const { return received_; }
 
  private:
   class LoopEnv;
@@ -58,7 +58,7 @@ class RealEndpoint {
   std::unique_ptr<Env> env_;
   std::unique_ptr<Engine> engine_;
   DeliverFn deliver_fn_;
-  StatCounter received_;
+  std::uint64_t received_ = 0;
 };
 
 }  // namespace pa

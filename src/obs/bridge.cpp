@@ -22,7 +22,7 @@ void bind_drops(MetricsRegistry& reg, const std::string& prefix,
                 const DropCounters& d) {
   for (std::size_t i = 0; i < kNumDropReasons; ++i) {
     const auto r = static_cast<DropReason>(i);
-    const StatCounter& c = d.counts[i];
+    const std::uint64_t& c = d.counts[i];
     bind_stat(reg,
               prefix + "_drop_" + metric_slug(drop_reason_name(r)) + "_total",
               std::string("frames dropped: ") + drop_reason_name(r), "",

@@ -4,8 +4,7 @@
 // Every bound stat struct declares its fields once, as an X-macro list
 // (util/stat_fields.h) whose rows carry each field's metric name, unit and
 // help. One generic binder walks that list; hot-path call sites stay plain
-// field bumps (relaxed StatCounters, plain uint64 fields mutated by the
-// owner thread). Collection-time consumers — report(), the Prometheus
+// field bumps. Collection-time consumers — report(), the Prometheus
 // exporter, the catalog test — see every number under one naming scheme:
 //
 //   pa_engine_*    EngineStats incl. the drop-reason taxonomy
@@ -24,14 +23,12 @@
 // prefixes (names are deduplicated; the first registration wins).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 
 #include "obs/metrics.h"
 #include "pa/drop_reason.h"
-#include "util/stat_counter.h"
 
 namespace pa {
 class Stack;
@@ -39,15 +36,16 @@ class Stack;
 
 namespace pa::obs {
 
-/// Read one stat field, whatever its storage.
-inline double stat_value(const StatCounter& c) {
-  return static_cast<double>(c.load());
+/// Read one stat field: a plain integer, or one of BufStats' counters,
+/// which stay atomic because chunk chains may cross threads (buf/chunk.h).
+template <class T>
+double stat_value(const T& field) {
+  if constexpr (requires { field.load(); }) {
+    return static_cast<double>(field.load());
+  } else {
+    return static_cast<double>(field);
+  }
 }
-inline double stat_value(const std::atomic<std::uint64_t>& v) {
-  return static_cast<double>(v.load(std::memory_order_relaxed));
-}
-inline double stat_value(std::uint64_t v) { return static_cast<double>(v); }
-inline double stat_value(std::int64_t v) { return static_cast<double>(v); }
 
 /// Register one read-through metric: a counter when `name` ends in
 /// `_total`, a gauge otherwise.

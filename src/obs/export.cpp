@@ -1,7 +1,7 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <set>
 
 namespace pa::obs {
 namespace {
@@ -95,46 +95,37 @@ std::string render_report(const MetricsRegistry& reg,
   return out;
 }
 
-std::string chrome_trace_json(const std::vector<TaggedSpan>& spans) {
+std::string chrome_trace_json(std::vector<SpanEvent> spans) {
+  // The ring holds events in record order; a span is recorded when it ends,
+  // so order by start time (stable, keeping record order among ties).
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) {
+                     return a.ts < b.ts;
+                   });
   std::string out = "[\n";
   char line[320];
-  bool first = true;
-  std::set<std::uint32_t> rings;
-  for (const TaggedSpan& t : spans) {
-    rings.insert(t.ring_id);
-    const SpanEvent& e = t.ev;
+  for (const SpanEvent& e : spans) {
     const SpanKind k = static_cast<SpanKind>(e.kind);
     // Chrome's ts/dur are microseconds (fractions allowed).
     if (e.dur > 0) {
       std::snprintf(line, sizeof line,
-                    "%s  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"X\", "
-                    "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u, "
-                    "\"args\": {\"arg\": %u, \"owner\": %u}}",
-                    first ? "" : ",\n", span_kind_name(k),
-                    static_cast<double>(e.ts) / 1e3,
-                    static_cast<double>(e.dur) / 1e3, t.ring_id + 1, e.arg,
-                    e.owner);
+                    "  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"X\", "
+                    "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": 1, "
+                    "\"args\": {\"arg\": %u, \"owner\": %u}},\n",
+                    span_kind_name(k), static_cast<double>(e.ts) / 1e3,
+                    static_cast<double>(e.dur) / 1e3, e.arg, e.owner);
     } else {
       std::snprintf(line, sizeof line,
-                    "%s  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"i\", "
-                    "\"s\": \"t\", \"ts\": %.3f, \"pid\": 1, \"tid\": %u, "
-                    "\"args\": {\"arg\": %u, \"owner\": %u}}",
-                    first ? "" : ",\n", span_kind_name(k),
-                    static_cast<double>(e.ts) / 1e3, t.ring_id + 1, e.arg,
+                    "  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"i\", "
+                    "\"s\": \"t\", \"ts\": %.3f, \"pid\": 1, \"tid\": 1, "
+                    "\"args\": {\"arg\": %u, \"owner\": %u}},\n",
+                    span_kind_name(k), static_cast<double>(e.ts) / 1e3, e.arg,
                     e.owner);
     }
     out += line;
-    first = false;
   }
-  for (std::uint32_t r : rings) {
-    std::snprintf(line, sizeof line,
-                  "%s  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-                  "\"tid\": %u, \"args\": {\"name\": \"ring-%u\"}}",
-                  first ? "" : ",\n", r + 1, r);
-    out += line;
-    first = false;
-  }
-  out += "\n]\n";
+  out += "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+         "\"tid\": 1, \"args\": {\"name\": \"pa\"}}\n]\n";
   return out;
 }
 

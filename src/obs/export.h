@@ -40,9 +40,9 @@ std::string prometheus_text(const MetricsRegistry& reg);
 std::string render_report(const MetricsRegistry& reg, const std::string& title);
 
 /// Chrome trace_event JSON array ("X" complete events for spans with a
-/// duration, "i" instant events otherwise; one track per ring, named
-/// metadata rows). Timestamps are exported in microseconds as Chrome
+/// duration, "i" instant events otherwise), ordered by start time on one
+/// track named "pa". Timestamps are exported in microseconds as Chrome
 /// expects.
-std::string chrome_trace_json(const std::vector<TaggedSpan>& spans);
+std::string chrome_trace_json(std::vector<SpanEvent> spans);
 
 }  // namespace pa::obs

@@ -15,17 +15,8 @@ std::uint64_t LatencyHistogram::percentile(double p) const {
   if (rank > total) rank = total;
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    seen += n;
+    seen += buckets_[i];
     if (seen >= rank) return bucket_mid(i);
-  }
-  // Writers raced count_ ahead of the bucket store: report the largest
-  // populated bucket.
-  for (std::size_t i = kBuckets; i-- > 0;) {
-    if (buckets_[i].load(std::memory_order_relaxed) != 0) {
-      return bucket_mid(i);
-    }
   }
   return 0;
 }
@@ -35,16 +26,15 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   s.count = count();
   s.sum = sum();
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) s.nonzero.emplace_back(bucket_floor(i), n);
+    if (buckets_[i] != 0) {
+      s.nonzero.emplace_back(bucket_floor(i), buckets_[i]);
+    }
   }
   return s;
 }
 
 void LatencyHistogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  *this = LatencyHistogram();
 }
 
 MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
@@ -57,7 +47,6 @@ MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help,
                                   const std::string& unit) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (Entry* e = find(name)) return *e->counter;
   auto e = std::make_unique<Entry>();
   e->name = name;
@@ -72,7 +61,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
                               const std::string& unit) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (Entry* e = find(name)) return *e->gauge;
   auto e = std::make_unique<Entry>();
   e->name = name;
@@ -88,7 +76,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
 LatencyHistogram& MetricsRegistry::histogram(const std::string& name,
                                              const std::string& help,
                                              const std::string& unit) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (Entry* e = find(name)) return *e->hist;
   auto e = std::make_unique<Entry>();
   e->name = name;
@@ -104,7 +91,6 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name,
 void MetricsRegistry::gauge_fn(const std::string& name, const std::string& help,
                                const std::string& unit,
                                std::function<double()> fn) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (find(name)) return;
   auto e = std::make_unique<Entry>();
   e->name = name;
@@ -119,7 +105,6 @@ void MetricsRegistry::counter_fn(const std::string& name,
                                  const std::string& help,
                                  const std::string& unit,
                                  std::function<double()> fn) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (find(name)) return;
   auto e = std::make_unique<Entry>();
   e->name = name;
@@ -131,7 +116,6 @@ void MetricsRegistry::counter_fn(const std::string& name,
 }
 
 std::vector<MetricSample> MetricsRegistry::collect() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<MetricSample> out;
   out.reserve(entries_.size());
   for (const auto& e : entries_) {
@@ -156,7 +140,7 @@ std::vector<MetricSample> MetricsRegistry::collect() const {
 
 MetricsRegistry& registry() {
   static MetricsRegistry* g = new MetricsRegistry();  // never destroyed:
-  // other threads may record through handles during static teardown.
+  // static destructors may still record through handles at exit.
   return *g;
 }
 

@@ -1,11 +1,13 @@
 // Unified metrics: named, typed, near-zero-cost on the hot path.
 //
-// The repo grew telemetry organically — StatCounter fields scattered over
+// The repo grew telemetry organically — counter fields scattered over
 // EngineStats / Router::Stats / pool / GC / network structs. This registry
 // unifies them behind one model: a metric has a *name*, a *help* string, a
-// *unit*, and a *type* (counter / gauge / histogram). Hot paths touch only relaxed
-// atomics through direct handles obtained once at setup; the registry's
-// mutex is paid only at registration and collection time.
+// *unit*, and a *type* (counter / gauge / histogram). Hot paths touch plain
+// integers through direct handles obtained once at setup; lookups by name
+// happen only at registration and collection time. Like every engine it
+// serves, the registry belongs to the one thread that drives the process
+// (docs/INTERNALS.md, "Threading contract").
 //
 // Two registration styles:
 //   - owned metrics (`counter()` / `gauge()` / `histogram()`): the registry
@@ -17,17 +19,14 @@
 //     is the one binder that turns that list into read-through metrics.
 //
 // LatencyHistogram is log-bucketed (power-of-two majors, 16 linear
-// sub-buckets each → ≤ 6.25% relative value error), fixed 976 slots of
-// relaxed atomics: record() is a bit-scan plus three fetch_adds, safe from
-// any thread, no allocation ever.
+// sub-buckets each → ≤ 6.25% relative value error), fixed 976 counting
+// slots: record() is a bit-scan plus three adds, no allocation ever.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,21 +34,21 @@ namespace pa::obs {
 
 class Counter {
  public:
-  void inc(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t d = 1) { v_ += d; }
+  std::uint64_t value() const { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void set(std::int64_t v) { v_ = v; }
+  void add(std::int64_t d) { v_ += d; }
+  std::int64_t value() const { return v_; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
 /// Log-bucketed latency histogram with percentile extraction.
@@ -57,8 +56,8 @@ class Gauge {
 /// Bucket layout: values 0..15 are exact; above that, each power-of-two
 /// octave [2^k, 2^(k+1)) splits into 16 linear sub-buckets, so any
 /// reported quantile is within 1/16 of the true sample value. Covers the
-/// full uint64 range (976 buckets). All mutation is relaxed-atomic;
-/// record() costs a bit-scan and three fetch_adds (~a few ns).
+/// full uint64 range (976 buckets). record() costs a bit-scan and three
+/// adds (~a few ns).
 class LatencyHistogram {
  public:
   static constexpr std::size_t kSubBits = 4;                    // 16 sub-buckets
@@ -91,13 +90,13 @@ class LatencyHistogram {
   }
 
   void record(std::uint64_t v) {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    ++buckets_[bucket_index(v)];
+    ++count_;
+    sum_ += v;
   }
 
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
   double mean() const {
     const std::uint64_t n = count();
     return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
@@ -107,8 +106,7 @@ class LatencyHistogram {
   /// recorded samples fall in buckets at or below v's. Returns 0 when empty.
   std::uint64_t percentile(double p) const;
 
-  /// Snapshot of per-bucket counts paired with count()/sum() (the three are
-  /// mutually racy under concurrent writers; each is individually exact).
+  /// Snapshot of per-bucket counts paired with count()/sum().
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -116,14 +114,13 @@ class LatencyHistogram {
   };
   Snapshot snapshot() const;
 
-  /// Zero every bucket (tests and bench warmup boundaries; not intended to
-  /// race with writers).
+  /// Zero every bucket (tests and bench warmup boundaries).
   void reset();
 
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  std::uint64_t buckets_[kBuckets] = {};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };
@@ -177,7 +174,6 @@ class MetricsRegistry {
 
   Entry* find(const std::string& name);
 
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 

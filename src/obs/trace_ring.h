@@ -1,20 +1,18 @@
-// Always-on, bounded, per-thread trace ring of compact binary span events.
+// Always-on, bounded trace ring of compact binary span events.
 //
 // The paper's Figure 4 is a per-phase latency timeline; the repo's original
 // recorder (sim/trace.h TraceRecorder) builds it from std::string events —
 // fine for an opt-in simulator run, unacceptable as an always-on production
-// facility (allocation on the critical path, unbounded growth, one shared
-// vector). This ring replaces it on the hot paths:
+// facility (allocation on the critical path, unbounded growth). This ring
+// replaces it on the hot paths:
 //
 //   - events are 24-byte PODs (timestamp, duration, kind, arg, owner);
-//   - each thread writes its own fixed-capacity ring (no sharing, no CAS):
-//     record() is a TLS load, three relaxed word stores (24 bytes) and one
-//     release store;
-//   - rings are bounded and wrap — tracing is *always on* and costs the
-//     same whether anyone is looking or not;
-//   - any thread may snapshot any ring concurrently: the reader copies and
-//     then discards slots the writer may have overwritten mid-copy
-//     (seqlock-style validation against the head counter).
+//   - the process has one fixed-capacity ring, written and read by the one
+//     thread that drives its engines and loops (docs/INTERNALS.md,
+//     "Threading contract"): record() is one 24-byte slot store and a head
+//     increment;
+//   - the ring is bounded and wraps — tracing is *always on* and costs the
+//     same whether anyone is looking or not.
 //
 // Timestamps carry whatever clock the recording site lives on: virtual
 // nanoseconds under the simulator (Env::now), wall nanoseconds in the
@@ -26,7 +24,6 @@
 // (obs/export.h) is the exporter for these binary spans.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -65,8 +62,7 @@ struct SpanEvent {
 };
 static_assert(sizeof(SpanEvent) == 24, "keep span events compact");
 
-/// Fixed-capacity single-producer ring. One per recording thread; readers
-/// snapshot concurrently.
+/// Fixed-capacity ring that keeps the most recent capacity() events.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity_pow2);
@@ -75,28 +71,13 @@ class TraceRing {
 
   /// Total events ever recorded (monotonic; the ring holds the last
   /// capacity() of them).
-  std::uint64_t recorded() const {
-    return head_.load(std::memory_order_acquire);
-  }
+  std::uint64_t recorded() const { return head_; }
 
-  /// Producer-side only (the owning thread). Slots are stored as three
-  /// relaxed-atomic words so concurrent snapshot copies are defined
-  /// behavior; cross-word tearing is handled by the head validation in
-  /// snapshot(), not by these stores.
   void record(SpanKind kind, std::int64_t ts, std::uint32_t dur = 0,
               std::uint32_t arg = 0, std::uint16_t owner = 0) {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    Slot& s = slots_[h & mask_];
-    s.w[0].store(static_cast<std::uint64_t>(ts), std::memory_order_relaxed);
-    s.w[1].store(static_cast<std::uint64_t>(dur) |
-                     (static_cast<std::uint64_t>(arg) << 32),
-                 std::memory_order_relaxed);
-    s.w[2].store(static_cast<std::uint64_t>(owner) |
-                     (static_cast<std::uint64_t>(
-                          static_cast<std::uint8_t>(kind))
-                      << 16),
-                 std::memory_order_relaxed);
-    head_.store(h + 1, std::memory_order_release);
+    const std::uint64_t h = head_++;
+    slots_[h & mask_] =
+        SpanEvent{ts, dur, arg, owner, static_cast<std::uint8_t>(kind), 0};
     // The ring cycles through more memory than stays cached, so the next
     // record's slot is usually a cold line; pull it in now, off the
     // critical path (measured: turns a ~30 ns/record miss into noise).
@@ -105,65 +86,32 @@ class TraceRing {
 #endif
   }
 
-  /// Copy of the most recent events, oldest first. Safe from any thread:
-  /// slots the producer may have overwritten during the copy — including
-  /// the slot of a write in flight, which precedes the head publish — are
-  /// discarded (the returned window is events (h2 - capacity, h1) for head
-  /// values h1 before and h2 after the copy), so no torn event is ever
-  /// returned. Once the ring has wrapped, at most capacity - 1 events come
-  /// back.
+  /// Copy of the most recent events, oldest first.
   std::vector<SpanEvent> snapshot() const;
 
-  /// Drop all recorded events (tests / bench phase boundaries). Caller must
-  /// ensure the producer is quiescent.
-  void clear() { head_.store(0, std::memory_order_release); }
-
  private:
-  // One event, packed into three atomic words (24 bytes, like SpanEvent):
-  // w[0] = ts, w[1] = dur | arg<<32, w[2] = owner | kind<<16.
-  struct Slot {
-    std::atomic<std::uint64_t> w[3] = {};
-  };
-
-  std::vector<Slot> slots_;
+  std::vector<SpanEvent> slots_;
   std::size_t mask_;
-  std::atomic<std::uint64_t> head_{0};
+  std::uint64_t head_ = 0;
 };
 
-/// A snapshot event tagged with the ring (≈ thread) it came from.
-struct TaggedSpan {
-  std::uint32_t ring_id = 0;
-  SpanEvent ev;
-};
-
-// --- process-global trace facility -----------------------------------------
+// --- the process ring -------------------------------------------------------
 
 /// Tracing is on by default ("always-on"). Disabling turns span() into a
-/// single relaxed load-and-branch — bench_obs measures both sides.
+/// single load-and-branch — bench_obs measures both sides.
 bool trace_enabled();
 void set_trace_enabled(bool on);
 
-/// Per-thread ring capacity for rings created after this call (existing
-/// rings keep theirs). Default 8192 events (192 KiB per thread).
-void set_ring_capacity(std::size_t capacity_pow2);
+/// The process's ring (8192 events, 192 KiB; created on first use and never
+/// destroyed, so spans recorded from static destructors stay valid).
+TraceRing& process_ring();
 
-/// This thread's ring (created and registered on first use; never
-/// destroyed, so snapshots remain valid after thread exit).
-TraceRing& thread_ring();
-
-/// Record one span event into the calling thread's ring.
+/// Record one span event into the process ring.
 inline void span(SpanKind kind, std::int64_t ts, std::uint32_t dur = 0,
                  std::uint32_t arg = 0, std::uint16_t owner = 0) {
   if (!trace_enabled()) return;
-  thread_ring().record(kind, ts, dur, arg, owner);
+  process_ring().record(kind, ts, dur, arg, owner);
 }
-
-/// Merged snapshot of every thread ring in the process, sorted by
-/// timestamp (stable across rings).
-std::vector<TaggedSpan> snapshot_all();
-
-/// Clear every ring (tests / bench boundaries; producers must be quiet).
-void clear_all();
 
 /// Unique small id for span `owner` tags (engines take one each).
 std::uint16_t next_owner_id();

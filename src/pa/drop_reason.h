@@ -10,8 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/stat_counter.h"
-
 namespace pa {
 
 enum class DropReason : std::uint8_t {
@@ -46,20 +44,18 @@ inline constexpr std::size_t kNumDropReasons =
 const char* drop_reason_name(DropReason r);
 
 /// Per-reason drop counters; embedded in Router::Stats and EngineStats.
-/// Counters are StatCounters so a report can render on another thread
-/// while the engine is still classifying drops.
 struct DropCounters {
-  std::array<StatCounter, kNumDropReasons> counts{};
+  std::array<std::uint64_t, kNumDropReasons> counts{};
 
   void bump(DropReason r) {
     ++counts[static_cast<std::size_t>(r)];
   }
   std::uint64_t operator[](DropReason r) const {
-    return counts[static_cast<std::size_t>(r)].load();
+    return counts[static_cast<std::size_t>(r)];
   }
   std::uint64_t total() const {
     std::uint64_t t = 0;
-    for (const StatCounter& c : counts) t += c.load();
+    for (std::uint64_t c : counts) t += c;
     return t;
   }
 };

@@ -49,25 +49,23 @@ namespace pa {
 
 // Router::Stats' counters, one row per field (util/stat_fields.h).
 #define PA_ROUTER_STATS(X)                                                     \
-  X(StatCounter, routed_by_cookie, "routed_by_cookie_total", "",               \
+  X(std::uint64_t, routed_by_cookie, "routed_by_cookie_total", "",             \
     "frames routed by connection cookie")                                      \
-  X(StatCounter, routed_by_ident, "routed_by_ident_total", "",                 \
+  X(std::uint64_t, routed_by_ident, "routed_by_ident_total", "",               \
     "frames routed by full connection identification")                         \
-  X(StatCounter, group_frames, "group_frames_total", "",                       \
+  X(std::uint64_t, group_frames, "group_frames_total", "",                     \
     "frames fanned out by a registered group cookie")                          \
-  X(StatCounter, group_deliveries, "group_deliveries_total", "",               \
+  X(std::uint64_t, group_deliveries, "group_deliveries_total", "",             \
     "engine deliveries produced by group-cookie fanout")                       \
-  X(StatCounter, cookies_reaped, "cookies_reaped_total", "",                   \
+  X(std::uint64_t, cookies_reaped, "cookies_reaped_total", "",                 \
     "idle learned cookies forgotten by the reaper")                            \
-  X(StatCounter, churn_events, "churn_events_total", "",                       \
+  X(std::uint64_t, churn_events, "churn_events_total", "",                     \
     "ident-storm events reported to the overload governor")
 
 class Router {
  public:
   enum class Kind { kPa, kClassic };
 
-  // StatCounters (relaxed atomics) so a report can render on another
-  // thread; routing itself stays owner-thread-only.
   struct Stats {
     static constexpr const char* kMetricPrefix = "pa_router";
     PA_STAT_FIELDS(PA_ROUTER_STATS)

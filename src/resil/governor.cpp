@@ -1,5 +1,7 @@
 #include "resil/governor.h"
 
+#include <initializer_list>
+
 #include "obs/metrics.h"
 
 namespace pa::resil {
@@ -47,75 +49,57 @@ OverloadGovernor::OverloadGovernor(GovernorConfig cfg) : cfg_(cfg) {
 }
 
 void OverloadGovernor::report_backlog(std::size_t depth) {
-  sig_backlog_.store(
-      clamp01(static_cast<double>(depth) /
-              static_cast<double>(cfg_.backlog_watermark)),
-      std::memory_order_relaxed);
+  sig_backlog_ = clamp01(static_cast<double>(depth) /
+                         static_cast<double>(cfg_.backlog_watermark));
 }
 
 void OverloadGovernor::report_recv_queue(std::size_t depth) {
-  sig_recv_.store(clamp01(static_cast<double>(depth) /
-                          static_cast<double>(cfg_.recv_watermark)),
-                  std::memory_order_relaxed);
+  sig_recv_ = clamp01(static_cast<double>(depth) /
+                      static_cast<double>(cfg_.recv_watermark));
 }
 
 void OverloadGovernor::report_pool(std::size_t in_use, std::size_t capacity) {
   if (capacity == 0) return;
-  sig_pool_.store(
-      clamp01(static_cast<double>(in_use) / static_cast<double>(capacity)),
-      std::memory_order_relaxed);
+  sig_pool_ =
+      clamp01(static_cast<double>(in_use) / static_cast<double>(capacity));
 }
 
 void OverloadGovernor::report_loop_lag(VtDur lag) {
   const double frac = clamp01(static_cast<double>(lag) /
                               static_cast<double>(cfg_.lag_watermark));
-  const double prev = sig_lag_.load(std::memory_order_relaxed);
-  sig_lag_.store(prev + 0.25 * (frac - prev), std::memory_order_relaxed);
+  sig_lag_ += 0.25 * (frac - sig_lag_);
 }
 
 void OverloadGovernor::report_net_train(std::size_t depth) {
-  sig_net_tx_.store(
-      clamp01(static_cast<double>(depth) /
-              static_cast<double>(cfg_.net_train_watermark)),
-      std::memory_order_relaxed);
+  sig_net_tx_ = clamp01(static_cast<double>(depth) /
+                        static_cast<double>(cfg_.net_train_watermark));
 }
 
 void OverloadGovernor::report_net_drain(double saturation) {
-  const double prev = sig_net_rx_.load(std::memory_order_relaxed);
-  sig_net_rx_.store(prev + 0.25 * (clamp01(saturation) - prev),
-                    std::memory_order_relaxed);
+  sig_net_rx_ += 0.25 * (clamp01(saturation) - sig_net_rx_);
 }
 
 void OverloadGovernor::report_churn(double pressure) {
-  const double prev = sig_churn_.load(std::memory_order_relaxed);
-  sig_churn_.store(prev + 0.25 * (clamp01(pressure) - prev),
-                   std::memory_order_relaxed);
+  sig_churn_ += 0.25 * (clamp01(pressure) - sig_churn_);
 }
 
 void OverloadGovernor::tick(Vt now) {
-  const Vt last = last_tick_.load(std::memory_order_relaxed);
-  if (last != 0 && now - last < cfg_.tick_interval) return;
-  last_tick_.store(now, std::memory_order_relaxed);
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  if (last_tick_ != 0 && now - last_tick_ < cfg_.tick_interval) return;
+  last_tick_ = now;
+  ++stats_.ticks;
   gov_metrics().ticks.inc();
 
-  double raw = sig_backlog_.load(std::memory_order_relaxed);
-  const double others[] = {sig_recv_.load(std::memory_order_relaxed),
-                           sig_pool_.load(std::memory_order_relaxed),
-                           sig_lag_.load(std::memory_order_relaxed),
-                           sig_net_tx_.load(std::memory_order_relaxed),
-                           sig_net_rx_.load(std::memory_order_relaxed),
-                           sig_churn_.load(std::memory_order_relaxed)};
-  for (double s : others) {
+  double raw = sig_backlog_;
+  for (double s : {sig_recv_, sig_pool_, sig_lag_, sig_net_tx_, sig_net_rx_,
+                   sig_churn_}) {
     if (s > raw) raw = s;
   }
-  const double prev = smoothed_.load(std::memory_order_relaxed);
-  const double next = prev + cfg_.alpha * (raw - prev);
-  smoothed_.store(next, std::memory_order_relaxed);
+  const double next = smoothed_ + cfg_.alpha * (raw - smoothed_);
+  smoothed_ = next;
   gov_metrics().pressure_millis.set(static_cast<std::int64_t>(next * 1000));
 
   // Rising edges take effect immediately; falling edges need the margin.
-  const OverloadLevel cur = level();
+  const OverloadLevel cur = level_;
   OverloadLevel up = OverloadLevel::kNormal;
   if (next >= cfg_.up_critical) {
     up = OverloadLevel::kCritical;
@@ -140,16 +124,11 @@ void OverloadGovernor::tick(Vt now) {
 }
 
 void OverloadGovernor::set_level(OverloadLevel next) {
-  level_.store(static_cast<std::uint8_t>(next), std::memory_order_relaxed);
-  level_changes_.fetch_add(1, std::memory_order_relaxed);
+  level_ = next;
+  ++stats_.level_changes;
   gov_metrics().level.set(static_cast<std::int64_t>(next));
   gov_metrics().level_changes.inc();
-  std::uint8_t seen = max_level_.load(std::memory_order_relaxed);
-  while (static_cast<std::uint8_t>(next) > seen &&
-         !max_level_.compare_exchange_weak(seen,
-                                           static_cast<std::uint8_t>(next),
-                                           std::memory_order_relaxed)) {
-  }
+  if (next > max_level_) max_level_ = next;
 }
 
 bool OverloadGovernor::admit_ingest(std::size_t depth) const {

@@ -39,12 +39,8 @@
 //               trains shrink and the send window is clamped.
 //   Critical:   watermark tightens again; standalone-ack/gossip emissions
 //               shed (`shed_gossip`); train and clamp tighten.
-//
-// Thread-safety: all reports and queries are relaxed atomics — any thread
-// may report or query; tick() is called from the engine's serialized paths.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -92,7 +88,7 @@ class OverloadGovernor {
  public:
   explicit OverloadGovernor(GovernorConfig cfg = {});
 
-  // --- signal ingest (any thread) -----------------------------------------
+  // --- signal ingest ------------------------------------------------------
   void report_backlog(std::size_t depth);
   void report_recv_queue(std::size_t depth);
   void report_pool(std::size_t in_use, std::size_t capacity);
@@ -119,16 +115,10 @@ class OverloadGovernor {
   /// last step.
   void tick(Vt now);
 
-  OverloadLevel level() const {
-    return static_cast<OverloadLevel>(
-        level_.load(std::memory_order_relaxed));
-  }
-  double pressure() const { return smoothed_.load(std::memory_order_relaxed); }
+  OverloadLevel level() const { return level_; }
+  double pressure() const { return smoothed_; }
   /// Highest level reached since construction (bench/test assertion hook).
-  OverloadLevel max_level() const {
-    return static_cast<OverloadLevel>(
-        max_level_.load(std::memory_order_relaxed));
-  }
+  OverloadLevel max_level() const { return max_level_; }
 
   // --- policy ladder ------------------------------------------------------
   /// May a new application send join a backlog currently `depth` deep?
@@ -156,10 +146,7 @@ class OverloadGovernor {
     std::uint64_t ticks = 0;
     std::uint64_t level_changes = 0;
   };
-  Stats stats() const {
-    return Stats{ticks_.load(std::memory_order_relaxed),
-                 level_changes_.load(std::memory_order_relaxed)};
-  }
+  Stats stats() const { return stats_; }
 
   const GovernorConfig& config() const { return cfg_; }
 
@@ -170,22 +157,20 @@ class OverloadGovernor {
   GovernorConfig cfg_;
 
   // Level-shaped signals: latest value wins.
-  std::atomic<double> sig_backlog_{0};
-  std::atomic<double> sig_recv_{0};
-  std::atomic<double> sig_pool_{0};
-  std::atomic<double> sig_net_tx_{0};
-  // Event-shaped signals: EWMA at report time (approximate under racy
-  // read-modify-write — these are heuristics, not ledgers).
-  std::atomic<double> sig_lag_{0};
-  std::atomic<double> sig_net_rx_{0};
-  std::atomic<double> sig_churn_{0};
+  double sig_backlog_ = 0;
+  double sig_recv_ = 0;
+  double sig_pool_ = 0;
+  double sig_net_tx_ = 0;
+  // Event-shaped signals: EWMA at report time.
+  double sig_lag_ = 0;
+  double sig_net_rx_ = 0;
+  double sig_churn_ = 0;
 
-  std::atomic<double> smoothed_{0};
-  std::atomic<Vt> last_tick_{0};
-  std::atomic<std::uint8_t> level_{0};
-  std::atomic<std::uint8_t> max_level_{0};
-  std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> level_changes_{0};
+  double smoothed_ = 0;
+  Vt last_tick_ = 0;
+  OverloadLevel level_ = OverloadLevel::kNormal;
+  OverloadLevel max_level_ = OverloadLevel::kNormal;
+  Stats stats_;
 };
 
 }  // namespace pa::resil

@@ -3,8 +3,8 @@
 // This is the opt-in *Figure-4 text exporter* for simulator worlds
 // (WorldConfig::trace): string-labelled events, unbounded storage, zero
 // cost when disabled. The always-on production tracing facility is
-// obs/trace_ring.h — compact binary span events in bounded per-thread
-// rings, exported via obs::chrome_trace_json. Use that for anything on a
+// obs/trace_ring.h — compact binary span events in one bounded process
+// ring, exported via obs::chrome_trace_json. Use that for anything on a
 // hot path; use this when you want the two-column µs timeline.
 #pragma once
 

@@ -6,7 +6,6 @@
 // seam. Socket tests skip (not fail) when the sandbox forbids sockets.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <tuple>
 
 #include "net/real_endpoint.h"
@@ -443,12 +442,12 @@ TEST(RealChaos, SurvivesRxIngestChaos) {
 TEST(RealChaos, PauseThenHealRecovers) {
   REQUIRE_SOCKETS();
   ChaosPair p(FaultConfig{}, /*seed=*/7);
-  std::atomic<int> got{0};
+  int got = 0;
   p.b.on_deliver([&](std::span<const std::uint8_t>) { ++got; });
 
   std::vector<std::uint8_t> msg{1, 2, 3};
   p.a.send(msg);
-  ASSERT_TRUE(p.loop.run_until([&] { return got.load() >= 1; }, vt_s(5)));
+  ASSERT_TRUE(p.loop.run_until([&] { return got >= 1; }, vt_s(5)));
 
   // Blackhole a->b mid-connection; sends during the pause must neither
   // abort nor deliver, and the retransmission machinery repairs them after
@@ -458,22 +457,22 @@ TEST(RealChaos, PauseThenHealRecovers) {
   p.loop.fault(p.a.sock())->set_config(paused);
   for (int i = 0; i < 5; ++i) p.a.send(msg);
   p.loop.run_until([] { return false; }, vt_ms(80));
-  EXPECT_EQ(got.load(), 1);
+  EXPECT_EQ(got, 1);
 
   p.loop.fault(p.a.sock())->set_config(FaultConfig{});
-  ASSERT_TRUE(p.loop.run_until([&] { return got.load() >= 6; }, vt_s(20)))
-      << "only " << got.load() << " of 6 after heal";
+  ASSERT_TRUE(p.loop.run_until([&] { return got >= 6; }, vt_s(20)))
+      << "only " << got << " of 6 after heal";
 }
 
 TEST(RealChaos, PeerRestartReestablishesCookie) {
   REQUIRE_SOCKETS();
   ChaosPair p(FaultConfig{}, /*seed=*/8);
-  std::atomic<int> got{0};
+  int got = 0;
   p.b.on_deliver([&](std::span<const std::uint8_t>) { ++got; });
 
   std::vector<std::uint8_t> msg{42};
   p.a.send(msg);
-  ASSERT_TRUE(p.loop.run_until([&] { return got.load() >= 1; }, vt_s(5)));
+  ASSERT_TRUE(p.loop.run_until([&] { return got >= 1; }, vt_s(5)));
 
   // Crash+restart B's process: its router forgets A's cookie and its engine
   // draws a fresh one. A's subsequent frames carry the stale cookie and are
@@ -482,8 +481,8 @@ TEST(RealChaos, PeerRestartReestablishesCookie) {
   p.b.engine().on_restart();
 
   for (int i = 0; i < 3; ++i) p.a.send(msg);
-  ASSERT_TRUE(p.loop.run_until([&] { return got.load() >= 4; }, vt_s(20)))
-      << "stream did not recover from peer restart: " << got.load();
+  ASSERT_TRUE(p.loop.run_until([&] { return got >= 4; }, vt_s(20)))
+      << "stream did not recover from peer restart: " << got;
   EXPECT_GT(p.a.engine().stats().recovery_entries +
                 p.b.engine().stats().restarts,
             0u);
@@ -519,7 +518,7 @@ TEST(RealChaos, GovernorShedsIngestUnderBlast) {
   b.make_pa(cb, Address{{5, 6, 7, 8}}, Address{{1, 2, 3, 4}});
   loop.set_governor(&gov);
 
-  std::atomic<std::uint32_t> got{0};
+  std::uint32_t got = 0;
   b.on_deliver([&](std::span<const std::uint8_t>) { ++got; });
 
   // Blast far beyond the window + admission watermarks without letting the
@@ -537,9 +536,9 @@ TEST(RealChaos, GovernorShedsIngestUnderBlast) {
   // admitted + shed accounts for the whole blast. No silent loss.
   const std::uint64_t admitted = kBlast - shed;
   ASSERT_TRUE(
-      loop.run_until([&] { return got.load() >= admitted; }, vt_s(30)))
-      << "delivered " << got.load() << " of " << admitted << " admitted";
-  EXPECT_EQ(got.load() + shed, kBlast);
+      loop.run_until([&] { return got >= admitted; }, vt_s(30)))
+      << "delivered " << got << " of " << admitted << " admitted";
+  EXPECT_EQ(got + shed, kBlast);
 }
 
 }  // namespace
