@@ -266,6 +266,14 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
   echo "FAIL: wallbench rpc smoke run (exit $rc)"
   status=1
 fi
+# The stream workload loads the window, packing and fragments over the
+# same loop, one full window per flow in flight.
+rc=0
+python3 wallbench/run.py --workload stream --seed 1 --seconds 2 || rc=$?
+if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
+  echo "FAIL: wallbench stream smoke run (exit $rc)"
+  status=1
+fi
 
 echo "==== examples ================================================="
 # frame_inspector --metrics binds the engine, router and stack stats and

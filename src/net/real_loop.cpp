@@ -10,6 +10,10 @@
 #include <chrono>
 #include <cstring>
 
+#ifdef __linux__
+#include <linux/sock_diag.h>  // SK_MEMINFO_*
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
 
@@ -32,6 +36,7 @@ struct LoopCounters {
   obs::Counter& tx_errors;
   obs::Counter& rx_refused;
   obs::Counter& rx_errors;
+  obs::Counter& rx_overflow;
   obs::Counter& timers_cancelled;
   obs::Counter& faults_injected;
   obs::LatencyHistogram& wakeup_lag;
@@ -61,6 +66,9 @@ LoopCounters& loop_counters() {
           "ICMP port-unreachable errors consumed on receive"),
       obs::registry().counter("net_loop_rx_errors_total",
                               "receives failed with an unexpected errno"),
+      obs::registry().counter(
+          "net_loop_rx_overflow_total",
+          "datagrams the kernel dropped on a full receive buffer"),
       obs::registry().counter("net_loop_timers_cancelled_total",
                               "timers cancelled before firing"),
       obs::registry().counter(
@@ -103,16 +111,32 @@ int RealLoop::open_udp(std::uint16_t port) {
     return -1;
   }
   socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  // A refused or clamped request still leaves a working socket; the
+  // read-back records what the kernel actually granted.
+  int rcvbuf = kRcvBufBytes;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  socklen_t rcvbuf_len = sizeof rcvbuf;
+  if (::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &rcvbuf_len) != 0) {
+    rcvbuf = 0;
+  }
   Socket s;
   s.fd = fd;
   s.bound_port = ntohs(addr.sin_port);
+  s.rcvbuf_bytes = rcvbuf;
   socks_.push_back(std::move(s));
   return static_cast<int>(socks_.size() - 1);
 }
 
 std::uint16_t RealLoop::port(int sock) const {
   return socks_.at(sock).bound_port;
+}
+
+int RealLoop::rcvbuf_bytes(int sock) const {
+  return socks_.at(sock).rcvbuf_bytes;
 }
 
 void RealLoop::set_peer(int sock, std::uint16_t peer_port) {
@@ -296,6 +320,25 @@ void RealLoop::flush_train(Socket& s) {
 
 void RealLoop::flush_all_trains() {
   for (Socket& s : socks_) flush_train(s);
+}
+
+void RealLoop::count_rx_overflow() {
+#ifdef __linux__
+  // Loopback drops happen inside the sender's syscall, so the count read
+  // here is exact for everything sent before this call.
+  for (Socket& s : socks_) {
+    std::uint32_t mem[SK_MEMINFO_VARS];
+    socklen_t len = sizeof mem;
+    net::batch_counters().syscalls.inc();
+    if (::getsockopt(s.fd, SOL_SOCKET, SO_MEMINFO, mem, &len) != 0 ||
+        len < sizeof mem) {
+      continue;
+    }
+    // Unsigned subtraction survives the kernel's 32-bit counter wrapping.
+    loop_counters().rx_overflow.inc(mem[SK_MEMINFO_DROPS] - s.kernel_drops);
+    s.kernel_drops = mem[SK_MEMINFO_DROPS];
+  }
+#endif  // elsewhere the kernel does not report the drops
 }
 
 std::size_t RealLoop::queued_train_depth() const {
@@ -559,6 +602,7 @@ bool RealLoop::run_until(const std::function<bool()>& done, VtDur budget) {
   // No datagram stays parked across calls: drain the trains even when the
   // budget expired mid-round.
   flush_all_trains();
+  count_rx_overflow();
   return ok;
 }
 

@@ -32,6 +32,14 @@
 // recvmmsg/sendmmsg the loop swaps in a per-datagram fallback backend with
 // identical semantics.
 //
+// Receive buffers (docs/INTERNALS.md, "The kernel boundary"): every
+// socket asks for kRcvBufBytes of SO_RCVBUF at open, sized so one full
+// window of the largest frames fits, and rcvbuf_bytes() reports what the
+// kernel granted (net.core.rmem_max may clamp it). Datagrams the kernel
+// still drops on a full buffer never reach user space; when run_until()
+// returns, the loop reads each socket's drop count (SO_MEMINFO) and adds
+// the growth to net_loop_rx_overflow_total.
+//
 // Error handling (overload must degrade, never abort): EINTR is retried;
 // EAGAIN/ENOBUFS keeps the train queued as counted backpressure and retries
 // next round, shedding the oldest entries only when the train overflows 4x
@@ -76,12 +84,29 @@ class RealLoop {
   RealLoop(const RealLoop&) = delete;
   RealLoop& operator=(const RealLoop&) = delete;
 
-  /// Open a UDP socket bound to 127.0.0.1:port (port 0 = ephemeral).
-  /// Returns a socket index, or -1 on failure.
+  /// SO_RCVBUF requested for every socket. The most a paper-stack socket
+  /// has in flight is one window of frames of at most 8 KiB (the frag
+  /// threshold of StackSpec::paper() and kMaxPackBytes both cap a frame
+  /// there), and the widest window in use is 64 frames (bench_syscall and
+  /// wallbench's stream; the paper's default is 16). On loopback the
+  /// kernel charges each such datagram about 16.6 KB of skb truesize, so
+  /// a 64-frame window costs about 1.1 MB. Linux doubles the request for
+  /// its bookkeeping overhead: 1 MiB is granted 2 MiB where
+  /// net.core.rmem_max allows it (the kernel default of 212992 bytes
+  /// holds only 12 such datagrams).
+  static constexpr int kRcvBufBytes = 1 << 20;
+
+  /// Open a UDP socket bound to 127.0.0.1:port (port 0 = ephemeral) with
+  /// a kRcvBufBytes receive buffer. Returns a socket index, or -1 on
+  /// failure.
   int open_udp(std::uint16_t port = 0);
 
   /// The port a socket was actually bound to.
   std::uint16_t port(int sock) const;
+
+  /// The receive buffer the kernel granted (SO_RCVBUF read back at open):
+  /// twice the request, clamped at twice net.core.rmem_max.
+  int rcvbuf_bytes(int sock) const;
 
   /// Point a socket's sends at 127.0.0.1:peer_port.
   void set_peer(int sock, std::uint16_t peer_port);
@@ -153,7 +178,8 @@ class RealLoop {
 
   /// Dispatch I/O and timers until `done` returns true or `budget` elapses.
   /// Returns true if `done` was satisfied. All send trains are flushed
-  /// before returning — no datagram is left parked across calls.
+  /// before returning — no datagram is left parked across calls — and the
+  /// kernel's receive-overflow drops since the last call are counted.
   bool run_until(const std::function<bool()>& done, VtDur budget);
 
  private:
@@ -161,6 +187,9 @@ class RealLoop {
     int fd = -1;
     std::uint16_t bound_port = 0;
     std::uint16_t peer_port = 0;
+    int rcvbuf_bytes = 0;
+    /// The kernel's drop count (SO_MEMINFO) at the last overflow read.
+    std::uint32_t kernel_drops = 0;
     FrameHandler handler;
     std::unique_ptr<resil::FaultSocket> fault;
     /// Datagrams parked for the next sendmmsg flush.
@@ -187,6 +216,9 @@ class RealLoop {
   /// Flush one socket's send train; leaves unaccepted datagrams queued.
   void flush_train(Socket& s);
   void flush_all_trains();
+  /// Add each socket's kernel drops since the last read to
+  /// net_loop_rx_overflow_total.
+  void count_rx_overflow();
   std::size_t queued_train_depth() const;
   bool run_loop(const std::function<bool()>& done, VtDur budget);
 

@@ -3,6 +3,9 @@
 // sandbox forbids socket creation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+
 #include "horus/wire_debug.h"
 #include "net/real_endpoint.h"
 
@@ -248,6 +251,89 @@ TEST(RealLoop, OpenSocketFromHandler) {
                              vt_s(5)));
   EXPECT_EQ(got, 2);
   EXPECT_EQ(echoes, 16);
+}
+
+// The largest receive buffer the host grants (SO_RCVBUF requests clamp
+// here before the kernel doubles them), or 0 where it cannot be read.
+long rmem_max() {
+  std::ifstream f("/proc/sys/net/core/rmem_max");
+  long v = 0;
+  return f >> v ? v : 0;
+}
+
+obs::Counter& rx_overflow() {
+  return obs::registry().counter("net_loop_rx_overflow_total", "");
+}
+
+TEST(RealLoop, ReceiveBufferHoldsAFullWindow) {
+  REQUIRE_SOCKETS();
+  // The widest window in use, 64 frames just over the 8 KiB frag
+  // threshold, all queued at a peer that does not read until run_until()
+  // starts.
+  RealLoop loop;
+  const int sa = loop.open_udp(0);
+  const int sb = loop.open_udp(0);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  const long cap = rmem_max();
+  if (cap <= 0) GTEST_SKIP() << "net.core.rmem_max is not readable here";
+  const long granted = loop.rcvbuf_bytes(sb);
+  EXPECT_EQ(granted, 2 * std::min<long>(RealLoop::kRcvBufBytes, cap));
+  if (cap < RealLoop::kRcvBufBytes) {
+    GTEST_SKIP() << "net.core.rmem_max (" << cap << ") clamps the grant to "
+                 << granted << " bytes, below a full window";
+  }
+
+  loop.set_peer(sa, loop.port(sb));
+  int got = 0;
+  loop.on_frame(sb, [&](WireFrame f, Vt) {
+    EXPECT_EQ(f.size(), 8192u + 64u);
+    ++got;
+  });
+  const std::uint64_t overflow0 = rx_overflow().value();
+  for (int i = 0; i < 64; ++i) {
+    loop.sendv(sa, WireFrame::adopt(std::vector<std::uint8_t>(8192 + 64)));
+  }
+  ASSERT_TRUE(loop.run_until([&] { return got >= 64; }, vt_s(5)))
+      << got << " of 64 arrived";
+  EXPECT_EQ(got, 64);
+  EXPECT_EQ(rx_overflow().value() - overflow0, 0u);
+}
+
+TEST(RealLoop, RxOverflowCountsEveryKernelDrop) {
+  REQUIRE_SOCKETS();
+  // Several buffers' worth of 16 KiB datagrams at a peer that does not
+  // read: the kernel drops most, and every one is either delivered or
+  // counted.
+  RealLoop loop;
+  const int sa = loop.open_udp(0);
+  const int sb = loop.open_udp(0);
+  ASSERT_GE(sa, 0);
+  ASSERT_GE(sb, 0);
+  loop.set_peer(sa, loop.port(sb));
+  std::uint64_t got = 0;
+  loop.on_frame(sb, [&](WireFrame, Vt) { ++got; });
+  bool idle = false;
+  loop.set_idle_hook([&] { idle = true; });
+
+  obs::Counter& tx = obs::registry().counter("net_loop_datagrams_tx_total", "");
+  const std::uint64_t tx0 = tx.value();
+  const std::uint64_t overflow0 = rx_overflow().value();
+  constexpr std::uint64_t kSent = 400;
+  for (std::uint64_t i = 0; i < kSent; ++i) {
+    loop.sendv(sa, WireFrame::adopt(std::vector<std::uint8_t>(16384)));
+  }
+  ASSERT_EQ(tx.value() - tx0, kSent);
+  // The first poll finds the queue full; the loop idles once it is empty.
+  ASSERT_TRUE(loop.run_until([&] { return idle; }, vt_s(5)));
+  const std::uint64_t dropped = rx_overflow().value() - overflow0;
+  EXPECT_GT(got, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(got + dropped, kSent);
+
+  // The counter adds what grew since the last read, not the kernel total.
+  loop.run_until([] { return false; }, vt_ms(5));
+  EXPECT_EQ(rx_overflow().value() - overflow0, dropped);
 }
 
 // Wraps the fallback backend to model a kernel that accepts at most three

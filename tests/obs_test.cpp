@@ -448,7 +448,8 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
         "net_loop_timers_fired_total", "net_loop_idle_polls_total",
         "net_loop_tx_backpressure_total", "net_loop_tx_refused_total",
         "net_loop_tx_errors_total", "net_loop_rx_refused_total",
-        "net_loop_rx_errors_total", "net_loop_timers_cancelled_total",
+        "net_loop_rx_errors_total", "net_loop_rx_overflow_total",
+        "net_loop_timers_cancelled_total",
         "net_loop_faults_injected_total", "net_loop_wakeup_lag_ns",
         "pa_send_fast_ns", "pa_send_slow_ns",
         "pa_deliver_fast_ns", "pa_deliver_slow_ns", "pa_post_send_ns",
