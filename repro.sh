@@ -51,22 +51,36 @@ else
 fi
 
 echo "==== paper benches ============================================"
+# Each bench's stdout is kept under build/bench-stdout/ so the modeled ones
+# can be compared with their goldens below.
 status=0
+mkdir -p build/bench-stdout
 for b in build/bench/bench_*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "---- $b"
-  "$b" || status=1
+  out="build/bench-stdout/${b#build/bench/bench_}.stdout"
+  "$b" > "$out" || status=1
+  cat "$out"
 done
 
 echo "==== modeled benches match their goldens ======================"
 # The modeled benches run in virtual time from fixed seeds, so their JSON
-# is byte-identical from run to run. bench/golden/ holds the committed
-# outputs; any difference is a behaviour change that must be explained and
-# the golden regenerated in the same change. BENCH_obs.json and
-# BENCH_syscall.json are wall-clock and have no golden.
+# and stdout are byte-identical from run to run. bench/golden/ holds the
+# committed outputs; any difference is a behaviour change that must be
+# explained and the golden regenerated in the same change. BENCH_obs.json
+# and BENCH_syscall.json are wall-clock and have no golden.
 for g in fanout fig5 headline overload partition stackmix table4; do
   if ! cmp "BENCH_$g.json" "bench/golden/$g.json"; then
     echo "FAIL: BENCH_$g.json differs from bench/golden/$g.json"
+    status=1
+  fi
+done
+# Their printed tables are pinned the same way. bench_filter, bench_obs and
+# bench_syscall time on the wall clock and have no golden stdout.
+for g in ablation chaos ethernet fig4 headers layers maxload packing \
+         fanout fig5 headline overload partition stackmix table4; do
+  if ! cmp "build/bench-stdout/$g.stdout" "bench/golden/$g.stdout"; then
+    echo "FAIL: bench_$g stdout differs from bench/golden/$g.stdout"
     status=1
   fi
 done
