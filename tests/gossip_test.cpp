@@ -10,6 +10,8 @@
 // the gossip feeds.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "group/mcast.h"
 #include "group/membership.h"
 #include "horus/world.h"
@@ -192,12 +194,31 @@ TEST(Gossip, ViewChangesPropagateAndEchoBack) {
   o.beacon_interval = vt_ms(10);
   o.suspect_after = 0;
   McastGroup g(w, hub, {&m0, &m1}, o);
+  std::array<std::uint32_t, 2> last_seq{};
+  std::array<bool, 2> last_empty{};
+  for (MemberId m = 0; m < 2; ++m) {
+    g.on_deliver(m, [&, m](MemberId, std::uint32_t seq,
+                           std::span<const std::uint8_t> p) {
+      last_seq[m] = seq;
+      last_empty[m] = p.empty();
+    });
+  }
 
   const auto payload = pattern(16);
   for (int i = 0; i < 5; ++i) {
     w.queue().at(vt_ms(2) * (i + 1), [&, payload] { g.mcast(payload); });
   }
   w.run_for(vt_ms(100));
+
+  // An empty payload is a message too: every member gets it, empty, under
+  // the next seqno.
+  const std::uint32_t before = g.last_seq();
+  EXPECT_EQ(g.mcast({}), before + 1);
+  w.run_for(vt_ms(20));
+  for (MemberId m = 0; m < 2; ++m) {
+    EXPECT_EQ(last_seq[m], before + 1);
+    EXPECT_TRUE(last_empty[m]);
+  }
   const std::uint16_t epoch_before = g.view().epoch();
 
   g.leave(1);  // epoch bumps, digest changes

@@ -1,77 +1,11 @@
-// Tests: group multicast (hub-sequenced total order), the heartbeat /
-// failure-detection layer, and the custom-layer extension hook.
+// Tests: the heartbeat / failure-detection layer and the custom-layer
+// extension hook.
 #include <gtest/gtest.h>
 
-#include "horus/group.h"
+#include "horus/world.h"
 
 namespace pa {
 namespace {
-
-std::vector<std::uint8_t> tag(std::uint8_t member, std::uint32_t n) {
-  std::vector<std::uint8_t> v(5);
-  v[0] = member;
-  store_be32(v.data() + 1, n);
-  return v;
-}
-
-TEST(Group, TotallyOrderedMulticast) {
-  World w;
-  auto& hub = w.add_node("hub");
-  auto& m0 = w.add_node("m0");
-  auto& m1 = w.add_node("m1");
-  auto& m2 = w.add_node("m2");
-  Group g(w, hub, {&m0, &m1, &m2}, ConnOptions{});
-
-  // Every member records the (sender, seq) stream it sees.
-  std::array<std::vector<std::pair<std::uint16_t, std::uint32_t>>, 3> seen;
-  for (std::uint16_t i = 0; i < 3; ++i) {
-    g.on_deliver(i, [&, i](std::uint16_t sender, std::uint32_t seq,
-                           std::span<const std::uint8_t>) {
-      seen[i].emplace_back(sender, seq);
-    });
-  }
-
-  // Interleaved multicasts from all three members.
-  for (std::uint32_t n = 0; n < 20; ++n) {
-    for (std::uint16_t i = 0; i < 3; ++i) {
-      w.queue().at(vt_us(100) * (n * 3 + i),
-                   [&, i, n] { g.send(i, tag(static_cast<std::uint8_t>(i), n)); });
-    }
-  }
-  w.run();
-
-  // All members see all 60 messages, in the SAME total order, with
-  // contiguous sequence numbers.
-  ASSERT_EQ(seen[0].size(), 60u);
-  EXPECT_EQ(seen[0], seen[1]);
-  EXPECT_EQ(seen[0], seen[2]);
-  for (std::uint32_t k = 0; k < 60; ++k) {
-    EXPECT_EQ(seen[0][k].second, k);
-  }
-}
-
-TEST(Group, SurvivesLossyLinks) {
-  WorldConfig wc;
-  wc.link.loss_prob = 0.05;
-  wc.seed = 5;
-  World w(wc);
-  auto& hub = w.add_node("hub");
-  auto& m0 = w.add_node("m0");
-  auto& m1 = w.add_node("m1");
-  Group g(w, hub, {&m0, &m1}, ConnOptions{});
-
-  std::array<int, 2> counts{};
-  for (std::uint16_t i = 0; i < 2; ++i) {
-    g.on_deliver(i, [&, i](std::uint16_t, std::uint32_t,
-                           std::span<const std::uint8_t>) { ++counts[i]; });
-  }
-  for (std::uint32_t n = 0; n < 50; ++n) {
-    w.queue().at(vt_us(400) * n, [&, n] { g.send(0, tag(0, n)); });
-  }
-  w.run();
-  EXPECT_EQ(counts[0], 50);
-  EXPECT_EQ(counts[1], 50);
-}
 
 TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
   World w;

@@ -1,8 +1,8 @@
-// Tests: stack assembly, describe(), the report module, and group edges.
+// Tests: stack assembly, describe() and the report module.
 #include <gtest/gtest.h>
 
-#include "horus/group.h"
 #include "horus/report.h"
+#include "horus/world.h"
 
 namespace pa {
 namespace {
@@ -92,43 +92,6 @@ TEST(Report, AllKindsRender) {
   EXPECT_FALSE(report(a.gc().stats()).empty());
   EXPECT_FALSE(report(src->pa()->pool().stats()).empty());
   EXPECT_FALSE(report(w.network().stats()).empty());
-}
-
-TEST(Group, SingleMemberEcho) {
-  World w;
-  auto& hub = w.add_node("hub");
-  auto& solo = w.add_node("solo");
-  Group g(w, hub, {&solo}, ConnOptions{});
-  int n = 0;
-  std::uint32_t last_seq = 99;
-  g.on_deliver(0, [&](std::uint16_t sender, std::uint32_t seq,
-                      std::span<const std::uint8_t> p) {
-    ++n;
-    last_seq = seq;
-    EXPECT_EQ(sender, 0);
-    EXPECT_EQ(p.size(), 3u);
-  });
-  g.send(0, std::vector<std::uint8_t>{1, 2, 3});
-  w.run();
-  EXPECT_EQ(n, 1);  // sender receives its own multicast (total order)
-  EXPECT_EQ(last_seq, 0u);
-}
-
-TEST(Group, EmptyPayloadMulticast) {
-  World w;
-  auto& hub = w.add_node("hub");
-  auto& m0 = w.add_node("m0");
-  auto& m1 = w.add_node("m1");
-  Group g(w, hub, {&m0, &m1}, ConnOptions{});
-  int n = 0;
-  g.on_deliver(1, [&](std::uint16_t, std::uint32_t,
-                      std::span<const std::uint8_t> p) {
-    ++n;
-    EXPECT_TRUE(p.empty());
-  });
-  g.send(0, std::span<const std::uint8_t>{});
-  w.run();
-  EXPECT_EQ(n, 1);
 }
 
 }  // namespace
