@@ -66,15 +66,15 @@ int main() {
 
   ConnOptions full;
   ConnOptions no_predict = full;
-  no_predict.disable_prediction = true;
+  no_predict.engine.disable_prediction = true;
   ConnOptions no_cookie = full;
-  no_cookie.always_send_conn_ident = true;
+  no_cookie.engine.always_send_conn_ident = true;
   ConnOptions no_pack = full;
-  no_pack.packing = false;
+  no_pack.engine.enable_packing = false;
   ConnOptions no_pool = full;
-  no_pool.message_pool = false;
+  no_pool.engine.use_message_pool = false;
   ConnOptions no_cookie_no_pack = no_cookie;
-  no_cookie_no_pack.packing = false;
+  no_cookie_no_pack.engine.enable_packing = false;
 
   std::printf("\n-- steady-state round-trip latency (8 B) --\n");
   double rt_full = measure_steady_rt_us(full);

@@ -41,7 +41,7 @@ Shape measure(const LinkParams& link) {
   auto& a = w.add_node("client");
   auto& b = w.add_node("server");
   ConnOptions opt;
-  opt.packing = false;
+  opt.engine.enable_packing = false;
   auto [c, s] = w.connect(a, b, opt);
   s->on_deliver([&, s = s](std::span<const std::uint8_t> p) { s->send(p); });
 

@@ -37,7 +37,7 @@ Point paced_rts(double rate_per_s, GcPolicy gc, std::uint32_t every_n,
   auto& a = w.add_node("client");
   auto& b = w.add_node("server");
   ConnOptions opt;
-  opt.packing = false;  // the paper's per-message round-trip regime
+  opt.engine.enable_packing = false;  // the paper's per-message RT regime
   auto [c, s] = w.connect(a, b, opt);
   s->on_deliver([&, s = s](std::span<const std::uint8_t> p) { s->send(p); });
 

@@ -26,7 +26,7 @@ int main() {
   // 3. The classic engine in an ML-like language (FOX-style slowdown 9.4x).
   ConnOptions ml_opt;
   ml_opt.use_pa = false;
-  ml_opt.costs.classic_lang_multiplier = 9.4;
+  ml_opt.engine.costs.classic_lang_multiplier = 9.4;
   double ml_rt = measure_single_rt_us(ml_opt);
 
   header_row();

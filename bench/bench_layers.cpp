@@ -43,7 +43,7 @@ Sample run(std::size_t windows) {
   }
   spec.add(LayerSpec::bottom_layer(BottomConfig{}));
   ConnOptions opt;
-  opt.stack.spec = std::move(spec);
+  opt.engine.stack.spec = std::move(spec);
 
   WorldConfig wc;
   wc.seed = g_world_seed;

@@ -34,7 +34,7 @@ double aggregate_rpcs(int n_clients, VtDur window, std::size_t n_cpus = 1) {
   for (int i = 0; i < n_clients; ++i) {
     auto& cn = w.add_node("client" + std::to_string(i));
     ConnOptions opt;
-    opt.packing = false;  // one RPC per frame
+    opt.engine.enable_packing = false;  // one RPC per frame
     auto [cli, srv] = w.connect(cn, server, opt);
     srv->on_deliver(
         [&, srv = srv](std::span<const std::uint8_t> p) { srv->send(p); });

@@ -33,8 +33,8 @@ StreamResult stream(std::size_t msg_bytes, double offered_per_s, bool packing,
   auto& a = w.add_node("sender");
   auto& b = w.add_node("receiver");
   ConnOptions opt;
-  opt.packing = packing;
-  opt.variable_packing = variable;
+  opt.engine.enable_packing = packing;
+  opt.engine.variable_packing = variable;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::uint64_t delivered = 0;

@@ -47,7 +47,7 @@ ConnOptions options_for(const Mix& m, bool use_pa) {
   if (m.crypt) s.add(LayerSpec::crypt_layer());
   if (m.relay) s.add(LayerSpec::relay_layer());  // World assigns the hops
   s.add(LayerSpec::bottom_layer(BottomConfig{}));
-  opt.stack.spec = std::move(s);
+  opt.engine.stack.spec = std::move(s);
   return opt;
 }
 

@@ -95,7 +95,7 @@ int main() {
   // post-processing fully hidden between the send and the delivery, the
   // occasional ~1 ms hiccups barely dent the average).
   ConnOptions rt_opt;
-  rt_opt.packing = false;  // one message per frame, like the paper's runs
+  rt_opt.engine.enable_packing = false;  // one message per frame (paper's runs)
   obs::LatencyHistogram rt_hist;
   RtResult rt = closed_loop_rts(rt_opt, GcPolicy::kEveryN, 3000,
                                 /*gc_every_n=*/1024, &rt_hist);

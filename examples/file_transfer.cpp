@@ -37,7 +37,7 @@ int main() {
 
   ConnOptions opt;
   // Each 4 KiB chunk → 4 fragments.
-  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 1024;
+  opt.engine.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 1024;
   auto [tx, rx] = world.connect(src_node, dst_node, opt);
 
   std::vector<std::uint8_t> received;

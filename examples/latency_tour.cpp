@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       {"PA, interpreted filters",
        [] {
          ConnOptions o;
-         o.compiled_filters = false;
+         o.engine.use_compiled_filters = false;
          return o;
        }(),
        false},
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       {"PA, compiled + pre-agreed cookie",
        [] {
          ConnOptions o;
-         o.cookie_preagreed = true;
+         o.engine.cookie_preagreed = true;
          return o;
        }(),
        false},

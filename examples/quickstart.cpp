@@ -7,7 +7,8 @@
 // This walks through the whole public API surface:
 //   World        — the simulation harness (event queue + network + nodes)
 //   Node         — a machine: one CPU, a router, a GC model
-//   ConnOptions  — stack composition + engine choice + PA knobs
+//   ConnOptions  — the engine config (stack + PA knobs), PA or classic,
+//                  plus per-side endians and overload governors
 //   Endpoint     — what the application talks to: send() / on_deliver()
 #include <cstdio>
 #include <string>

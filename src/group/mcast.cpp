@@ -45,8 +45,8 @@ McastGroup::McastGroup(World& w, Node& sender,
     member_hists_.emplace_back();
 
     ConnOptions c = opt_.conn;
-    c.use_pa = true;            // fanout is cookie-routed
-    c.cookie_preagreed = true;  // no ident scans across a 1k-engine router
+    c.use_pa = true;                   // fanout is cookie-routed
+    c.engine.cookie_preagreed = true;  // no ident scans in a 1k-engine router
 
     GroupGossipConfig gcfg;
     gcfg.beacon_interval = opt_.beacon_interval;
@@ -57,7 +57,7 @@ McastGroup::McastGroup(World& w, Node& sender,
     // World::connect builds the a-side engine first, then the b-side; the
     // factory below relies on that to hand the coordinator-facing layer to
     // the a side and the member-facing layer to the b side.
-    c.stack.spec.push_top(LayerSpec::custom(
+    c.engine.stack.spec.push_top(LayerSpec::custom(
         [this, mi, gcfg, calls = std::make_shared<int>(0)]()
             -> std::unique_ptr<Layer> {
           const bool sender_side = (*calls)++ == 0;
@@ -186,7 +186,7 @@ Endpoint* McastGroup::ensure_probe_link(MemberId witness, MemberId target) {
   }
   ConnOptions c = opt_.conn;
   c.use_pa = true;
-  c.cookie_preagreed = true;
+  c.engine.cookie_preagreed = true;
   auto [we, te] =
       w_->connect(*member_nodes_[witness], *member_nodes_[target], c);
   // The target echoes whatever reaches it; the echo arriving back at the

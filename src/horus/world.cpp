@@ -76,13 +76,13 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
                                          cpu_index);
     // Addressing is the World's to assign: patch the spec's bottom (and
     // relay) configs before the engine builds the layers.
-    StackParams sp = opt.stack;
-    if (LayerSpec* b = sp.spec.find(LayerSpec::Type::kBottom)) {
+    PaConfig pc = opt.engine;
+    if (LayerSpec* b = pc.stack.spec.find(LayerSpec::Type::kBottom)) {
       b->bottom.local = local;
       b->bottom.remote = remote;
       b->bottom.group = group;
     }
-    if (LayerSpec* r = sp.spec.find(LayerSpec::Type::kRelay)) {
+    if (LayerSpec* r = pc.stack.spec.find(LayerSpec::Type::kRelay)) {
       if (r->relay.local_hop == 0 && r->relay.peer_hop == 0) {
         r->relay.local_hop = local_hop;
         r->relay.peer_hop = peer_hop;
@@ -90,27 +90,15 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
     }
     std::unique_ptr<Engine> engine;
     if (opt.use_pa) {
-      PaConfig pc;
-      pc.stack = sp;
-      pc.costs = opt.costs;
-      pc.use_compiled_filters = opt.compiled_filters;
-      pc.enable_packing = opt.packing;
-      pc.variable_packing = opt.variable_packing;
-      pc.use_message_pool = opt.message_pool;
-      pc.cookie_preagreed = opt.cookie_preagreed;
-      pc.always_send_conn_ident = opt.always_send_conn_ident;
-      pc.disable_prediction = opt.disable_prediction;
-      pc.max_recv_queue = opt.max_recv_queue;
       pc.self_endian = self_endian;
       pc.cookie_seed = cfg_.seed ^ (++cookie_counter_ * 0x632be59bd9b4e019ull);
       pc.governor = governor;
       if (governor) self.router().set_governor(governor);
-      (void)peer_endian;
       engine = std::make_unique<PaEngine>(std::move(pc), ep->env());
     } else {
       ClassicConfig cc;
-      cc.stack = sp;
-      cc.costs = opt.costs;
+      cc.stack = std::move(pc.stack);
+      cc.costs = pc.costs;
       cc.self_endian = self_endian;
       cc.peer_endian = peer_endian;
       engine = std::make_unique<ClassicEngine>(std::move(cc), ep->env());
@@ -131,7 +119,7 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
                            static_cast<std::uint16_t>(hop_base + 1),
                            opt.b_governor);
 
-  if (opt.use_pa && opt.cookie_preagreed) {
+  if (opt.use_pa && opt.engine.cookie_preagreed) {
     // Out-of-band cookie agreement (paper §2.2's suggested improvement).
     b.router().register_cookie(ea->pa()->out_cookie(), &eb->engine());
     a.router().register_cookie(eb->pa()->out_cookie(), &ea->engine());

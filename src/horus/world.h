@@ -85,20 +85,16 @@ class Node {
   std::size_t rr_ = 0;
 };
 
-/// Per-connection options; World fills in addresses and cookie seeds.
+/// Per-connection options: one engine config for both sides, plus what is
+/// per side. With use_pa the PA runs `engine`; without it the classic engine
+/// runs `engine.stack` under `engine.costs` and the PA knobs are unused.
+/// World::connect assigns, per side, and overwrites whatever `engine` holds
+/// there: self_endian (a_endian or b_endian), cookie_seed, governor
+/// (a_governor or b_governor), the bottom layer's addresses and group, and
+/// the relay layer's hop ids unless both are set.
 struct ConnOptions {
   bool use_pa = true;
-  StackParams stack{};
-  CostModel costs = CostModel::paper();
-  // PA-specific knobs:
-  bool compiled_filters = true;
-  bool packing = true;
-  bool variable_packing = false;
-  bool message_pool = true;
-  bool cookie_preagreed = false;
-  bool always_send_conn_ident = false;  // ablation: no cookie compression
-  bool disable_prediction = false;      // ablation: no fast paths
-  std::size_t max_recv_queue = 1024;
+  PaConfig engine{};
   // Emulated byte orders (heterogeneity tests):
   Endian a_endian = host_endian();
   Endian b_endian = host_endian();

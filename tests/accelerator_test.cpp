@@ -64,8 +64,8 @@ TEST(Accelerator, RecvQueueOverflowDropsAndRecovers) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.max_recv_queue = 2;  // tiny receive buffer
-  opt.packing = false;     // every message its own frame
+  opt.engine.max_recv_queue = 2;      // tiny receive buffer
+  opt.engine.enable_packing = false;  // every message its own frame
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
@@ -94,7 +94,7 @@ TEST(Accelerator, PoolDisabledStillWorks) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.message_pool = false;
+  opt.engine.use_message_pool = false;
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -133,7 +133,7 @@ TEST(Accelerator, LargePayloadWithoutFragLayer) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec = no_frag_stack(WindowConfig{});
+  opt.engine.stack.spec = no_frag_stack(WindowConfig{});
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint8_t> big(9'000, 0x3c);  // within MTU 9180 minus hdrs
   std::vector<std::uint8_t> got;
@@ -152,7 +152,7 @@ TEST(Accelerator, BeyondMtuWithoutFragIsLostNotCorrupted) {
   ConnOptions opt;
   WindowConfig win;
   win.rto = vt_ms(5);
-  opt.stack.spec = no_frag_stack(win);
+  opt.engine.stack.spec = no_frag_stack(win);
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -178,7 +178,7 @@ TEST(MultiCpu, ConnectionsDivideAcrossProcessors) {
     for (int i = 0; i < 2; ++i) {
       auto& cn = w.add_node("c" + std::to_string(i));
       ConnOptions opt;
-      opt.packing = false;
+      opt.engine.enable_packing = false;
       auto [cli, srv] = w.connect(cn, server, opt);
       srv->on_deliver(
           [&, srv = srv](std::span<const std::uint8_t> p) { srv->send(p); });

@@ -18,7 +18,7 @@ TEST(Classic, WindowFullQueuesAndFlushes) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt = classic_options();
-  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.size = 4;
+  opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window.size = 4;
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -69,7 +69,7 @@ TEST(Classic, HeartbeatWorksUnderClassicEngine) {
   HeartbeatConfig hcfg;
   hcfg.interval = vt_ms(10);
   hcfg.suspect_after = vt_ms(50);
-  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hcfg));
+  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hcfg));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});

@@ -53,7 +53,7 @@ RunResult run_engine(const Workload& wl, bool use_pa, std::uint64_t seed,
   ConnOptions opt;
   opt.use_pa = use_pa;
   // Exercise fragmentation too.
-  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
+  opt.engine.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
   auto [ea, eb] = w.connect(a, b, opt);
 
   RunResult rr;

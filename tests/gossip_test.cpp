@@ -251,7 +251,7 @@ TEST(Gossip, ZeroedGossipRegionsAreHarmless) {
   o.suspect_after = 0;
   HeartbeatConfig hb;  // extra below-gossip emissions
   hb.interval = vt_ms(5);
-  o.conn.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
+  o.conn.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   McastGroup g(w, hub, {&m0}, o);
 
   const auto payload = pattern(16);
@@ -285,10 +285,10 @@ TEST(Gossip, RouterGroupCookieFanout) {
   // side of connection 0 is the one whose frames we fan out.
   ConnOptions opt;
   // Simplex: no window, so members never ack.
-  opt.stack.spec = StackSpec{}
+  opt.engine.stack.spec = StackSpec{}
                        .add(LayerSpec::seq_layer())
                        .add(LayerSpec::bottom_layer({}));
-  opt.cookie_preagreed = true;
+  opt.engine.cookie_preagreed = true;
   auto [s0, r0] = w.connect(hub, shard, opt);
   auto [s1, r1] = w.connect(hub, shard, opt);
   (void)s1;

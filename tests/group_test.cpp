@@ -15,7 +15,7 @@ TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
   HeartbeatConfig hb;
   hb.interval = vt_ms(10);
   hb.suspect_after = vt_ms(50);
-  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
+  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   auto [ea, eb] = w.connect(a, b, opt);
 
   // One message to open the connection, then silence except heartbeats.
@@ -43,7 +43,7 @@ TEST(Heartbeat, SilentPeerGetsSuspected) {
   HeartbeatConfig hb;
   hb.interval = vt_ms(10);
   hb.suspect_after = vt_ms(50);
-  opt.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
+  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});
@@ -65,7 +65,7 @@ TEST(Heartbeat, DataTrafficStaysOnFastPath) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec.push_top(LayerSpec::heartbeat_layer({}));
+  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer({}));
   auto [ea, eb] = w.connect(a, b, opt);
   int n = 0;
   eb->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -115,7 +115,7 @@ TEST(CustomLayer, ExtensionHookWorks) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec.push_top(
+  opt.engine.stack.spec.push_top(
       LayerSpec::custom([] { return std::make_unique<TapLayer>(); }));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "horus/world.h"
+#include "layers/frag_layer.h"
 
 namespace pa {
 namespace {
@@ -179,7 +180,7 @@ TEST(Integration, PaFragmentation) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt;
-  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 256;
+  opt.engine.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 256;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::vector<std::uint8_t> big = pattern(2000);
@@ -322,7 +323,7 @@ TEST(Integration, PreagreedCookieSkipsConnIdent) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt;
-  opt.cookie_preagreed = true;
+  opt.engine.cookie_preagreed = true;
   auto [src, dst] = w.connect(a, b, opt);
 
   int n = 0;
@@ -396,6 +397,77 @@ TEST(Integration, TwoConnectionsOneNodeRouteCorrectly) {
 
   EXPECT_EQ(n1, 10);
   EXPECT_EQ(n2, 25);
+}
+
+// ConnOptions::engine is copied whole into each side's PaConfig; World
+// overwrites only what it owns (endianness, cookie seed, governor). The
+// classic engine runs the same engine.stack.
+TEST(World, ConnectPassesEngineConfigThrough) {
+  World w;
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  resil::OverloadGovernor gov_a;
+  resil::OverloadGovernor gov_b;
+  ConnOptions opt;
+  opt.engine.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 512;
+  opt.engine.costs.pa_send_path = vt_us(7);
+  opt.engine.use_compiled_filters = false;
+  opt.engine.enable_packing = false;
+  opt.engine.variable_packing = true;
+  opt.engine.max_recv_queue = 7;
+  opt.engine.use_message_pool = false;
+  opt.engine.cookie_preagreed = true;
+  opt.engine.always_send_conn_ident = true;
+  opt.engine.disable_prediction = true;
+  opt.a_endian = Endian::kBig;
+  opt.b_endian = Endian::kLittle;
+  opt.a_governor = &gov_a;
+  opt.b_governor = &gov_b;
+  auto [ea, eb] = w.connect(a, b, opt);
+
+  for (Endpoint* ep : {ea, eb}) {
+    ASSERT_NE(ep->pa(), nullptr);
+    const PaConfig& c = ep->pa()->config();
+    StackSpec spec = c.stack.spec;
+    EXPECT_EQ(spec.find(LayerSpec::Type::kFrag)->frag.threshold, 512u);
+    EXPECT_EQ(c.costs.pa_send_path, vt_us(7));
+    EXPECT_FALSE(c.use_compiled_filters);
+    EXPECT_FALSE(c.enable_packing);
+    EXPECT_TRUE(c.variable_packing);
+    EXPECT_EQ(c.max_recv_queue, 7u);
+    EXPECT_FALSE(c.use_message_pool);
+    EXPECT_TRUE(c.cookie_preagreed);
+    EXPECT_TRUE(c.always_send_conn_ident);
+    EXPECT_TRUE(c.disable_prediction);
+  }
+  const PaConfig& ca = ea->pa()->config();
+  const PaConfig& cb = eb->pa()->config();
+  EXPECT_NE(ca.cookie_seed, cb.cookie_seed);
+  EXPECT_EQ(ca.self_endian, Endian::kBig);
+  EXPECT_EQ(cb.self_endian, Endian::kLittle);
+  EXPECT_EQ(ca.governor, &gov_a);
+  EXPECT_EQ(cb.governor, &gov_b);
+
+  // The classic engine is built from the same stack: 600 B crosses the
+  // 512 B frag threshold, which the default 1024 B one would not.
+  opt.use_pa = false;
+  opt.a_governor = nullptr;
+  opt.b_governor = nullptr;
+  auto& c = w.add_node("c");
+  auto& d = w.add_node("d");
+  auto [ec, ed] = w.connect(c, d, opt);
+  ASSERT_EQ(ec->pa(), nullptr);
+  std::vector<std::uint8_t> got;
+  ed->on_deliver([&](std::span<const std::uint8_t> p) {
+    got.assign(p.begin(), p.end());
+  });
+  ec->send(pattern(600));
+  w.run();
+  EXPECT_EQ(got, pattern(600));
+  auto* frag =
+      dynamic_cast<FragLayer*>(ec->engine().stack().find(LayerKind::kFrag));
+  ASSERT_NE(frag, nullptr);
+  EXPECT_EQ(frag->stats().fragmented_msgs, 1u);
 }
 
 }  // namespace

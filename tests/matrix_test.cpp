@@ -43,13 +43,13 @@ TEST_P(Matrix, ExactInOrderDelivery) {
     s.add(LayerSpec::window_layer(win));
   }
   s.add(LayerSpec::bottom_layer({}));
-  opt.stack.spec = std::move(s);
+  opt.engine.stack.spec = std::move(s);
   if (opt.use_pa) {
-    opt.compiled_filters = rng.chance(0.7);
-    opt.packing = rng.chance(0.8);
-    opt.variable_packing = rng.chance(0.3);
-    opt.message_pool = rng.chance(0.7);
-    opt.cookie_preagreed = rng.chance(0.2);
+    opt.engine.use_compiled_filters = rng.chance(0.7);
+    opt.engine.enable_packing = rng.chance(0.8);
+    opt.engine.variable_packing = rng.chance(0.3);
+    opt.engine.use_message_pool = rng.chance(0.7);
+    opt.engine.cookie_preagreed = rng.chance(0.2);
   }
 
   // Random (mild) faults — NAK stacks need loss confined to repairable

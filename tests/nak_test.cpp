@@ -8,7 +8,8 @@ namespace {
 
 ConnOptions nak_options() {
   ConnOptions opt;
-  *opt.stack.spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
+  *opt.engine.stack.spec.find(LayerSpec::Type::kWindow) =
+      LayerSpec::nak_layer({});
   return opt;
 }
 
@@ -94,8 +95,8 @@ TEST(Nak, LossBeyondHistoryIsUnrepairable) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt = nak_options();
-  opt.stack.spec.find(LayerSpec::Type::kNak)->nak.history = 8;  // tiny horizon
-  opt.packing = false;
+  opt.engine.stack.spec.find(LayerSpec::Type::kNak)->nak.history = 8;  // tiny
+  opt.engine.enable_packing = false;
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
@@ -133,7 +134,7 @@ TEST(Nak, FragmentedTransferOverNak) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt = nak_options();
-  opt.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
+  opt.engine.stack.spec.find(LayerSpec::Type::kFrag)->frag.threshold = 128;
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint8_t> big(1000);
   for (std::size_t i = 0; i < big.size(); ++i) {

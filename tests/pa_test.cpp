@@ -204,7 +204,7 @@ TEST(PaEngine, InterpretedFiltersBehaveLikeCompiled) {
     auto& a = w.add_node("a");
     auto& b = w.add_node("b");
     ConnOptions opt;
-    opt.compiled_filters = compiled;
+    opt.engine.use_compiled_filters = compiled;
     auto [src, dst] = w.connect(a, b, opt);
     int n = 0;
     dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -219,7 +219,7 @@ TEST(PaEngine, VariablePackingCarriesMixedSizes) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.variable_packing = true;
+  opt.engine.variable_packing = true;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::vector<std::size_t> sizes;
@@ -240,7 +240,7 @@ TEST(PaEngine, PoolSuppressesAllocations) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.message_pool = true;
+  opt.engine.use_message_pool = true;
   auto [src, dst] = w.connect(a, b, opt);
   (void)dst;
   for (int round = 0; round < 50; ++round) {

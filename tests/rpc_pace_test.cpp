@@ -182,7 +182,7 @@ TEST(Pace, CapsThroughputAtConfiguredRate) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec.push_top(LayerSpec::custom([] {
+  opt.engine.stack.spec.push_top(LayerSpec::custom([] {
     PaceConfig pc;
     pc.msgs_per_sec = 2000;
     pc.burst = 4;
@@ -221,7 +221,7 @@ TEST(Pace, IdleBucketRefillsToBurst) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec.push_top(LayerSpec::custom([] {
+  opt.engine.stack.spec.push_top(LayerSpec::custom([] {
     PaceConfig pc;
     pc.msgs_per_sec = 1000;
     pc.burst = 5;

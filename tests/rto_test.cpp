@@ -7,7 +7,7 @@ namespace pa {
 namespace {
 
 WindowConfig& window_cfg(ConnOptions& o) {
-  return o.stack.spec.find(LayerSpec::Type::kWindow)->window;
+  return o.engine.stack.spec.find(LayerSpec::Type::kWindow)->window;
 }
 
 WindowLayer* win_of(Endpoint* e) {
@@ -28,7 +28,7 @@ TEST(AdaptiveRto, ConvergesAndRecoversFasterThanFixed) {
     w.network().set_link(a.id(), b.id(), wc.link);
     w.network().set_link(b.id(), a.id(), LinkParams{});
     ConnOptions opt;
-    opt.packing = false;
+    opt.engine.enable_packing = false;
     window_cfg(opt).fast_retransmit = false;
     window_cfg(opt).adaptive_rto = adaptive;
     window_cfg(opt).ack_every = 1;  // ack every frame: crisp RTT samples
@@ -61,7 +61,7 @@ TEST(AdaptiveRto, NoSpuriousRetransmitsOnCleanLink) {
   ConnOptions opt;
   window_cfg(opt).adaptive_rto = true;
   window_cfg(opt).ack_delay = vt_ms(1);
-  opt.packing = false;
+  opt.engine.enable_packing = false;
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
@@ -119,7 +119,7 @@ TEST(AdaptiveRto, KarnsRuleKeepsEstimatorSane) {
   w.network().set_link(a.id(), b.id(), wc.link);
   w.network().set_link(b.id(), a.id(), LinkParams{});
   ConnOptions opt;
-  opt.packing = false;
+  opt.engine.enable_packing = false;
   window_cfg(opt).ack_every = 1;
   window_cfg(opt).ack_delay = vt_ms(1);
   auto [src, dst] = w.connect(a, b, opt);
@@ -158,7 +158,7 @@ TEST(AdaptiveRto, DupAckStormCannotPoisonTheEstimator) {
   back.dup_prob = 0.8;  // the ack path stutters hard
   w.network().set_link(b.id(), a.id(), back);
   ConnOptions opt;
-  opt.packing = false;
+  opt.engine.enable_packing = false;
   window_cfg(opt).ack_every = 1;
   window_cfg(opt).ack_delay = vt_ms(1);
   auto [src, dst] = w.connect(a, b, opt);
@@ -190,7 +190,7 @@ TEST(AdaptiveRto, BackoffJitterDeterministicPerSeed) {
     auto& a = w.add_node("a");
     auto& b = w.add_node("b");
     ConnOptions opt;
-    opt.packing = false;
+    opt.engine.enable_packing = false;
     window_cfg(opt).jitter_seed = seed;
     auto [src, dst] = w.connect(a, b, opt);
     dst->on_deliver([](std::span<const std::uint8_t>) {});

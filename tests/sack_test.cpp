@@ -32,7 +32,8 @@ TEST(Sack, EndToEndWithLoss) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt;
-  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
+  opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack =
+      true;
   auto [src, dst] = w.connect(a, b, opt);
 
   std::vector<std::uint32_t> got;
@@ -61,7 +62,8 @@ TEST(Sack, RecoversFasterUnderDeterministicMultiLoss) {
     w.network().set_link(a.id(), b.id(), wc.link);
     w.network().set_link(b.id(), a.id(), LinkParams{});
     ConnOptions opt;
-    opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = sack;
+    opt.engine.stack.spec.find(LayerSpec::Type::kWindow)
+        ->window.selective_ack = sack;
     auto [src, dst] = w.connect(a, b, opt);
     int got = 0;
     Vt done_at = 0;
@@ -101,7 +103,8 @@ TEST(Sack, PredictionStillWorks) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
+  opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack =
+      true;
   auto [src, dst] = w.connect(a, b, opt);
   int n = 0;
   dst->on_deliver([&](std::span<const std::uint8_t>) { ++n; });

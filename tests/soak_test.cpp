@@ -154,7 +154,7 @@ TEST_P(Soak, SurvivesRegime) {
     // Bounded recovery: the first post-heal retransmission fires within one
     // maximally-backed-off RTO of the heal; allow two plus drain slack.
     const WindowConfig& win =
-        opt.stack.spec.find(LayerSpec::Type::kWindow)->window;
+        opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window;
     const VtDur max_rto = win.rto << win.max_rto_shift;
     const Vt deadline = heal_at + 2 * max_rto + vt_ms(100);
     EXPECT_LE(run.done_ab, deadline);

@@ -81,7 +81,7 @@ ConnOptions mix_options(const Mix& mix, bool use_pa) {
   if (mix.crypt) s.add(LayerSpec::crypt_layer());
   if (mix.relay) s.add(LayerSpec::relay_layer());
   s.add(LayerSpec::bottom_layer({}));
-  o.stack.spec = std::move(s);
+  o.engine.stack.spec = std::move(s);
   return o;
 }
 
@@ -336,7 +336,7 @@ TEST(StackMix, TamperedFramesDieAtTheTagAndAreRepaired) {
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
   ConnOptions o;
-  std::vector<LayerSpec>& layers = o.stack.spec.layers;
+  std::vector<LayerSpec>& layers = o.engine.stack.spec.layers;
   layers.insert(layers.end() - 1, LayerSpec::crypt_layer());  // above bottom
   auto [ea, eb] = w.connect(na, nb, o);
 
@@ -378,7 +378,7 @@ TEST(StackMix, RelayForwarderPeeksDerivedHopFields) {
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
   ConnOptions o;
-  o.stack.spec = spec;
+  o.engine.stack.spec = spec;
   auto [ea, eb] = w.connect(na, nb, o);
 
   std::vector<std::vector<std::uint8_t>> frames;
@@ -429,7 +429,7 @@ TEST(StackMix, MismatchedHopsAreDroppedAsMisrouted) {
   auto& nb = w.add_node("b");
   ConnOptions o;
   // Force a hop mismatch: a stamps dst=7 but b expects 3.
-  std::vector<LayerSpec>& layers = o.stack.spec.layers;
+  std::vector<LayerSpec>& layers = o.engine.stack.spec.layers;
   layers.insert(layers.end() - 1,
                 LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
   auto [ea, eb] = w.connect(na, nb, o);

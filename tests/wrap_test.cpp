@@ -13,7 +13,7 @@ constexpr std::uint32_t kNearWrap = 0xFFFFFFF0u;
 // the wrap.
 ConnOptions near_wrap() {
   ConnOptions opt;
-  StackSpec& s = opt.stack.spec;
+  StackSpec& s = opt.engine.stack.spec;
   s.find(LayerSpec::Type::kSeq)->initial_seq = kNearWrap;
   s.find(LayerSpec::Type::kWindow)->window.initial_seq = kNearWrap;
   return opt;
@@ -64,7 +64,8 @@ TEST(Wraparound, WindowWithLossAndReorder) {
   auto& b = w.add_node("b");
   ConnOptions opt = near_wrap();
   // Sack bitmap across the wrap too.
-  opt.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack = true;
+  opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window.selective_ack =
+      true;
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
@@ -150,7 +151,8 @@ TEST(Wraparound, NakProtocolAcrossWrap) {
   w.network().set_link(b.id(), a.id(), LinkParams{});
   // The seq layer wraps; nak uses its own seq.
   ConnOptions opt = near_wrap();
-  *opt.stack.spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
+  *opt.engine.stack.spec.find(LayerSpec::Type::kWindow) =
+      LayerSpec::nak_layer({});
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
