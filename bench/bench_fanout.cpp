@@ -51,7 +51,6 @@ FanoutResult run_config(std::size_t members, std::size_t payload_bytes,
 
   group::McastOptions opt;
   opt.beacon_interval = 0;  // run-to-drain: gossip rides data + acks only
-  opt.suspect_after = 0;
   group::McastGroup g(w, hub, nodes, opt);
 
   const auto payload = payload_of(payload_bytes);
@@ -111,7 +110,6 @@ ChaosDigest chaos_run(std::uint64_t seed, int mcasts) {
   }
   group::McastOptions opt;
   opt.beacon_interval = 0;  // run-to-drain
-  opt.suspect_after = 0;
   group::McastGroup g(w, hub, members, opt);
   for (std::size_t i = 0; i < members.size(); i += 3) {
     LinkParams lp = w.network().link(hub.id(), members[i]->id());

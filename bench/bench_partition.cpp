@@ -64,7 +64,6 @@ FalseSuspectResult false_suspect_run(std::uint64_t seed) {
   }
   McastOptions opt;
   opt.beacon_interval = kBeat;
-  opt.use_health = true;
   McastGroup g(w, hub, members, opt);
 
   // Gilbert–Elliott burst loss both ways on every hub<->member link; the
@@ -88,7 +87,7 @@ FalseSuspectResult false_suspect_run(std::uint64_t seed) {
   w.run_until(horizon);
 
   const double beats = static_cast<double>(horizon / kBeat);
-  const auto& hs = g.health()->stats();
+  const auto& hs = g.health().stats();
   return {static_cast<double>(hs.suspects) / (beats * n),
           static_cast<double>(hs.suspects),
           static_cast<double>(hs.flaps_damped)};
@@ -116,9 +115,8 @@ PartitionResult partition_run(std::uint64_t seed) {
   }
   McastOptions opt;
   opt.beacon_interval = kBeat;
-  opt.use_health = true;
   McastGroup g(w, hub, members, opt);
-  health::HealthPlane* hp = g.health();
+  health::HealthPlane& hp = g.health();
 
   const Vt t_cut = vt_s(1);
   const Vt t_heal = vt_s(2);
@@ -143,7 +141,7 @@ PartitionResult partition_run(std::uint64_t seed) {
       if (t >= t_cut) {
         for (int i = 60; i < 100; ++i) {
           if (detect_at[i] < 0 &&
-              hp->state(static_cast<health::PeerId>(i)) !=
+              hp.state(static_cast<health::PeerId>(i)) !=
                   health::PeerState::kAlive) {
             detect_at[i] = w.now();
           }
@@ -177,8 +175,8 @@ PartitionResult partition_run(std::uint64_t seed) {
                         ? 1e9
                         : static_cast<double>(converged_at - t_heal) /
                               static_cast<double>(kBeat);
-  r.deads = static_cast<double>(hp->stats().deads);
-  r.restores = static_cast<double>(hp->stats().restores);
+  r.deads = static_cast<double>(hp.stats().deads);
+  r.restores = static_cast<double>(hp.stats().restores);
   r.converged = converged_at >= 0;
   return r;
 }

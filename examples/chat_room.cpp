@@ -5,8 +5,8 @@
 // ordered stream to N subscribers through src/group/'s McastGroup: one
 // mcast() crosses the application boundary once and reaches every
 // subscriber via payload-chain clones, while membership and stability ride
-// the gossip header class. A subscriber that
-// falls silent is suspected by the view and restored when its link heals.
+// the gossip header class. A subscriber that falls silent is suspected by
+// the group's health plane and restored when its link heals.
 //
 //   --subscribers N   group size (default 3)
 #include <cstdio>
@@ -47,7 +47,6 @@ int run_mcast(std::size_t subscribers) {
 
   group::McastOptions opt;
   opt.beacon_interval = vt_ms(20);
-  opt.suspect_after = vt_ms(100);
   group::McastGroup room(world, announcer, subs, opt);
 
   // Every subscriber logs the common stream; we print subscriber 0's view.
@@ -99,8 +98,11 @@ int run_mcast(std::size_t subscribers) {
                 static_cast<double>(h.percentile(0.99)) / 1000.0);
   }
 
-  // The last subscriber goes silent (its links die); gossip dries up and
-  // the next polls suspect it — the view converges over the survivors.
+  // The last subscriber goes silent (its link to the announcer dies);
+  // gossip dries up and the health plane suspects it at a later poll — the
+  // view converges over the survivors. The other subscribers still reach
+  // it, so the plane's witness probes keep it suspect rather than dead
+  // (a lone subscriber has no witness, and is confirmed dead: it leaves).
   Node& quiet = *subs.back();
   const group::MemberId quiet_id =
       static_cast<group::MemberId>(subscribers - 1);
@@ -109,12 +111,16 @@ int run_mcast(std::size_t subscribers) {
     world.run_for(vt_ms(25));
     room.poll();
   }
-  const bool suspected =
-      room.view().find(quiet_id)->state == group::MemberState::kSuspect;
+  const group::MemberState quiet_state = room.view().find(quiet_id)->state;
+  const bool suspected = quiet_state != group::MemberState::kJoined;
   std::printf("\nafter sub%u's link died: %s (view epoch %u)\n", quiet_id,
-              suspected ? "SUSPECTED" : "still trusted", room.view().epoch());
+              quiet_state == group::MemberState::kSuspect ? "SUSPECTED"
+              : suspected ? "LEFT (confirmed dead)"
+                          : "still trusted",
+              room.view().epoch());
 
-  // Healing lets its beacons through again; the next gossip restores it.
+  // Healing lets its beacons through again; the plane restores it on the
+  // next arrival.
   world.heal(announcer, quiet);
   for (int k = 0; k < 10; ++k) {
     world.run_for(vt_ms(25));

@@ -28,7 +28,8 @@ McastGroup::McastGroup(World& w, Node& sender,
       view_(table_.ensure(opt_.gid)),
       sender_node_(&sender),
       member_nodes_(members),
-      sender_out_(std::make_shared<GossipOutbound>()) {
+      sender_out_(std::make_shared<GossipOutbound>()),
+      health_(health::HealthConfig{}, health_hooks()) {
   const std::size_t n = members.size();
   sender_eps_.reserve(n);
   member_eps_.reserve(n);
@@ -41,6 +42,10 @@ McastGroup::McastGroup(World& w, Node& sender,
         i < opt_.priorities.size() ? opt_.priorities[i] : 1;
     view_.join(mi, prio);
     group_metrics().joins.inc();
+    health_.track(mi);
+    // Before any gossip arrives, judge each member against the configured
+    // beacon cadence rather than the detector's generic default.
+    if (opt_.beacon_interval > 0) health_.prime(mi, opt_.beacon_interval);
     member_outs_.push_back(std::make_shared<GossipOutbound>());
     member_hists_.emplace_back();
 
@@ -70,8 +75,11 @@ McastGroup::McastGroup(World& w, Node& sender,
             hooks.on_ack = [this, mi](std::uint32_t acked) {
               note_member_ack(mi, acked);
             };
+            // Every arrival feeds the plane's phi window; any restore (or
+            // post-dead rejoin) comes back through its hooks — gated by
+            // flap damping, not instant.
             hooks.on_heard = [this, mi](Vt now) {
-              note_member_heard(mi, now);
+              health_.note_heard(mi, now);
             };
             return std::make_unique<GroupGossipLayer>(gcfg, sender_out_,
                                                       std::move(hooks));
@@ -101,11 +109,10 @@ McastGroup::McastGroup(World& w, Node& sender,
     });
   }
   refresh_outbound();
-  if (opt_.use_health) init_health();
   update_gauges();
 }
 
-void McastGroup::init_health() {
+health::HealthHooks McastGroup::health_hooks() {
   health::HealthHooks hooks;
   hooks.on_suspect = [this](health::PeerId p) {
     const MemberId m = static_cast<MemberId>(p);
@@ -139,16 +146,7 @@ void McastGroup::init_health() {
   hooks.request_probe = [this](health::PeerId p) {
     launch_probe_round(static_cast<MemberId>(p));
   };
-  health_ =
-      std::make_unique<health::HealthPlane>(opt_.health, std::move(hooks));
-  const Vt now = w_->now();
-  for (std::size_t i = 0; i < member_eps_.size(); ++i) {
-    const auto m = static_cast<health::PeerId>(i);
-    health_->track(m, now);
-    // Before any gossip arrives, judge each member against the configured
-    // beacon cadence rather than the detector's generic default.
-    if (opt_.beacon_interval > 0) health_->prime(m, opt_.beacon_interval);
-  }
+  return hooks;
 }
 
 void McastGroup::launch_probe_round(MemberId target) {
@@ -157,7 +155,7 @@ void McastGroup::launch_probe_round(MemberId target) {
   // fine witnesses (our path to them is what's suspect), so fall back to
   // them only when too few joined members exist.
   std::vector<MemberId> picks;
-  const std::size_t k = health_->config().probe_k;
+  const std::size_t k = health_.config().probe_k;
   for (int pass = 0; pass < 2 && picks.size() < k; ++pass) {
     for (const auto& [id, mb] : view_.members()) {
       if (picks.size() >= k) break;
@@ -196,7 +194,7 @@ Endpoint* McastGroup::ensure_probe_link(MemberId witness, MemberId target) {
     te->send(bytes);
   });
   we->on_deliver([this, target, we](std::span<const std::uint8_t>) {
-    if (health_) health_->note_probe_ack(target, we->now());
+    health_.note_probe_ack(target, we->now());
   });
   probe_links_.emplace(key, we);
   return we;
@@ -206,19 +204,17 @@ GroupView::MergeReport McastGroup::merge_view(
     const GroupView::ViewSnapshot& other) {
   GroupView::MergeReport r = view_.merge(other);
   health::health_metrics().merges.inc();
-  if (health_) {
-    const Vt now = w_->now();
-    for (MemberId m : r.reprobe) {
-      // Stale suspicions must not stick: re-judge every suspect in the
-      // merged view with a fresh probe round instead of trusting either
-      // clique's partition-era verdict. mark_suspect moves a plane-alive
-      // peer into kSuspect so its very next beacon restores it (firing
-      // on_restore and clearing the adopted view suspicion); without it a
-      // view-suspect/plane-alive member would stay suspect forever.
-      health_->track(m, now);
-      health_->mark_suspect(m, now);
-      launch_probe_round(m);
-    }
+  const Vt now = w_->now();
+  for (MemberId m : r.reprobe) {
+    // Stale suspicions must not stick: re-judge every suspect in the
+    // merged view with a fresh probe round instead of trusting either
+    // clique's partition-era verdict. mark_suspect moves a plane-alive
+    // peer into kSuspect so its very next beacon restores it (firing
+    // on_restore and clearing the adopted view suspicion); without it a
+    // view-suspect/plane-alive member would stay suspect forever.
+    health_.track(m);
+    health_.mark_suspect(m, now);
+    launch_probe_round(m);
   }
   refresh_outbound();
   update_gauges();
@@ -268,39 +264,29 @@ void McastGroup::on_deliver(MemberId m, DeliverFn fn) {
 }
 
 void McastGroup::poll() {
-  if (health_) {
-    // Cross-prime the detector from the adaptive RTO: while a member's
-    // gossip window is still thin, judge it against the link's measured
-    // srtt + 4*rttvar instead of the generic default (real samples win as
-    // soon as they exist — see PhiDetector::prime).
-    for (std::size_t i = 0; i < sender_eps_.size(); ++i) {
-      Stack& st = sender_eps_[i]->engine().stack();
-      for (std::size_t j = 0; j < st.size(); ++j) {
-        if (auto* wl = dynamic_cast<WindowLayer*>(&st.layer(j))) {
-          if (wl->srtt() > 0) {
-            health_->prime(i, wl->srtt() + 4 * wl->rttvar());
-          }
-          break;
+  // Cross-prime the detector from the adaptive RTO: while a member's
+  // gossip window is still thin, judge it against the link's measured
+  // srtt + 4*rttvar instead of the generic default (real samples win as
+  // soon as they exist — see PhiDetector::prime).
+  for (std::size_t i = 0; i < sender_eps_.size(); ++i) {
+    Stack& st = sender_eps_[i]->engine().stack();
+    for (std::size_t j = 0; j < st.size(); ++j) {
+      if (auto* wl = dynamic_cast<WindowLayer*>(&st.layer(j))) {
+        if (wl->srtt() > 0) {
+          health_.prime(i, wl->srtt() + 4 * wl->rttvar());
         }
+        break;
       }
     }
-    // State transitions land through the hooks (which refresh outbound
-    // gossip themselves).
-    health_->tick(w_->now());
-    update_gauges();
-    return;
   }
-  if (opt_.suspect_after > 0) {
-    const std::size_t n = view_.sweep_suspects(w_->now(), opt_.suspect_after);
-    if (n > 0) {
-      group_metrics().suspects.inc(n);
-      refresh_outbound();
-    }
-  }
+  // State transitions land through the hooks (which refresh outbound
+  // gossip themselves).
+  health_.tick(w_->now());
   update_gauges();
 }
 
 void McastGroup::leave(MemberId m) {
+  health_.forget(m);
   view_.leave(m);
   group_metrics().leaves.inc();
   refresh_outbound();
@@ -357,25 +343,6 @@ void McastGroup::note_member_ack(MemberId m, std::uint32_t acked) {
   view_.note_ack(m, acked);
   prune_sent_log();
   update_gauges();
-}
-
-void McastGroup::note_member_heard(MemberId m, Vt now) {
-  view_.note_heard(m, now);
-  if (health_) {
-    // The plane is the restore authority: this arrival feeds the phi
-    // window, and any restore (or post-dead rejoin) is applied through the
-    // hooks — gated by flap damping, not instant.
-    health_->note_heard(m, now);
-    return;
-  }
-  const Member* mb = view_.find(m);
-  if (mb != nullptr && mb->state == MemberState::kSuspect) {
-    // Hearing a suspected member's gossip restores it (and bumps the
-    // epoch, so the restored view propagates like any other transition).
-    view_.restore(m);
-    group_metrics().restores.inc();
-    refresh_outbound();
-  }
 }
 
 void McastGroup::on_member_deliver(MemberId m,

@@ -17,6 +17,11 @@
 // gossip header class; idle links fall back to beacons. The coordinator
 // never sends a dedicated membership round.
 //
+// Liveness has one authority: the group's HealthPlane (src/health/plane.h).
+// Every arrival from a member feeds it, poll() ticks it, and its hooks
+// apply suspect / dead / restore to the view; its witness probes ride
+// lazily built member<->member PA connections.
+//
 // For members colocated on one node, Router::register_group() offers a
 // shard fanout: one frame on the wire is delivered to every colocated
 // member engine by WireFrame copy (refcount bumps). That path is exercised
@@ -48,24 +53,16 @@ struct McastOptions {
   /// fanout path is cookie-routed); everything else is honoured.
   ConnOptions conn{};
   /// Gossip beacon idle interval for both sides; 0 disables beacons (then
-  /// stability only advances while traffic flows). NOTE: beacons re-arm
+  /// stability only advances, and members are only heard, while traffic
+  /// flows: poll() on a long-idle group suspects them). NOTE: beacons re-arm
   /// forever, like heartbeats — run with a bounded horizon, or disable.
   VtDur beacon_interval = vt_ms(25);
-  /// Gossip silence before a member is suspected by poll(); 0 disables.
-  VtDur suspect_after = vt_ms(200);
   /// Per-member priorities (default 1). Priority 0 = low: that member's
   /// beacons are shed at Saturated (ShedClass::kLiveness); others survive
   /// until Critical (kGossipAck).
   std::vector<std::uint8_t> priorities;
   /// Send-timestamp history bound for delivery-latency tracking.
   std::size_t history = 4096;
-  /// Opt-in health plane (src/health/plane.h). When on, the raw
-  /// suspect_after silence sweep and the instant heard->restore path are
-  /// replaced by phi-accrual suspicion, indirect witness probing over
-  /// member<->member PA connections, and flap-damped restores; a confirmed-
-  /// dead member leaves the view (and rejoins on restore after a heal).
-  bool use_health = false;
-  health::HealthConfig health{};
 };
 
 class McastGroup {
@@ -86,19 +83,21 @@ class McastGroup {
   /// origin — always the coordinator here; seq is the group seqno).
   void on_deliver(MemberId m, DeliverFn fn);
 
-  /// Suspect sweep + outbound gossip/metric refresh. Call periodically
+  /// Health-plane tick + outbound gossip/metric refresh. Call periodically
   /// (tests/benches drive it between run_for slices).
   void poll();
 
-  /// Drop a member for good: it stops receiving mcasts and stops holding
-  /// stability back.
+  /// Drop a member for good: it stops receiving mcasts, stops holding
+  /// stability back, and the health plane forgets it (so hearing it again
+  /// never rejoins it).
   void leave(MemberId m);
 
   GroupView& view() { return view_; }
   const GroupView& view() const { return view_; }
   GroupTable& table() { return table_; }
-  /// The shared liveness authority (null unless opt.use_health).
-  health::HealthPlane* health() { return health_.get(); }
+  /// The group's liveness authority: every suspicion, death verdict and
+  /// restore comes from here.
+  health::HealthPlane& health() { return health_; }
 
   /// Partition healing: fold a diverged clique's view into ours (max-epoch
   /// wins, see GroupView::merge), re-arm the health plane for every member
@@ -135,11 +134,10 @@ class McastGroup {
   void note_member_echo(MemberId m, std::uint16_t epoch,
                         std::uint32_t digest);
   void note_member_ack(MemberId m, std::uint32_t acked);
-  void note_member_heard(MemberId m, Vt now);
   void on_member_deliver(MemberId m, std::span<const std::uint8_t> bytes);
   void prune_sent_log();
   void update_gauges();
-  void init_health();
+  health::HealthHooks health_hooks();
   void launch_probe_round(MemberId target);
   Endpoint* ensure_probe_link(MemberId witness, MemberId target);
 
@@ -161,8 +159,8 @@ class McastGroup {
   std::map<std::uint32_t, Vt> sent_at_;
   Stats stats_;
 
-  // --- health plane (opt-in) ---------------------------------------------
-  std::unique_ptr<health::HealthPlane> health_;
+  // --- health plane ------------------------------------------------------
+  health::HealthPlane health_;
   /// Lazily-built witness probe links, keyed (witness << 16) | target.
   /// Each is an ordinary PA connection between two member nodes: the
   /// witness pings, the target echoes, the ack proves the target is alive

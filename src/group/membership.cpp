@@ -171,13 +171,6 @@ GroupView::MergeReport GroupView::merge(const ViewSnapshot& other) {
   return r;
 }
 
-void GroupView::note_heard(MemberId m, Vt now) {
-  Member* mb = find(m);
-  if (mb == nullptr) return;
-  mb->heard = true;
-  mb->last_heard = now;
-}
-
 void GroupView::note_ack(MemberId m, std::uint32_t acked) {
   Member* mb = find(m);
   if (mb == nullptr) return;
@@ -196,23 +189,6 @@ void GroupView::note_echo(MemberId m, std::uint16_t epoch,
   if (epoch < mb->epoch_echoed) return;
   mb->epoch_echoed = epoch;
   mb->digest_echoed = digest;
-}
-
-std::size_t GroupView::sweep_suspects(Vt now, VtDur silence) {
-  std::size_t n = 0;
-  for (auto& [id, mb] : members_) {
-    if (mb.state != MemberState::kJoined) continue;
-    // A never-heard member counts from t=0 (its join), so a fresh group is
-    // not swept wholesale before the first beacons had a chance to arrive.
-    const Vt reference = mb.heard ? mb.last_heard : 0;
-    if (now - reference > silence) {
-      mb.state = MemberState::kSuspect;
-      ++stats_.suspects;
-      bump_epoch();
-      ++n;
-    }
-  }
-  return n;
 }
 
 GroupView& GroupTable::ensure(GroupId id) {

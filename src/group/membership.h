@@ -20,8 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "util/types.h"
-
 namespace pa::group {
 
 using GroupId = std::uint64_t;
@@ -34,9 +32,8 @@ const char* member_state_name(MemberState s);
 struct Member {
   MemberState state = MemberState::kJoined;
   std::uint8_t priority = 1;  // 0 = low: its liveness beacons are shed first
-  // gossip bookkeeping (what we have heard FROM this member)
-  bool heard = false;
-  Vt last_heard = 0;
+  // gossip bookkeeping (what we have heard FROM this member; arrival times
+  // live in the health plane, src/health/plane.h)
   bool has_ack = false;
   std::uint32_t acked = 0;        // highest group seq the member delivered
   std::uint16_t epoch_echoed = 0; // view epoch the member last echoed back
@@ -127,13 +124,8 @@ class GroupView {
   MergeReport merge(const ViewSnapshot& other);
 
   // --- gossip bookkeeping (no epoch bump) --------------------------------
-  void note_heard(MemberId m, Vt now);
   void note_ack(MemberId m, std::uint32_t acked);  // monotonic max
   void note_echo(MemberId m, std::uint16_t epoch, std::uint32_t digest);
-
-  /// Mark joined members silent for longer than `silence` as suspect.
-  /// Returns the number of transitions made.
-  std::size_t sweep_suspects(Vt now, VtDur silence);
 
   struct Stats {
     std::uint64_t joins = 0;

@@ -19,12 +19,11 @@ const char* peer_state_name(PeerState s) {
 HealthPlane::HealthPlane(HealthConfig cfg, HealthHooks hooks)
     : cfg_(cfg), hooks_(std::move(hooks)) {}
 
-void HealthPlane::track(PeerId p, Vt now) {
+void HealthPlane::track(PeerId p) {
   auto [it, inserted] = peers_.try_emplace(p);
   if (!inserted) return;
   it->second.phi = PhiDetector(cfg_.phi);
   it->second.flap = FlapDamper(cfg_.flap);
-  (void)now;
   health_metrics().tracked.set(static_cast<std::int64_t>(peers_.size()));
 }
 
@@ -45,13 +44,13 @@ void HealthPlane::note_heard(PeerId p, Vt now) {
   // arrivals (so its phi window is warm when it is finally released) but
   // stays down until the score decays.
   if (peer.restore_pending) {
-    if (peer.flap.restore_allowed(now)) restore(p, peer, now);
+    if (peer.flap.restore_allowed(now)) restore(p, peer);
     return;
   }
   peer.flap.note_flap(now);
   peer.restore_pending = true;
   if (peer.flap.restore_allowed(now)) {
-    restore(p, peer, now);
+    restore(p, peer);
   } else {
     ++stats_.flaps_damped;
     health_metrics().flaps_damped.inc();
@@ -95,13 +94,12 @@ void HealthPlane::request_probe(PeerId p, Peer& peer, Vt now) {
   if (hooks_.request_probe) hooks_.request_probe(p);
 }
 
-void HealthPlane::restore(PeerId p, Peer& peer, Vt now) {
+void HealthPlane::restore(PeerId p, Peer& peer) {
   peer.state = PeerState::kAlive;
   peer.restore_pending = false;
   peer.probe_acked = false;
   ++stats_.restores;
   health_metrics().restores.inc();
-  (void)now;
   if (hooks_.on_restore) hooks_.on_restore(p);
 }
 
@@ -126,7 +124,7 @@ std::size_t HealthPlane::tick(Vt now) {
       case PeerState::kSuspect:
         // A damper-held restore releases as soon as the score decays.
         if (peer.restore_pending && peer.flap.restore_allowed(now)) {
-          restore(id, peer, now);
+          restore(id, peer);
           ++transitions;
           break;
         }
@@ -146,7 +144,7 @@ std::size_t HealthPlane::tick(Vt now) {
         break;
       case PeerState::kDead:
         if (peer.restore_pending && peer.flap.restore_allowed(now)) {
-          restore(id, peer, now);
+          restore(id, peer);
           ++transitions;
         }
         break;
@@ -159,16 +157,6 @@ std::size_t HealthPlane::tick(Vt now) {
 PeerState HealthPlane::state(PeerId p) const {
   auto it = peers_.find(p);
   return it == peers_.end() ? PeerState::kAlive : it->second.state;
-}
-
-double HealthPlane::phi(PeerId p, Vt now) const {
-  auto it = peers_.find(p);
-  return it == peers_.end() ? 0.0 : it->second.phi.phi(now);
-}
-
-double HealthPlane::flap_score(PeerId p, Vt now) {
-  auto it = peers_.find(p);
-  return it == peers_.end() ? 0.0 : it->second.flap.score(now);
 }
 
 }  // namespace pa::health

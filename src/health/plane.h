@@ -1,12 +1,12 @@
 // HealthPlane: the one shared per-peer liveness authority.
 //
-// PR 7's group plane suspected members off raw silence; the router
-// re-identifies on dup streaks; the window layer has its own RTO — three
-// layers each re-deriving "is the peer alive?" from their own partial
-// evidence. The health plane centralizes that question (the lesson of *A
-// Reflection on the Organic Growth of the Internet Protocol Stack*,
-// PAPERS.md: failure handling bolted on per-layer ossifies). Per peer it
-// combines:
+// Left to themselves, layers each re-derive "is the peer alive?" from
+// their own partial evidence (a silence timer here, a dup streak there).
+// The health plane centralizes that question (the lesson of *A Reflection
+// on the Organic Growth of the Internet Protocol Stack*, PAPERS.md: failure
+// handling bolted on per-layer ossifies). Every McastGroup runs one plane,
+// and it is the only thing that suspects a group member; the heartbeat
+// layer only keeps a link audible. Per peer it combines:
 //
 //   - a phi-accrual detector (health/phi.h) fed by every arrival the owner
 //     observes (gossip, beacons, data, acks) and primed from the adaptive
@@ -79,10 +79,9 @@ class HealthPlane {
   explicit HealthPlane(HealthConfig cfg = {}, HealthHooks hooks = {});
 
   /// Begin tracking a peer (initial state kAlive, nothing heard yet).
-  void track(PeerId p, Vt now);
+  void track(PeerId p);
   void forget(PeerId p);
   bool tracked(PeerId p) const { return peers_.count(p) != 0; }
-  std::size_t tracked_count() const { return peers_.size(); }
 
   /// An arrival from the peer (gossip, beacon, data, ack — anything).
   /// Feeds the phi window; restores a suspect/dead peer unless damped.
@@ -109,8 +108,6 @@ class HealthPlane {
   std::size_t tick(Vt now);
 
   PeerState state(PeerId p) const;
-  double phi(PeerId p, Vt now) const;
-  double flap_score(PeerId p, Vt now);
 
   struct Stats {
     std::uint64_t suspects = 0;
@@ -134,7 +131,7 @@ class HealthPlane {
   };
 
   void request_probe(PeerId p, Peer& peer, Vt now);
-  void restore(PeerId p, Peer& peer, Vt now);
+  void restore(PeerId p, Peer& peer);
 
   HealthConfig cfg_;
   HealthHooks hooks_;

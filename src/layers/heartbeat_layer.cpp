@@ -29,8 +29,6 @@ void HeartbeatLayer::post_send(const Message&, const HeaderView&,
 
 void HeartbeatLayer::post_deliver(Message&, const HeaderView& hdr,
                                   DeliverVerdict verdict, LayerOps& ops) {
-  last_heard_ = ops.now();
-  heard_anything_ = true;
   if (verdict == DeliverVerdict::kConsume && hdr.get(f_hb_) != 0) {
     ++stats_.heartbeats_received;
   }
@@ -67,8 +65,6 @@ void HeartbeatLayer::predict_deliver(HeaderView& hdr) const {
 std::uint64_t HeartbeatLayer::state_digest() const {
   std::uint64_t h = 0xcbf29ce484222325ull;
   h = digest_mix(h, static_cast<std::uint64_t>(last_sent_));
-  h = digest_mix(h, static_cast<std::uint64_t>(last_heard_));
-  h = digest_mix(h, heard_anything_ ? 1 : 0);
   h = digest_mix(h, timer_armed_ ? 1 : 0);
   h = digest_mix(h, stats_.heartbeats_sent);
   h = digest_mix(h, stats_.heartbeats_received);

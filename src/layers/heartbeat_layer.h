@@ -1,12 +1,12 @@
-// HeartbeatLayer: keepalive + failure detection in canonical form.
+// HeartbeatLayer: a keepalive in canonical form.
 //
-// Horus is a group-communication system; knowing whether the peer is alive
-// is as fundamental as delivering bytes. This layer:
+// This layer keeps a connection audible; it does not judge the peer. It:
 //   - emits a protocol heartbeat message when the connection has been
 //     send-idle for `interval` (timer-driven, post-phase work);
-//   - tracks the last time anything was heard from the peer and declares
-//     the peer *suspected* after `suspect_after` of silence;
 //   - consumes heartbeats before they reach the application.
+// Whether the peer is alive is the health plane's question
+// (src/health/plane.h): an owner feeds it the arrivals it observes, and
+// the plane alone suspects, confirms and restores.
 //
 // Header cost: a single protocol-specific bit. Data messages carry hb=0 —
 // the predicted header is unaffected, so the fast path stays fast; the
@@ -19,8 +19,7 @@
 namespace pa {
 
 struct HeartbeatConfig {
-  VtDur interval = vt_ms(50);       // send-idle gap before a heartbeat
-  VtDur suspect_after = vt_ms(200); // silence before suspecting the peer
+  VtDur interval = vt_ms(50);  // send-idle gap before a heartbeat
 };
 
 class HeartbeatLayer final : public Layer {
@@ -45,12 +44,6 @@ class HeartbeatLayer final : public Layer {
   void predict_deliver(HeaderView& hdr) const override;
   std::uint64_t state_digest() const override;
 
-  /// Is the peer currently considered alive, as of virtual instant `now`?
-  bool peer_alive(Vt now) const {
-    return heard_anything_ && now - last_heard_ <= cfg_.suspect_after;
-  }
-  Vt last_heard() const { return last_heard_; }
-
   struct Stats {
     std::uint64_t heartbeats_sent = 0;
     std::uint64_t heartbeats_received = 0;
@@ -64,8 +57,6 @@ class HeartbeatLayer final : public Layer {
   FieldHandle f_hb_{};  // proto-spec, 1 bit
 
   Vt last_sent_ = 0;
-  Vt last_heard_ = 0;
-  bool heard_anything_ = false;
   bool timer_armed_ = false;
   Stats stats_;
 };

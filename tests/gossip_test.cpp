@@ -122,7 +122,6 @@ TEST(Gossip, VaryingGossipKeepsBothFastPaths) {
   auto& m0 = w.add_node("m0");
   McastOptions o;
   o.beacon_interval = 0;  // beacons off: the world may run to drain
-  o.suspect_after = 0;
   McastGroup g(w, hub, {&m0}, o);
 
   std::uint64_t got = 0;
@@ -157,7 +156,6 @@ TEST(Gossip, BeaconsCarryStabilityAndAreConsumed) {
   auto& m0 = w.add_node("m0");
   McastOptions o;
   o.beacon_interval = vt_ms(10);
-  o.suspect_after = 0;
   McastGroup g(w, hub, {&m0}, o);
 
   std::uint64_t got = 0;
@@ -192,7 +190,6 @@ TEST(Gossip, ViewChangesPropagateAndEchoBack) {
   auto& m1 = w.add_node("m1");
   McastOptions o;
   o.beacon_interval = vt_ms(10);
-  o.suspect_after = 0;
   McastGroup g(w, hub, {&m0, &m1}, o);
   std::array<std::uint32_t, 2> last_seq{};
   std::array<bool, 2> last_empty{};
@@ -248,7 +245,6 @@ TEST(Gossip, ZeroedGossipRegionsAreHarmless) {
   auto& m0 = w.add_node("m0");
   McastOptions o;
   o.beacon_interval = vt_ms(10);
-  o.suspect_after = 0;
   HeartbeatConfig hb;  // extra below-gossip emissions
   hb.interval = vt_ms(5);
   o.conn.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));

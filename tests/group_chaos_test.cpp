@@ -51,7 +51,6 @@ TEST(GroupChaos, HundredMemberChurnConverges) {
 
   McastOptions opt;
   opt.beacon_interval = vt_ms(50);
-  opt.suspect_after = vt_ms(150);
   McastGroup g(w, hub, members, opt);
 
   std::vector<std::uint64_t> got(members.size(), 0);
@@ -67,7 +66,7 @@ TEST(GroupChaos, HundredMemberChurnConverges) {
   for (std::uint32_t k = 0; k < kMcasts; ++k) {
     w.queue().at(vt_ms(5) * (k + 1), [&g, &payload] { g.mcast(payload); });
   }
-  // Failure-detector sweep, as an application would run it.
+  // Health-plane tick, as an application would run it.
   for (int k = 0; k < 150; ++k) {
     w.queue().at(vt_ms(20) * (k + 1), [&g] { g.poll(); });
   }
@@ -112,7 +111,8 @@ TEST(GroupChaos, HundredMemberChurnConverges) {
   w.run_until(vt_ms(1050));
 
   // Mid-chaos sanity: the partitioned members went silent long enough for
-  // the failure detector to suspect them, and healing restored them.
+  // the health plane to suspect them, and healing restored them.
+  EXPECT_GT(g.health().stats().suspects, 0u) << "the plane suspected nobody";
   EXPECT_GT(g.view().stats().suspects, 0u) << "nobody was ever suspected";
   EXPECT_GT(g.view().stats().restores, 0u) << "nobody was ever restored";
 
@@ -173,10 +173,8 @@ TEST(GroupChaos, SixtyFortyPartitionHealsToOneView) {
 
   McastOptions opt;
   opt.beacon_interval = vt_ms(50);
-  opt.use_health = true;
   McastGroup g(w, hub, members, opt);
-  health::HealthPlane* hp = g.health();
-  ASSERT_NE(hp, nullptr);
+  health::HealthPlane& hp = g.health();
 
   std::vector<std::uint64_t> got(members.size(), 0);
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -221,10 +219,10 @@ TEST(GroupChaos, SixtyFortyPartitionHealsToOneView) {
   // Exact suspect accounting: precisely the 40 isolated members were
   // suspected, confirmed dead (their witness probes crossed the cut and
   // blackholed), and restored after the heal. Nobody on side A flapped.
-  EXPECT_EQ(hp->stats().suspects, 40u);
-  EXPECT_EQ(hp->stats().deads, 40u);
-  EXPECT_EQ(hp->stats().restores, 40u);
-  EXPECT_EQ(hp->stats().flaps_damped, 0u);
+  EXPECT_EQ(hp.stats().suspects, 40u);
+  EXPECT_EQ(hp.stats().deads, 40u);
+  EXPECT_EQ(hp.stats().restores, 40u);
+  EXPECT_EQ(hp.stats().flaps_damped, 0u);
   EXPECT_EQ(g.view().stats().suspects, 40u);
   EXPECT_EQ(g.view().stats().leaves, 40u);
   // Confirmed-dead members left the view and re-entered via join (100
@@ -237,7 +235,7 @@ TEST(GroupChaos, SixtyFortyPartitionHealsToOneView) {
     const group::Member* mb = g.view().find(static_cast<MemberId>(i));
     ASSERT_NE(mb, nullptr);
     EXPECT_EQ(mb->state, MemberState::kJoined) << "member " << i;
-    EXPECT_EQ(hp->state(static_cast<health::PeerId>(i)),
+    EXPECT_EQ(hp.state(static_cast<health::PeerId>(i)),
               health::PeerState::kAlive)
         << "member " << i;
   }
@@ -252,7 +250,9 @@ TEST(GroupChaos, SixtyFortyPartitionHealsToOneView) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
     sum += got[i];
-    if (i < 60) EXPECT_EQ(got[i], kMcasts) << "member " << i;
+    if (i < 60) {
+      EXPECT_EQ(got[i], kMcasts) << "member " << i;
+    }
   }
   EXPECT_EQ(sum, g.stats().delivered);
 
@@ -282,10 +282,8 @@ TEST(GroupChaos, MergedCliqueSuspicionsAreReJudgedAndClear) {
 
   McastOptions opt;
   opt.beacon_interval = vt_ms(50);
-  opt.use_health = true;
   McastGroup g(w, hub, members, opt);
-  health::HealthPlane* hp = g.health();
-  ASSERT_NE(hp, nullptr);
+  health::HealthPlane& hp = g.health();
 
   // Warm the links (beacons arm on first traffic) and converge.
   const std::vector<std::uint8_t> payload(32, 0x42);
@@ -315,9 +313,9 @@ TEST(GroupChaos, MergedCliqueSuspicionsAreReJudgedAndClear) {
   // The adopted verdict is live in both the view and the plane.
   for (MemberId m = 6; m <= 8; ++m) {
     EXPECT_EQ(g.view().find(m)->state, MemberState::kSuspect);
-    EXPECT_EQ(hp->state(m), health::PeerState::kSuspect);
+    EXPECT_EQ(hp.state(m), health::PeerState::kSuspect);
   }
-  EXPECT_EQ(hp->stats().suspects, 3u);
+  EXPECT_EQ(hp.stats().suspects, 3u);
 
   // Their next beacons re-judge and clear the suspicion; the view
   // reconverges on the superseding epoch.
@@ -333,9 +331,52 @@ TEST(GroupChaos, MergedCliqueSuspicionsAreReJudgedAndClear) {
               MemberState::kJoined)
         << "member " << i;
   }
-  EXPECT_EQ(hp->stats().restores, 3u);
-  EXPECT_EQ(hp->stats().deads, 0u);
+  EXPECT_EQ(hp.stats().restores, 3u);
+  EXPECT_EQ(hp.stats().deads, 0u);
   EXPECT_EQ(g.view().stats().restores, 3u);
+}
+
+// --- leave is for good: a left member is never rejoined ---------------------
+//
+// leave() drops a member for good. The health plane must forget it too:
+// otherwise a partition makes the plane suspect the left member, the heal
+// lets its beacons through again, and the plane's restore hook — seeing
+// kLeft, the mark of a confirmed-dead member — rejoins it.
+
+TEST(GroupChaos, LeftMemberStaysLeftAcrossPartitionAndHeal) {
+  WorldConfig wc;
+  wc.seed = 3;
+  World w(wc);
+  auto& hub = w.add_node("hub");
+  auto& m0 = w.add_node("m0");
+  auto& m1 = w.add_node("m1");
+
+  McastOptions opt;
+  opt.beacon_interval = vt_ms(10);
+  McastGroup g(w, hub, {&m0, &m1}, opt);
+
+  const std::vector<std::uint8_t> payload(32, 0x11);
+  g.mcast(payload);
+  const auto run_polling = [&](VtDur span) {
+    for (VtDur t = 0; t < span; t += vt_ms(10)) {
+      w.run_for(vt_ms(10));
+      g.poll();
+    }
+  };
+  run_polling(vt_ms(200));
+  ASSERT_EQ(g.view().find(1)->state, MemberState::kJoined);
+
+  g.leave(1);
+  EXPECT_FALSE(g.health().tracked(1));
+  w.partition(hub, m1);
+  run_polling(vt_ms(400));
+  w.heal(hub, m1);
+  run_polling(vt_ms(400));
+
+  EXPECT_EQ(g.view().find(1)->state, MemberState::kLeft);
+  EXPECT_EQ(g.view().find(0)->state, MemberState::kJoined);
+  EXPECT_EQ(g.view().stats().joins, 2u);
+  EXPECT_EQ(g.health().stats().restores, 0u);
 }
 
 // --- exact shed accounting: ingest admission under a fanout blast ----------
@@ -355,7 +396,6 @@ TEST(GroupChaos, IngestShedsAreAccountedExactly) {
   OverloadGovernor gov;
   McastOptions opt;
   opt.beacon_interval = 0;  // run-to-drain
-  opt.suspect_after = 0;
   opt.conn.a_governor = &gov;  // sender side only; member acks flow freely
   McastGroup g(w, hub, members, opt);
 
@@ -420,7 +460,6 @@ TEST(GroupChaos, LowPriorityBeaconsShedFirstAndExactly) {
   OverloadGovernor gov;
   McastOptions opt;
   opt.beacon_interval = vt_ms(10);
-  opt.suspect_after = 0;
   opt.conn.a_governor = &gov;
   opt.priorities = {0, 1};  // member 0 low (kLiveness), member 1 normal
   McastGroup g(w, hub, {&m0, &m1}, opt);

@@ -1,5 +1,5 @@
-// Tests: the heartbeat / failure-detection layer and the custom-layer
-// extension hook.
+// Tests: the heartbeat (keepalive) layer and the custom-layer extension
+// hook.
 #include <gtest/gtest.h>
 
 #include "horus/world.h"
@@ -14,7 +14,6 @@ TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
   ConnOptions opt;
   HeartbeatConfig hb;
   hb.interval = vt_ms(10);
-  hb.suspect_after = vt_ms(50);
   opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
   auto [ea, eb] = w.connect(a, b, opt);
 
@@ -29,35 +28,11 @@ TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
       eb->engine().stack().find(LayerKind::kCustom));
   ASSERT_NE(hb_a, nullptr);
   ASSERT_NE(hb_b, nullptr);
+  // Both sides stay audible: each sends heartbeats and hears the other's.
   EXPECT_GT(hb_a->stats().heartbeats_sent, 10u);
+  EXPECT_GT(hb_b->stats().heartbeats_sent, 10u);
+  EXPECT_GT(hb_a->stats().heartbeats_received, 10u);
   EXPECT_GT(hb_b->stats().heartbeats_received, 10u);
-  EXPECT_TRUE(hb_a->peer_alive(w.now()));
-  EXPECT_TRUE(hb_b->peer_alive(w.now()));
-}
-
-TEST(Heartbeat, SilentPeerGetsSuspected) {
-  World w;
-  auto& a = w.add_node("a");
-  auto& b = w.add_node("b");
-  ConnOptions opt;
-  HeartbeatConfig hb;
-  hb.interval = vt_ms(10);
-  hb.suspect_after = vt_ms(50);
-  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
-  auto [ea, eb] = w.connect(a, b, opt);
-  eb->on_deliver([](std::span<const std::uint8_t>) {});
-  ea->send(std::vector<std::uint8_t>{1});
-  w.run_for(vt_ms(100));
-  auto* hb_a = dynamic_cast<HeartbeatLayer*>(
-      ea->engine().stack().find(LayerKind::kCustom));
-  ASSERT_TRUE(hb_a->peer_alive(w.now()));
-
-  // Cut the b->a direction: a stops hearing anything.
-  LinkParams dead;
-  dead.loss_prob = 1.0;
-  w.network().set_link(b.id(), a.id(), dead);
-  w.run_for(vt_ms(200));
-  EXPECT_FALSE(hb_a->peer_alive(w.now()));
 }
 
 TEST(Heartbeat, DataTrafficStaysOnFastPath) {

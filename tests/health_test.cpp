@@ -186,7 +186,7 @@ HealthConfig fast_cfg() {
 TEST(Plane, SilenceSuspectsThenConfirmsDead) {
   PlaneLog log;
   HealthPlane hp(fast_cfg(), log.hooks());
-  hp.track(1, 0);
+  hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
   for (int i = 0; i < 20; ++i) {
@@ -221,7 +221,7 @@ TEST(Plane, ProbeAckKeepsAsymmetricPeerSuspectNotDead) {
   };
   HealthPlane hp(fast_cfg(), hooks);
   hpp = &hp;
-  hp.track(1, 0);
+  hp.track(1);
   hp.prime(1, vt_ms(10));
   for (int i = 0; i < 20; ++i) {
     t += vt_ms(10);
@@ -242,7 +242,7 @@ TEST(Plane, ProbeAckKeepsAsymmetricPeerSuspectNotDead) {
 TEST(Plane, HeardRestoresSuspect) {
   PlaneLog log;
   HealthPlane hp(fast_cfg(), log.hooks());
-  hp.track(1, 0);
+  hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
   for (int i = 0; i < 20; ++i) {
@@ -264,7 +264,7 @@ TEST(Plane, FlappingPeerIsHeldSuspectUntilScoreDecays) {
   hc.flap.half_life = vt_s(1);  // quick decay so the test can see release
   PlaneLog log;
   HealthPlane hp(hc, log.hooks());
-  hp.track(1, 0);
+  hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
   for (int i = 0; i < 20; ++i) {
@@ -300,7 +300,7 @@ TEST(Plane, FlappingPeerIsHeldSuspectUntilScoreDecays) {
 TEST(Plane, ForgetDropsPeer) {
   PlaneLog log;
   HealthPlane hp(fast_cfg(), log.hooks());
-  hp.track(7, 0);
+  hp.track(7);
   EXPECT_TRUE(hp.tracked(7));
   hp.forget(7);
   EXPECT_FALSE(hp.tracked(7));
