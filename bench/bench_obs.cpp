@@ -1,16 +1,20 @@
 // bench_obs — cost of the always-on observability layer on the predicted
 // send path (the hottest path in the system, paper Figure 3).
 //
-// The trace ring's contract is "always on": every predicted send records a
-// compact binary span event into a per-thread ring. That is only tenable if
-// the record is near-free. This bench measures:
+// The trace ring's contract is "always on": every timed predicted send
+// records a compact binary span event into the process ring. On this
+// bench's wall-clock Env that is the first send and then 1 in 16
+// (kPhaseSampleEvery); under the simulator's virtual clock it is every
+// send. That is only tenable if the record is near-free. This bench
+// measures:
 //
 //   1. raw TraceRing::record() cost (tight loop, ns/op);
 //   2. the full predicted send path (send + inline post-processing drain)
 //      with tracing ON vs OFF — the
-//      *record vs no-record* delta. Timestamps and histogram records run in
-//      both modes (they are the metrics layer, always paid); the delta
-//      isolates the ring stores the trace-enabled flag gates.
+//      *record vs no-record* delta. Timestamps and histogram records of the
+//      timed sends run in both modes (they are the metrics layer, always
+//      paid); the delta isolates the ring stores the trace-enabled flag
+//      gates.
 //
 // Shape gate: the record-vs-no-record overhead must stay under 2% of the
 // send-path cost, estimated as the median of per-round paired ON/OFF

@@ -234,6 +234,7 @@ std::uint64_t Message::payload_digest(DigestKind kind) const {
 
 WireFrame Message::to_wire() const {
   WireFrame f;
+  f.reserve(1 + chain_.size());
   if (header_len() > 0) f.append(Slice{head_, hstart_, header_len()});
   for (const Slice& s : chain_) f.append(s);
   return f;

@@ -36,6 +36,7 @@ class WireFrame {
   static WireFrame copy_of(std::span<const std::uint8_t> bytes);
 
   void append(Slice s);
+  void reserve(std::size_t slices) { slices_.reserve(slices); }
 
   std::size_t size() const { return total_; }
   bool empty() const { return total_ == 0; }

@@ -1,5 +1,6 @@
 #include "filter/interp.h"
 
+#include <array>
 #include <cassert>
 
 namespace pa {
@@ -7,28 +8,28 @@ namespace pa {
 std::uint64_t wide_digest(DigestKind kind, const HeaderView& hdr,
                           const Message& msg) {
   const CompiledLayout* lay = hdr.layout();
-  // Covered header bytes are few (tens): mask them into one small buffer,
-  // then stream the payload chain through the digest without flattening or
-  // concatenating anything.
+  // Covered header bytes are few (tens): mask them through a small stack
+  // buffer, then stream the payload chain through the digest without
+  // flattening or concatenating anything. DigestStream gives the same
+  // result however its input is split.
   DigestStream ds(kind);
-  std::vector<std::uint8_t> buf;
   if (lay != nullptr) {
-    std::size_t covered = 0;
-    for (std::size_t r = 0; r < lay->num_regions(); ++r) {
-      covered += lay->digest_mask(r).size();
-    }
-    buf.reserve(covered);
+    std::array<std::uint8_t, 64> buf{};
+    std::size_t n = 0;
     for (std::size_t r = 0; r < lay->num_regions(); ++r) {
       const auto& mask = lay->digest_mask(r);
-      if (mask.empty()) continue;
       const std::uint8_t* base = hdr.region(r);
-      if (base == nullptr) continue;
+      if (mask.empty() || base == nullptr) continue;
       for (std::size_t i = 0; i < mask.size(); ++i) {
-        buf.push_back(static_cast<std::uint8_t>(base[i] & mask[i]));
+        if (n == buf.size()) {
+          ds.update(buf);
+          n = 0;
+        }
+        buf[n++] = static_cast<std::uint8_t>(base[i] & mask[i]);
       }
     }
+    ds.update(std::span<const std::uint8_t>(buf.data(), n));
   }
-  ds.update(buf);
   msg.for_each_payload([&](std::span<const std::uint8_t> s) { ds.update(s); });
   return ds.finish();
 }

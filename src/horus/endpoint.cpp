@@ -14,6 +14,7 @@ class Endpoint::NodeEnv final : public Env {
       : ep_(ep), net_(net), peer_(peer), tracer_(tracer) {}
 
   Vt now() const override { return ep_.node_.cpu(ep_.cpu_index_).now(); }
+  bool clock_is_virtual() const override { return true; }
 
   void charge(VtDur d) override { ep_.node_.cpu(ep_.cpu_index_).charge(d); }
 

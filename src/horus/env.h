@@ -24,6 +24,11 @@ class Env {
   /// Current virtual instant.
   virtual Vt now() const = 0;
 
+  /// True when now() is a modeled clock that costs nothing to read (the
+  /// simulator). Engines then time every phase; on any other clock they
+  /// time a sample, because each read is real work on the measured path.
+  virtual bool clock_is_virtual() const { return false; }
+
   /// Consume CPU time (virtual cost model charge).
   virtual void charge(VtDur d) = 0;
 

@@ -39,7 +39,7 @@ enum class SpanKind : std::uint8_t {
   kDeliverSlow,     // unpredicted delivery: stack pre-deliver chain ran
   kPostDeliver,     // deferred post-deliver batch (arg = messages in batch)
   kFilterSend,      // send packet filter executed (arg = return code)
-  kFilterRecv,      // receive packet filter executed (arg = return code)
+  kFilterRecv,      // receive packet filter executed (arg = 1 if accepted)
   kTimerFire,       // layer timer callback ran
   kGcPause,         // GC model charged a pause (dur = pause ns)
   kBacklogFlush,    // backlog flushed (arg = messages flushed/packed)

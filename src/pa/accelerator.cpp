@@ -31,7 +31,8 @@ constexpr std::uint32_t kRecoveryIdentQuota = 8;
 // on span events keeps engines distinguishable where it matters). Durations
 // are on the engine's Env clock — virtual ns under the simulator (i.e. the
 // modeled critical-path cost, directly comparable to the paper's tables),
-// wall ns under the real-time loop.
+// wall ns under the real-time loop, where only a sample of calls is timed
+// (kPhaseSampleEvery).
 struct PhaseHists {
   obs::LatencyHistogram& send_fast;
   obs::LatencyHistogram& send_slow;
@@ -65,6 +66,16 @@ std::uint32_t clamp_dur(std::int64_t d) {
   if (d < 0) return 0;
   if (d > 0xffffffff) return 0xffffffffu;
   return static_cast<std::uint32_t>(d);
+}
+
+// Close a timed phase that began at t0: one clock read, one histogram
+// sample, one span. Returns the end instant.
+Vt close_phase(const Env& env, obs::LatencyHistogram& h, obs::SpanKind kind,
+               Vt t0, std::uint32_t arg, std::uint16_t owner) {
+  const Vt t1 = env.now();
+  h.record(static_cast<std::uint64_t>(t1 - t0));
+  obs::span(kind, t0, clamp_dur(t1 - t0), arg, owner);
+  return t1;
 }
 
 }  // namespace
@@ -146,6 +157,7 @@ PaEngine::PaEngine(PaConfig cfg, Env& env)
   out_cookie_ = random_cookie(cookie_rng);
 
   obs_id_ = obs::next_owner_id();
+  clock_virtual_ = env_.clock_is_virtual();
   win_ = dynamic_cast<const WindowLayer*>(stack_.find(LayerKind::kWindow));
 
   // Composable-stack seams: which layers rewrite frame payloads (AEAD) and
@@ -384,7 +396,8 @@ void PaEngine::enqueue_or_send(Message m) {
 
 void PaEngine::start_send(Message m, std::uint64_t pk_count,
                           std::uint64_t pk_each, bool pk_var) {
-  const Vt t0 = env_.now();
+  const bool is_timed = timed(kTimeSend);
+  const Vt t0 = is_timed ? env_.now() : 0;
   send_busy_ = true;
   std::uint8_t* h = m.push(fixed_hdr_);
   std::memset(h, 0, fixed_hdr_);
@@ -422,15 +435,17 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
       transmit(m, false);
       const std::uint32_t len = static_cast<std::uint32_t>(m.payload_len());
       queue_post_send(std::move(m));
-      const Vt t1 = env_.now();
-      phase_hists().send_fast.record(static_cast<std::uint64_t>(t1 - t0));
-      obs::span(obs::SpanKind::kSendFast, t0, clamp_dur(t1 - t0), len,
-                obs_id_);
+      if (is_timed) {
+        close_phase(env_, phase_hists().send_fast, obs::SpanKind::kSendFast,
+                    t0, len, obs_id_);
+      }
       return;
     }
     // Send filter rejected the predicted frame — an unusual reroute worth a
-    // trace mark (the fast path itself records no filter event).
-    obs::span(obs::SpanKind::kFilterSend, t0, 0, 0, obs_id_);
+    // trace mark on every call, sampled or not (the fast path itself records
+    // no filter event).
+    obs::span(obs::SpanKind::kFilterSend, is_timed ? t0 : env_.now(), 0, 0,
+              obs_id_);
   }
 
   // Slow path: the stack's pre-send phases build the headers.
@@ -464,9 +479,10 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
   transmit(m, m.cb.retransmit);
   const std::uint32_t len = static_cast<std::uint32_t>(m.payload_len());
   queue_post_send(std::move(m));
-  const Vt t1 = env_.now();
-  phase_hists().send_slow.record(static_cast<std::uint64_t>(t1 - t0));
-  obs::span(obs::SpanKind::kSendSlow, t0, clamp_dur(t1 - t0), len, obs_id_);
+  if (is_timed) {
+    close_phase(env_, phase_hists().send_slow, obs::SpanKind::kSendSlow, t0,
+                len, obs_id_);
+  }
 }
 
 void PaEngine::transmit(Message& m, bool unusual) {
@@ -522,14 +538,15 @@ void PaEngine::run_posts() {
   post_scheduled_ = false;
 
   // One clock read per boundary: post-deliver starts where post-send ends.
-  const Vt ts0 = env_.now();
+  const bool is_timed = timed(kTimePosts);
+  const Vt ts0 = is_timed ? env_.now() : 0;
   Vt td0 = ts0;
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
       static_cast<std::uint32_t>(pending_post_send_.size());
-  while (!pending_post_send_.empty()) {
-    Message m = std::move(pending_post_send_.front());
-    pending_post_send_.pop_front();
+  // By index: a post phase may queue another send, which runs in this batch.
+  for (std::size_t k = 0; k < pending_post_send_.size(); ++k) {
+    Message m = std::move(pending_post_send_[k]);
     HeaderView v = bind(m, cfg_.self_endian);
     for (std::size_t i = 0; i < stack_.size(); ++i) {
       env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_send);
@@ -539,22 +556,22 @@ void PaEngine::run_posts() {
     drain_releases();
     retire_message(std::move(m));
   }
+  pending_post_send_.clear();
   if (had_sends) {
     send_pred_stale_ = true;  // post-deliver may move it too: rebuilt below
     env_.trace("POSTSEND DONE");
     send_busy_ = false;
-    td0 = env_.now();
-    phase_hists().post_send.record(static_cast<std::uint64_t>(td0 - ts0));
-    obs::span(obs::SpanKind::kPostSend, ts0, clamp_dur(td0 - ts0), n_sends,
-              obs_id_);
+    if (is_timed) {
+      td0 = close_phase(env_, phase_hists().post_send,
+                        obs::SpanKind::kPostSend, ts0, n_sends, obs_id_);
+    }
   }
 
   const bool had_delivers = !pending_post_deliver_.empty();
   const std::uint32_t n_delivers =
       static_cast<std::uint32_t>(pending_post_deliver_.size());
-  while (!pending_post_deliver_.empty()) {
-    PendingDeliver pd = std::move(pending_post_deliver_.front());
-    pending_post_deliver_.pop_front();
+  for (std::size_t k = 0; k < pending_post_deliver_.size(); ++k) {
+    PendingDeliver pd = std::move(pending_post_deliver_[k]);
     HeaderView v = bind(pd.msg, static_cast<Endian>(pd.msg.cb.wire_endian));
     for (std::size_t i = stack_.size(); i-- > pd.stop;) {
       env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_deliver);
@@ -566,6 +583,7 @@ void PaEngine::run_posts() {
     drain_releases();
     retire_message(std::move(pd.msg));
   }
+  pending_post_deliver_.clear();
   if (had_delivers) {
     rebuild_deliver_prediction();
     // Delivery post-processing also moves send-side gossip (the cumulative
@@ -577,10 +595,10 @@ void PaEngine::run_posts() {
   if (had_delivers) {
     env_.trace("POSTDELIVER DONE");
     deliver_busy_ = false;
-    const Vt td1 = env_.now();
-    phase_hists().post_deliver.record(static_cast<std::uint64_t>(td1 - td0));
-    obs::span(obs::SpanKind::kPostDeliver, td0, clamp_dur(td1 - td0),
-              n_delivers, obs_id_);
+    if (is_timed) {
+      close_phase(env_, phase_hists().post_deliver,
+                  obs::SpanKind::kPostDeliver, td0, n_delivers, obs_id_);
+    }
   }
 
   env_.gc_point();
@@ -677,7 +695,8 @@ void PaEngine::on_frame(WireFrame frame, Vt) {
 }
 
 void PaEngine::process_frame(WireFrame frame) {
-  const Vt t0 = env_.now();
+  const bool is_timed = timed(kTimeFrame);
+  const Vt t0 = is_timed ? env_.now() : 0;
   // Peek the preamble before adopting the frame: its bytes live in the
   // frame's chunks, which the message below keeps alive. The frame is
   // adopted without copying — the receive path's one flat-buffer copy is
@@ -718,8 +737,10 @@ void PaEngine::process_frame(WireFrame frame) {
       cfg_.use_compiled_filters
           ? (p->byte_order == Endian::kBig ? crecv_be_ : crecv_le_).run(v, m)
           : run_filter(stack_.recv_prog(), v, m);
-  obs::span(obs::SpanKind::kFilterRecv, t0, 0,
-            static_cast<std::uint32_t>(rc != 0), obs_id_);
+  if (is_timed) {
+    obs::span(obs::SpanKind::kFilterRecv, t0, 0,
+              static_cast<std::uint32_t>(rc != 0), obs_id_);
+  }
   if (rc == 0) {
     stats_.drops.bump(DropReason::kChecksumFilter);
     return;
@@ -742,10 +763,11 @@ void PaEngine::process_frame(WireFrame frame) {
     ++stats_.fast_delivers;
     env_.trace("DELIVER");
     deliver_to_app(m, true);
-    const Vt t1 = env_.now();
-    phase_hists().deliver_fast.record(static_cast<std::uint64_t>(t1 - t0));
-    obs::span(obs::SpanKind::kDeliverFast, t0, clamp_dur(t1 - t0),
-              static_cast<std::uint32_t>(m.payload_len()), obs_id_);
+    if (is_timed) {
+      close_phase(env_, phase_hists().deliver_fast,
+                  obs::SpanKind::kDeliverFast, t0,
+                  static_cast<std::uint32_t>(m.payload_len()), obs_id_);
+    }
     deliver_busy_ = true;
     pending_post_deliver_.push_back(
         PendingDeliver{std::move(m), 0, DeliverVerdict::kDeliver});
@@ -780,11 +802,12 @@ void PaEngine::process_frame(WireFrame frame) {
     env_.trace("DELIVER(slow)");
     deliver_to_app(m, true);
   }
-  const Vt t1 = env_.now();
-  phase_hists().deliver_slow.record(static_cast<std::uint64_t>(t1 - t0));
-  obs::span(obs::SpanKind::kDeliverSlow, t0, clamp_dur(t1 - t0),
-            static_cast<std::uint32_t>(verdict == DeliverVerdict::kDeliver),
-            obs_id_);
+  if (is_timed) {
+    close_phase(env_, phase_hists().deliver_slow, obs::SpanKind::kDeliverSlow,
+                t0,
+                static_cast<std::uint32_t>(verdict == DeliverVerdict::kDeliver),
+                obs_id_);
+  }
   deliver_busy_ = true;
   pending_post_deliver_.push_back(PendingDeliver{std::move(m), stop, verdict});
   schedule_post();

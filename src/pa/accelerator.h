@@ -42,6 +42,12 @@ class WindowLayer;
 inline constexpr std::size_t kMaxPackBatch = 128;
 inline constexpr std::size_t kMaxPackBytes = 8192;
 
+/// Phase timing on a wall clock: the first call of each timed phase
+/// (start_send, process_frame, run_posts) and then one in this many reads
+/// the clock and feeds the phase histograms and spans. Under a virtual
+/// clock (Env::clock_is_virtual) every call is timed. Counters stay exact.
+inline constexpr std::uint32_t kPhaseSampleEvery = 16;
+
 struct PaConfig {
   StackParams stack;
   CostModel costs = CostModel::paper();
@@ -162,6 +168,11 @@ class PaEngine final : public Engine {
   /// frame failed authentication and was counted as kAeadAuth.
   bool decode_codecs(Message& m, const HeaderView& v);
   void drain_releases();
+  enum TimedPhase { kTimeSend, kTimeFrame, kTimePosts, kNumTimedPhases };
+  /// Whether this call of `p` is timed (see kPhaseSampleEvery).
+  bool timed(TimedPhase p) {
+    return clock_virtual_ || phase_calls_[p]++ % kPhaseSampleEvery == 0;
+  }
   void rebuild_send_prediction();
   void rebuild_deliver_prediction();
   /// Build the predictions from the layers' current state into the given
@@ -239,8 +250,10 @@ class PaEngine final : public Engine {
   std::vector<std::uint8_t> part_scratch_;     // decode_part inflate buffer
 
   std::deque<Message> backlog_;
-  std::deque<Message> pending_post_send_;
-  std::deque<PendingDeliver> pending_post_deliver_;
+  // Drained by index and cleared after each post batch, so their storage
+  // is reused; appends made during a batch run in that same batch.
+  std::vector<Message> pending_post_send_;
+  std::vector<PendingDeliver> pending_post_deliver_;
   std::deque<WireFrame> recv_queue_;
   // Released messages bucketed by releasing layer. Messages released by a
   // layer closer to the application are earlier in the upward pipeline than
@@ -252,6 +265,8 @@ class PaEngine final : public Engine {
 
   EngineStats stats_;
   std::uint16_t obs_id_ = 0;  // owner tag on this engine's trace spans
+  bool clock_virtual_ = false;  // env_.clock_is_virtual(), fixed per Env
+  std::uint32_t phase_calls_[kNumTimedPhases] = {};
 };
 
 }  // namespace pa

@@ -185,6 +185,47 @@ TEST(FilterInterp, DivisionByZeroFailsSafe) {
   EXPECT_EQ(run_filter(p, v, m), 0);
 }
 
+// The wide digest streams the masked header bytes through a small fixed
+// buffer. With more covered bytes than that buffer holds, the result must
+// still equal the one-shot digest of (masked regions ++ payload).
+TEST(FilterInterp, WideDigestOfLongHeaderEqualsFlatDigest) {
+  LayoutRegistry reg;
+  for (int i = 0; i < 30; ++i) {
+    reg.add_field(FieldClass::kProtoSpec, "p" + std::to_string(i), 13);
+    reg.add_field(FieldClass::kGossip, "g" + std::to_string(i), 24);
+  }
+  reg.add_field(FieldClass::kMsgSpec, "sum", 32);
+  const CompiledLayout cl = reg.compile(LayoutMode::kCompact);
+
+  Rng rng(7);
+  std::vector<std::vector<std::uint8_t>> regions(cl.num_regions());
+  HeaderView v(&cl, Endian::kLittle);
+  std::vector<std::uint8_t> flat;
+  std::size_t covered = 0;
+  for (std::size_t r = 0; r < cl.num_regions(); ++r) {
+    regions[r].resize(cl.region_bytes(r));
+    for (auto& b : regions[r]) b = static_cast<std::uint8_t>(rng.next());
+    if (regions[r].empty()) continue;
+    v.set_region(r, regions[r].data());
+    const auto& mask = cl.digest_mask(r);
+    covered += mask.size();
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      flat.push_back(static_cast<std::uint8_t>(regions[r][i] & mask[i]));
+    }
+  }
+  ASSERT_GT(covered, 128u);  // several buffer refills
+
+  std::vector<std::uint8_t> payload(333);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+  const Message m = Message::with_payload(payload);
+  flat.insert(flat.end(), payload.begin(), payload.end());
+
+  for (DigestKind k : {DigestKind::kCrc32c, DigestKind::kFletcher32,
+                       DigestKind::kSum16, DigestKind::kXor8}) {
+    EXPECT_EQ(wide_digest(k, v, m), digest(k, flat)) << digest_kind_name(k);
+  }
+}
+
 TEST(FilterCompiled, FusesCanonicalSendProgram) {
   Fixture fx;
   FilterProgram p;

@@ -6,8 +6,10 @@
 // documents must be exported.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <regex>
 #include <set>
@@ -26,6 +28,7 @@
 #include "health/health_metrics.h"
 #include "layers/window_layer.h"
 #include "obs/trace_ring.h"
+#include "pa/accelerator.h"
 #include "resil/governor.h"
 
 namespace pa::obs {
@@ -243,6 +246,108 @@ TEST(TraceRing, SpanRespectsEnableFlag) {
   span(SpanKind::kTimerFire, 2);
   EXPECT_EQ(ring.recorded(), before + 1);
   set_trace_enabled(was);
+}
+
+// ---------------------------------------------------------------------------
+// Phase timing: every call under the simulator's virtual clock, one in
+// kPhaseSampleEvery on any other clock. The counters stay exact.
+
+std::uint64_t phase_samples(const std::string& name) {
+  for (const MetricSample& s : registry().collect()) {
+    if (s.name == name && s.hist != nullptr) return s.hist->count();
+  }
+  return 0;  // not registered yet: no engine has timed a phase
+}
+
+TEST(PhaseTiming, VirtualClockTimesEveryMessage) {
+  const std::uint64_t sends0 = phase_samples("pa_send_fast_ns");
+  const std::uint64_t delivers0 = phase_samples("pa_deliver_fast_ns");
+  World w;
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  auto [src, dst] = w.connect(a, b, ConnOptions{});
+  for (int i = 0; i < 100; ++i) src->send(std::vector<std::uint8_t>(64, 1));
+  w.run();
+  ASSERT_EQ(dst->received(), 100u);
+
+  const EngineStats& s = src->engine().stats();
+  const EngineStats& d = dst->engine().stats();
+  ASSERT_GT(s.fast_sends + d.fast_sends, 0u);
+  ASSERT_GT(s.fast_delivers + d.fast_delivers, 0u);
+  EXPECT_EQ(phase_samples("pa_send_fast_ns") - sends0,
+            s.fast_sends + d.fast_sends);
+  EXPECT_EQ(phase_samples("pa_deliver_fast_ns") - delivers0,
+            s.fast_delivers + d.fast_delivers);
+}
+
+// A steady-clock Env whose deferred work the test runs after each send;
+// frames go nowhere. It keeps Env's default clock_is_virtual() (false).
+class SteadyEnv final : public Env {
+ public:
+  Vt now() const override {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  void charge(VtDur) override {}
+  void send_frame(std::vector<std::uint8_t>) override {}
+  void send_frame(WireFrame) override {}
+  void deliver(std::span<const std::uint8_t>) override {}
+  void defer(std::function<void()> fn) override {
+    deferred.push_back(std::move(fn));
+  }
+  void set_timer(VtDur, std::function<void()>) override {}
+  void trace(std::string_view) override {}
+  void on_alloc(std::size_t) override {}
+  void on_reception() override {}
+  void gc_point() override {}
+
+  void drain() {
+    for (std::size_t i = 0; i < deferred.size(); ++i) {
+      std::function<void()> fn = std::move(deferred[i]);
+      fn();
+    }
+    deferred.clear();
+  }
+
+  std::vector<std::function<void()>> deferred;
+};
+
+TEST(PhaseTiming, WallClockTimesOneMessageInSixteen) {
+  // A bare bottom layer has no window: every send takes the fast path.
+  PaConfig cfg;
+  cfg.stack.spec = StackSpec{}.add(LayerSpec::bottom_layer({}));
+  SteadyEnv env;
+  PaEngine e(cfg, env);
+
+  const std::uint64_t sends0 = phase_samples("pa_send_fast_ns");
+  const std::uint64_t posts0 = phase_samples("pa_post_send_ns");
+  const std::uint64_t spans0 = process_ring().recorded();
+  const bool was = trace_enabled();
+  set_trace_enabled(true);
+  constexpr std::uint64_t kSends = 10 * kPhaseSampleEvery;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    e.send(std::vector<std::uint8_t>(64, 2));
+    env.drain();
+  }
+  set_trace_enabled(was);
+
+  EXPECT_EQ(e.stats().fast_sends, kSends);
+  EXPECT_EQ(e.stats().frames_out, kSends);
+  EXPECT_EQ(phase_samples("pa_send_fast_ns") - sends0, 10u);
+  EXPECT_EQ(phase_samples("pa_post_send_ns") - posts0, 10u);
+  // Untimed calls emit no phase span either.
+  const auto snap = process_ring().snapshot();
+  const std::uint64_t fresh = process_ring().recorded() - spans0;
+  ASSERT_LE(fresh, snap.size());
+  std::uint64_t send_spans = 0, post_spans = 0;
+  for (std::size_t i = snap.size() - fresh; i < snap.size(); ++i) {
+    const auto k = static_cast<SpanKind>(snap[i].kind);
+    send_spans += k == SpanKind::kSendFast;
+    post_spans += k == SpanKind::kPostSend;
+  }
+  EXPECT_EQ(send_spans, 10u);
+  EXPECT_EQ(post_spans, 10u);
 }
 
 // ---------------------------------------------------------------------------

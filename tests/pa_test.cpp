@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "horus/world.h"
+#include "obs/trace_ring.h"
 #include "pa/packing.h"
 #include "pa/preamble.h"
 #include "pa/router.h"
@@ -173,16 +174,39 @@ TEST(Router, IdentMismatchDropped) {
 // PA engine specifics.
 // ---------------------------------------------------------------------------
 
+// The `arg` of every filter.recv span recorded since the ring held `from`
+// events.
+std::vector<std::uint32_t> filter_recv_args_since(std::uint64_t from) {
+  const obs::TraceRing& ring = obs::process_ring();
+  const auto snap = ring.snapshot();
+  const std::uint64_t fresh = ring.recorded() - from;
+  EXPECT_LE(fresh, snap.size());
+  std::vector<std::uint32_t> args;
+  for (std::size_t i = snap.size() - fresh; i < snap.size(); ++i) {
+    if (snap[i].kind == static_cast<std::uint8_t>(obs::SpanKind::kFilterRecv)) {
+      args.push_back(snap[i].arg);
+    }
+  }
+  return args;
+}
+
 TEST(PaEngine, CorruptedFrameDroppedByFilter) {
   World w;
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   auto [src, dst] = w.connect(a, b, ConnOptions{});
+  const bool was = obs::trace_enabled();
+  obs::set_trace_enabled(true);
 
   // Teach the receiver the cookie with one good message.
+  std::uint64_t mark = obs::process_ring().recorded();
   src->send(std::vector<std::uint8_t>{1});
   w.run();
   EXPECT_EQ(dst->received(), 1u);
+  // filter.recv's arg is 1 when the filter accepts the frame.
+  const auto good = filter_recv_args_since(mark);
+  ASSERT_FALSE(good.empty());
+  for (std::uint32_t arg : good) EXPECT_EQ(arg, 1u);
 
   // Now inject a corrupted copy: flip a payload bit after the checksum was
   // computed. Build from a legitimate second message by intercepting it.
@@ -191,11 +215,15 @@ TEST(PaEngine, CorruptedFrameDroppedByFilter) {
                                   0xab);
   encode_preamble(frame.data(),
                   Preamble{false, host_endian(), src->pa()->out_cookie()});
+  mark = obs::process_ring().recorded();
   w.network().send(a.id(), b.id(), frame, w.now());
   w.run();
 
   EXPECT_EQ(dst->received(), 1u);  // not delivered
   EXPECT_EQ(dst->engine().stats().drops[DropReason::kChecksumFilter], 1u);
+  // ... and 0 when it rejects it.
+  EXPECT_EQ(filter_recv_args_since(mark), std::vector<std::uint32_t>{0});
+  obs::set_trace_enabled(was);
 }
 
 TEST(PaEngine, InterpretedFiltersBehaveLikeCompiled) {
