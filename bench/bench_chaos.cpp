@@ -102,24 +102,24 @@ int main(int argc, char** argv) {
   }
   for (double loss : {0.01, 0.05, 0.10, 0.20}) {
     LinkParams lp;
-    lp.loss_prob = loss;
+    lp.faults.loss_prob = loss;
     char name[32];
     std::snprintf(name, sizeof name, "loss %.0f%%", 100 * loss);
     report_row(name, run_regime(lp, seed_base + 2));
   }
   {
     LinkParams lp;
-    lp.ge_enabled = true;
+    lp.faults.ge_enabled = true;
     report_row("burst loss (GE ~12.5%)", run_regime(lp, seed_base + 3));
   }
   {
     LinkParams lp;
-    lp.corrupt_prob = 0.05;
+    lp.faults.corrupt_prob = 0.05;
     report_row("corruption 5%", run_regime(lp, seed_base + 4));
   }
   {
     LinkParams lp;
-    lp.truncate_prob = 0.05;
+    lp.faults.truncate_prob = 0.05;
     report_row("truncation 5%", run_regime(lp, seed_base + 5));
   }
 

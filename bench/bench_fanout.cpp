@@ -113,7 +113,7 @@ ChaosDigest chaos_run(std::uint64_t seed, int mcasts) {
   group::McastGroup g(w, hub, members, opt);
   for (std::size_t i = 0; i < members.size(); i += 3) {
     LinkParams lp = w.network().link(hub.id(), members[i]->id());
-    lp.ge_enabled = true;
+    lp.faults.ge_enabled = true;
     w.network().set_link(hub.id(), members[i]->id(), lp);
   }
   const auto payload = payload_of(256);

@@ -67,12 +67,12 @@ FalseSuspectResult false_suspect_run(std::uint64_t seed) {
   McastGroup g(w, hub, members, opt);
 
   // Gilbert–Elliott burst loss both ways on every hub<->member link; the
-  // defaults mirror sim/network: ~12.5% mean loss in bursts of ~4.
+  // FaultConfig defaults: ~12.5% mean loss in bursts of ~4.
   for (Node* m : members) {
     for (auto [from, to] : {std::pair{hub.id(), m->id()},
                             std::pair{m->id(), hub.id()}}) {
       LinkParams lp = w.network().link(from, to);
-      lp.ge_enabled = true;
+      lp.faults.ge_enabled = true;
       w.network().set_link(from, to, lp);
     }
   }

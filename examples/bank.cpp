@@ -26,7 +26,7 @@ std::vector<std::uint8_t> transfer_req(std::uint32_t amount) {
 
 int main() {
   WorldConfig wc;
-  wc.link.loss_prob = 0.12;  // lossy enough that replies go missing
+  wc.link.faults.loss_prob = 0.12;  // lossy enough that replies go missing
   wc.seed = 7;
   World world(wc);
   Node& cn = world.add_node("client");

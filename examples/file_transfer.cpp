@@ -26,9 +26,9 @@ int main() {
   const std::uint32_t file_crc = crc32c(file);
 
   WorldConfig wc;
-  wc.link.loss_prob = 0.02;
-  wc.link.dup_prob = 0.01;
-  wc.link.reorder_jitter = vt_us(120);
+  wc.link.faults.loss_prob = 0.02;
+  wc.link.faults.dup_prob = 0.01;
+  wc.link.faults.delay_jitter = vt_us(120);
   wc.gc_policy = GcPolicy::kEveryReception;
   wc.seed = 2026;
   World world(wc);

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     }
   }
   WorldConfig wc;
-  wc.link.loss_prob = 0.0;
+  wc.link.faults.loss_prob = 0.0;
   World world(wc);
   Node& a = world.add_node("alice");
   Node& b = world.add_node("bob");

@@ -16,8 +16,8 @@ LayerSpec LayerSpec::heartbeat_layer(HeartbeatConfig cfg) {
   return {.type = Type::kHeartbeat, .heartbeat = cfg};
 }
 
-LayerSpec LayerSpec::comp_layer(CompConfig cfg) {
-  return {.type = Type::kComp, .comp = cfg};
+LayerSpec LayerSpec::comp_layer() {
+  return {.type = Type::kComp};
 }
 
 LayerSpec LayerSpec::frag_layer(FragConfig cfg) {
@@ -59,7 +59,7 @@ std::unique_ptr<Layer> LayerSpec::build() const {
       return make_custom();
     case Type::kMeter: return std::make_unique<MeterLayer>();
     case Type::kHeartbeat: return std::make_unique<HeartbeatLayer>(heartbeat);
-    case Type::kComp: return std::make_unique<CompLayer>(comp);
+    case Type::kComp: return std::make_unique<CompLayer>();
     case Type::kFrag: return std::make_unique<FragLayer>(frag);
     case Type::kSeq: return std::make_unique<SeqLayer>(initial_seq);
     case Type::kWindow: return std::make_unique<WindowLayer>(window);

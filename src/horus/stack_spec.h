@@ -67,7 +67,6 @@ struct LayerSpec {
 
   // Per-type configs (only the one matching `type` is read).
   HeartbeatConfig heartbeat{};
-  CompConfig comp{};
   FragConfig frag{/*threshold=*/8192};
   std::uint32_t initial_seq = 0;
   WindowConfig window{};
@@ -84,7 +83,7 @@ struct LayerSpec {
   /// must run with a bounded horizon (World::run_for / run_until), not
   /// run-to-drain.
   static LayerSpec heartbeat_layer(HeartbeatConfig cfg);
-  static LayerSpec comp_layer(CompConfig cfg = {});
+  static LayerSpec comp_layer();
   static LayerSpec frag_layer(FragConfig cfg);
   static LayerSpec seq_layer(std::uint32_t initial_seq = 0);
   static LayerSpec window_layer(WindowConfig cfg);

@@ -20,13 +20,18 @@ void BottomLayer::init(LayerInit& ctx) {
   // Send filter: fill in the message-specific fields (POP_FIELD stores —
   // the unusual send-side filter of §3.3). Length first so the digest (which
   // masks out msg-spec bits) is order-independent.
-  const bool wide = cfg_.checksum_covers_headers;
+  //
+  // The checksum is wide: it covers the predictable header regions
+  // (proto-spec, gossip, packing), not just the payload as in the paper. A
+  // corrupted sequence number is otherwise *silently accepted* — the frame
+  // lands in the wrong window slot and the stream misdelivers. It costs a
+  // few dozen extra digested bytes per frame.
   ctx.send_filter.push_size().pop_field(f_len_);
-  ctx.send_filter.digest(cfg_.digest, wide).pop_field(f_cksum_);
+  ctx.send_filter.digest(cfg_.digest, /*wide=*/true).pop_field(f_cksum_);
 
   // Receive filter: verify them; 0 = drop.
   ctx.recv_filter.push_size().push_field(f_len_).op(FilterOp::kNe).abort_if(0);
-  ctx.recv_filter.push_field(f_cksum_).digest(cfg_.digest, wide)
+  ctx.recv_filter.push_field(f_cksum_).digest(cfg_.digest, /*wide=*/true)
       .op(FilterOp::kNe).abort_if(0);
 }
 
@@ -38,7 +43,7 @@ void BottomLayer::write_conn_ident(HeaderView& hdr, bool incoming) const {
     hdr.set(f_dst_[i], dst.words[i]);
   }
   hdr.set(f_group_, cfg_.group);
-  hdr.set(f_version_, cfg_.version);
+  hdr.set(f_version_, kVersion);
 }
 
 bool BottomLayer::match_conn_ident(const HeaderView& hdr) const {
@@ -46,20 +51,14 @@ bool BottomLayer::match_conn_ident(const HeaderView& hdr) const {
     if (hdr.get(f_src_[i]) != cfg_.remote.words[i]) return false;
     if (hdr.get(f_dst_[i]) != cfg_.local.words[i]) return false;
   }
-  return hdr.get(f_group_) == cfg_.group && hdr.get(f_version_) == cfg_.version;
-}
-
-std::uint64_t BottomLayer::compute_digest(const Message& msg,
-                                          const HeaderView& hdr) const {
-  return cfg_.checksum_covers_headers ? wide_digest(cfg_.digest, hdr, msg)
-                                      : msg.payload_digest(cfg_.digest);
+  return hdr.get(f_group_) == cfg_.group && hdr.get(f_version_) == kVersion;
 }
 
 SendVerdict BottomLayer::pre_send(Message& msg, HeaderView& hdr) const {
   // Slow path (no send filter ran): write the message-specific fields here.
   // Must match the send filter's StoreDigest bit for bit.
   hdr.set(f_len_, msg.payload_len());
-  hdr.set(f_cksum_, compute_digest(msg, hdr));
+  hdr.set(f_cksum_, wide_digest(cfg_.digest, hdr, msg));
   return SendVerdict::kOk;
 }
 
@@ -68,7 +67,7 @@ DeliverVerdict BottomLayer::pre_deliver(const Message& msg,
   // Under the PA the receive filter already verified these; under the
   // classic engine this is where verification lives.
   if (hdr.get(f_len_) != msg.payload_len()) return DeliverVerdict::kDrop;
-  if (hdr.get(f_cksum_) != compute_digest(msg, hdr)) {
+  if (hdr.get(f_cksum_) != wide_digest(cfg_.digest, hdr, msg)) {
     return DeliverVerdict::kDrop;
   }
   return DeliverVerdict::kDeliver;

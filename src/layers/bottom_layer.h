@@ -28,14 +28,7 @@ struct BottomConfig {
   Address local;
   Address remote;
   std::uint64_t group = 0;
-  std::uint32_t version = 1;
   DigestKind digest = DigestKind::kCrc32c;
-  // Cover the predictable header regions (proto-spec, gossip, packing) with
-  // the checksum, not just the payload. A corrupted sequence number is
-  // otherwise *silently accepted* — the frame lands in the wrong window slot
-  // and the stream misdelivers. Costs a few dozen extra digested bytes per
-  // frame; off reproduces the paper's payload-only checksum.
-  bool checksum_covers_headers = true;
 };
 
 // BottomLayer::Stats, one row per field (util/stat_fields.h).
@@ -49,6 +42,9 @@ struct BottomConfig {
 
 class BottomLayer final : public Layer {
  public:
+  /// The protocol version every frame's conn-ident carries and must match.
+  static constexpr std::uint32_t kVersion = 1;
+
   explicit BottomLayer(BottomConfig cfg) : cfg_(cfg) {}
 
   LayerKind kind() const override { return LayerKind::kBottom; }
@@ -78,9 +74,6 @@ class BottomLayer final : public Layer {
   const Stats& stats() const { return stats_; }
 
  private:
-  std::uint64_t compute_digest(const Message& msg,
-                               const HeaderView& hdr) const;
-
   BottomConfig cfg_;
   // conn-ident fields
   std::array<FieldHandle, 4> f_src_{};

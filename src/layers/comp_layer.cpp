@@ -180,7 +180,7 @@ std::vector<Message> CompLayer::transform_send(Message& msg) {
   const std::size_t n = msg.payload_len();
   stats_.bytes_in += n;
 
-  if (n >= cfg_.min_payload) {
+  if (n >= kMinPayload) {
     const std::span<const std::uint8_t> pt = msg.payload();
     std::vector<std::uint8_t> body;
     body.push_back(kCompressed);
@@ -188,7 +188,7 @@ std::vector<Message> CompLayer::transform_send(Message& msg) {
     const std::size_t framing = body.size();
     std::vector<std::uint8_t> lz = lz_compress(pt);
     if (static_cast<double>(lz.size() + framing) <=
-        static_cast<double>(n) * (1.0 - cfg_.min_gain)) {
+        static_cast<double>(n) * (1.0 - kMinGain)) {
       body.insert(body.end(), lz.begin(), lz.end());
       Message out = Message::with_payload(std::move(body));
       out.cb = msg.cb;

@@ -27,12 +27,6 @@
 
 namespace pa {
 
-struct CompConfig {
-  std::size_t min_payload = 64;  // don't bother below this many bytes
-  // Keep the compressed form only if it saves at least this fraction.
-  double min_gain = 0.05;
-};
-
 // CompLayer::Stats, one row per field (util/stat_fields.h).
 #define PA_COMP_STATS(X)                                                       \
   X(std::uint64_t, msgs_compressed, "msgs_compressed_total", "",               \
@@ -50,7 +44,9 @@ struct CompConfig {
 
 class CompLayer final : public Layer {
  public:
-  explicit CompLayer(CompConfig cfg) : cfg_(cfg) {}
+  static constexpr std::size_t kMinPayload = 64;  // don't bother below this
+  // Keep the compressed form only if it saves at least this fraction.
+  static constexpr double kMinGain = 0.05;
 
   LayerKind kind() const override { return LayerKind::kComp; }
   std::string_view name() const override { return "comp"; }
@@ -92,7 +88,6 @@ class CompLayer final : public Layer {
                             std::vector<std::uint8_t>& out);
 
  private:
-  CompConfig cfg_;
   // decode_part is const (it runs in the engine's deliver window); the
   // inflate/error counters are observability-only and excluded from
   // state_digest, so mutable is safe.

@@ -160,7 +160,7 @@ void WindowLayer::post_deliver(Message& msg, const HeaderView& hdr,
         // gossip on data can be stale without meaning loss.)
         if (cfg_.fast_retransmit && in_flight() > 0 && !fast_recovery_ &&
             static_cast<std::uint32_t>(hdr.get(f_ack_)) == base_) {
-          if (++dup_acks_ >= cfg_.dup_ack_threshold) {
+          if (++dup_acks_ >= kDupAckThreshold) {
             dup_acks_ = 0;
             fast_recovery_ = true;  // one shot until the window advances
             // With SACK, repair the holes *below the highest sacked
@@ -200,7 +200,7 @@ void WindowLayer::post_deliver(Message& msg, const HeaderView& hdr,
       // A long streak of the same duplicate means our acks are not getting
       // through at all — possibly because the peer's router no longer knows
       // our cookie (we restarted). Tell the engine.
-      if (++dup_streak_ >= cfg_.dup_notify_threshold) {
+      if (++dup_streak_ >= kDupNotifyThreshold) {
         dup_streak_ = 0;
         ops.notify_unreachable_peer();
       }
@@ -229,15 +229,17 @@ void WindowLayer::emit_ack(LayerOps& ops) {
 
 VtDur WindowLayer::backoff_deadline() {
   VtDur deadline = current_rto() << rto_shift_;
-  if (!cfg_.backoff_jitter || rto_shift_ == 0) {
+  if (rto_shift_ == 0) {
     last_backoff_ = 0;  // forward progress (or first timeout): fresh state
     return deadline;
   }
   // Decorrelated jitter: spread repeat retransmissions (and the cookie-epoch
   // recovery probes that ride them) so peers recovering from the same event
-  // do not re-probe in lockstep. next = min(cap, uniform(rto, 3*prev)).
+  // do not re-probe in lockstep; the first timeout keeps the estimator's
+  // exact value. next = min(cap, uniform(rto, 3*prev)), per the classic
+  // exponential-backoff-and-jitter analysis.
   const VtDur base = current_rto();
-  const VtDur cap = current_rto() << cfg_.max_rto_shift;
+  const VtDur cap = current_rto() << kMaxRtoShift;
   const VtDur prev = last_backoff_ > 0 ? last_backoff_ : deadline;
   VtDur hi = prev * 3;
   if (hi < base) hi = base;
@@ -292,7 +294,7 @@ void WindowLayer::arm_rto(LayerOps& ops) {
       t.resend_raw(head.msg,
                    [this](HeaderView& hdr) { hdr.set(f_rex_, 1); });
       // Exponential backoff until an ack shows forward progress.
-      if (rto_shift_ < cfg_.max_rto_shift) ++rto_shift_;
+      if (rto_shift_ < kMaxRtoShift) ++rto_shift_;
     }
     arm_rto(t);
   });
@@ -337,7 +339,7 @@ VtDur WindowLayer::current_rto() const {
   // The floor must dominate the peer's delayed-ack horizon or a quiet tail
   // message reads as a loss (both sides share the config, so ack_delay here
   // is also the peer's).
-  VtDur floor = cfg_.min_rto;
+  VtDur floor = kMinRto;
   if (floor < cfg_.ack_delay + vt_ms(2)) floor = cfg_.ack_delay + vt_ms(2);
   if (rto < floor) rto = floor;
   if (rto > cfg_.rto) rto = cfg_.rto;  // cfg.rto doubles as the ceiling

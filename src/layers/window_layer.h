@@ -29,33 +29,22 @@ namespace pa {
 struct WindowConfig {
   std::uint32_t size = 16;        // paper's window size
   VtDur rto = vt_ms(20);          // initial/base retransmission timeout
-  std::uint32_t max_rto_shift = 6;  // exponential backoff cap (rto << n)
   // Adaptive RTO (Jacobson/Karn): estimate the round-trip time from ack
   // arrivals (skipping retransmitted messages per Karn's rule) and set the
-  // timeout to srtt + 4*rttvar, clamped to [min_rto, rto]. On by default:
-  // the fixed timer either wastes an RTT (timer too long) or spuriously
-  // retransmits (too short) whenever the deployment's RTT differs from the
-  // calibration. `rto` doubles as the estimator's ceiling, so
-  // paper-calibrated experiments see identical behaviour until the first
-  // loss. Set to false to pin the fixed timer.
+  // timeout to srtt + 4*rttvar, clamped to [WindowLayer::kMinRto, rto]. On
+  // by default: the fixed timer either wastes an RTT (timer too long) or
+  // spuriously retransmits (too short) whenever the deployment's RTT
+  // differs from the calibration. `rto` doubles as the estimator's
+  // ceiling, so paper-calibrated experiments see identical behaviour until
+  // the first loss. Set to false to pin the fixed timer.
   bool adaptive_rto = true;
-  // Decorrelated jitter on the retransmission backoff (rto_shift_ > 0
-  // deadlines only; the first timeout keeps the estimator's exact value).
-  // The engine's cookie-epoch recovery probes ride these backoffs, so
-  // without jitter a mass restart has every survivor re-probing in
-  // lockstep. next = min(cap, uniform(rto, 3*prev)), per the classic
-  // exponential-backoff-and-jitter analysis.
-  bool backoff_jitter = true;
-  std::uint64_t jitter_seed = 0x6a69747465720ull;  // deterministic schedule
-  // The floor must exceed the peer's ack aggregation horizon (ack_every
-  // frames or its delayed-ack timer), or batched acks read as losses — the
-  // classic TCP min-RTO-vs-delayed-ack interaction.
-  VtDur min_rto = vt_ms(5);
+  // Seeds the decorrelated jitter on the retransmission backoff
+  // (WindowLayer::backoff_deadline), so the schedule is deterministic.
+  std::uint64_t jitter_seed = 0x6a69747465720ull;
   // Fast retransmit: the receiver acks immediately on out-of-order arrival,
-  // so N duplicate standalone acks signal a lost head-of-window without
-  // waiting out the RTO.
+  // so WindowLayer::kDupAckThreshold duplicate standalone acks signal a
+  // lost head-of-window without waiting out the RTO.
   bool fast_retransmit = true;
-  std::uint32_t dup_ack_threshold = 3;
   // Selective acknowledgements (extension): gossip an additional 32-bit
   // bitmap of out-of-order sequences already held in the receive stash
   // (bit i <=> seq cumulative+1+i received). The sender skips sacked
@@ -74,12 +63,6 @@ struct WindowConfig {
   // Starting sequence number (both sides must agree). Non-zero values let
   // tests exercise 32-bit wraparound; real deployments could randomize.
   std::uint32_t initial_seq = 0;
-  // A streak of this many duplicate data arrivals means our acks are not
-  // reaching the peer (it keeps retransmitting the same head). Each time
-  // the streak hits the threshold the layer calls
-  // LayerOps::notify_unreachable_peer() so the engine can fall back to
-  // shipping full connection identification (cookie-epoch recovery).
-  std::uint32_t dup_notify_threshold = 3;
 };
 
 // WindowLayer::Stats, one row per field (util/stat_fields.h).
@@ -101,6 +84,20 @@ struct WindowConfig {
 
 class WindowLayer final : public Layer {
  public:
+  static constexpr std::uint32_t kMaxRtoShift = 6;  // backoff cap (rto << n)
+  // The RTO floor must exceed the peer's ack aggregation horizon (ack_every
+  // frames or its delayed-ack timer), or batched acks read as losses — the
+  // classic TCP min-RTO-vs-delayed-ack interaction.
+  static constexpr VtDur kMinRto = vt_ms(5);
+  // Duplicate standalone acks that trigger a fast retransmit.
+  static constexpr std::uint32_t kDupAckThreshold = 3;
+  // A streak of this many duplicate data arrivals means our acks are not
+  // reaching the peer (it keeps retransmitting the same head). Each time
+  // the streak hits the threshold the layer calls
+  // LayerOps::notify_unreachable_peer() so the engine can fall back to
+  // shipping full connection identification (cookie-epoch recovery).
+  static constexpr std::uint32_t kDupNotifyThreshold = 3;
+
   explicit WindowLayer(WindowConfig cfg) : cfg_(cfg) {}
 
   LayerKind kind() const override { return LayerKind::kWindow; }

@@ -73,7 +73,8 @@ LoopCounters& loop_counters() {
                               "timers cancelled before firing"),
       obs::registry().counter(
           "net_loop_faults_injected_total",
-          "datagrams mutated or dropped by the fault injector"),
+          "datagrams the fault injector dropped, mutated, delayed or "
+          "duplicated"),
       obs::registry().histogram("net_loop_wakeup_lag_ns",
                                 "timer wakeup lag: fire time minus deadline",
                                 "ns"),
@@ -143,24 +144,22 @@ void RealLoop::set_peer(int sock, std::uint16_t peer_port) {
   socks_.at(sock).peer_port = peer_port;
 }
 
+resil::FaultSocket& RealLoop::injector(int sock, std::uint64_t seed) {
+  Socket& s = socks_.at(sock);
+  if (!s.fault) s.fault = std::make_unique<resil::FaultSocket>(seed);
+  return *s.fault;
+}
+
 void RealLoop::set_fault(int sock, const resil::FaultConfig& cfg,
                          std::uint64_t seed) {
-  Socket& s = socks_.at(sock);
-  if (s.fault) {
-    s.fault->set_config(cfg);
-    s.fault->reseed(seed);
-  } else {
-    s.fault = std::make_unique<resil::FaultSocket>(cfg, seed);
-  }
+  resil::FaultSocket& f = injector(sock, seed);
+  f.set_config(resil::FaultSocket::Dir::kTx, cfg);
+  f.reseed(resil::FaultSocket::Dir::kTx, seed);
 }
 
 void RealLoop::set_fault_rx(int sock, const resil::FaultConfig& cfg,
                             std::uint64_t seed) {
-  Socket& s = socks_.at(sock);
-  if (!s.fault) {
-    s.fault = std::make_unique<resil::FaultSocket>(resil::FaultConfig{}, seed);
-  }
-  s.fault->set_config(resil::FaultSocket::Dir::kRx, cfg);
+  injector(sock, seed).set_config(resil::FaultSocket::Dir::kRx, cfg);
 }
 
 resil::FaultSocket* RealLoop::fault(int sock) {
@@ -201,33 +200,40 @@ void RealLoop::sendv(int sock, WireFrame frame) {
     return;
   }
   // The tx fault lane judges each datagram once, here, in send order.
-  const resil::FaultSocket::Verdict v = s.fault->judge(frame.size());
-  if (v.drop) {
+  release(sock, resil::FaultSocket::Dir::kTx, std::move(frame),
+          [this, sock](WireFrame f) {
+            Socket& ds = socks_[static_cast<std::size_t>(sock)];
+            ds.train.push_back(std::move(f));
+            flush_if_due(ds);
+          });
+}
+
+template <typename Emit>
+void RealLoop::release(int sock, resil::FaultSocket::Dir d, WireFrame frame,
+                       Emit emit) {
+  const resil::FaultVerdict v =
+      socks_[static_cast<std::size_t>(sock)].fault->judge(d, frame.size());
+  if (v.drop || v.corrupt || v.truncate_to != 0 || v.delay > 0 ||
+      v.duplicate) {
     loop_counters().faults_injected.inc();
-    return;
   }
-  if (v.corrupt || v.truncate_to != 0) {
-    // The injector mutates a private flat copy, never the shared chunks.
-    std::vector<std::uint8_t> bytes = frame.flatten();
-    resil::FaultSocket::apply(v, bytes);
-    frame = WireFrame::adopt(std::move(bytes));
-    loop_counters().faults_injected.inc();
-  }
-  if (v.copies > 1) loop_counters().faults_injected.inc();
-  for (std::uint32_t c = 0; c < v.copies; ++c) {
-    if (v.delay > 0) {
-      // Re-enter through the timer heap, reordered against later sends;
-      // the datagram joins the train when due, without a second verdict.
-      set_timer(v.delay, [this, sock, frame] {
-        Socket& ds = socks_[static_cast<std::size_t>(sock)];
-        ds.train.push_back(frame);
-        flush_if_due(ds);
-      });
+  if (v.drop) return;
+  resil::mutate(v, frame);
+  // A delayed datagram re-enters through the timer heap, reordered against
+  // later ones, without a second verdict.
+  auto emit_after = [&](VtDur delay, WireFrame f) {
+    if (delay == 0) {
+      emit(std::move(f));
     } else {
-      s.train.push_back(frame);
+      set_timer(delay, [emit, f = std::move(f)]() mutable {
+        emit(std::move(f));
+      });
     }
-  }
-  flush_if_due(s);
+  };
+  // The duplicate is a private copy: receivers may write headers in place.
+  WireFrame dup = v.duplicate ? frame.deep_copy() : WireFrame{};
+  emit_after(v.delay, std::move(frame));
+  if (v.duplicate) emit_after(v.delay + v.dup_delay, std::move(dup));
 }
 
 void RealLoop::flush_if_due(Socket& s) {
@@ -440,57 +446,21 @@ std::size_t RealLoop::drain_socket(std::size_t i,
     if (s.handler) {
       const Vt at = now();
       for (std::size_t j = 0; j < got; ++j) {
-        std::size_t len = rx_slots_[j].len;
-        std::uint32_t copies = 1;
-        if (s.fault) {
-          // Receive-side fault lane: judged at ingest, before the handler.
-          // The lane's Rng is independent of tx, so judging here never
-          // perturbs a send-side schedule (resil/fault_socket.h).
-          const resil::FaultSocket::Verdict v =
-              s.fault->judge(resil::FaultSocket::Dir::kRx, len);
-          if (v.drop) {
-            loop_counters().faults_injected.inc();
-            continue;
-          }
-          if (v.truncate_to != 0 && v.truncate_to < len) {
-            len = v.truncate_to;
-            loop_counters().faults_injected.inc();
-          }
-          if (v.corrupt && len > 0) {
-            const std::uint64_t bit = v.corrupt_bit % (len * 8);
-            rx_cache_[j]->data[bit / 8] ^=
-                static_cast<std::uint8_t>(1u << (bit % 8));
-            loop_counters().faults_injected.inc();
-          }
-          if (v.delay > 0) {
-            // Hold a private flat copy and re-inject it through the timer
-            // heap: it reaches the handler late, reordered against every
-            // arrival in between.
-            std::vector<std::uint8_t> bytes(
-                rx_cache_[j]->data.data(), rx_cache_[j]->data.data() + len);
-            const int si = static_cast<int>(i);
-            set_timer(v.delay, [this, si, bytes = std::move(bytes)]() mutable {
-              Socket& ds = socks_[static_cast<std::size_t>(si)];
-              if (ds.handler) {
-                ds.handler(WireFrame::adopt(std::move(bytes)), now());
-              }
-            });
-            loop_counters().faults_injected.inc();
-            continue;
-          }
-          copies = v.copies;
-          if (copies > 1) loop_counters().faults_injected.inc();
-        }
         WireFrame f;
-        f.append(Slice{rx_cache_[j], 0, len});
-        s.handler(std::move(f), at);
-        for (std::uint32_t c = 1; c < copies; ++c) {
-          // The duplicate gets a private copy: handlers may write headers
-          // in place (same rule as the sim network's dup path).
-          std::vector<std::uint8_t> bytes(
-              rx_cache_[j]->data.data(), rx_cache_[j]->data.data() + len);
-          s.handler(WireFrame::adopt(std::move(bytes)), at);
+        f.append(Slice{rx_cache_[j], 0, rx_slots_[j].len});
+        if (!s.fault) {
+          s.handler(std::move(f), at);
+          continue;
         }
+        // Receive-side fault lane: judged at ingest, before the handler.
+        // The lane's Rng is independent of tx, so judging here never
+        // perturbs a send-side schedule (resil/fault_socket.h).
+        const int si = static_cast<int>(i);
+        release(si, resil::FaultSocket::Dir::kRx, std::move(f),
+                [this, si](WireFrame g) {
+                  Socket& ds = socks_[static_cast<std::size_t>(si)];
+                  if (ds.handler) ds.handler(std::move(g), now());
+                });
       }
       drain_deferred();
     }

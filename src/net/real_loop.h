@@ -46,14 +46,15 @@
 // the configured length; ECONNREFUSED from ICMP port-unreachable is
 // tolerated on both directions; anything else is counted and survived.
 //
-// Fault injection (src/resil/fault_socket.h): set_fault() arms a
-// deterministic, seed-reproducible injector on a socket's send side —
-// drop, duplicate, corrupt, truncate, delay/reorder — so the chaos
-// scenarios run against real sockets. Each datagram is judged once, in
-// send order, as it joins the train; survivors and mutated copies ride the
-// train like any other datagram. A delayed datagram re-enters through the
-// timer heap and joins the train when it comes due, without a second
-// verdict.
+// Fault injection (src/resil/fault_socket.h): set_fault() and
+// set_fault_rx() arm a deterministic, seed-reproducible injector on a
+// socket's send and receive sides — drop, duplicate, corrupt, truncate,
+// delay/reorder, judged and applied by the same routines as the simulated
+// network's links — so the chaos scenarios run against real sockets. Each
+// datagram is judged once: on send, in send order, as it joins the train;
+// on receive, at ingest, before the handler. Survivors and mutated copies
+// travel on like any other datagram. A delayed datagram re-enters through
+// the timer heap when it comes due, without a second verdict.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +112,10 @@ class RealLoop {
   /// Point a socket's sends at 127.0.0.1:peer_port.
   void set_peer(int sock, std::uint16_t peer_port);
 
-  /// Arm (or reconfigure) the fault injector on a socket's send side. The
-  /// schedule is reproducible from the seed (resil/fault_socket.h). Call
-  /// before traffic starts; reconfigure via fault()->set_config() after.
+  /// Arm (or re-arm) the fault injector's send lane on a socket. The lane
+  /// restarts its schedule from `seed` (resil/fault_socket.h); the receive
+  /// lane is untouched. Reconfigure without a restart via
+  /// fault()->set_config().
   void set_fault(int sock, const resil::FaultConfig& cfg,
                  std::uint64_t seed = 1);
   /// Arm (or reconfigure) the receive-side fault lane: datagrams are
@@ -150,8 +152,8 @@ class RealLoop {
   /// space never copies the frame flat. The frame (a refcount bump per
   /// slice) joins the socket's send train: inside run_until() it leaves in
   /// the round's sendmmsg(2) flush, outside it leaves at once. An armed
-  /// fault injector judges it here; mutated datagrams are private flat
-  /// copies, clean ones stay gathered.
+  /// fault injector judges it here; a corrupted datagram copies only the
+  /// flipped slice, and every datagram stays gathered.
   void sendv(int sock, WireFrame frame);
 
   void on_frame(int sock, FrameHandler handler);
@@ -206,6 +208,14 @@ class RealLoop {
 
   void drain_deferred();
   net::BatchIoBackend& backend();
+  /// The socket's injector, created with `seed` if it has none.
+  resil::FaultSocket& injector(int sock, std::uint64_t seed);
+  /// Judge a datagram on one of the socket's fault lanes and hand what
+  /// survives, mutated, to `emit` — now or after its delay — followed by
+  /// its duplicate, if any.
+  template <typename Emit>
+  void release(int sock, resil::FaultSocket::Dir d, WireFrame frame,
+               Emit emit);
   /// Flush the train at once outside run_until(), or when it is full.
   void flush_if_due(Socket& s);
   /// Ensure rx chunk cache slots exist, are uniquely owned, and are sized;

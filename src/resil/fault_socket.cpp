@@ -2,86 +2,71 @@
 
 namespace pa::resil {
 
-void FaultSocket::reseed(std::uint64_t seed) {
-  tx_.rng = Rng(seed);
-  tx_.ge_bad = false;
-  tx_.count = 0;
-  rx_.rng = Rng(seed ^ kRxSalt);
-  rx_.ge_bad = false;
-  rx_.count = 0;
-}
-
-FaultSocket::Verdict FaultSocket::judge(Dir d, std::size_t len) {
-  Lane& ln = lane(d);
-  const FaultConfig& cfg = ln.cfg;
-  ++ln.stats.offered;
-  ++ln.count;
-  Verdict v;
-
+FaultVerdict FaultState::judge(const FaultConfig& cfg, Rng& rng,
+                               std::size_t len, VtDur dup_spread) {
+  FaultVerdict v;
   if (cfg.paused) {
-    ++ln.stats.dropped;
     v.drop = true;
     return v;
   }
-  // Deterministic drop first (mirrors sim/network: applied before the
-  // probabilistic draws so A/B experiments stay aligned).
-  if (cfg.drop_every != 0 && ln.count % cfg.drop_every == 0) {
-    ++ln.stats.dropped;
+  if (cfg.drop_every != 0 && ++count % cfg.drop_every == 0) {
     v.drop = true;
     return v;
   }
-  if (cfg.loss_prob > 0 && ln.rng.chance(cfg.loss_prob)) {
-    ++ln.stats.dropped;
+  if (rng.chance(cfg.loss_prob)) {
     v.drop = true;
     return v;
   }
   if (cfg.ge_enabled) {
-    // Advance the two-state channel per datagram, then draw loss by state.
-    if (ln.ge_bad) {
-      if (ln.rng.chance(cfg.ge_p_bad_to_good)) ln.ge_bad = false;
-    } else {
-      if (ln.rng.chance(cfg.ge_p_good_to_bad)) ln.ge_bad = true;
-    }
-    const double p = ln.ge_bad ? cfg.ge_loss_bad : cfg.ge_loss_good;
-    if (p > 0 && ln.rng.chance(p)) {
-      ++ln.stats.dropped;
+    // The channel moves once per datagram offered, so burst lengths are
+    // measured in datagrams regardless of pacing.
+    ge_bad = ge_bad ? !rng.chance(cfg.ge_p_bad_to_good)
+                    : rng.chance(cfg.ge_p_good_to_bad);
+    if (ge_bad && rng.chance(cfg.ge_loss_bad)) {
       v.drop = true;
       return v;
     }
   }
-  if (cfg.dup_prob > 0 && ln.rng.chance(cfg.dup_prob)) {
-    ++ln.stats.duplicated;
-    v.copies = 2;
-  }
-  if (len > 0 && cfg.corrupt_prob > 0 && ln.rng.chance(cfg.corrupt_prob)) {
-    ++ln.stats.corrupted;
+  if (rng.chance(cfg.corrupt_prob) && len > 0) {
     v.corrupt = true;
-    v.corrupt_bit = ln.rng.next_below(static_cast<std::uint64_t>(len) * 8);
+    v.corrupt_bit = rng.next_below(static_cast<std::uint64_t>(len) * 8);
   }
-  if (len > 1 && cfg.truncate_prob > 0 && ln.rng.chance(cfg.truncate_prob)) {
-    ++ln.stats.truncated;
-    // A proper non-empty prefix, like the sim injector.
+  if (rng.chance(cfg.truncate_prob) && len > 1) {
     v.truncate_to = static_cast<std::size_t>(
-        1 + ln.rng.next_below(static_cast<std::uint64_t>(len) - 1));
+        1 + rng.next_below(static_cast<std::uint64_t>(len) - 1));
   }
-  if (cfg.delay_jitter > 0) {
-    v.delay = static_cast<VtDur>(
-        ln.rng.next_below(static_cast<std::uint64_t>(cfg.delay_jitter) + 1));
-    if (v.delay > 0) ++ln.stats.delayed;
+  if (cfg.delay_jitter > 0) v.delay = rng.next_range(0, cfg.delay_jitter);
+  if (rng.chance(cfg.dup_prob)) {
+    v.duplicate = true;
+    v.dup_delay = rng.next_range(0, dup_spread);
   }
   return v;
 }
 
-void FaultSocket::apply(const Verdict& v, std::vector<std::uint8_t>& bytes) {
-  if (v.truncate_to != 0 && v.truncate_to < bytes.size()) {
-    bytes.resize(v.truncate_to);
+void mutate(const FaultVerdict& v, WireFrame& frame) {
+  if (v.corrupt) {
+    *frame.mutable_byte(v.corrupt_bit / 8) ^=
+        static_cast<std::uint8_t>(1u << (v.corrupt_bit % 8));
   }
-  if (v.corrupt && !bytes.empty()) {
-    // The bit index was drawn against the pre-truncation length; fold it
-    // into whatever survives so the flip always lands.
-    const std::uint64_t bit = v.corrupt_bit % (bytes.size() * 8);
-    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
+  if (v.truncate_to != 0) frame.truncate(v.truncate_to);
+}
+
+void FaultSocket::reseed(Dir d, std::uint64_t seed) {
+  Lane& ln = lane(d);
+  ln.rng = Rng(d == Dir::kTx ? seed : seed ^ kRxSalt);
+  ln.state = FaultState{};
+}
+
+FaultVerdict FaultSocket::judge(Dir d, std::size_t len) {
+  Lane& ln = lane(d);
+  const FaultVerdict v = ln.state.judge(ln.cfg, ln.rng, len);
+  ++ln.stats.offered;
+  ln.stats.dropped += v.drop;
+  ln.stats.duplicated += v.duplicate;
+  ln.stats.corrupted += v.corrupt;
+  ln.stats.truncated += v.truncate_to != 0;
+  ln.stats.delayed += v.delay > 0;
+  return v;
 }
 
 }  // namespace pa::resil

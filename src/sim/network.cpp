@@ -52,62 +52,31 @@ void SimNetwork::send(NodeId from, NodeId to, WireFrame frame, Vt depart) {
 
   // Per-link serialization FIFO: the NIC can put only one frame on the wire
   // at a time.
-  Vt& busy = link_busy_[{from, to}];
-  Vt tx_start = std::max(depart, busy);
+  LinkState& ls = link_state_[{from, to}];
+  Vt tx_start = std::max(depart, ls.busy);
   VtDur tx_time =
       static_cast<VtDur>(static_cast<double>(frame.size()) * lp.ns_per_byte);
-  busy = tx_start + tx_time;
-
-  Vt arrive = busy + lp.propagation;
+  ls.busy = tx_start + tx_time;
 
   if (paused_.count({from, to}) || partitioned(from, to)) {
     ++stats_.frames_blackholed;
     return;
   }
-  if (lp.drop_every != 0 &&
-      ++frame_count_[{from, to}] % lp.drop_every == 0) {
-    ++stats_.frames_lost;
+  const resil::FaultVerdict v =
+      ls.faults.judge(lp.faults, *rng_, frame.size(), lp.propagation);
+  if (v.drop) {
+    ++(lp.faults.paused ? stats_.frames_blackholed : stats_.frames_lost);
     return;
   }
-  if (rng_->chance(lp.loss_prob)) {
-    ++stats_.frames_lost;
-    return;
-  }
-  if (lp.ge_enabled) {
-    // Two-state Markov (Gilbert–Elliott) burst-loss channel. The state
-    // transition is evaluated per frame offered, so burst lengths are
-    // measured in frames regardless of pacing.
-    bool& bad = ge_bad_[{from, to}];
-    bad = bad ? !rng_->chance(lp.ge_p_bad_to_good)
-              : rng_->chance(lp.ge_p_good_to_bad);
-    if (rng_->chance(bad ? lp.ge_loss_bad : lp.ge_loss_good)) {
-      ++stats_.frames_lost;
-      return;
-    }
-  }
-  if (lp.corrupt_prob > 0 && rng_->chance(lp.corrupt_prob) &&
-      !frame.empty()) {
-    ++stats_.frames_corrupted;
-    const std::uint64_t bit = rng_->next_below(frame.size() * 8);
-    // mutable_byte copies the slice out of a shared chunk first (CoW), so
-    // the sender's retransmit buffer never observes the flip.
-    *frame.mutable_byte(bit / 8) ^=
-        static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-  if (lp.truncate_prob > 0 && rng_->chance(lp.truncate_prob) &&
-      frame.size() > 1) {
-    ++stats_.frames_truncated;
-    frame.truncate(1 + rng_->next_below(frame.size() - 1));
-  }
-  if (lp.reorder_jitter > 0) {
-    arrive += rng_->next_range(0, lp.reorder_jitter);
-  }
-  if (rng_->chance(lp.dup_prob)) {
+  stats_.frames_corrupted += v.corrupt;
+  stats_.frames_truncated += v.truncate_to != 0;
+  resil::mutate(v, frame);
+  const Vt arrive = ls.busy + lp.propagation + v.delay;
+  if (v.duplicate) {
     ++stats_.frames_duplicated;
-    Vt dup_at = arrive + rng_->next_range(0, lp.propagation);
     // Deep copy: both deliveries adopt their frame's chunks and may write
     // headers in place, so they must not alias each other.
-    deliver(from, to, frame.deep_copy(), dup_at);
+    deliver(from, to, frame.deep_copy(), arrive + v.dup_delay);
   }
   deliver(from, to, std::move(frame), arrive);
 }

@@ -1,12 +1,12 @@
 // Simulated network (the U-Net/ATM substitute).
 //
 // Models point-to-point links with propagation delay, per-byte serialization
-// (bandwidth), an MTU, and fault injection: loss, duplication, reordering
-// jitter, bit corruption, frame truncation, bursty (Gilbert–Elliott) loss
-// and link pause/partition. All faults draw from the one shared seeded Rng,
-// so a fixed seed reproduces the exact same fault schedule. Defaults are
-// calibrated to the paper's testbed: U-Net over a Fore 140 Mbit/s ATM gave
-// ~35 µs one-way latency for small messages.
+// (bandwidth), an MTU, fault injection (resil/fault_socket.h: loss,
+// duplication, delay jitter, bit corruption, frame truncation, bursty
+// Gilbert–Elliott loss) and link pause/partition. All faults draw from the
+// one shared seeded Rng, so a fixed seed reproduces the exact same fault
+// schedule. Defaults are calibrated to the paper's testbed: U-Net over a
+// Fore 140 Mbit/s ATM gave ~35 µs one-way latency for small messages.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "buf/wire_frame.h"
+#include "resil/fault_socket.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
 #include "util/stat_fields.h"
@@ -32,29 +33,10 @@ struct LinkParams {
   VtDur propagation = vt_ns(33'400);  // fixed one-way cost
   // Serialization: 140 Mbit/s = 17.5 MB/s => ~57.14 ns per byte.
   double ns_per_byte = 8000.0 / 140.0;
-  double loss_prob = 0.0;
-  double dup_prob = 0.0;
-  VtDur reorder_jitter = 0;  // uniform extra delay in [0, jitter]
-  std::size_t mtu = 9180;    // AAL5 default; oversize frames are dropped
-  // Deterministic fault injection for A/B experiments: drop every N-th
-  // frame on the link (0 = off). Applied before probabilistic loss.
-  std::uint32_t drop_every = 0;
-  // Bit corruption: with this probability a delivered frame has one random
-  // bit flipped in flight (the receiver's checksum must catch it).
-  double corrupt_prob = 0.0;
-  // Truncation: with this probability a delivered frame is cut to a random
-  // proper prefix (models an aborted DMA / short read).
-  double truncate_prob = 0.0;
-  // Bursty loss: a two-state Gilbert–Elliott channel. The link flips
-  // between a good state (loss = ge_loss_good) and a bad state
-  // (loss = ge_loss_bad) with the given per-frame transition
-  // probabilities. Mean burst length = 1 / ge_p_bad_to_good frames.
-  // Independent of — and applied after — the memoryless loss_prob above.
-  bool ge_enabled = false;
-  double ge_p_good_to_bad = 0.05;
-  double ge_p_bad_to_good = 0.25;
-  double ge_loss_good = 0.0;
-  double ge_loss_bad = 0.75;
+  std::size_t mtu = 9180;  // AAL5 default; oversize frames are dropped
+  // Judged per frame after serialization; a duplicate lags its original
+  // by up to one propagation delay.
+  resil::FaultConfig faults;
 };
 
 /// How a named partition set cuts traffic crossing its boundary.
@@ -186,9 +168,11 @@ class SimNetwork {
   std::vector<Node> nodes_;
   LinkParams default_link_;
   std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
-  std::map<std::pair<NodeId, NodeId>, Vt> link_busy_;  // serialization FIFO
-  std::map<std::pair<NodeId, NodeId>, std::uint32_t> frame_count_;
-  std::map<std::pair<NodeId, NodeId>, bool> ge_bad_;  // Gilbert–Elliott state
+  struct LinkState {
+    Vt busy = 0;  // serialization FIFO: the wire is taken until then
+    resil::FaultState faults;
+  };
+  std::map<std::pair<NodeId, NodeId>, LinkState> link_state_;
   std::set<std::pair<NodeId, NodeId>> paused_;
   struct Partition {
     std::set<NodeId> members;

@@ -183,7 +183,7 @@ TEST(FaultInjection, CorruptionFlipsExactlyOneBit) {
   Rng rng(7);
   SimNetwork net(q, rng);
   LinkParams lp;
-  lp.corrupt_prob = 1.0;
+  lp.faults.corrupt_prob = 1.0;
   std::vector<std::uint8_t> got;
   NodeId a = net.add_node("a", nullptr);
   NodeId b = net.add_node("b", [&](NodeId, WireFrame f, Vt) {
@@ -208,7 +208,7 @@ TEST(FaultInjection, TruncationYieldsProperNonEmptyPrefix) {
   Rng rng(9);
   SimNetwork net(q, rng);
   LinkParams lp;
-  lp.truncate_prob = 1.0;
+  lp.faults.truncate_prob = 1.0;
   std::vector<std::uint8_t> got;
   NodeId a = net.add_node("a", nullptr);
   NodeId b = net.add_node("b", [&](NodeId, WireFrame f, Vt) {
@@ -233,7 +233,7 @@ TEST(FaultInjection, GilbertElliottLosesInBursts) {
   Rng rng(13);
   SimNetwork net(q, rng);
   LinkParams lp;
-  lp.ge_enabled = true;
+  lp.faults.ge_enabled = true;
   std::uint64_t delivered = 0;
   NodeId a = net.add_node("a", nullptr);
   NodeId b = net.add_node(
@@ -259,9 +259,9 @@ TEST(FaultInjection, SameSeedSameSchedule) {
     Rng rng(seed);
     SimNetwork net(q, rng);
     LinkParams lp;
-    lp.corrupt_prob = 0.1;
-    lp.truncate_prob = 0.1;
-    lp.ge_enabled = true;
+    lp.faults.corrupt_prob = 0.1;
+    lp.faults.truncate_prob = 0.1;
+    lp.faults.ge_enabled = true;
     NodeId a = net.add_node("a", nullptr);
     NodeId b = net.add_node("b", [](NodeId, WireFrame, Vt) {});
     net.set_link(a, b, lp);

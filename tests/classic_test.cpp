@@ -88,7 +88,7 @@ TEST(Classic, RetransmissionCarriesFullHeaders) {
   // Classic frames always carry the identification; a retransmission is a
   // verbatim resend and must still demux correctly.
   WorldConfig wc;
-  wc.link.drop_every = 3;
+  wc.link.faults.drop_every = 3;
   World w(wc);
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");

@@ -44,9 +44,9 @@ RunResult run_engine(const Workload& wl, bool use_pa, std::uint64_t seed,
                      double loss, double dup, VtDur jitter) {
   WorldConfig wc;
   wc.seed = seed;
-  wc.link.loss_prob = loss;
-  wc.link.dup_prob = dup;
-  wc.link.reorder_jitter = jitter;
+  wc.link.faults.loss_prob = loss;
+  wc.link.faults.dup_prob = dup;
+  wc.link.faults.delay_jitter = jitter;
   World w(wc);
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");

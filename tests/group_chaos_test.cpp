@@ -82,10 +82,10 @@ TEST(GroupChaos, HundredMemberChurnConverges) {
       for (auto [from, to] : {std::pair{hub.id(), members[i]->id()},
                               std::pair{members[i]->id(), hub.id()}}) {
         LinkParams lp = w.network().link(from, to);
-        lp.ge_enabled = true;
-        lp.ge_p_good_to_bad = 0.1;
-        lp.ge_p_bad_to_good = 0.2;
-        lp.ge_loss_bad = 0.9;
+        lp.faults.ge_enabled = true;
+        lp.faults.ge_p_good_to_bad = 0.1;
+        lp.faults.ge_p_bad_to_good = 0.2;
+        lp.faults.ge_loss_bad = 0.9;
         w.network().set_link(from, to, lp);
       }
     }
@@ -102,7 +102,7 @@ TEST(GroupChaos, HundredMemberChurnConverges) {
       for (auto [from, to] : {std::pair{hub.id(), members[i]->id()},
                               std::pair{members[i]->id(), hub.id()}}) {
         LinkParams lp = w.network().link(from, to);
-        lp.ge_enabled = false;
+        lp.faults.ge_enabled = false;
         w.network().set_link(from, to, lp);
       }
     }

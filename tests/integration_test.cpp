@@ -93,7 +93,7 @@ TEST(Integration, PaStreamInOrder) {
 
 TEST(Integration, PaLossRecovery) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.1;
+  wc.link.faults.loss_prob = 0.1;
   wc.seed = 7;
   World w(wc);
   auto& a = w.add_node("src");
@@ -137,7 +137,7 @@ TEST(Integration, PaFirstMessageLossRecoversViaConnIdent) {
   // Arrange for the first frame only to be lost.
   w.network().set_link(a.id(), b.id(), [] {
     LinkParams lp;
-    lp.loss_prob = 1.0;
+    lp.faults.loss_prob = 1.0;
     return lp;
   }());
 
@@ -230,7 +230,7 @@ TEST(Integration, ClassicOneMessageAndStream) {
 
 TEST(Integration, ClassicLossRecovery) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.08;
+  wc.link.faults.loss_prob = 0.08;
   wc.seed = 11;
   World w(wc);
   auto& a = w.add_node("src");
@@ -338,8 +338,8 @@ TEST(Integration, PreagreedCookieSkipsConnIdent) {
 
 TEST(Integration, DuplicationAndReorderTolerated) {
   WorldConfig wc;
-  wc.link.dup_prob = 0.1;
-  wc.link.reorder_jitter = vt_us(80);
+  wc.link.faults.dup_prob = 0.1;
+  wc.link.faults.delay_jitter = vt_us(80);
   wc.seed = 23;
   World w(wc);
   auto& a = w.add_node("src");

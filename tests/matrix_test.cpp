@@ -58,12 +58,12 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   wc.seed = GetParam();
   const bool faulty = rng.chance(0.6);
   if (faulty) {
-    wc.link.loss_prob = nak ? 0.02 : 0.05;
-    wc.link.dup_prob = 0.02;
+    wc.link.faults.loss_prob = nak ? 0.02 : 0.05;
+    wc.link.faults.dup_prob = 0.02;
     // NAK reliability has a bounded repair horizon by design; keep the
     // reordering within it (jitter of several ms would age losses out of
     // the sender's history — the documented, surfaced stall, not a bug).
-    wc.link.reorder_jitter =
+    wc.link.faults.delay_jitter =
         vt_us(rng.next_below(nak ? 60 : 300));
   }
   wc.gc_policy = rng.chance(0.5) ? GcPolicy::kEveryReception

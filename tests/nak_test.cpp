@@ -46,7 +46,7 @@ TEST(Nak, CleanLinkProducesNoReverseTraffic) {
 
 TEST(Nak, RepairsDeterministicLoss) {
   WorldConfig wc;
-  wc.link.drop_every = 9;
+  wc.link.faults.drop_every = 9;
   World w(wc);
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
@@ -70,7 +70,8 @@ TEST(Nak, RepairsDeterministicLoss) {
 
 TEST(Nak, SurvivesRandomLossBothWays) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.08;  // naks can be lost too: the re-nak timer heals
+  // Naks can be lost too: the re-nak timer heals.
+  wc.link.faults.loss_prob = 0.08;
   wc.seed = 99;
   World w(wc);
   auto& a = w.add_node("src");
@@ -109,7 +110,7 @@ TEST(Nak, LossBeyondHistoryIsUnrepairable) {
   // Cut the a->b link for exactly one message, and keep the reverse path
   // black so the receiver's NAKs cannot reach the sender yet.
   LinkParams dead;
-  dead.loss_prob = 1.0;
+  dead.faults.loss_prob = 1.0;
   w.network().set_link(a.id(), b.id(), dead);
   w.network().set_link(b.id(), a.id(), dead);
   src->send(std::vector<std::uint8_t>{1});

@@ -521,7 +521,8 @@ TEST(RealBatch, EveryDatagramCrossesTheBackend) {
     fc.truncate_prob = 0.2;
     fc.delay_jitter = vt_ms(2);
     p.loop.set_fault(p.sa, fc, /*seed=*/9);
-    const resil::FaultStats& fs = p.loop.fault(p.sa)->stats();
+    const resil::FaultStats& fs =
+        p.loop.fault(p.sa)->stats(resil::FaultSocket::Dir::kTx);
     expect_every_datagram_crosses(
         p,
         [&] {

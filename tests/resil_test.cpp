@@ -1,14 +1,16 @@
 // Tests for the overload-resilience subsystem (src/resil/): the overload
-// governor's ladder/hysteresis/policies, the FaultSocket's deterministic
-// fault schedule, and the real-path chaos scenarios — the PR-1 fault
-// vocabulary (corruption, truncation, burst loss, pause, peer restart)
-// replayed against real loopback UDP sockets through RealLoop's injector
-// seam. Socket tests skip (not fail) when the sandbox forbids sockets.
+// governor's ladder/hysteresis/policies, the fault model (FaultSocket's
+// deterministic lanes, the one judge and mutation shared with the
+// simulated network), and the real-path chaos scenarios — the simulator's
+// fault vocabulary (corruption, truncation, burst loss, pause, peer
+// restart) replayed against real loopback UDP sockets through RealLoop's
+// injector seam. Socket tests skip (not fail) when the sandbox forbids sockets.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "net/real_endpoint.h"
+#include "sim/network.h"
 #include "resil/fault_socket.h"
 #include "resil/governor.h"
 
@@ -17,6 +19,8 @@ namespace {
 
 using resil::FaultConfig;
 using resil::FaultSocket;
+using resil::FaultVerdict;
+using Dir = resil::FaultSocket::Dir;
 using resil::GovernorConfig;
 using resil::OverloadGovernor;
 using resil::OverloadLevel;
@@ -197,13 +201,30 @@ TEST(Governor, NetSignalsNormalizeAgainstWatermarks) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultSocket: deterministic schedule.
+// The fault model: FaultSocket's lanes, and one judge for both paths.
 // ---------------------------------------------------------------------------
+
+// A socket whose tx lane carries `cfg`.
+FaultSocket tx_socket(const FaultConfig& cfg, std::uint64_t seed) {
+  FaultSocket fs(seed);
+  fs.set_config(Dir::kTx, cfg);
+  return fs;
+}
+
+void expect_same_verdict(const FaultVerdict& a, const FaultVerdict& b) {
+  EXPECT_EQ(a.drop, b.drop);
+  EXPECT_EQ(a.corrupt, b.corrupt);
+  EXPECT_EQ(a.corrupt_bit, b.corrupt_bit);
+  EXPECT_EQ(a.truncate_to, b.truncate_to);
+  EXPECT_EQ(a.delay, b.delay);
+  EXPECT_EQ(a.duplicate, b.duplicate);
+  EXPECT_EQ(a.dup_delay, b.dup_delay);
+}
 
 std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
            std::uint64_t>
 stats_tuple(const FaultSocket& fs) {
-  const resil::FaultStats& s = fs.stats();
+  const resil::FaultStats& s = fs.stats(Dir::kTx);
   return {s.dropped, s.duplicated, s.corrupted, s.truncated, s.delayed};
 }
 
@@ -215,22 +236,18 @@ TEST(FaultSocketTest, SameSeedSameSchedule) {
   fc.truncate_prob = 0.05;
   fc.delay_jitter = vt_us(200);
   auto run = [&](std::uint64_t seed) {
-    FaultSocket fs(fc, seed);
-    std::vector<FaultSocket::Verdict> verdicts;
-    for (int i = 0; i < 500; ++i) verdicts.push_back(fs.judge(64 + i % 32));
+    FaultSocket fs = tx_socket(fc, seed);
+    std::vector<FaultVerdict> verdicts;
+    for (int i = 0; i < 500; ++i) {
+      verdicts.push_back(fs.judge(Dir::kTx, 64 + i % 32));
+    }
     return std::make_pair(stats_tuple(fs), verdicts);
   };
   auto [s1, v1] = run(7);
   auto [s2, v2] = run(7);
   auto [s3, v3] = run(8);
   EXPECT_EQ(s1, s2);
-  for (std::size_t i = 0; i < v1.size(); ++i) {
-    EXPECT_EQ(v1[i].drop, v2[i].drop);
-    EXPECT_EQ(v1[i].copies, v2[i].copies);
-    EXPECT_EQ(v1[i].delay, v2[i].delay);
-    EXPECT_EQ(v1[i].corrupt_bit, v2[i].corrupt_bit);
-    EXPECT_EQ(v1[i].truncate_to, v2[i].truncate_to);
-  }
+  for (std::size_t i = 0; i < v1.size(); ++i) expect_same_verdict(v1[i], v2[i]);
   EXPECT_NE(s1, s3) << "different seeds must give different schedules";
 }
 
@@ -243,39 +260,31 @@ TEST(FaultSocketTest, RxLaneIsIndependentAndDeterministic) {
   rxc.loss_prob = 0.3;
   rxc.truncate_prob = 0.1;
   rxc.corrupt_prob = 0.1;
-  using Dir = FaultSocket::Dir;
 
-  // Reference: the tx lane judged alone (the legacy single-lane schedule).
-  FaultSocket ref(txc, 7);
-  std::vector<FaultSocket::Verdict> tx_ref;
-  for (int i = 0; i < 300; ++i) tx_ref.push_back(ref.judge(64 + i % 16));
+  // Reference: the tx lane judged alone.
+  FaultSocket ref = tx_socket(txc, 7);
+  std::vector<FaultVerdict> tx_ref;
+  for (int i = 0; i < 300; ++i) {
+    tx_ref.push_back(ref.judge(Dir::kTx, 64 + i % 16));
+  }
 
   // Same seed, rx lane armed and judged between every tx draw: the tx
   // verdict sequence must be bit-identical — arming or exercising rx never
   // perturbs a tx schedule already in flight (per-lane Rng).
-  FaultSocket fs(txc, 7);
+  FaultSocket fs = tx_socket(txc, 7);
   fs.set_config(Dir::kRx, rxc);
-  std::vector<FaultSocket::Verdict> rx1;
+  std::vector<FaultVerdict> rx1;
   for (int i = 0; i < 300; ++i) {
-    const auto tv = fs.judge(Dir::kTx, 64 + i % 16);
-    EXPECT_EQ(tv.drop, tx_ref[i].drop);
-    EXPECT_EQ(tv.copies, tx_ref[i].copies);
-    EXPECT_EQ(tv.delay, tx_ref[i].delay);
-    EXPECT_EQ(tv.corrupt_bit, tx_ref[i].corrupt_bit);
-    EXPECT_EQ(tv.truncate_to, tx_ref[i].truncate_to);
+    expect_same_verdict(fs.judge(Dir::kTx, 64 + i % 16), tx_ref[i]);
     rx1.push_back(fs.judge(Dir::kRx, 64 + i % 16));
   }
 
   // The rx lane's own schedule is seed-deterministic regardless of how the
   // two lanes interleave: a second socket judging rx only reproduces it.
-  FaultSocket fs2(txc, 7);
+  FaultSocket fs2 = tx_socket(txc, 7);
   fs2.set_config(Dir::kRx, rxc);
   for (int i = 0; i < 300; ++i) {
-    const auto rv = fs2.judge(Dir::kRx, 64 + i % 16);
-    EXPECT_EQ(rv.drop, rx1[i].drop);
-    EXPECT_EQ(rv.copies, rx1[i].copies);
-    EXPECT_EQ(rv.corrupt_bit, rx1[i].corrupt_bit);
-    EXPECT_EQ(rv.truncate_to, rx1[i].truncate_to);
+    expect_same_verdict(fs2.judge(Dir::kRx, 64 + i % 16), rx1[i]);
   }
 
   // Per-lane books: each lane counted its own offered datagrams, and the
@@ -288,10 +297,11 @@ TEST(FaultSocketTest, RxLaneIsIndependentAndDeterministic) {
 
 TEST(FaultSocketTest, GilbertElliottBursts) {
   FaultConfig fc;
-  fc.ge_enabled = true;  // defaults mirror sim/network: ~12.5% mean loss
-  FaultSocket fs(fc, 42);
-  for (int i = 0; i < 4000; ++i) fs.judge(100);
-  const double rate = static_cast<double>(fs.stats().dropped) / 4000.0;
+  fc.ge_enabled = true;  // the defaults: ~12.5% mean loss
+  FaultSocket fs = tx_socket(fc, 42);
+  for (int i = 0; i < 4000; ++i) fs.judge(Dir::kTx, 100);
+  const double rate =
+      static_cast<double>(fs.stats(Dir::kTx).dropped) / 4000.0;
   EXPECT_GT(rate, 0.05);
   EXPECT_LT(rate, 0.25);
 }
@@ -299,34 +309,137 @@ TEST(FaultSocketTest, GilbertElliottBursts) {
 TEST(FaultSocketTest, PauseBlackholesEverything) {
   FaultConfig fc;
   fc.paused = true;
-  FaultSocket fs(fc, 1);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(fs.judge(50).drop);
+  FaultSocket fs = tx_socket(fc, 1);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(fs.judge(Dir::kTx, 50).drop);
   fc.paused = false;
-  fs.set_config(fc);
-  EXPECT_FALSE(fs.judge(50).drop);
+  fs.set_config(Dir::kTx, fc);
+  EXPECT_FALSE(fs.judge(Dir::kTx, 50).drop);
 }
 
-TEST(FaultSocketTest, ApplyMutatesAsJudged) {
-  // Truncation then corruption land inside the surviving prefix.
-  FaultSocket::Verdict v;
-  v.truncate_to = 4;
-  v.corrupt = true;
-  v.corrupt_bit = 77;  // beyond 4 bytes: folded into the prefix
-  std::vector<std::uint8_t> bytes(16, 0);
-  FaultSocket::apply(v, bytes);
-  ASSERT_EQ(bytes.size(), 4u);
-  int flipped = 0;
-  for (std::uint8_t b : bytes) {
-    while (b) {
-      flipped += b & 1;
-      b >>= 1;
-    }
+TEST(FaultSocketTest, PausedDatagramsDoNotAdvanceDropEvery) {
+  FaultConfig fc;
+  fc.drop_every = 3;
+  fc.paused = true;
+  FaultSocket fs = tx_socket(fc, 1);
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(fs.judge(Dir::kTx, 50).drop);
+  fc.paused = false;
+  fs.set_config(Dir::kTx, fc);
+  // The pause swallowed five datagrams without counting them, so the heal
+  // starts the count where the pause found it: the third is the first drop.
+  EXPECT_FALSE(fs.judge(Dir::kTx, 50).drop);
+  EXPECT_FALSE(fs.judge(Dir::kTx, 50).drop);
+  EXPECT_TRUE(fs.judge(Dir::kTx, 50).drop);
+}
+
+TEST(FaultSocketTest, DuplicateIsDrawnLast) {
+  // The draw order is the simulator's: corruption, then the delay, then the
+  // duplicate and its lag, which is 0 on a socket but still drawn.
+  FaultConfig fc;
+  fc.corrupt_prob = 0.5;
+  fc.delay_jitter = vt_us(100);
+  fc.dup_prob = 0.5;
+  FaultSocket fs = tx_socket(fc, 5);
+  Rng ref(5);  // the tx lane's Rng starts from the socket's seed
+  constexpr std::size_t kLen = 40;
+  std::uint64_t dups = 0;
+  for (int i = 0; i < 200; ++i) {
+    FaultVerdict want;
+    want.corrupt = ref.chance(fc.corrupt_prob);
+    if (want.corrupt) want.corrupt_bit = ref.next_below(kLen * 8);
+    want.delay = ref.next_range(0, fc.delay_jitter);
+    want.duplicate = ref.chance(fc.dup_prob);
+    if (want.duplicate) want.dup_delay = ref.next_range(0, 0);
+    expect_same_verdict(fs.judge(Dir::kTx, kLen), want);
+    dups += want.duplicate;
   }
-  EXPECT_EQ(flipped, 1);
+  EXPECT_GT(dups, 0u);
+}
+
+TEST(FaultModel, MutateFlipsThenTruncates) {
+  // The flip lands at the judged bit of the whole frame, then the cut; a
+  // flip beyond the cut is gone with the tail.
+  const std::vector<std::uint8_t> zeros(16, 0);
+  auto mutated = [&](std::uint64_t bit, std::size_t cut) {
+    FaultVerdict v;
+    v.corrupt = true;
+    v.corrupt_bit = bit;
+    v.truncate_to = cut;
+    WireFrame f = WireFrame::adopt(zeros);
+    resil::mutate(v, f);
+    return f.flatten();
+  };
+  std::vector<std::uint8_t> want(4, 0);
+  EXPECT_EQ(mutated(77, 4), want);  // byte 9: cut off
+  want[1] = 1u << 2;
+  EXPECT_EQ(mutated(10, 4), want);  // byte 1, bit 2: kept
+
+  // The flip never reaches another holder of the frame's chunk.
+  WireFrame sent = WireFrame::adopt(zeros);
+  WireFrame in_flight = sent;
+  FaultVerdict v;
+  v.corrupt = true;
+  v.corrupt_bit = 0;
+  resil::mutate(v, in_flight);
+  EXPECT_EQ(sent.flatten(), zeros);
+  EXPECT_EQ(in_flight.flatten()[0], 1u);
+}
+
+TEST(FaultModel, SimLinkAndSocketLaneJudgeAlike) {
+  // One judge: a simulated link and a socket lane with the same config and
+  // the same seed drop, duplicate, corrupt and truncate the same frames the
+  // same way.
+  FaultConfig fc;
+  fc.loss_prob = 0.05;
+  fc.dup_prob = 0.1;
+  fc.corrupt_prob = 0.2;
+  fc.truncate_prob = 0.2;
+  fc.delay_jitter = vt_us(50);
+  fc.drop_every = 17;
+  fc.ge_enabled = true;
+  constexpr std::uint64_t kSeed = 31;
+
+  EventQueue q;
+  Rng rng(kSeed);
+  SimNetwork net(q, rng);
+  std::vector<std::vector<std::uint8_t>> arrived;
+  const NodeId a = net.add_node("a", nullptr);
+  const NodeId b = net.add_node(
+      "b", [&](NodeId, WireFrame f, Vt) { arrived.push_back(f.flatten()); });
+  LinkParams lp;
+  lp.faults = fc;
+  net.set_link(a, b, lp);
+  FaultSocket fs = tx_socket(fc, kSeed);
+
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<std::uint8_t> bytes(16 + i % 48);
+    for (std::size_t k = 0; k < bytes.size(); ++k) {
+      bytes[k] = static_cast<std::uint8_t>(i + k);
+    }
+    arrived.clear();
+    net.send(a, b, bytes, q.now());
+    q.run();
+    const FaultVerdict v = fs.judge(Dir::kTx, bytes.size());
+    WireFrame expect = WireFrame::adopt(bytes);
+    resil::mutate(v, expect);
+    ASSERT_EQ(arrived.size(), v.drop ? 0u : v.duplicate ? 2u : 1u)
+        << "frame " << i;
+    for (const auto& got : arrived) ASSERT_EQ(got, expect.flatten()) << i;
+  }
+  const auto& ns = net.stats();
+  const resil::FaultStats& ss = fs.stats(Dir::kTx);
+  EXPECT_EQ(ns.frames_lost, ss.dropped);
+  EXPECT_EQ(ns.frames_duplicated, ss.duplicated);
+  EXPECT_EQ(ns.frames_corrupted, ss.corrupted);
+  EXPECT_EQ(ns.frames_truncated, ss.truncated);
+  // Every kind of fault happened, so every draw was compared.
+  EXPECT_GT(ss.dropped, 0u);
+  EXPECT_GT(ss.duplicated, 0u);
+  EXPECT_GT(ss.corrupted, 0u);
+  EXPECT_GT(ss.truncated, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Real-path chaos: the PR-1 scenarios over real loopback sockets.
+// Real-path chaos: the simulator's scenarios over real loopback sockets.
 // ---------------------------------------------------------------------------
 
 bool sockets_available() {
@@ -336,6 +449,36 @@ bool sockets_available() {
 
 #define REQUIRE_SOCKETS() \
   if (!sockets_available()) GTEST_SKIP() << "no UDP sockets in this sandbox"
+
+TEST(RealLoopFault, RearmingTxLeavesTheRxScheduleUnbroken) {
+  REQUIRE_SOCKETS();
+  FaultConfig rx;
+  rx.loss_prob = 0.3;
+  rx.corrupt_prob = 0.2;
+  rx.delay_jitter = vt_us(50);
+  rx.ge_enabled = true;
+  FaultSocket ref(11);
+  ref.set_config(Dir::kRx, rx);
+
+  RealLoop loop;
+  const int sock = loop.open_udp(0);
+  ASSERT_GE(sock, 0);
+  loop.set_fault_rx(sock, rx, /*seed=*/11);
+  FaultSocket& fs = *loop.fault(sock);
+  for (int i = 0; i < 100; ++i) {
+    expect_same_verdict(fs.judge(Dir::kRx, 64), ref.judge(Dir::kRx, 64));
+  }
+  // Re-arming tx restarts the tx lane only: the rx lane's next verdicts are
+  // the ones an untouched lane would have drawn.
+  FaultConfig tx;
+  tx.loss_prob = 0.5;
+  loop.set_fault(sock, tx, /*seed=*/99);
+  for (int i = 0; i < 100; ++i) {
+    expect_same_verdict(fs.judge(Dir::kRx, 64), ref.judge(Dir::kRx, 64));
+  }
+  EXPECT_EQ(fs.config(Dir::kTx).loss_prob, 0.5);
+  EXPECT_EQ(fs.stats(Dir::kRx).offered, 200u);
+}
 
 struct ChaosPair {
   RealLoop loop;
@@ -383,7 +526,7 @@ TEST(RealChaos, SurvivesBurstLoss) {
   fc.ge_enabled = true;  // Gilbert–Elliott bursts, ~12.5% mean loss
   ChaosPair p(fc, /*seed=*/3);
   expect_reliable_stream(p, 150, vt_s(20));
-  EXPECT_GT(p.loop.fault(p.a.sock())->stats().dropped, 0u)
+  EXPECT_GT(p.loop.fault(p.a.sock())->stats(Dir::kTx).dropped, 0u)
       << "the injector never bit — test proves nothing";
 }
 
@@ -393,7 +536,7 @@ TEST(RealChaos, SurvivesCorruption) {
   fc.corrupt_prob = 0.10;  // one random bit per afflicted datagram
   ChaosPair p(fc, /*seed=*/4);
   expect_reliable_stream(p, 150, vt_s(20));
-  EXPECT_GT(p.loop.fault(p.a.sock())->stats().corrupted, 0u);
+  EXPECT_GT(p.loop.fault(p.a.sock())->stats(Dir::kTx).corrupted, 0u);
   // Corrupted frames must die in the filter/router, not reach the app
   // (expect_reliable_stream already asserted payload integrity).
 }
@@ -404,7 +547,7 @@ TEST(RealChaos, SurvivesTruncation) {
   fc.truncate_prob = 0.10;
   ChaosPair p(fc, /*seed=*/5);
   expect_reliable_stream(p, 150, vt_s(20));
-  EXPECT_GT(p.loop.fault(p.a.sock())->stats().truncated, 0u);
+  EXPECT_GT(p.loop.fault(p.a.sock())->stats(Dir::kTx).truncated, 0u);
 }
 
 TEST(RealChaos, SurvivesDuplicationAndReorder) {
@@ -414,7 +557,7 @@ TEST(RealChaos, SurvivesDuplicationAndReorder) {
   fc.delay_jitter = vt_ms(2);  // held datagrams reorder against later sends
   ChaosPair p(fc, /*seed=*/6);
   expect_reliable_stream(p, 150, vt_s(20));
-  const resil::FaultStats& s = p.loop.fault(p.a.sock())->stats();
+  const resil::FaultStats& s = p.loop.fault(p.a.sock())->stats(Dir::kTx);
   EXPECT_GT(s.duplicated, 0u);
   EXPECT_GT(s.delayed, 0u);
 }
@@ -432,7 +575,6 @@ TEST(RealChaos, SurvivesRxIngestChaos) {
   rx.truncate_prob = 0.05;
   p.loop.set_fault_rx(p.b.sock(), rx, /*seed=*/12);
   expect_reliable_stream(p, 150, vt_s(20));
-  using Dir = resil::FaultSocket::Dir;
   const resil::FaultStats& s = p.loop.fault(p.b.sock())->stats(Dir::kRx);
   EXPECT_GT(s.dropped, 0u) << "the rx lane never bit — test proves nothing";
   // The tx lane on the same socket stayed clean: B's acks all left intact.
@@ -454,12 +596,12 @@ TEST(RealChaos, PauseThenHealRecovers) {
   // the heal.
   FaultConfig paused;
   paused.paused = true;
-  p.loop.fault(p.a.sock())->set_config(paused);
+  p.loop.fault(p.a.sock())->set_config(Dir::kTx, paused);
   for (int i = 0; i < 5; ++i) p.a.send(msg);
   p.loop.run_until([] { return false; }, vt_ms(80));
   EXPECT_EQ(got, 1);
 
-  p.loop.fault(p.a.sock())->set_config(FaultConfig{});
+  p.loop.fault(p.a.sock())->set_config(Dir::kTx, FaultConfig{});
   ASSERT_TRUE(p.loop.run_until([&] { return got >= 6; }, vt_s(20)))
       << "only " << got << " of 6 after heal";
 }

@@ -75,7 +75,7 @@ TEST(Rpc, TimeoutFiresWhenLinkDead) {
   // Kill the forward link before any traffic (cookie never learned, and
   // window retransmissions also die).
   LinkParams dead;
-  dead.loss_prob = 1.0;
+  dead.faults.loss_prob = 1.0;
   rig.w.network().set_link(rig.cn.id(), rig.sn.id(), dead);
   RpcServer server(*rig.se, [](std::span<const std::uint8_t> r) {
     return std::vector<std::uint8_t>(r.begin(), r.end());
@@ -124,7 +124,7 @@ TEST(Rpc, RetryingCallReusesIdAndDedupes) {
   // Lossy link + app timeout below the transport RTO: retries race their
   // originals; the reply cache must prevent re-execution.
   WorldConfig wc;
-  wc.link.loss_prob = 0.15;
+  wc.link.faults.loss_prob = 0.15;
   wc.seed = 3;
   World w(wc);
   auto& cn = w.add_node("client");
@@ -164,7 +164,7 @@ TEST(Rpc, RetryingCallFailsAfterBudget) {
   auto& cn = w.add_node("client");
   auto& sn = w.add_node("server");
   LinkParams dead;
-  dead.loss_prob = 1.0;
+  dead.faults.loss_prob = 1.0;
   w.network().set_default_link(dead);
   auto [ce, se] = w.connect(cn, sn, ConnOptions{});
   (void)se;

@@ -21,7 +21,7 @@ TEST(AdaptiveRto, ConvergesAndRecoversFasterThanFixed) {
   // timeout. Fast retransmit is disabled so only the RTO drives recovery.
   auto run = [](bool adaptive) {
     WorldConfig wc;
-    wc.link.drop_every = 40;
+    wc.link.faults.drop_every = 40;
     World w(wc);
     auto& a = w.add_node("a");
     auto& b = w.add_node("b");
@@ -112,7 +112,7 @@ TEST(AdaptiveRto, EstimatorArithmeticIsPinned) {
 // estimator and srtt explodes past the true RTT.
 TEST(AdaptiveRto, KarnsRuleKeepsEstimatorSane) {
   WorldConfig wc;
-  wc.link.drop_every = 7;  // aggressive, regular loss
+  wc.link.faults.drop_every = 7;  // aggressive, regular loss
   World w(wc);
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
@@ -155,7 +155,7 @@ TEST(AdaptiveRto, DupAckStormCannotPoisonTheEstimator) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   LinkParams back;
-  back.dup_prob = 0.8;  // the ack path stutters hard
+  back.faults.dup_prob = 0.8;  // the ack path stutters hard
   w.network().set_link(b.id(), a.id(), back);
   ConnOptions opt;
   opt.engine.enable_packing = false;
@@ -181,8 +181,9 @@ TEST(AdaptiveRto, DupAckStormCannotPoisonTheEstimator) {
 }
 
 // The jittered backoff stays inside its contract: deadline in
-// [rto, rto << max_rto_shift] and different jitter seeds give different
-// schedules while identical seeds reproduce exactly (chaos determinism).
+// [rto, rto << WindowLayer::kMaxRtoShift] and different jitter seeds give
+// different schedules while identical seeds reproduce exactly (chaos
+// determinism).
 TEST(AdaptiveRto, BackoffJitterDeterministicPerSeed) {
   auto digest_after_blackhole = [](std::uint64_t seed) {
     WorldConfig wc;
@@ -207,7 +208,7 @@ TEST(AdaptiveRto, BackoffJitterDeterministicPerSeed) {
 
 TEST(AdaptiveRto, SurvivesLossBothWays) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.07;
+  wc.link.faults.loss_prob = 0.07;
   wc.seed = 41;
   World w(wc);
   auto& a = w.add_node("a");

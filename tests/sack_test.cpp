@@ -26,7 +26,7 @@ void paced_sends(World& w, Endpoint* src, int n, VtDur gap) {
 
 TEST(Sack, EndToEndWithLoss) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.12;
+  wc.link.faults.loss_prob = 0.12;
   wc.seed = 31;
   World w(wc);
   auto& a = w.add_node("src");
@@ -54,7 +54,7 @@ TEST(Sack, RecoversFasterUnderDeterministicMultiLoss) {
   // which is the regime SACK exists for.
   auto run = [](bool sack) {
     WorldConfig wc;
-    wc.link.drop_every = 7;
+    wc.link.faults.drop_every = 7;
     World w(wc);
     auto& a = w.add_node("src");
     auto& b = w.add_node("dst");

@@ -148,7 +148,7 @@ TEST(SimNetwork, LossAndDuplication) {
   net.set_handler(a, [](NodeId, WireFrame, Vt) {});
 
   LinkParams lossy;
-  lossy.loss_prob = 0.5;
+  lossy.faults.loss_prob = 0.5;
   net.set_link(a, b, lossy);
   for (int i = 0; i < 200; ++i) net.send(a, b, {1, 2, 3}, q.now());
   q.run();
@@ -158,7 +158,7 @@ TEST(SimNetwork, LossAndDuplication) {
             net.stats().frames_delivered);
 
   LinkParams dupy;
-  dupy.dup_prob = 1.0;
+  dupy.faults.dup_prob = 1.0;
   net.set_link(a, b, dupy);
   received = 0;
   net.send(a, b, {9}, q.now());

@@ -105,13 +105,14 @@ TEST_P(Soak, SurvivesRegime) {
   wc.seed = c.seed;
   switch (c.regime) {
     case Regime::kCorruption:
-      wc.link.corrupt_prob = 0.08;
+      wc.link.faults.corrupt_prob = 0.08;
       break;
     case Regime::kTruncation:
-      wc.link.truncate_prob = 0.08;
+      wc.link.faults.truncate_prob = 0.08;
       break;
     case Regime::kBurstLoss:
-      wc.link.ge_enabled = true;  // header defaults: mean burst of 4 frames
+      // FaultConfig defaults: mean burst of 4 frames.
+      wc.link.faults.ge_enabled = true;
       break;
     case Regime::kPartition:
     case Regime::kRestart:
@@ -155,7 +156,7 @@ TEST_P(Soak, SurvivesRegime) {
     // maximally-backed-off RTO of the heal; allow two plus drain slack.
     const WindowConfig& win =
         opt.engine.stack.spec.find(LayerSpec::Type::kWindow)->window;
-    const VtDur max_rto = win.rto << win.max_rto_shift;
+    const VtDur max_rto = win.rto << WindowLayer::kMaxRtoShift;
     const Vt deadline = heal_at + 2 * max_rto + vt_ms(100);
     EXPECT_LE(run.done_ab, deadline);
     EXPECT_LE(run.done_ba, deadline);
@@ -193,8 +194,8 @@ INSTANTIATE_TEST_SUITE_P(
 // One-directional traffic isolates the hard case: the pure receiver's acks
 // carry no connection identification, so after the sender's router forgets
 // the receiver's cookie the acks all drop — only the receiver noticing the
-// sender's duplicate retransmissions (dup_notify_threshold) breaks the
-// deadlock by entering recovery and shipping the identification.
+// sender's duplicate retransmissions (WindowLayer::kDupNotifyThreshold)
+// breaks the deadlock by entering recovery and shipping the identification.
 TEST(SoakRestart, SenderRestartRecoversViaCookieEpoch) {
   WorldConfig wc;
   wc.seed = 99;
@@ -243,9 +244,9 @@ TEST(SoakDeterminism, SameSeedSameFaultScheduleAndStats) {
   auto once = [](std::uint64_t seed) {
     WorldConfig wc;
     wc.seed = seed;
-    wc.link.corrupt_prob = 0.05;
-    wc.link.truncate_prob = 0.05;
-    wc.link.ge_enabled = true;
+    wc.link.faults.corrupt_prob = 0.05;
+    wc.link.faults.truncate_prob = 0.05;
+    wc.link.faults.ge_enabled = true;
     World w(wc);
     auto& a = w.add_node("a");
     auto& b = w.add_node("b");

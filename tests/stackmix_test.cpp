@@ -113,7 +113,7 @@ void run_mix(const Mix& mix, bool use_pa) {
   auto [ea, eb] = w.connect(na, nb, mix_options(mix, use_pa));
 
   const std::vector<std::vector<std::uint8_t>> sent = {
-      bytes("hello stack"),       // tiny (below comp min_payload)
+      bytes("hello stack"),       // tiny (below CompLayer::kMinPayload)
       compressible(1024),         // compresses well
       noise(512),                 // stored pass-through
       compressible(4096, 3),      // compresses AND exceeds frag threshold
@@ -185,8 +185,8 @@ TEST(StackMix, FullStackKeepsPredictionHot) {
 TEST(StackMix, PredictionsStayFreshUnderChaos) {
   WorldConfig wc;
   wc.seed = 11;
-  wc.link.ge_enabled = true;
-  wc.link.corrupt_prob = 0.03;
+  wc.link.faults.ge_enabled = true;
+  wc.link.faults.corrupt_prob = 0.03;
   World w(wc);
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
@@ -330,7 +330,7 @@ TEST(StackMix, LzRejectsTruncatedStream) {
 // is the tag's job), and the window layer repairs the loss.
 TEST(StackMix, TamperedFramesDieAtTheTagAndAreRepaired) {
   WorldConfig wc;
-  wc.link.corrupt_prob = 0.05;
+  wc.link.faults.corrupt_prob = 0.05;
   wc.seed = 11;
   World w(wc);
   auto& na = w.add_node("a");

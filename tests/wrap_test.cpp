@@ -56,8 +56,8 @@ TEST(Wraparound, WindowCleanStream) {
 
 TEST(Wraparound, WindowWithLossAndReorder) {
   WorldConfig wc;
-  wc.link.loss_prob = 0.08;
-  wc.link.reorder_jitter = vt_us(100);
+  wc.link.faults.loss_prob = 0.08;
+  wc.link.faults.delay_jitter = vt_us(100);
   wc.seed = 17;
   World w(wc);
   auto& a = w.add_node("a");
@@ -143,7 +143,7 @@ TEST(Wraparound, SeqLayerStashAcrossWrap) {
 
 TEST(Wraparound, NakProtocolAcrossWrap) {
   WorldConfig wc;
-  wc.link.drop_every = 11;
+  wc.link.faults.drop_every = 11;
   World w(wc);
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
