@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common.h"
-#include "group/group_metrics.h"
 #include "group/mcast.h"
 
 namespace pa::bench {
@@ -58,7 +57,6 @@ FanoutResult run_config(std::size_t members, std::size_t payload_bytes,
   const std::uint64_t ingest0 = bs.ingest_copies.load();
   const std::uint64_t memcpy0 = bs.memcpy_count.load();
   const std::uint64_t clones0 = bs.chain_clones.load();
-  group::group_metrics().deliver_ns.reset();
 
   // Pace well below saturation: the sweep measures the steady-state cost
   // of fanout itself, not congestion collapse (bench_maxload covers that).
@@ -77,7 +75,7 @@ FanoutResult run_config(std::size_t members, std::size_t payload_bytes,
       static_cast<double>(bs.chain_clones.load() - clones0) / m;
   r.amplification = static_cast<double>(g.stats().fanout_sends) /
                     static_cast<double>(g.stats().mcasts);
-  const auto& h = group::group_metrics().deliver_ns;
+  const obs::LatencyHistogram h = g.deliver_hist();
   r.p50_us = static_cast<double>(h.percentile(0.5)) / 1000.0;
   r.p999_us = static_cast<double>(h.percentile(0.999)) / 1000.0;
   r.delivered_frac = static_cast<double>(g.stats().delivered) /

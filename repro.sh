@@ -35,12 +35,14 @@ cmake -B build-tsan -G Ninja -DPA_TSAN=ON
 cmake --build build-tsan
 ctest --test-dir build-tsan --output-on-failure -R 'BufConcurrency'
 
-echo "==== clang-tidy (buffer / engine / layers / horus / health / group) ="
+echo "==== clang-tidy (buffer / engine / layers / horus / health / group / resil / obs) ="
 # Static races and perf regressions in the zero-copy data plane plus the
-# composition, health and membership planes. Gated on the tool being
-# present so the script still runs on lean containers.
+# composition, health, membership, overload and observability planes.
+# Gated on the tool being present so the script still runs on lean
+# containers.
 if command -v clang-tidy >/dev/null 2>&1; then
-  find src/buf src/pa src/layers src/horus src/health src/group \
+  find src/buf src/pa src/layers src/horus src/health src/group src/resil \
+      src/obs \
       -name '*.cpp' -print \
       | while read -r f; do
     clang-tidy --quiet -p build "$f" || exit 1

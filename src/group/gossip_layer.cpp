@@ -1,7 +1,7 @@
 #include "group/gossip_layer.h"
 
-#include "group/group_metrics.h"
 #include "layers/layer.h"
+#include "obs/bridge.h"
 
 namespace pa::group {
 
@@ -54,7 +54,6 @@ void GroupGossipLayer::post_deliver(Message&, const HeaderView& hdr,
   const std::uint64_t ack_wire = hdr.get(f_ack_);
   if (epoch == 0 && digest == 0 && ack_wire == 0) return;
   ++stats_.gossip_frames_seen;
-  group_metrics().gossip_frames.inc();
   if (digest != 0 && hooks_.on_view) {
     ++stats_.views_seen;
     hooks_.on_view(static_cast<std::uint16_t>(epoch),
@@ -77,7 +76,6 @@ void GroupGossipLayer::arm(LayerOps& ops) {
       // Counted before emit_down: the governor may shed the emission
       // (ShedClass), and `attempted - shed_* = emitted` must hold exactly.
       ++stats_.beacons_attempted;
-      group_metrics().beacons.inc();
       last_sent_ = t.now();
       Message beacon;
       beacon.cb.protocol = true;
@@ -107,6 +105,11 @@ void GroupGossipLayer::predict_deliver(HeaderView& hdr) const {
   hdr.set(f_epoch_, 0);
   hdr.set(f_digest_, 0);
   hdr.set(f_ack_, 0);
+}
+
+void GroupGossipLayer::bind_stats(obs::MetricsRegistry& reg,
+                                  const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
 }
 
 std::uint64_t GroupGossipLayer::state_digest() const {

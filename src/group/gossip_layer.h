@@ -36,6 +36,7 @@
 #include <memory>
 
 #include "layers/layer.h"
+#include "util/stat_fields.h"
 #include "util/types.h"
 
 namespace pa::group {
@@ -66,6 +67,21 @@ struct GroupGossipConfig {
   ShedClass shed = ShedClass::kLiveness;
 };
 
+// GroupGossipLayer::Stats, one row per field (util/stat_fields.h).
+// beacons_attempted is bumped before emit_down, so attempted minus the
+// governor's gossip sheds is the number of beacons actually emitted.
+#define PA_GOSSIP_STATS(X)                                                     \
+  X(std::uint64_t, beacons_attempted, "beacons_attempted_total", "",          \
+    "stability/membership beacons attempted (before the governor's shed)")     \
+  X(std::uint64_t, beacons_received, "beacons_received_total", "",            \
+    "beacons consumed on delivery")                                            \
+  X(std::uint64_t, gossip_frames_seen, "gossip_frames_total", "",             \
+    "frames carrying non-empty group gossip")                                  \
+  X(std::uint64_t, acks_seen, "acks_seen_total", "",                           \
+    "gossip delivery cursors harvested")                                       \
+  X(std::uint64_t, views_seen, "views_seen_total", "",                         \
+    "gossip view epoch/digest pairs harvested")
+
 class GroupGossipLayer final : public Layer {
  public:
   GroupGossipLayer(GroupGossipConfig cfg, std::shared_ptr<GossipOutbound> out,
@@ -88,15 +104,11 @@ class GroupGossipLayer final : public Layer {
   void predict_send(HeaderView& hdr) const override;
   void predict_deliver(HeaderView& hdr) const override;
   std::uint64_t state_digest() const override;
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix) const override;
 
   struct Stats {
-    std::uint64_t beacons_attempted = 0;  // bumped before emit_down, so
-                                          // attempted - governor sheds =
-                                          // beacons actually emitted
-    std::uint64_t beacons_received = 0;
-    std::uint64_t gossip_frames_seen = 0;  // non-empty gossip region
-    std::uint64_t acks_seen = 0;
-    std::uint64_t views_seen = 0;
+    PA_STAT_FIELDS(PA_GOSSIP_STATS)
   };
   const Stats& stats() const { return stats_; }
 

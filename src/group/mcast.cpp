@@ -3,15 +3,17 @@
 #include <cassert>
 #include <cstring>
 
-#include "group/group_metrics.h"
-#include "health/health_metrics.h"
 #include "layers/window_layer.h"
+#include "obs/bridge.h"
 #include "util/byte_order.h"
 
 namespace pa::group {
 
 namespace {
 constexpr std::size_t kGroupHdr = 8;  // [u32 seq][u16 src][u16 flags]
+// Send-timestamp history bound for delivery-latency tracking: caps
+// sent_at_ when a member never acks, so stability never prunes it.
+constexpr std::size_t kSendHistory = 4096;
 
 GroupGossipLayer* find_gossip(Stack& stack) {
   for (std::size_t i = 0; i < stack.size(); ++i) {
@@ -25,7 +27,6 @@ McastGroup::McastGroup(World& w, Node& sender,
                        const std::vector<Node*>& members, McastOptions opt)
     : w_(&w),
       opt_(std::move(opt)),
-      view_(table_.ensure(opt_.gid)),
       sender_node_(&sender),
       member_nodes_(members),
       sender_out_(std::make_shared<GossipOutbound>()),
@@ -41,7 +42,6 @@ McastGroup::McastGroup(World& w, Node& sender,
     const std::uint8_t prio =
         i < opt_.priorities.size() ? opt_.priorities[i] : 1;
     view_.join(mi, prio);
-    group_metrics().joins.inc();
     health_.track(mi);
     // Before any gossip arrives, judge each member against the configured
     // beacon cadence rather than the detector's generic default.
@@ -91,7 +91,7 @@ McastGroup::McastGroup(World& w, Node& sender,
             // are stale gossip and ignored.
             GossipOutbound& out = *member_outs_[mi];
             if (epoch < out.epoch) {
-              group_metrics().stale_gossip.inc();
+              ++stats_.stale_gossip;
               return;
             }
             out.epoch = epoch;
@@ -109,7 +109,6 @@ McastGroup::McastGroup(World& w, Node& sender,
     });
   }
   refresh_outbound();
-  update_gauges();
 }
 
 health::HealthHooks McastGroup::health_hooks() {
@@ -117,7 +116,6 @@ health::HealthHooks McastGroup::health_hooks() {
   hooks.on_suspect = [this](health::PeerId p) {
     const MemberId m = static_cast<MemberId>(p);
     view_.suspect(m);
-    group_metrics().suspects.inc();
     refresh_outbound();
   };
   hooks.on_restore = [this](health::PeerId p) {
@@ -128,10 +126,8 @@ health::HealthHooks McastGroup::health_hooks() {
       const std::uint8_t prio =
           m < opt_.priorities.size() ? opt_.priorities[m] : 1;
       view_.join(m, prio);
-      group_metrics().joins.inc();
     } else {
       view_.restore(m);
-      group_metrics().restores.inc();
     }
     refresh_outbound();
   };
@@ -140,7 +136,6 @@ health::HealthHooks McastGroup::health_hooks() {
     // member leaves the view: it stops holding stability back and stops
     // receiving fanout clones until the health plane hears it again.
     view_.leave(static_cast<MemberId>(p));
-    group_metrics().leaves.inc();
     refresh_outbound();
   };
   hooks.request_probe = [this](health::PeerId p) {
@@ -203,7 +198,6 @@ Endpoint* McastGroup::ensure_probe_link(MemberId witness, MemberId target) {
 GroupView::MergeReport McastGroup::merge_view(
     const GroupView::ViewSnapshot& other) {
   GroupView::MergeReport r = view_.merge(other);
-  health::health_metrics().merges.inc();
   const Vt now = w_->now();
   for (MemberId m : r.reprobe) {
     // Stale suspicions must not stick: re-judge every suspect in the
@@ -217,7 +211,6 @@ GroupView::MergeReport McastGroup::merge_view(
     launch_probe_round(m);
   }
   refresh_outbound();
-  update_gauges();
   return r;
 }
 
@@ -241,7 +234,6 @@ std::uint32_t McastGroup::mcast(std::span<const std::uint8_t> payload) {
   sent_at_[seq] = w_->now();
 
   ++stats_.mcasts;
-  group_metrics().mcasts.inc();
   for (std::size_t i = 0; i < sender_eps_.size(); ++i) {
     const Member* mb = view_.find(static_cast<MemberId>(i));
     if (mb != nullptr && mb->state == MemberState::kLeft) {
@@ -249,13 +241,9 @@ std::uint32_t McastGroup::mcast(std::span<const std::uint8_t> payload) {
       continue;
     }
     ++stats_.fanout_sends;
-    group_metrics().fanout_sends.inc();
     sender_eps_[i]->send_message(master.clone());
   }
-  group_metrics().fanout_amplification_x1000.set(static_cast<std::int64_t>(
-      stats_.fanout_sends * 1000 / stats_.mcasts));
   prune_sent_log();
-  update_gauges();
   return seq;
 }
 
@@ -282,15 +270,12 @@ void McastGroup::poll() {
   // State transitions land through the hooks (which refresh outbound
   // gossip themselves).
   health_.tick(w_->now());
-  update_gauges();
 }
 
 void McastGroup::leave(MemberId m) {
   health_.forget(m);
   view_.leave(m);
-  group_metrics().leaves.inc();
   refresh_outbound();
-  update_gauges();
 }
 
 std::uint32_t McastGroup::stability_lag() const {
@@ -327,22 +312,19 @@ void McastGroup::note_member_echo(MemberId m, std::uint16_t epoch,
                                   std::uint32_t digest) {
   const Member* mb = view_.find(m);
   if (mb != nullptr && epoch < mb->epoch_echoed) {
-    group_metrics().stale_gossip.inc();
+    ++stats_.stale_gossip;
     return;
   }
   // An echo we never issued (epoch ahead, or our epoch under a different
   // digest) is the signature of a healed partition's other clique: the
   // owner should fetch its snapshot and merge_view() it.
-  if (view_.divergent(epoch, digest)) {
-    health::health_metrics().divergences.inc();
-  }
+  if (view_.divergent(epoch, digest)) ++stats_.divergences;
   view_.note_echo(m, epoch, digest);
 }
 
 void McastGroup::note_member_ack(MemberId m, std::uint32_t acked) {
   view_.note_ack(m, acked);
   prune_sent_log();
-  update_gauges();
 }
 
 void McastGroup::on_member_deliver(MemberId m,
@@ -361,12 +343,10 @@ void McastGroup::on_member_deliver(MemberId m,
   }
 
   ++stats_.delivered;
-  group_metrics().delivers.inc();
   if (const auto it = sent_at_.find(seq); it != sent_at_.end()) {
     const Vt lat = member_eps_[m]->now() - it->second;
     const std::uint64_t ns = lat > 0 ? static_cast<std::uint64_t>(lat) : 0;
     member_hists_[m].record(ns);
-    group_metrics().deliver_ns.record(ns);
   }
   if (user_fns_[m]) user_fns_[m](src, seq, payload);
 }
@@ -378,14 +358,33 @@ void McastGroup::prune_sent_log() {
   if (const std::optional<std::uint32_t> s = view_.stability()) {
     sent_at_.erase(sent_at_.begin(), sent_at_.upper_bound(*s));
   }
-  while (sent_at_.size() > opt_.history) sent_at_.erase(sent_at_.begin());
+  while (sent_at_.size() > kSendHistory) sent_at_.erase(sent_at_.begin());
 }
 
-void McastGroup::update_gauges() {
-  group_metrics().members.set(
-      static_cast<std::int64_t>(view_.joined_count()));
-  group_metrics().view_epoch.set(view_.epoch());
-  group_metrics().stability_lag.set(stability_lag());
+obs::LatencyHistogram McastGroup::deliver_hist() const {
+  obs::LatencyHistogram all;
+  for (const obs::LatencyHistogram& h : member_hists_) all.merge(h);
+  return all;
+}
+
+void McastGroup::bind_stats(obs::MetricsRegistry& reg) const {
+  obs::bind_stats(reg, view_.stats());
+  obs::bind_stats(reg, stats_);
+  health_.bind_stats(reg);
+  reg.gauge_fn("group_members", "joined members", "",
+               [this] { return static_cast<double>(view_.joined_count()); });
+  reg.gauge_fn("group_view_epoch", "current view epoch", "",
+               [this] { return static_cast<double>(view_.epoch()); });
+  reg.gauge_fn("group_stability_lag",
+               "last multicast seq minus the group-stable (min-acked) seq", "",
+               [this] { return static_cast<double>(stability_lag()); });
+  reg.gauge_fn("group_fanout_amplification_x1000",
+               "engine sends per logical multicast, times 1000", "", [this] {
+                 return stats_.mcasts == 0
+                            ? 0.0
+                            : static_cast<double>(stats_.fanout_sends * 1000 /
+                                                  stats_.mcasts);
+               });
 }
 
 }  // namespace pa::group

@@ -44,11 +44,11 @@
 #include "health/plane.h"
 #include "horus/world.h"
 #include "obs/metrics.h"
+#include "util/stat_fields.h"
 
 namespace pa::group {
 
 struct McastOptions {
-  GroupId gid = 1;
   /// Base per-link options. use_pa and cookie_preagreed are forced on (the
   /// fanout path is cookie-routed); everything else is honoured.
   ConnOptions conn{};
@@ -61,9 +61,24 @@ struct McastOptions {
   /// beacons are shed at Saturated (ShedClass::kLiveness); others survive
   /// until Critical (kGossipAck).
   std::vector<std::uint8_t> priorities;
-  /// Send-timestamp history bound for delivery-latency tracking.
-  std::size_t history = 4096;
 };
+
+// McastGroup::Stats, one row per field (util/stat_fields.h). Bound with
+// the view's transitions under the one `group` prefix by
+// McastGroup::bind_stats.
+#define PA_MCAST_STATS(X)                                                      \
+  X(std::uint64_t, mcasts, "mcasts_total", "",                                 \
+    "logical group multicast sends")                                           \
+  X(std::uint64_t, fanout_sends, "fanout_sends_total", "",                     \
+    "per-member engine sends those multicasts produced")                       \
+  X(std::uint64_t, skipped_left, "skipped_left_total", "",                     \
+    "per-member sends skipped because the member had left")                    \
+  X(std::uint64_t, delivered, "delivers_total", "",                            \
+    "group messages delivered to member applications")                         \
+  X(std::uint64_t, stale_gossip, "stale_gossip_total", "",                     \
+    "gossip ignored as older than already-held state")                         \
+  X(std::uint64_t, divergences, "divergences_total", "",                       \
+    "member echoes of a view this group never gossiped")
 
 class McastGroup {
  public:
@@ -83,7 +98,7 @@ class McastGroup {
   /// origin — always the coordinator here; seq is the group seqno).
   void on_deliver(MemberId m, DeliverFn fn);
 
-  /// Health-plane tick + outbound gossip/metric refresh. Call periodically
+  /// Health-plane tick (transitions refresh outbound gossip). Call periodically
   /// (tests/benches drive it between run_for slices).
   void poll();
 
@@ -94,7 +109,6 @@ class McastGroup {
 
   GroupView& view() { return view_; }
   const GroupView& view() const { return view_; }
-  GroupTable& table() { return table_; }
   /// The group's liveness authority: every suspicion, death verdict and
   /// restore comes from here.
   health::HealthPlane& health() { return health_; }
@@ -115,6 +129,9 @@ class McastGroup {
   const obs::LatencyHistogram& member_hist(MemberId m) const {
     return member_hists_.at(m);
   }
+  /// Send-to-delivery latency across every member: the members'
+  /// histograms merged (bucket counts add exactly).
+  obs::LatencyHistogram deliver_hist() const;
 
   /// Shed accounting across the fanout: per-reason drops summed over all
   /// sender-side (resp. member-side) engines of this group.
@@ -122,12 +139,17 @@ class McastGroup {
   std::uint64_t member_drops(DropReason r) const;
 
   struct Stats {
-    std::uint64_t mcasts = 0;
-    std::uint64_t fanout_sends = 0;  // clones actually handed to engines
-    std::uint64_t skipped_left = 0;  // member was kLeft at mcast time
-    std::uint64_t delivered = 0;     // member deliveries (all members)
+    static constexpr const char* kMetricPrefix = "group";
+    PA_STAT_FIELDS(PA_MCAST_STATS)
   };
   const Stats& stats() const { return stats_; }
+
+  /// Bind this group's metrics read-through into `reg`: the view's
+  /// transitions and this group's counters (`group_*`), its health plane
+  /// (`health_*`), and gauges derived from live state at collection time.
+  /// The group must outlive the registry. Per-link layer counters (the
+  /// gossip layer included) bind per endpoint, via obs::bind_stack_stats.
+  void bind_stats(obs::MetricsRegistry& reg) const;
 
  private:
   void refresh_outbound();
@@ -136,15 +158,13 @@ class McastGroup {
   void note_member_ack(MemberId m, std::uint32_t acked);
   void on_member_deliver(MemberId m, std::span<const std::uint8_t> bytes);
   void prune_sent_log();
-  void update_gauges();
   health::HealthHooks health_hooks();
   void launch_probe_round(MemberId target);
   Endpoint* ensure_probe_link(MemberId witness, MemberId target);
 
   World* w_;
   McastOptions opt_;
-  GroupTable table_;
-  GroupView& view_;
+  GroupView view_{1};  // one group per McastGroup: its id is always 1
   Node* sender_node_ = nullptr;
   std::vector<Node*> member_nodes_;
 

@@ -191,20 +191,4 @@ void GroupView::note_echo(MemberId m, std::uint16_t epoch,
   mb->digest_echoed = digest;
 }
 
-GroupView& GroupTable::ensure(GroupId id) {
-  auto it = groups_.find(id);
-  if (it == groups_.end()) it = groups_.emplace(id, GroupView(id)).first;
-  return it->second;
-}
-
-GroupView* GroupTable::find(GroupId id) {
-  auto it = groups_.find(id);
-  return it == groups_.end() ? nullptr : &it->second;
-}
-
-const GroupView* GroupTable::find(GroupId id) const {
-  auto it = groups_.find(id);
-  return it == groups_.end() ? nullptr : &it->second;
-}
-
 }  // namespace pa::group

@@ -20,6 +20,8 @@
 #include <optional>
 #include <vector>
 
+#include "util/stat_fields.h"
+
 namespace pa::group {
 
 using GroupId = std::uint64_t;
@@ -39,6 +41,19 @@ struct Member {
   std::uint16_t epoch_echoed = 0; // view epoch the member last echoed back
   std::uint32_t digest_echoed = 0;
 };
+
+// GroupView::Stats, one row per field (util/stat_fields.h): the view's
+// transitions, each counted where it happens — a no-op call (leaving a
+// member already left) counts nothing.
+#define PA_VIEW_STATS(X)                                                       \
+  X(std::uint64_t, joins, "joins_total", "", "member join transitions")        \
+  X(std::uint64_t, leaves, "leaves_total", "", "member leave transitions")     \
+  X(std::uint64_t, suspects, "suspects_total", "",                             \
+    "member joined->suspect transitions")                                      \
+  X(std::uint64_t, restores, "restores_total", "",                             \
+    "member suspect->joined transitions")                                      \
+  X(std::uint64_t, merges, "merges_total", "",                                 \
+    "partition-heal view merges applied")
 
 /// One group's epoch-versioned membership view. Single-threaded: owned and
 /// mutated by the group coordinator's post-phase work.
@@ -128,11 +143,8 @@ class GroupView {
   void note_echo(MemberId m, std::uint16_t epoch, std::uint32_t digest);
 
   struct Stats {
-    std::uint64_t joins = 0;
-    std::uint64_t leaves = 0;
-    std::uint64_t suspects = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t merges = 0;  // partition-heal merges applied
+    static constexpr const char* kMetricPrefix = "group";
+    PA_STAT_FIELDS(PA_VIEW_STATS)
   };
   const Stats& stats() const { return stats_; }
 
@@ -143,19 +155,6 @@ class GroupView {
   std::uint16_t epoch_ = 0;
   std::map<MemberId, Member> members_;
   Stats stats_;
-};
-
-/// GroupTable: group id -> view. One per coordinating endpoint.
-class GroupTable {
- public:
-  /// Find-or-create (a fresh view has epoch 0 and no members).
-  GroupView& ensure(GroupId id);
-  GroupView* find(GroupId id);
-  const GroupView* find(GroupId id) const;
-  std::size_t size() const { return groups_.size(); }
-
- private:
-  std::map<GroupId, GroupView> groups_;
 };
 
 }  // namespace pa::group

@@ -1,6 +1,6 @@
 #include "health/plane.h"
 
-#include "health/health_metrics.h"
+#include "obs/bridge.h"
 
 namespace pa::health {
 
@@ -24,13 +24,9 @@ void HealthPlane::track(PeerId p) {
   if (!inserted) return;
   it->second.phi = PhiDetector(cfg_.phi);
   it->second.flap = FlapDamper(cfg_.flap);
-  health_metrics().tracked.set(static_cast<std::int64_t>(peers_.size()));
 }
 
-void HealthPlane::forget(PeerId p) {
-  peers_.erase(p);
-  health_metrics().tracked.set(static_cast<std::int64_t>(peers_.size()));
-}
+void HealthPlane::forget(PeerId p) { peers_.erase(p); }
 
 void HealthPlane::note_heard(PeerId p, Vt now) {
   auto it = peers_.find(p);
@@ -53,7 +49,6 @@ void HealthPlane::note_heard(PeerId p, Vt now) {
     restore(p, peer);
   } else {
     ++stats_.flaps_damped;
-    health_metrics().flaps_damped.inc();
   }
 }
 
@@ -62,7 +57,6 @@ void HealthPlane::note_probe_ack(PeerId p, Vt now) {
   if (it == peers_.end()) return;
   Peer& peer = it->second;
   ++stats_.probe_acks;
-  health_metrics().probe_acks.inc();
   if (peer.state != PeerState::kSuspect) return;
   peer.probe_acked = true;
   peer.deadline = now + cfg_.probe_timeout;
@@ -78,7 +72,6 @@ void HealthPlane::mark_suspect(PeerId p, Vt now) {
   peer.probe_acked = false;
   peer.deadline = now + cfg_.probe_timeout;
   ++stats_.suspects;
-  health_metrics().suspects.inc();
 }
 
 void HealthPlane::prime(PeerId p, VtDur interval, std::size_t count) {
@@ -90,7 +83,6 @@ void HealthPlane::request_probe(PeerId p, Peer& peer, Vt now) {
   peer.probe_acked = false;
   peer.deadline = now + cfg_.probe_timeout;
   ++stats_.probes_requested;
-  health_metrics().probes_requested.inc();
   if (hooks_.request_probe) hooks_.request_probe(p);
 }
 
@@ -99,23 +91,19 @@ void HealthPlane::restore(PeerId p, Peer& peer) {
   peer.restore_pending = false;
   peer.probe_acked = false;
   ++stats_.restores;
-  health_metrics().restores.inc();
   if (hooks_.on_restore) hooks_.on_restore(p);
 }
 
 std::size_t HealthPlane::tick(Vt now) {
   std::size_t transitions = 0;
-  double phi_max = 0;
   for (auto& [id, peer] : peers_) {
     const double ph = peer.phi.phi(now);
-    if (ph > phi_max) phi_max = ph;
     switch (peer.state) {
       case PeerState::kAlive:
         if (ph >= cfg_.phi_suspect) {
           peer.state = PeerState::kSuspect;
           peer.restore_pending = false;
           ++stats_.suspects;
-          health_metrics().suspects.inc();
           ++transitions;
           if (hooks_.on_suspect) hooks_.on_suspect(id);
           request_probe(id, peer, now);
@@ -136,7 +124,6 @@ std::size_t HealthPlane::tick(Vt now) {
           } else {
             peer.state = PeerState::kDead;
             ++stats_.deads;
-            health_metrics().deads.inc();
             ++transitions;
             if (hooks_.on_dead) hooks_.on_dead(id);
           }
@@ -150,8 +137,13 @@ std::size_t HealthPlane::tick(Vt now) {
         break;
     }
   }
-  health_metrics().phi_max_x1000.set(static_cast<std::int64_t>(phi_max * 1000));
   return transitions;
+}
+
+void HealthPlane::bind_stats(obs::MetricsRegistry& reg) const {
+  obs::bind_stats(reg, stats_);
+  reg.gauge_fn("health_tracked_peers", "peers the health plane is tracking",
+               "", [this] { return static_cast<double>(peers_.size()); });
 }
 
 PeerState HealthPlane::state(PeerId p) const {

@@ -42,7 +42,12 @@
 
 #include "health/flap.h"
 #include "health/phi.h"
+#include "util/stat_fields.h"
 #include "util/types.h"
+
+namespace pa::obs {
+class MetricsRegistry;
+}
 
 namespace pa::health {
 
@@ -73,6 +78,22 @@ struct HealthHooks {
   /// contact `peer` and report back via note_probe_ack().
   std::function<void(PeerId)> request_probe;
 };
+
+// HealthPlane::Stats, one row per field (util/stat_fields.h). Every
+// restore was a false suspicion.
+#define PA_HEALTH_STATS(X)                                                     \
+  X(std::uint64_t, suspects, "suspects_total", "",                             \
+    "alive->suspect transitions (phi threshold or adopted suspicion)")         \
+  X(std::uint64_t, restores, "restores_total", "",                             \
+    "suspect/dead->alive transitions (peer heard, damper willing)")            \
+  X(std::uint64_t, deads, "deads_total", "",                                   \
+    "suspect->dead transitions (probe deadline lapsed unacked)")               \
+  X(std::uint64_t, probes_requested, "probes_requested_total", "",             \
+    "indirect probe rounds asked of the owner")                                \
+  X(std::uint64_t, probe_acks, "probe_acks_total", "",                         \
+    "witness probes that reached the target")                                  \
+  X(std::uint64_t, flaps_damped, "flaps_damped_total", "",                     \
+    "restores withheld by the flap damper")
 
 class HealthPlane {
  public:
@@ -110,14 +131,14 @@ class HealthPlane {
   PeerState state(PeerId p) const;
 
   struct Stats {
-    std::uint64_t suspects = 0;
-    std::uint64_t restores = 0;       // every restore was a false suspicion
-    std::uint64_t deads = 0;          // confirmed-dead verdicts
-    std::uint64_t probes_requested = 0;  // probe rounds asked of the owner
-    std::uint64_t probe_acks = 0;
-    std::uint64_t flaps_damped = 0;   // restores withheld by the damper
+    static constexpr const char* kMetricPrefix = "health";
+    PA_STAT_FIELDS(PA_HEALTH_STATS)
   };
   const Stats& stats() const { return stats_; }
+
+  /// Bind this plane's counters (`health_*`) and its tracked-peer gauge
+  /// read-through into `reg`. The plane must outlive the registry.
+  void bind_stats(obs::MetricsRegistry& reg) const;
   const HealthConfig& config() const { return cfg_; }
 
  private:

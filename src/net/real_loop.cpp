@@ -159,7 +159,9 @@ void RealLoop::set_fault(int sock, const resil::FaultConfig& cfg,
 
 void RealLoop::set_fault_rx(int sock, const resil::FaultConfig& cfg,
                             std::uint64_t seed) {
-  injector(sock, seed).set_config(resil::FaultSocket::Dir::kRx, cfg);
+  resil::FaultSocket& f = injector(sock, seed);
+  f.set_config(resil::FaultSocket::Dir::kRx, cfg);
+  f.reseed(resil::FaultSocket::Dir::kRx, seed);
 }
 
 resil::FaultSocket* RealLoop::fault(int sock) {

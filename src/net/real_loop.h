@@ -118,14 +118,14 @@ class RealLoop {
   /// fault()->set_config().
   void set_fault(int sock, const resil::FaultConfig& cfg,
                  std::uint64_t seed = 1);
-  /// Arm (or reconfigure) the receive-side fault lane: datagrams are
+  /// Arm (or re-arm) the receive-side fault lane: datagrams are
   /// judged at ingest, after recvmmsg and before the frame handler —
   /// drop, duplicate, corrupt, truncate, or delay (a delayed datagram
   /// re-enters through the timer heap, reordered against later arrivals).
-  /// Independent of the tx lane: arming rx never perturbs a tx schedule
-  /// already in flight (per-lane Rng, resil/fault_socket.h). If no
-  /// injector exists yet one is created with `seed` and a fault-free tx
-  /// lane; otherwise `seed` is ignored (the existing schedules persist).
+  /// The lane restarts its schedule from `seed`, exactly as set_fault()
+  /// restarts tx; the tx lane is untouched (per-lane Rng,
+  /// resil/fault_socket.h). If no injector exists yet one is created with
+  /// a fault-free tx lane.
   void set_fault_rx(int sock, const resil::FaultConfig& cfg,
                     std::uint64_t seed = 1);
   /// The injector armed on a socket (nullptr when none).

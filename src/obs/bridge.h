@@ -14,6 +14,9 @@
 //   buf_*          BufStats (process-global zero-copy accounting)
 //   sim_network_*  SimNetwork::Stats
 //   pa_stack_*     per-layer counters (Layer::bind_stats)
+//   group_*        GroupView::Stats + McastGroup::Stats (McastGroup::bind_stats)
+//   health_*       HealthPlane::Stats (HealthPlane::bind_stats)
+//   resil_*        OverloadGovernor::Stats (OverloadGovernor::bind_stats)
 //
 // Lifetime: bindings capture a reference to the bound struct — the struct
 // must outlive the registry. report() builds throwaway registries around

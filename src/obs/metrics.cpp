@@ -33,6 +33,12 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   return s;
 }
 
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
 void LatencyHistogram::reset() {
   *this = LatencyHistogram();
 }

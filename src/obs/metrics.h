@@ -114,6 +114,11 @@ class LatencyHistogram {
   };
   Snapshot snapshot() const;
 
+  /// Add another histogram's samples to this one. Bucket counts, count and
+  /// sum add exactly, so the merge reads as if every sample had been
+  /// recorded here.
+  void merge(const LatencyHistogram& other);
+
   /// Zero every bucket (tests and bench warmup boundaries).
   void reset();
 
@@ -179,8 +184,10 @@ class MetricsRegistry {
 
 /// The process-global registry. Subsystems that exist once per process
 /// (the trace ring, the real-time loop, the engines' shared
-/// phase histograms) register here; per-object stat structs are bound into
-/// throwaway registries by obs::bind_stats (obs/bridge.h) instead.
+/// phase histograms) register here. Per-object stats — engines, routers,
+/// layers, groups, health planes, governors — never do: each object binds
+/// its own struct into a registry its caller owns, through obs::bind_stats
+/// (obs/bridge.h) or the object's bind_stats() method.
 MetricsRegistry& registry();
 
 }  // namespace pa::obs

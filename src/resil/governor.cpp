@@ -2,37 +2,9 @@
 
 #include <initializer_list>
 
-#include "obs/metrics.h"
+#include "obs/bridge.h"
 
 namespace pa::resil {
-namespace {
-
-// Process-global governor metrics. Like the engine phase histograms,
-// governors are cheap to create in tests, so the gauges are shared: with
-// several governors alive the gauges show the most recent ticker (the
-// common deployment is one governor per process).
-struct GovMetrics {
-  obs::Gauge& level;
-  obs::Gauge& pressure_millis;
-  obs::Counter& level_changes;
-  obs::Counter& ticks;
-};
-
-GovMetrics& gov_metrics() {
-  static GovMetrics m{
-      obs::registry().gauge("resil_level",
-                            "overload level (0 normal .. 3 critical)"),
-      obs::registry().gauge("resil_pressure_millis",
-                            "smoothed overload pressure x1000"),
-      obs::registry().counter("resil_level_changes_total",
-                              "overload level transitions"),
-      obs::registry().counter("resil_ticks_total",
-                              "governor smoothing steps"),
-  };
-  return m;
-}
-
-}  // namespace
 
 const char* level_name(OverloadLevel level) {
   switch (level) {
@@ -44,9 +16,7 @@ const char* level_name(OverloadLevel level) {
   return "?";
 }
 
-OverloadGovernor::OverloadGovernor(GovernorConfig cfg) : cfg_(cfg) {
-  gov_metrics();  // register the metric names up front
-}
+OverloadGovernor::OverloadGovernor(GovernorConfig cfg) : cfg_(cfg) {}
 
 void OverloadGovernor::report_backlog(std::size_t depth) {
   sig_backlog_ = clamp01(static_cast<double>(depth) /
@@ -87,7 +57,6 @@ void OverloadGovernor::tick(Vt now) {
   if (last_tick_ != 0 && now - last_tick_ < cfg_.tick_interval) return;
   last_tick_ = now;
   ++stats_.ticks;
-  gov_metrics().ticks.inc();
 
   double raw = sig_backlog_;
   for (double s : {sig_recv_, sig_pool_, sig_lag_, sig_net_tx_, sig_net_rx_,
@@ -96,7 +65,6 @@ void OverloadGovernor::tick(Vt now) {
   }
   const double next = smoothed_ + cfg_.alpha * (raw - smoothed_);
   smoothed_ = next;
-  gov_metrics().pressure_millis.set(static_cast<std::int64_t>(next * 1000));
 
   // Rising edges take effect immediately; falling edges need the margin.
   const OverloadLevel cur = level_;
@@ -126,9 +94,18 @@ void OverloadGovernor::tick(Vt now) {
 void OverloadGovernor::set_level(OverloadLevel next) {
   level_ = next;
   ++stats_.level_changes;
-  gov_metrics().level.set(static_cast<std::int64_t>(next));
-  gov_metrics().level_changes.inc();
   if (next > max_level_) max_level_ = next;
+}
+
+void OverloadGovernor::bind_stats(obs::MetricsRegistry& reg) const {
+  obs::bind_stats(reg, stats_);
+  reg.gauge_fn("resil_level", "overload level (0 normal .. 3 critical)", "",
+               [this] { return static_cast<double>(level_); });
+  reg.gauge_fn("resil_pressure_millis", "smoothed overload pressure x1000",
+               "", [this] {
+                 return static_cast<double>(
+                     static_cast<std::int64_t>(smoothed_ * 1000));
+               });
 }
 
 bool OverloadGovernor::admit_ingest(std::size_t depth) const {

@@ -44,7 +44,12 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/stat_fields.h"
 #include "util/types.h"
+
+namespace pa::obs {
+class MetricsRegistry;
+}
 
 namespace pa::resil {
 
@@ -83,6 +88,12 @@ struct GovernorConfig {
   std::size_t admit_saturated = 64;
   std::size_t admit_critical = 16;
 };
+
+// OverloadGovernor::Stats, one row per field (util/stat_fields.h).
+#define PA_GOVERNOR_STATS(X)                                                   \
+  X(std::uint64_t, ticks, "ticks_total", "", "governor smoothing steps")       \
+  X(std::uint64_t, level_changes, "level_changes_total", "",                   \
+    "overload level transitions (either direction)")
 
 class OverloadGovernor {
  public:
@@ -143,10 +154,14 @@ class OverloadGovernor {
   std::uint32_t window_clamp(std::uint32_t configured) const;
 
   struct Stats {
-    std::uint64_t ticks = 0;
-    std::uint64_t level_changes = 0;
+    static constexpr const char* kMetricPrefix = "resil";
+    PA_STAT_FIELDS(PA_GOVERNOR_STATS)
   };
   Stats stats() const { return stats_; }
+
+  /// Bind this governor's counters (`resil_*`) and its level and pressure
+  /// gauges read-through into `reg`. The governor must outlive the registry.
+  void bind_stats(obs::MetricsRegistry& reg) const;
 
   const GovernorConfig& config() const { return cfg_; }
 

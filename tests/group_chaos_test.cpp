@@ -18,6 +18,7 @@
 #include "group/mcast.h"
 #include "health/plane.h"
 #include "horus/world.h"
+#include "obs/metrics.h"
 #include "resil/governor.h"
 #include "sim/network.h"
 
@@ -377,6 +378,102 @@ TEST(GroupChaos, LeftMemberStaysLeftAcrossPartitionAndHeal) {
   EXPECT_EQ(g.view().find(0)->state, MemberState::kJoined);
   EXPECT_EQ(g.view().stats().joins, 2u);
   EXPECT_EQ(g.health().stats().restores, 0u);
+}
+
+// --- metrics: each group counts its own events, once ------------------------
+//
+// A group's counters are its own objects' stats, bound read-through by
+// McastGroup::bind_stats: `group_leaves_total` reads the view's leave
+// transitions, so leave() on a member the health plane already confirmed
+// dead adds nothing, and a second group in the process never adds to the
+// first one's counts.
+
+double metric(const obs::MetricsRegistry& reg, const std::string& name) {
+  for (const obs::MetricSample& s : reg.collect()) {
+    if (s.name == name) return s.value;
+  }
+  ADD_FAILURE() << "no metric `" << name << "` bound";
+  return -1;
+}
+
+TEST(GroupChaos, LeaveOfAConfirmedDeadMemberCountsOneLeave) {
+  WorldConfig wc;
+  wc.seed = 5;
+  World w(wc);
+  auto& hub = w.add_node("hub");
+  auto& m0 = w.add_node("m0");
+  auto& m1 = w.add_node("m1");
+
+  McastOptions opt;
+  opt.beacon_interval = vt_ms(10);
+  McastGroup g(w, hub, {&m0, &m1}, opt);
+  g.mcast(std::vector<std::uint8_t>(32, 0x22));
+  const auto run_polling = [&](VtDur span) {
+    for (VtDur t = 0; t < span; t += vt_ms(10)) {
+      w.run_for(vt_ms(10));
+      g.poll();
+    }
+  };
+  run_polling(vt_ms(200));
+  ASSERT_EQ(g.view().find(1)->state, MemberState::kJoined);
+
+  // Cut m1 off from the hub and from its only witness, so the indirect
+  // probe round fails and the plane confirms it dead.
+  w.partition_set("cut", {&m1});
+  for (int i = 0; i < 100 && g.health().state(1) != health::PeerState::kDead;
+       ++i) {
+    run_polling(vt_ms(10));
+  }
+  ASSERT_EQ(g.health().state(1), health::PeerState::kDead);
+  ASSERT_EQ(g.view().find(1)->state, MemberState::kLeft);
+
+  g.leave(1);  // already left: no transition
+  obs::MetricsRegistry reg;
+  g.bind_stats(reg);
+  EXPECT_EQ(metric(reg, "group_leaves_total"), 1.0);
+  EXPECT_EQ(metric(reg, "group_joins_total"), 2.0);
+  EXPECT_EQ(metric(reg, "health_deads_total"), 1.0);
+  EXPECT_EQ(metric(reg, "group_members"), 1.0);
+  EXPECT_EQ(metric(reg, "health_tracked_peers"), 1.0);
+  EXPECT_EQ(metric(reg, "group_view_epoch"),
+            static_cast<double>(g.view().epoch()));
+}
+
+TEST(GroupChaos, TwoGroupsEachCountOnlyTheirOwnMulticasts) {
+  World w;
+  auto& hub_a = w.add_node("hub-a");
+  auto& hub_b = w.add_node("hub-b");
+  auto& a0 = w.add_node("a0");
+  auto& a1 = w.add_node("a1");
+  auto& b0 = w.add_node("b0");
+  McastOptions opt;
+  opt.beacon_interval = 0;  // run-to-drain
+  McastGroup ga(w, hub_a, {&a0, &a1}, opt);
+  McastGroup gb(w, hub_b, {&b0}, opt);
+  const std::vector<std::uint8_t> payload(16, 0x33);
+  for (int i = 0; i < 3; ++i) ga.mcast(payload);
+  for (int i = 0; i < 5; ++i) gb.mcast(payload);
+  w.run();
+
+  obs::MetricsRegistry ra;
+  obs::MetricsRegistry rb;
+  ga.bind_stats(ra);
+  gb.bind_stats(rb);
+  EXPECT_EQ(metric(ra, "group_mcasts_total"), 3.0);
+  EXPECT_EQ(metric(rb, "group_mcasts_total"), 5.0);
+  EXPECT_EQ(metric(ra, "group_fanout_sends_total"), 6.0);
+  EXPECT_EQ(metric(rb, "group_fanout_sends_total"), 5.0);
+  EXPECT_EQ(metric(ra, "group_delivers_total"), 6.0);
+  EXPECT_EQ(metric(rb, "group_delivers_total"), 5.0);
+  EXPECT_EQ(metric(ra, "group_fanout_amplification_x1000"), 2000.0);
+  EXPECT_EQ(metric(rb, "group_fanout_amplification_x1000"), 1000.0);
+  EXPECT_EQ(metric(ra, "group_stability_lag"),
+            static_cast<double>(ga.stability_lag()));
+  // The group-wide delivery histogram is its members' merged.
+  EXPECT_EQ(ga.deliver_hist().count(), 6u);
+  EXPECT_EQ(ga.deliver_hist().sum(),
+            ga.member_hist(0).sum() + ga.member_hist(1).sum());
+  EXPECT_EQ(gb.deliver_hist().count(), 5u);
 }
 
 // --- exact shed accounting: ingest admission under a fanout blast ----------

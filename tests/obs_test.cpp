@@ -24,8 +24,8 @@
 #include "obs/bridge.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "group/group_metrics.h"
-#include "health/health_metrics.h"
+#include "group/mcast.h"
+#include "health/plane.h"
 #include "layers/window_layer.h"
 #include "obs/trace_ring.h"
 #include "pa/accelerator.h"
@@ -119,6 +119,30 @@ TEST(Histogram, EmptyAndReset) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.percentile(0.99), 0u);
+}
+
+TEST(Histogram, MergeEqualsRecordingEverySample) {
+  // Three parts with different spreads (unit buckets, mid octaves, a long
+  // tail); the merge must read exactly like one histogram that saw them all.
+  Hist parts[3];
+  Hist all;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 3000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t v = (x >> 33) % (i % 3 == 0 ? 16u : i % 3 == 1
+                                                      ? 50'000u
+                                                      : 40'000'000u);
+    parts[i % 3].record(v);
+    all.record(v);
+  }
+  Hist merged;
+  for (const Hist& h : parts) merged.merge(h);
+  EXPECT_EQ(merged.count(), all.count());
+  EXPECT_EQ(merged.sum(), all.sum());
+  for (double p : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(merged.percentile(p), all.percentile(p)) << "p=" << p;
+  }
+  EXPECT_EQ(merged.snapshot().nonzero, all.snapshot().nonzero);
 }
 
 // ---------------------------------------------------------------------------
@@ -523,6 +547,22 @@ std::vector<std::string> bound_stat_names() {
     bind_stack_stats(reg, mix_stack);
     collect_names(reg, names);
   }
+  {
+    // The per-object planes: a live two-member group (its view, counters,
+    // health plane and derived gauges, plus one link's gossip layer) and
+    // an overload governor.
+    World world;
+    Node& hub = world.add_node("hub");
+    Node& m0 = world.add_node("m0");
+    Node& m1 = world.add_node("m1");
+    group::McastGroup g(world, hub, {&m0, &m1});
+    resil::OverloadGovernor gov;
+    MetricsRegistry reg;
+    g.bind_stats(reg);
+    bind_stack_stats(reg, g.sender_endpoint(0)->engine().stack());
+    gov.bind_stats(reg);
+    collect_names(reg, names);
+  }
   return names;
 }
 
@@ -575,26 +615,6 @@ TEST(Catalog, EveryExportedMetricNameIsDocumented) {
     names.push_back(n);
   }
 
-  // The overload governor's gauges/counters register with the first
-  // constructed governor.
-  {
-    resil::OverloadGovernor gov;
-    (void)gov;
-    collect_names(registry(), names);
-  }
-
-  // The group subsystem's metrics (src/group/) register with first use.
-  {
-    group::group_metrics();
-    collect_names(registry(), names);
-  }
-
-  // The health plane's metrics (src/health/) register with first use.
-  {
-    health::health_metrics();
-    collect_names(registry(), names);
-  }
-
   EXPECT_GT(names.size(), 80u);  // the unification actually covers the repo
   for (const std::string& n : names) {
     EXPECT_NE(doc.find(n), std::string::npos)
@@ -611,8 +631,8 @@ TEST(Catalog, EveryDocumentedStatIsExported) {
   const std::vector<std::string> bound = bound_stat_names();
   const std::set<std::string> exported(bound.begin(), bound.end());
   const std::regex documented(
-      "`((pa_engine|pa_router|sim_gc|pa_pool|buf|sim_network|pa_stack)_"
-      "[a-z0-9_]+)`");
+      "`((pa_engine|pa_router|sim_gc|pa_pool|buf|sim_network|pa_stack|group|"
+      "health|resil)_[a-z0-9_]+)`");
   std::size_t checked = 0;
   for (auto it = std::sregex_iterator(doc.begin(), doc.end(), documented);
        it != std::sregex_iterator(); ++it) {
@@ -623,6 +643,38 @@ TEST(Catalog, EveryDocumentedStatIsExported) {
         << "` is in docs/OBSERVABILITY.md but no binding exports it";
   }
   EXPECT_GT(checked, 100u);  // the pattern actually matches the catalog
+}
+
+// Groups, health planes and governors are per-object: each binds its own
+// stats into a registry its caller owns, so running them leaves no trace
+// in the process-global registry.
+TEST(Catalog, PerObjectPlanesStayOutOfTheProcessRegistry) {
+  World world;
+  Node& hub = world.add_node("hub");
+  Node& m0 = world.add_node("m0");
+  Node& m1 = world.add_node("m1");
+  group::McastGroup g(world, hub, {&m0, &m1});
+  g.mcast(std::vector<std::uint8_t>{1, 2, 3});
+  world.run_until(vt_ms(100));
+  g.poll();
+  ASSERT_EQ(g.stats().delivered, 2u);
+
+  health::HealthPlane plane;
+  plane.track(7);
+  plane.note_heard(7, vt_ms(1));
+  plane.tick(vt_ms(2));
+  resil::OverloadGovernor gov;
+  gov.report_backlog(1000);
+  gov.tick(vt_ms(1));
+  ASSERT_NE(gov.level(), resil::OverloadLevel::kNormal);
+
+  std::vector<std::string> names;
+  collect_names(registry(), names);
+  for (const std::string& n : names) {
+    EXPECT_FALSE(n.starts_with("group_") || n.starts_with("health_") ||
+                 n.starts_with("resil_"))
+        << "per-object metric `" << n << "` is in the process registry";
+  }
 }
 
 TEST(Catalog, EverySpanKindIsDocumented) {

@@ -480,6 +480,35 @@ TEST(RealLoopFault, RearmingTxLeavesTheRxScheduleUnbroken) {
   EXPECT_EQ(fs.stats(Dir::kRx).offered, 200u);
 }
 
+TEST(RealLoopFault, ArmingRxAfterTxStartsFromItsSeed) {
+  REQUIRE_SOCKETS();
+  FaultConfig tx;
+  tx.loss_prob = 0.5;
+  FaultConfig rx;
+  rx.loss_prob = 0.3;
+  rx.corrupt_prob = 0.2;
+  rx.delay_jitter = vt_us(50);
+  rx.ge_enabled = true;
+
+  RealLoop loop;
+  const int both = loop.open_udp(0);
+  const int rx_only = loop.open_udp(0);
+  ASSERT_GE(both, 0);
+  ASSERT_GE(rx_only, 0);
+  // The injector already exists when rx is armed; its seed must still
+  // start the rx lane, exactly as on a socket armed with rx alone.
+  loop.set_fault(both, tx, /*seed=*/1);
+  loop.set_fault_rx(both, rx, /*seed=*/12);
+  loop.set_fault_rx(rx_only, rx, /*seed=*/12);
+  FaultSocket& a = *loop.fault(both);
+  FaultSocket& b = *loop.fault(rx_only);
+  for (int i = 0; i < 200; ++i) {
+    expect_same_verdict(a.judge(Dir::kRx, 64), b.judge(Dir::kRx, 64));
+  }
+  EXPECT_EQ(a.stats(Dir::kRx).dropped, b.stats(Dir::kRx).dropped);
+  EXPECT_GT(a.stats(Dir::kRx).dropped, 0u);
+}
+
 struct ChaosPair {
   RealLoop loop;
   RealEndpoint a{loop};
