@@ -9,6 +9,9 @@ cmake --build build
 
 echo "==== tests ===================================================="
 ctest --test-dir build --output-on-failure
+# Record the steady-state allocation count with every full run (the test
+# gates it; this line keeps the number in the log).
+build/tests/alloc_test | grep 'heap allocations per message'
 
 echo "==== tests with assertions on ================================="
 # Every other slice builds RelWithDebInfo, whose -DNDEBUG compiles out

@@ -3,9 +3,20 @@
 //
 // A Chunk owns one contiguous byte array. Messages, wire frames and the
 // retransmission buffers all hold Slices (chunk + offset + length) into
-// shared chunks instead of copying bytes: clone() bumps a refcount, the
-// packer chains slices from many messages into one frame, and the simulated
-// network delivers a frame's slices to the receiver untouched.
+// shared chunks instead of copying bytes: clone() and share() bump
+// refcounts, the packer chains slices from many messages into one frame,
+// and the simulated network delivers a frame's slices to the receiver
+// untouched.
+//
+// Storage: ChunkRef::make / make_uninit allocate the control block and the
+// bytes together — one heap block, the bytes inline right after the Chunk —
+// so a chunk costs one allocation. ChunkRef::adopt_vector keeps the
+// caller's vector as the storage (adoption copies nothing). make() zeroes
+// its bytes; make_uninit() leaves them as the allocator returned them and is
+// only for storage that is written in full before anyone reads it (receive
+// slots, ingest copies, coalesced or copied-on-write frames). Builds without
+// NDEBUG fill make_uninit() storage with kUninitPoison, so a read of a byte
+// nobody wrote shows as a fixed pattern in tests and goldens.
 //
 // Ownership rules (see docs/INTERNALS.md, "Buffer management"):
 //   - refcount 1  => the holder may mutate the chunk's bytes in place.
@@ -25,6 +36,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -64,7 +77,7 @@ namespace pa {
   X(std::atomic<std::uint64_t>, cow_copies, "cow_copies_total", "",            \
     "copy-on-write header copies (shared chunk written)")                      \
   X(std::atomic<std::uint64_t>, chain_clones, "chain_clones_total", "",        \
-    "message clones that shared the payload chain by refcount bump")           \
+    "message clones and shares that took the payload chain by refcount")       \
   X(std::atomic<std::uint64_t>, chain_clone_bytes_shared,                      \
     "chain_clone_bytes_shared_total", "bytes",                                 \
     "payload bytes shared (not copied) by chain clones")                       \
@@ -86,20 +99,20 @@ class Chunk;
 void chunk_ref(Chunk* c) noexcept;
 void chunk_unref(Chunk* c) noexcept;
 
+/// Byte pattern make_uninit() writes in builds without NDEBUG.
+inline constexpr std::uint8_t kUninitPoison = 0xA5;
+
 /// One refcounted byte array. Created with refcount 1 (the creating
-/// ChunkRef); heap-allocated and deleted when the last reference drops.
+/// ChunkRef) by ChunkRef's factories only; destroyed when the last
+/// reference drops.
 class Chunk {
  public:
-  explicit Chunk(std::size_t size) : data(size) {
-    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
-  }
-  explicit Chunk(std::vector<std::uint8_t> bytes) : data(std::move(bytes)) {
-    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
-  }
   Chunk(const Chunk&) = delete;
   Chunk& operator=(const Chunk&) = delete;
 
-  std::vector<std::uint8_t> data;
+  std::uint8_t* data() noexcept { return bytes_; }
+  const std::uint8_t* data() const noexcept { return bytes_; }
+  std::size_t size() const noexcept { return size_; }
 
   std::uint32_t refs() const noexcept {
     return refs_.load(std::memory_order_acquire);
@@ -107,9 +120,45 @@ class Chunk {
   bool unique() const noexcept { return refs() == 1; }
 
  private:
+  friend class ChunkRef;
   friend void chunk_ref(Chunk*) noexcept;
   friend void chunk_unref(Chunk*) noexcept;
+
+  Chunk(std::uint8_t* bytes, std::size_t size,
+        std::vector<std::uint8_t> adopted) noexcept
+      : size_(size), bytes_(bytes), adopted_(std::move(adopted)) {
+    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~Chunk() = default;
+
+  /// One block: the Chunk, then `size` inline bytes.
+  static Chunk* create(std::size_t size, bool zero) {
+    void* mem = ::operator new(sizeof(Chunk) + size);
+    auto* bytes = static_cast<std::uint8_t*>(mem) + sizeof(Chunk);
+    if (zero) {
+      std::memset(bytes, 0, size);
+    } else {
+#ifndef NDEBUG
+      std::memset(bytes, kUninitPoison, size);
+#endif
+    }
+    return ::new (mem) Chunk(bytes, size, {});
+  }
+  static Chunk* adopt(std::vector<std::uint8_t> v) {
+    void* mem = ::operator new(sizeof(Chunk));
+    std::uint8_t* bytes = v.data();
+    const std::size_t size = v.size();
+    return ::new (mem) Chunk(bytes, size, std::move(v));
+  }
+  static void destroy(Chunk* c) noexcept {
+    c->~Chunk();
+    ::operator delete(static_cast<void*>(c));
+  }
+
   std::atomic<std::uint32_t> refs_{1};
+  std::size_t size_;
+  std::uint8_t* bytes_;  // inline after *this, or adopted_'s buffer
+  std::vector<std::uint8_t> adopted_;  // empty unless adopt_vector
 };
 
 inline void chunk_ref(Chunk* c) noexcept {
@@ -117,7 +166,9 @@ inline void chunk_ref(Chunk* c) noexcept {
 }
 
 inline void chunk_unref(Chunk* c) noexcept {
-  if (c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete c;
+  if (c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    Chunk::destroy(c);
+  }
 }
 
 /// Intrusive smart pointer over Chunk.
@@ -148,9 +199,19 @@ class ChunkRef {
     if (c_ != nullptr) chunk_unref(c_);
   }
 
-  static ChunkRef make(std::size_t size) { return ChunkRef(new Chunk(size)); }
+  /// `size` zeroed bytes in one allocation.
+  static ChunkRef make(std::size_t size) {
+    return ChunkRef(Chunk::create(size, /*zero=*/true));
+  }
+  /// `size` bytes in one allocation, left unwritten (poisoned without
+  /// NDEBUG). Only for storage the caller overwrites in full before any
+  /// read.
+  static ChunkRef make_uninit(std::size_t size) {
+    return ChunkRef(Chunk::create(size, /*zero=*/false));
+  }
+  /// The vector's buffer becomes the chunk's storage; no byte is copied.
   static ChunkRef adopt_vector(std::vector<std::uint8_t> bytes) {
-    return ChunkRef(new Chunk(std::move(bytes)));
+    return ChunkRef(Chunk::adopt(std::move(bytes)));
   }
 
   Chunk* get() const noexcept { return c_; }
@@ -174,7 +235,7 @@ struct Slice {
   std::size_t len = 0;
 
   std::span<const std::uint8_t> span() const {
-    return {chunk->data.data() + off, len};
+    return {chunk->data() + off, len};
   }
 };
 

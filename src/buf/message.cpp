@@ -22,7 +22,7 @@ Message::Message(std::size_t headroom)
       hdr_acct_(headroom) {}
 
 Message::Message(FromPool, ChunkRef head) : head_(std::move(head)) {
-  hstart_ = hend_ = hdr_acct_ = head_ ? head_->data.size() : 0;
+  hstart_ = hend_ = hdr_acct_ = head_ ? head_->size() : 0;
 }
 
 Message Message::with_payload(std::span<const std::uint8_t> payload,
@@ -56,8 +56,8 @@ Message Message::from_wire(std::span<const std::uint8_t> frame) {
   Message m(FromPool{}, ChunkRef());
   if (!frame.empty()) {
     note_ingest(frame.size());
-    ChunkRef c = ChunkRef::make(frame.size());
-    std::memcpy(c->data.data(), frame.data(), frame.size());
+    ChunkRef c = ChunkRef::make_uninit(frame.size());
+    std::memcpy(c->data(), frame.data(), frame.size());
     m.plen_ = frame.size();
     m.chain_.push_back(Slice{std::move(c), 0, m.plen_});
   }
@@ -83,17 +83,32 @@ Message Message::clone() const {
     // counters track payload copies.
     assert(hdr_acct_ >= hl);
     m.hstart_ = hdr_acct_ - hl;
-    std::memcpy(m.head_->data.data() + m.hstart_, front(), hl);
+    std::memcpy(m.head_->data() + m.hstart_, front(), hl);
   }
-  m.chain_ = chain_;
-  m.plen_ = plen_;
-  // The whole payload chain was shared by reference: account the clone (and
+  m.share_chain_of(*this);
+  return m;
+}
+
+Message Message::share() const {
+  Message m(FromPool{}, head_);
+  m.cb = cb;
+  m.hstart_ = hstart_;
+  m.hend_ = hend_;
+  m.hdr_acct_ = hdr_acct_;
+  m.head_owned_ = false;  // header chunk shared with *this: frozen
+  m.share_chain_of(*this);
+  return m;
+}
+
+void Message::share_chain_of(const Message& src) {
+  chain_ = src.chain_;
+  plen_ = src.plen_;
+  // The whole payload chain was shared by reference: account the copy (and
   // the bytes that did NOT move) so fanout benches can show one logical send
   // reaching N destinations with O(1) byte copies.
   buf_stats().chain_clones.fetch_add(1, std::memory_order_relaxed);
   buf_stats().chain_clone_bytes_shared.fetch_add(plen_,
                                                  std::memory_order_relaxed);
-  return m;
 }
 
 std::uint8_t* Message::push(std::size_t n) {
@@ -111,7 +126,7 @@ std::uint8_t* Message::push(std::size_t n) {
     // private chunk before the first prepend.
     const std::size_t size = std::max({hdr_acct_, hl + n, kDefaultHeadroom});
     ChunkRef priv = ChunkRef::make(size);
-    if (hl > 0) std::memcpy(priv->data.data() + size - hl, front(), hl);
+    if (hl > 0) std::memcpy(priv->data() + size - hl, front(), hl);
     head_ = std::move(priv);
     hstart_ = size - hl;
     hend_ = size;
@@ -123,10 +138,10 @@ std::uint8_t* Message::push(std::size_t n) {
     // Headroom exhausted: regrow geometrically so a stack that repeatedly
     // outgrows its headroom amortises to O(1) copies per byte. Only the
     // (small) header region is copied — the payload chain never moves.
-    const std::size_t old = head_->data.size();
+    const std::size_t old = head_->size();
     const std::size_t size = std::max({old * 2, hl + n, kDefaultHeadroom});
     ChunkRef bigger = ChunkRef::make(size);
-    if (hl > 0) std::memcpy(bigger->data.data() + size - hl, front(), hl);
+    if (hl > 0) std::memcpy(bigger->data() + size - hl, front(), hl);
     head_ = std::move(bigger);
     hstart_ = size - hl;
     hend_ = size;
@@ -168,8 +183,8 @@ void Message::set_header_len(std::size_t n) {
 void Message::append_payload(std::span<const std::uint8_t> data) {
   if (data.empty()) return;
   note_ingest(data.size());
-  ChunkRef c = ChunkRef::make(data.size());
-  std::memcpy(c->data.data(), data.data(), data.size());
+  ChunkRef c = ChunkRef::make_uninit(data.size());
+  std::memcpy(c->data(), data.data(), data.size());
   plen_ += data.size();
   chain_.push_back(Slice{std::move(c), 0, data.size()});
 }
@@ -212,10 +227,10 @@ std::span<const std::uint8_t> Message::payload() const {
 
 void Message::coalesce_payload() const {
   if (chain_.size() <= 1) return;
-  ChunkRef c = ChunkRef::make(plen_);
+  ChunkRef c = ChunkRef::make_uninit(plen_);
   std::size_t at = 0;
   for (const Slice& s : chain_) {
-    std::memcpy(c->data.data() + at, s.chunk->data.data() + s.off, s.len);
+    std::memcpy(c->data() + at, s.chunk->data() + s.off, s.len);
     at += s.len;
   }
   buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);

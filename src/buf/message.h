@@ -8,17 +8,26 @@
 //   - the header region is a small contiguous range inside a dedicated
 //     refcounted chunk (headers grow downward from the chunk's end, exactly
 //     like the old flat buffer's headroom);
-//   - the payload is a *chain* of Slices into refcounted chunks. Cloning a
-//     message for a retransmission buffer copies the (tiny) header bytes and
-//     bumps refcounts on the payload chain; fragmentation and packing slice
-//     and concatenate chains without touching payload bytes.
+//   - the payload is a *chain* of Slices into refcounted chunks;
+//     fragmentation and packing slice and concatenate chains without
+//     touching payload bytes.
+//
+// Two ways to copy a message, both sharing the payload chain by refcount:
+//   - clone() copies the (tiny) header bytes into a private header chunk —
+//     for a copy that will be patched (a retransmission marks itself) or
+//     sent on its own (one multicast master per member);
+//   - share() also shares the header chunk, frozen. The retransmission
+//     stores (window, NAK history) keep a share(): no allocation beyond the
+//     slice list, and resend_raw() clones it before patching.
 //
 // Mutation rules: the header chunk of a freshly built message is uniquely
 // owned and writable (push()/filters/HeaderView write headers in place); an
-// adopted wire frame's header bytes are shared with the frame and frozen —
-// push() copies on write. Payload bytes are frozen the moment a chain is
-// shared (clone, to_wire, share_payload_range); nothing in the engines
-// mutates payload after ingest. See docs/INTERNALS.md.
+// adopted wire frame's header bytes and a share()'s are frozen — push()
+// copies on write. A message's headers are final once to_wire() hands them
+// to the network: the frame, and any share(), read the same bytes. Payload
+// bytes are frozen the moment a chain is shared (clone, share, to_wire,
+// share_payload_range); nothing in the engines mutates payload after
+// ingest. See docs/INTERNALS.md.
 //
 // Packet-filter DIGEST instructions and the packing machinery operate on the
 // payload region only; payload_digest() walks the chain without flattening.
@@ -90,6 +99,13 @@ class Message {
   /// by reference. No payload bytes are copied.
   Message clone() const;
 
+  /// Copy for storage only: shares the header chunk as well as the payload
+  /// chain (refcount bumps, no byte copied) and leaves the copy's headers
+  /// frozen — a push() on it copies on write, and the bytes it reads are
+  /// the ones this message already put on the wire. Callers that patch
+  /// headers clone() instead.
+  Message share() const;
+
   /// Prepend `n` header bytes; returns a pointer to the new front. Grows the
   /// header chunk (geometric doubling, copying only header bytes) if the
   /// headroom is exhausted; copies-on-write if the header bytes are shared
@@ -132,10 +148,10 @@ class Message {
   std::size_t headroom() const { return head_owned_ ? hstart_ : 0; }
 
   std::uint8_t* front() {
-    return head_ ? head_->data.data() + hstart_ : nullptr;
+    return head_ ? head_->data() + hstart_ : nullptr;
   }
   const std::uint8_t* front() const {
-    return head_ ? head_->data.data() + hstart_ : nullptr;
+    return head_ ? head_->data() + hstart_ : nullptr;
   }
 
   /// Contiguous payload bytes. A single-slice chain (every steady-state
@@ -182,6 +198,8 @@ class Message {
   Message(FromPool, ChunkRef head);
 
   void coalesce_payload() const;
+  /// Take `src`'s payload chain by reference (clone()/share()).
+  void share_chain_of(const Message& src);
 
   ChunkRef head_;            // header chunk (null until first push/set)
   std::size_t hstart_ = 0;   // first header byte within head_

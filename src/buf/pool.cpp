@@ -34,8 +34,8 @@ Message MessagePool::acquire_with_payload(
   if (!payload.empty()) {
     // The copy is the ingest copy across the application boundary (same as
     // Message::append_payload).
-    ChunkRef c = ChunkRef::make(payload.size());
-    std::memcpy(c->data.data(), payload.data(), payload.size());
+    ChunkRef c = ChunkRef::make_uninit(payload.size());
+    std::memcpy(c->data(), payload.data(), payload.size());
     buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
     buf_stats().ingest_bytes.fetch_add(payload.size(),
                                        std::memory_order_relaxed);

@@ -64,8 +64,8 @@ std::vector<std::uint8_t> WireFrame::flatten() const {
 WireFrame WireFrame::deep_copy() const {
   WireFrame out;
   for (const Slice& s : slices_) {
-    ChunkRef c = ChunkRef::make(s.len);
-    std::memcpy(c->data.data(), s.chunk->data.data() + s.off, s.len);
+    ChunkRef c = ChunkRef::make_uninit(s.len);
+    std::memcpy(c->data(), s.chunk->data() + s.off, s.len);
     out.append(Slice{std::move(c), 0, s.len});
   }
   buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
@@ -95,15 +95,15 @@ std::uint8_t* WireFrame::mutable_byte(std::size_t i) {
   for (Slice& s : slices_) {
     if (off < s.len) {
       if (!s.chunk->unique()) {
-        ChunkRef priv = ChunkRef::make(s.len);
-        std::memcpy(priv->data.data(), s.chunk->data.data() + s.off, s.len);
+        ChunkRef priv = ChunkRef::make_uninit(s.len);
+        std::memcpy(priv->data(), s.chunk->data() + s.off, s.len);
         buf_stats().cow_copies.fetch_add(1, std::memory_order_relaxed);
         buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
         buf_stats().memcpy_bytes.fetch_add(s.len, std::memory_order_relaxed);
         s.chunk = std::move(priv);
         s.off = 0;
       }
-      return s.chunk->data.data() + s.off + off;
+      return s.chunk->data() + s.off + off;
     }
     off -= s.len;
   }

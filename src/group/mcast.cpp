@@ -367,18 +367,23 @@ obs::LatencyHistogram McastGroup::deliver_hist() const {
   return all;
 }
 
-void McastGroup::bind_stats(obs::MetricsRegistry& reg) const {
-  obs::bind_stats(reg, view_.stats());
-  obs::bind_stats(reg, stats_);
-  health_.bind_stats(reg);
-  reg.gauge_fn("group_members", "joined members", "",
+void McastGroup::bind_stats(obs::MetricsRegistry& reg,
+                            const std::string& prefix) const {
+  obs::bind_stats(reg, view_.stats(), prefix);
+  obs::bind_stats(reg, stats_, prefix);
+  if (prefix == Stats::kMetricPrefix) {
+    health_.bind_stats(reg);
+  } else {
+    health_.bind_stats(reg, prefix + "_health");
+  }
+  reg.gauge_fn(prefix + "_members", "joined members", "",
                [this] { return static_cast<double>(view_.joined_count()); });
-  reg.gauge_fn("group_view_epoch", "current view epoch", "",
+  reg.gauge_fn(prefix + "_view_epoch", "current view epoch", "",
                [this] { return static_cast<double>(view_.epoch()); });
-  reg.gauge_fn("group_stability_lag",
+  reg.gauge_fn(prefix + "_stability_lag",
                "last multicast seq minus the group-stable (min-acked) seq", "",
                [this] { return static_cast<double>(stability_lag()); });
-  reg.gauge_fn("group_fanout_amplification_x1000",
+  reg.gauge_fn(prefix + "_fanout_amplification_x1000",
                "engine sends per logical multicast, times 1000", "", [this] {
                  return stats_.mcasts == 0
                             ? 0.0

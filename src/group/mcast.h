@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "group/gossip_layer.h"
@@ -147,9 +148,13 @@ class McastGroup {
   /// Bind this group's metrics read-through into `reg`: the view's
   /// transitions and this group's counters (`group_*`), its health plane
   /// (`health_*`), and gauges derived from live state at collection time.
-  /// The group must outlive the registry. Per-link layer counters (the
-  /// gossip layer included) bind per endpoint, via obs::bind_stack_stats.
-  void bind_stats(obs::MetricsRegistry& reg) const;
+  /// A second group in the same registry needs its own `prefix`: its
+  /// metrics then read `<prefix>_*` and its plane's `<prefix>_health_*`
+  /// (a name binds once; a clash throws). The group must outlive the
+  /// registry. Per-link layer counters (the gossip layer included) bind per
+  /// endpoint, via obs::bind_stack_stats.
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix = Stats::kMetricPrefix) const;
 
  private:
   void refresh_outbound();

@@ -140,9 +140,10 @@ std::size_t HealthPlane::tick(Vt now) {
   return transitions;
 }
 
-void HealthPlane::bind_stats(obs::MetricsRegistry& reg) const {
-  obs::bind_stats(reg, stats_);
-  reg.gauge_fn("health_tracked_peers", "peers the health plane is tracking",
+void HealthPlane::bind_stats(obs::MetricsRegistry& reg,
+                             const std::string& prefix) const {
+  obs::bind_stats(reg, stats_, prefix);
+  reg.gauge_fn(prefix + "_tracked_peers", "peers the health plane is tracking",
                "", [this] { return static_cast<double>(peers_.size()); });
 }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 
 #include "health/flap.h"
 #include "health/phi.h"
@@ -136,9 +137,11 @@ class HealthPlane {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Bind this plane's counters (`health_*`) and its tracked-peer gauge
-  /// read-through into `reg`. The plane must outlive the registry.
-  void bind_stats(obs::MetricsRegistry& reg) const;
+  /// Bind this plane's counters (`<prefix>_*`, default `health_*`) and its
+  /// tracked-peer gauge read-through into `reg`. The plane must outlive the
+  /// registry.
+  void bind_stats(obs::MetricsRegistry& reg,
+                  const std::string& prefix = Stats::kMetricPrefix) const;
   const HealthConfig& config() const { return cfg_; }
 
  private:

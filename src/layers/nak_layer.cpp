@@ -31,7 +31,7 @@ DeliverVerdict NakLayer::pre_deliver(const Message&,
 
 void NakLayer::post_send(const Message& msg, const HeaderView&,
                          LayerOps&) {
-  history_.emplace(next_seq_, msg.clone());
+  history_.emplace(next_seq_, msg.share());
   ++next_seq_;
   ++stats_.data_sent;
   while (history_.size() > cfg_.history) history_.erase(history_.begin());

@@ -79,9 +79,10 @@ void WindowLayer::post_send(const Message& msg, const HeaderView& hdr,
   assert(static_cast<std::uint32_t>(hdr.get(f_seq_)) == next_seq_);
   (void)hdr;
   // Save for retransmission: the stored copy is the complete wire message
-  // (headers included), resent verbatim on timeout.
+  // (headers included), resent on timeout. A share(): the headers are
+  // final, and resend_raw clones before it patches the retransmit bit.
   if (in_flight() == sent_ring_.size()) grow_sent_ring();
-  sent(in_flight()) = SentEntry{msg.clone(), ops.now()};
+  sent(in_flight()) = SentEntry{msg.share(), ops.now()};
   ++next_seq_;
   ++stats_.data_sent;
   recv_since_ack_ = 0;  // this message piggybacked our current ack

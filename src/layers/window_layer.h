@@ -135,6 +135,11 @@ class WindowLayer final : public Layer {
   std::uint32_t size() const { return cfg_.size; }
   std::uint32_t next_seq() const { return next_seq_; }
   std::uint32_t expected_seq() const { return expected_; }
+  /// The stored retransmission copy of unacknowledged message `off`
+  /// (0 = the oldest), or null past in_flight().
+  const Message* unacked(std::uint32_t off) const {
+    return off < in_flight() ? &sent(off)->msg : nullptr;
+  }
 
   // RTT-estimator introspection (regression tests pin the arithmetic).
   VtDur srtt() const { return srtt_; }

@@ -263,7 +263,7 @@ void RealLoop::flush_train(Socket& s) {
       if (sl.len == 0) continue;
       // iovec wants a mutable void*; the kernel only reads.
       tx_iovs_.push_back(iovec{
-          const_cast<std::uint8_t*>(sl.chunk->data.data() + sl.off), sl.len});
+          const_cast<std::uint8_t*>(sl.chunk->data() + sl.off), sl.len});
     }
     net::TxDatagram d;
     d.dst = dst;
@@ -390,16 +390,17 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
   auto& bc = net::batch_counters();
   for (std::size_t i = 0; i < n; ++i) {
     ChunkRef& c = rx_cache_[i];
-    if (c && c->unique() && c->data.size() >= batch_cfg_.recv_buf_bytes) {
+    if (c && c->unique() && c->size() >= batch_cfg_.recv_buf_bytes) {
       bc.rx_buf_recycled.inc();
     } else {
       // The previous tenant (an in-flight frame, the PA recv queue, a
       // reassembly buffer) still references this chunk — or the slot is
-      // new. Leave the old chunk to its holders and allocate fresh.
-      c = ChunkRef::make(batch_cfg_.recv_buf_bytes);
+      // new. Leave the old chunk to its holders and allocate fresh. Left
+      // unzeroed: a frame slices only the bytes the kernel wrote.
+      c = ChunkRef::make_uninit(batch_cfg_.recv_buf_bytes);
       bc.rx_buf_fresh.inc();
     }
-    rx_slots_[i] = net::RxSlot{c->data.data(), batch_cfg_.recv_buf_bytes, 0};
+    rx_slots_[i] = net::RxSlot{c->data(), batch_cfg_.recv_buf_bytes, 0};
   }
 }
 

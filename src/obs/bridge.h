@@ -23,7 +23,7 @@
 // borrowed structs, renders, and discards them, which is always safe.
 //
 // Binding two objects of the same type into one registry requires distinct
-// prefixes (names are deduplicated; the first registration wins).
+// prefixes: a name binds once, and a second binding under it throws.
 #pragma once
 
 #include <cstdint>

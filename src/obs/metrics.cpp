@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <stdexcept>
+
 namespace pa::obs {
 
 std::uint64_t LatencyHistogram::percentile(double p) const {
@@ -50,75 +52,75 @@ MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
   return nullptr;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help,
-                                  const std::string& unit) {
-  if (Entry* e = find(name)) return *e->counter;
+MetricsRegistry::Entry& MetricsRegistry::add(const std::string& name,
+                                             const std::string& help,
+                                             const std::string& unit,
+                                             MetricType type) {
   auto e = std::make_unique<Entry>();
   e->name = name;
   e->help = help;
   e->unit = unit;
-  e->type = MetricType::kCounter;
-  e->counter = std::make_unique<Counter>();
-  Counter& ref = *e->counter;
+  e->type = type;
   entries_.push_back(std::move(e));
-  return ref;
+  return *entries_.back();
+}
+
+MetricsRegistry::Entry* MetricsRegistry::find_owned(const std::string& name,
+                                                    MetricType type) {
+  Entry* e = find(name);
+  if (e != nullptr && (e->type != type || e->fn)) {
+    throw std::invalid_argument("metric " + name +
+                                " is already registered as another kind");
+  }
+  return e;
+}
+
+Counter& MetricsRegistry::counter(const std::string& name,
+                                  const std::string& help,
+                                  const std::string& unit) {
+  if (Entry* e = find_owned(name, MetricType::kCounter)) return *e->counter;
+  Entry& e = add(name, help, unit, MetricType::kCounter);
+  e.counter = std::make_unique<Counter>();
+  return *e.counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
                               const std::string& unit) {
-  if (Entry* e = find(name)) return *e->gauge;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->unit = unit;
-  e->type = MetricType::kGauge;
-  e->gauge = std::make_unique<Gauge>();
-  Gauge& ref = *e->gauge;
-  entries_.push_back(std::move(e));
-  return ref;
+  if (Entry* e = find_owned(name, MetricType::kGauge)) return *e->gauge;
+  Entry& e = add(name, help, unit, MetricType::kGauge);
+  e.gauge = std::make_unique<Gauge>();
+  return *e.gauge;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(const std::string& name,
                                              const std::string& help,
                                              const std::string& unit) {
-  if (Entry* e = find(name)) return *e->hist;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->unit = unit;
-  e->type = MetricType::kHistogram;
-  e->hist = std::make_unique<LatencyHistogram>();
-  LatencyHistogram& ref = *e->hist;
-  entries_.push_back(std::move(e));
-  return ref;
+  if (Entry* e = find_owned(name, MetricType::kHistogram)) return *e->hist;
+  Entry& e = add(name, help, unit, MetricType::kHistogram);
+  e.hist = std::make_unique<LatencyHistogram>();
+  return *e.hist;
+}
+
+void MetricsRegistry::add_fn(const std::string& name, const std::string& help,
+                             const std::string& unit, MetricType type,
+                             std::function<double()> fn) {
+  if (find(name) != nullptr) {
+    throw std::invalid_argument("metric " + name + " registered twice");
+  }
+  add(name, help, unit, type).fn = std::move(fn);
 }
 
 void MetricsRegistry::gauge_fn(const std::string& name, const std::string& help,
                                const std::string& unit,
                                std::function<double()> fn) {
-  if (find(name)) return;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->unit = unit;
-  e->type = MetricType::kGauge;
-  e->fn = std::move(fn);
-  entries_.push_back(std::move(e));
+  add_fn(name, help, unit, MetricType::kGauge, std::move(fn));
 }
 
 void MetricsRegistry::counter_fn(const std::string& name,
                                  const std::string& help,
                                  const std::string& unit,
                                  std::function<double()> fn) {
-  if (find(name)) return;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->unit = unit;
-  e->type = MetricType::kCounter;
-  e->fn = std::move(fn);
-  entries_.push_back(std::move(e));
+  add_fn(name, help, unit, MetricType::kCounter, std::move(fn));
 }
 
 std::vector<MetricSample> MetricsRegistry::collect() const {

@@ -148,7 +148,8 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Register (or look up, if already registered under this name) an owned
-  /// metric. References remain valid for the registry's lifetime.
+  /// metric. References remain valid for the registry's lifetime. Throws
+  /// std::invalid_argument if the name is taken by another kind of metric.
   Counter& counter(const std::string& name, const std::string& help,
                    const std::string& unit = "");
   Gauge& gauge(const std::string& name, const std::string& help,
@@ -159,6 +160,8 @@ class MetricsRegistry {
   /// Read-through metric: `fn` is sampled at collect() time. The sampled
   /// source must outlive the registry (or the registry must be discarded
   /// first — report() builds throwaway registries around borrowed structs).
+  /// Each name binds once: a second registration under a taken name throws
+  /// std::invalid_argument (two objects of one type need distinct prefixes).
   void gauge_fn(const std::string& name, const std::string& help,
                 const std::string& unit, std::function<double()> fn);
   void counter_fn(const std::string& name, const std::string& help,
@@ -178,6 +181,12 @@ class MetricsRegistry {
   };
 
   Entry* find(const std::string& name);
+  Entry* find_owned(const std::string& name, MetricType type);
+  Entry& add(const std::string& name, const std::string& help,
+             const std::string& unit, MetricType type);
+  void add_fn(const std::string& name, const std::string& help,
+              const std::string& unit, MetricType type,
+              std::function<double()> fn);
 
   std::vector<std::unique_ptr<Entry>> entries_;
 };

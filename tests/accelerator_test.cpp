@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "horus/wire_debug.h"
 #include "horus/world.h"
 #include "resil/governor.h"
 
@@ -225,6 +226,12 @@ class RecordingEnv final : public Env {
   void send_frame(std::vector<std::uint8_t> f) override {
     wire.push_back(std::move(f));
   }
+  // Also holds each gathered frame by reference, as a network does while
+  // the frame is in flight.
+  void send_frame(WireFrame f) override {
+    wire.push_back(f.flatten());
+    frames.push_back(std::move(f));
+  }
   void deliver(std::span<const std::uint8_t> p) override {
     delivered.emplace_back(p.begin(), p.end());
   }
@@ -251,6 +258,7 @@ class RecordingEnv final : public Env {
   Vt t = 0;
   std::deque<std::function<void()>> deferred;
   std::vector<std::vector<std::uint8_t>> wire;
+  std::vector<WireFrame> frames;
   std::vector<std::vector<std::uint8_t>> delivered;
   std::vector<std::pair<Vt, std::function<void()>>> timers;
 };
@@ -308,6 +316,83 @@ TEST(DeferredRecords, SelfContainedAfterCallerFrameClobbered) {
     if (contains(f, original)) retransmit_intact = true;
   }
   EXPECT_TRUE(retransmit_intact);
+}
+
+// ---------------------------------------------------------------------------
+// Retransmission under loss: the window stores a share() of each sent
+// message (its header chunk by reference), so the stored copy, the frame
+// already on the wire and the resent frame all start from one header chunk.
+// Only the resend may carry the retransmission bit. The link loses every
+// frame; the env holds them as sent.
+// ---------------------------------------------------------------------------
+std::uint64_t wrex_of(const DecodedFrame& f) {
+  for (const DecodedField& fld : f.fields) {
+    if (fld.name == "wrex") return fld.value;
+  }
+  ADD_FAILURE() << "no wrex field: " << f.error;
+  return ~0ull;
+}
+
+template <typename E, typename Cfg, typename Decode>
+void check_resend_marks_only_the_resend(const Cfg& cfg, Decode decode) {
+  RecordingEnv env;
+  E e(cfg, env);
+  const std::vector<std::uint8_t> payload(24, 0x3c);
+  e.send(payload);
+  env.drain();
+  ASSERT_EQ(env.frames.size(), 1u);
+
+  auto* win = dynamic_cast<WindowLayer*>(e.stack().find(LayerKind::kWindow));
+  ASSERT_NE(win, nullptr);
+  const Message* stored = win->unacked(0);
+  ASSERT_NE(stored, nullptr);
+  const std::vector<std::uint8_t> stored_bytes = stored->to_wire().flatten();
+
+  // Nothing is acknowledged: the RTO resends the stored copy.
+  const auto cow0 = buf_stats().cow_copies.load();
+  auto timers = std::move(env.timers);
+  env.timers.clear();
+  env.t += vt_ms(1000);
+  for (auto& [at, fn] : timers) fn();
+  env.drain();
+  ASSERT_EQ(win->stats().retransmits, 1u);
+  ASSERT_EQ(env.frames.size(), 2u);
+  EXPECT_EQ(buf_stats().cow_copies.load(), cow0);  // resend_raw clones
+
+  const std::vector<std::uint8_t> first = env.frames[0].flatten();
+  const DecodedFrame resent = decode(e, env.frames[1].flatten());
+  ASSERT_TRUE(resent.valid) << resent.error;
+  EXPECT_EQ(wrex_of(resent), 1u);
+  const DecodedFrame original = decode(e, first);
+  ASSERT_TRUE(original.valid) << original.error;
+  EXPECT_EQ(wrex_of(original), 0u);
+  // The stored copy is the first transmission's headers and payload,
+  // unchanged by the resend: it still reads wrex = 0 too.
+  ASSERT_EQ(win->unacked(0), stored);
+  EXPECT_EQ(stored->to_wire().flatten(), stored_bytes);
+  ASSERT_LE(stored_bytes.size(), first.size());
+  EXPECT_TRUE(std::equal(stored_bytes.begin(), stored_bytes.end(),
+                         first.end() - static_cast<std::ptrdiff_t>(
+                                           stored_bytes.size())));
+}
+
+TEST(WindowRetransmit, PaResendCarriesRexWhileStoredAndTappedCopiesDoNot) {
+  PaConfig cfg;
+  cfg.cookie_seed = 5;
+  check_resend_marks_only_the_resend<PaEngine>(
+      cfg, [](PaEngine& e, const std::vector<std::uint8_t>& f) {
+        return decode_pa_frame(f, e.stack().registry(), e.layout());
+      });
+}
+
+TEST(WindowRetransmit,
+     ClassicResendCarriesRexWhileStoredAndTappedCopiesDoNot) {
+  const ClassicConfig cfg;
+  check_resend_marks_only_the_resend<ClassicEngine>(
+      cfg, [&cfg](ClassicEngine& e, const std::vector<std::uint8_t>& f) {
+        return decode_classic_frame(f, e.stack().registry(), e.layout(),
+                                    cfg.self_endian);
+      });
 }
 
 // The governor clamps the send window relative to the window layer the

@@ -140,6 +140,57 @@ TEST(Message, CloneSharesPayloadWithoutCopying) {
   EXPECT_FALSE(m.payload_slices()[0].chunk->unique());
 }
 
+TEST(Message, ShareFreezesHeadersAndPushCopiesOnWrite) {
+  Message m = Message::with_payload(seq_bytes(32));
+  std::uint8_t* h = m.push(4);
+  for (int i = 0; i < 4; ++i) h[i] = static_cast<std::uint8_t>(0x10 + i);
+  m.cb.frag_id = 9;
+  const auto cow0 = buf_stats().cow_copies.load();
+  const auto chunks0 = buf_stats().chunks_allocated.load();
+  Message s = m.share();
+  // Header chunk and payload chain by reference: no chunk, no byte copied.
+  EXPECT_EQ(buf_stats().chunks_allocated.load(), chunks0);
+  EXPECT_EQ(s.front(), m.front());
+  EXPECT_EQ(s.payload_slices()[0].chunk.get(),
+            m.payload_slices()[0].chunk.get());
+  EXPECT_EQ(s.cb.frag_id, 9);
+  EXPECT_EQ(s.size(), m.size());
+  EXPECT_EQ(s.capacity(), m.capacity());
+  EXPECT_EQ(s.headroom(), 0u);  // frozen: nothing to push into in place
+
+  s.push(2)[0] = 0xee;
+  EXPECT_EQ(buf_stats().cow_copies.load(), cow0 + 1);
+  EXPECT_NE(s.front(), m.front());
+  EXPECT_EQ(s.header_len(), 6u);
+  EXPECT_EQ(s.front()[2], 0x10);  // the shared headers moved along
+  EXPECT_EQ(m.header_len(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.front()[i], 0x10 + i);
+  }
+  EXPECT_EQ(m.payload()[31], 31);
+}
+
+TEST(Chunk, MadeChunksHoldTheirBytesInlineAndZeroed) {
+  ChunkRef z = ChunkRef::make(64);
+  ChunkRef u = ChunkRef::make_uninit(64);
+  for (const ChunkRef& c : {z, u}) {
+    ASSERT_EQ(c->size(), 64u);
+    // One block: the bytes start right after the control block.
+    EXPECT_EQ(c->data(),
+              reinterpret_cast<const std::uint8_t*>(c.get()) + sizeof(Chunk));
+  }
+  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(z->data()[i], 0) << i;
+}
+
+#ifndef NDEBUG
+TEST(Chunk, UninitStorageIsPoisonedInDebugBuilds) {
+  ChunkRef u = ChunkRef::make_uninit(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(u->data()[i], kUninitPoison) << i;
+  }
+}
+#endif
+
 TEST(Message, AppendPayload) {
   Message m = Message::with_payload(seq_bytes(4));
   auto extra = seq_bytes(4);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -474,6 +475,38 @@ TEST(GroupChaos, TwoGroupsEachCountOnlyTheirOwnMulticasts) {
   EXPECT_EQ(ga.deliver_hist().sum(),
             ga.member_hist(0).sum() + ga.member_hist(1).sum());
   EXPECT_EQ(gb.deliver_hist().count(), 5u);
+}
+
+TEST(GroupChaos, TwoGroupsBindIntoOneRegistryUnderTheirOwnPrefixes) {
+  World w;
+  auto& hub_a = w.add_node("hub-a");
+  auto& hub_b = w.add_node("hub-b");
+  auto& a0 = w.add_node("a0");
+  auto& b0 = w.add_node("b0");
+  McastOptions opt;
+  opt.beacon_interval = 0;  // run-to-drain
+  McastGroup ga(w, hub_a, {&a0}, opt);
+  McastGroup gb(w, hub_b, {&b0}, opt);
+  const std::vector<std::uint8_t> payload(16, 0x44);
+  ga.mcast(payload);
+  for (int i = 0; i < 4; ++i) gb.mcast(payload);
+  w.run();
+
+  obs::MetricsRegistry reg;
+  ga.bind_stats(reg, "ga");
+  gb.bind_stats(reg, "gb");
+  EXPECT_EQ(metric(reg, "ga_mcasts_total"), 1.0);
+  EXPECT_EQ(metric(reg, "gb_mcasts_total"), 4.0);
+  EXPECT_EQ(metric(reg, "ga_members"), 1.0);
+  EXPECT_EQ(metric(reg, "gb_health_tracked_peers"),
+            metric(reg, "ga_health_tracked_peers"));
+  // A name binds once: the same group again, or a second group under a
+  // taken prefix, throws instead of reading the first binding.
+  EXPECT_THROW(gb.bind_stats(reg, "ga"), std::invalid_argument);
+  obs::MetricsRegistry plain;
+  ga.bind_stats(plain);
+  EXPECT_EQ(metric(plain, "group_mcasts_total"), 1.0);
+  EXPECT_THROW(gb.bind_stats(plain), std::invalid_argument);
 }
 
 // --- exact shed accounting: ingest admission under a fanout blast ----------

@@ -14,6 +14,7 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,29 @@ TEST(Registry, ReadThroughMetricsSampleAtCollectTime) {
   EXPECT_DOUBLE_EQ(reg.collect()[0].value, 5.0);
   source = 9;
   EXPECT_DOUBLE_EQ(reg.collect()[0].value, 9.0);
+}
+
+TEST(Registry, ReadThroughNameBindsOnce) {
+  MetricsRegistry reg;
+  std::uint64_t first = 1, second = 4;
+  reg.counter_fn("src_total", "first", "",
+                 [&first] { return static_cast<double>(first); });
+  EXPECT_THROW(reg.counter_fn("src_total", "second", "",
+                              [&second] {
+                                return static_cast<double>(second);
+                              }),
+               std::invalid_argument);
+  EXPECT_THROW(reg.gauge_fn("src_total", "second", "", [] { return 0.0; }),
+               std::invalid_argument);
+  // An owned metric cannot take over a read-through name, or the reverse.
+  EXPECT_THROW(reg.counter("src_total", "owned"), std::invalid_argument);
+  reg.gauge("level", "owned gauge");
+  EXPECT_THROW(reg.gauge_fn("level", "read-through", "", [] { return 0.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(reg.histogram("level", "histogram"), std::invalid_argument);
+  const auto samples = reg.collect();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_DOUBLE_EQ(samples[0].value, 1.0);
 }
 
 TEST(Registry, MetricSlug) {
@@ -523,19 +547,17 @@ std::vector<std::string> bound_stat_names() {
   }
   {
     // The layer variants the default stack does not contain: the NAK
-    // protocol and the doubled-window ablation.
-    MetricsRegistry reg;
+    // protocol and the doubled-window ablation. One registry per stack: a
+    // name binds once.
     StackSpec nak = StackSpec::paper();
     *nak.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
     Stack nak_stack{nak};
-    bind_stack_stats(reg, nak_stack);
     Stack dbl_stack{StackSpec{}
                         .add(LayerSpec::frag_layer({/*threshold=*/8192}))
                         .add(LayerSpec::seq_layer())
                         .add(LayerSpec::window_layer({}))
                         .add(LayerSpec::window_layer({}))
                         .add(LayerSpec::bottom_layer({}))};
-    bind_stack_stats(reg, dbl_stack);
     Stack mix_stack{StackSpec{}
                         .add(LayerSpec::comp_layer())
                         .add(LayerSpec::frag_layer({/*threshold=*/8192}))
@@ -544,8 +566,11 @@ std::vector<std::string> bound_stat_names() {
                         .add(LayerSpec::crypt_layer())
                         .add(LayerSpec::relay_layer())
                         .add(LayerSpec::bottom_layer({}))};
-    bind_stack_stats(reg, mix_stack);
-    collect_names(reg, names);
+    for (const Stack* st : {&nak_stack, &dbl_stack, &mix_stack}) {
+      MetricsRegistry reg;
+      bind_stack_stats(reg, *st);
+      collect_names(reg, names);
+    }
   }
   {
     // The per-object planes: a live two-member group (its view, counters,
