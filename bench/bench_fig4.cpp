@@ -12,21 +12,6 @@
 using namespace pa;
 using namespace pa::bench;
 
-namespace {
-
-double phase_between(const TraceRecorder& t, const std::string& node,
-                     const char* from, const char* to) {
-  Vt t0 = -1, t1 = -1;
-  for (const auto& e : t.events()) {
-    if (e.node != node) continue;
-    if (t0 < 0 && e.label == from) t0 = e.t;
-    if (t0 >= 0 && t1 < 0 && e.label == to && e.t > t0) t1 = e.t;
-  }
-  return (t0 >= 0 && t1 >= 0) ? vt_to_us(t1 - t0) : -1;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   // Optional: bench_fig4 [--seed N] <trace.json> writes a
   // Chrome-tracing/Perfetto file.
@@ -45,7 +30,6 @@ int main(int argc, char** argv) {
   WorldConfig wc;
   wc.seed = g_world_seed;
   wc.gc_policy = GcPolicy::kEveryReception;
-  wc.trace = true;
   World w(wc);
   auto& a = w.add_node("sender");
   auto& b = w.add_node("receiver");
@@ -59,23 +43,25 @@ int main(int argc, char** argv) {
   w.run();
 
   std::printf("\n--- timeline (one round trip, GC after every reception) ---\n");
-  std::printf("%s\n", w.tracer().render().c_str());
+  const std::vector<obs::TimelineRow> t = timeline_of(w);
+  std::printf("%s\n", obs::render_timeline(t).c_str());
   if (json_path) {
     if (FILE* f = std::fopen(json_path, "w")) {
-      std::fputs(w.tracer().to_chrome_json().c_str(), f);
+      std::fputs(obs::chrome_trace_json(obs::process_ring().snapshot(),
+                                        w.span_owners())
+                     .c_str(),
+                 f);
       std::fclose(f);
       std::printf("(chrome trace written to %s)\n", json_path);
     }
   }
 
-  const TraceRecorder& t = w.tracer();
   double rt = vt_to_us(rt_done);
-  double post_send =
-      phase_between(t, "receiver", "SEND", "POSTSEND DONE");
+  double post_send = phase_us(t, "receiver", "SEND", "POSTSEND DONE");
   double post_deliver =
-      phase_between(t, "receiver", "POSTSEND DONE", "POSTDELIVER DONE");
-  double gc = phase_between(t, "receiver", "POSTDELIVER DONE",
-                            "GARBAGE COLLECTED");
+      phase_us(t, "receiver", "POSTSEND DONE", "POSTDELIVER DONE");
+  double gc =
+      phase_us(t, "receiver", "POSTDELIVER DONE", "GARBAGE COLLECTED");
 
   header_row();
   row("round-trip latency", "~170 us", fmt(rt, "us"));

@@ -23,17 +23,6 @@ struct Sample {
   double b2b_rate;       // back-to-back rt/s (no GC)
 };
 
-double phase(const TraceRecorder& t, const std::string& node,
-             const char* from, const char* to) {
-  Vt t0 = -1, t1 = -1;
-  for (const auto& e : t.events()) {
-    if (e.node != node) continue;
-    if (t0 < 0 && e.label == from) t0 = e.t;
-    if (t0 >= 0 && t1 < 0 && e.label == to && e.t > t0) t1 = e.t;
-  }
-  return (t0 >= 0 && t1 >= 0) ? vt_to_us(t1 - t0) : -1;
-}
-
 Sample run(std::size_t windows) {
   StackSpec spec;
   spec.add(LayerSpec::frag_layer(FragConfig{/*threshold=*/8192}))
@@ -47,7 +36,6 @@ Sample run(std::size_t windows) {
 
   WorldConfig wc;
   wc.seed = g_world_seed;
-  wc.trace = true;
   World w(wc);
   auto& a = w.add_node("client");
   auto& b = w.add_node("server");
@@ -62,9 +50,9 @@ Sample run(std::size_t windows) {
 
   Sample out;
   out.rt_us = vt_to_us(rt);
-  out.post_send_us = phase(w.tracer(), "server", "SEND", "POSTSEND DONE");
-  out.post_del_us =
-      phase(w.tracer(), "server", "POSTSEND DONE", "POSTDELIVER DONE");
+  const std::vector<obs::TimelineRow> t = timeline_of(w);
+  out.post_send_us = phase_us(t, "server", "SEND", "POSTSEND DONE");
+  out.post_del_us = phase_us(t, "server", "POSTSEND DONE", "POSTDELIVER DONE");
   out.b2b_rate = closed_loop_rts(opt, GcPolicy::kDisabled, 1500).rate_per_s;
   return out;
 }

@@ -61,7 +61,6 @@ class BenchEnv final : public Env {
     deferred_.push_back(std::move(fn));
   }
   void set_timer(VtDur, std::function<void()>) override {}
-  void trace(std::string_view) override {}
   void on_alloc(std::size_t) override {}
   void on_reception() override {}
   void gc_point() override {}

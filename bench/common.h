@@ -8,13 +8,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "buf/chunk.h"
 #include "horus/world.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/trace_ring.h"
 
 namespace pa::bench {
 
@@ -73,6 +76,28 @@ inline void emit_bench_json(
   std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// The Figure-4 rows of a world that just ran, read from the span ring.
+/// Call it before the next world runs: the ring keeps only recent events.
+inline std::vector<obs::TimelineRow> timeline_of(const World& w) {
+  return obs::timeline_rows(obs::process_ring().snapshot(), w.span_owners());
+}
+
+/// µs from `node`'s first `from` row to its next later `to` row, or -1 if
+/// either is missing.
+inline double phase_us(const std::vector<obs::TimelineRow>& rows,
+                       const std::string& node, const char* from,
+                       const char* to) {
+  Vt t0 = -1, t1 = -1;
+  for (const obs::TimelineRow& r : rows) {
+    if (r.node != node) continue;
+    if (t0 < 0 && std::strcmp(r.label, from) == 0) t0 = r.t;
+    if (t0 >= 0 && t1 < 0 && std::strcmp(r.label, to) == 0 && r.t > t0) {
+      t1 = r.t;
+    }
+  }
+  return (t0 >= 0 && t1 >= 0) ? vt_to_us(t1 - t0) : -1;
 }
 
 inline std::vector<std::uint8_t> payload_of(std::size_t n,

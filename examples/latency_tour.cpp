@@ -2,9 +2,9 @@
 //
 // Runs the same ping-pong workload through a ladder of configurations,
 // switching the paper's techniques on one at a time, and prints the
-// round-trip latency and a Figure-4-style timeline for the fastest and
-// slowest configurations. This is the "ablation study" the paper implies
-// but never tabulates:
+// round-trip latency, and the Figure-4 timeline of the classic and the
+// compiled-filter PA configurations. This is the "ablation study" the
+// paper implies but never tabulates:
 //
 //   classic            — per-layer headers, synchronous layered execution
 //   PA, interpreted    — compact headers + prediction + deferred posts,
@@ -15,9 +15,9 @@
 //
 // Flags:
 //   --metrics           dump the unified metrics (Prometheus text) at exit
-//   --trace-out <path>  write the span-event trace as Chrome trace JSON
-//                       (the binary-ring counterpart of the Figure-4
-//                       timelines printed below)
+//   --trace-out <path>  write the span-event trace as Chrome trace JSON,
+//                       one track per engine (the same spans the Figure-4
+//                       timelines below are rendered from)
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -35,13 +35,13 @@ namespace {
 struct TourStep {
   const char* name;
   ConnOptions opt;
-  bool trace;
+  bool timeline;  // print the step's Figure-4 timeline
 };
 
-double run_step(const TourStep& step) {
+/// Runs one step; adds its engines to `tracks`, named "<step> / <node>".
+double run_step(const TourStep& step, obs::OwnerNames& tracks) {
   WorldConfig wc;
   wc.gc_policy = GcPolicy::kEveryReception;
-  wc.trace = step.trace;
   World world(wc);
   Node& a = world.add_node("client");
   Node& b = world.add_node("server");
@@ -54,9 +54,15 @@ double run_step(const TourStep& step) {
   std::vector<std::uint8_t> ping(8, 0x42);
   c->send(ping);
   world.run();
-  if (step.trace) {
+  const obs::OwnerNames owners = world.span_owners();
+  if (step.timeline) {
     std::printf("\n--- %s: round-trip timeline ---\n%s\n", step.name,
-                world.tracer().render().c_str());
+                obs::render_timeline(
+                    obs::timeline_rows(obs::process_ring().snapshot(), owners))
+                    .c_str());
+  }
+  for (const auto& [id, node] : owners) {
+    tracks[id] = std::string(step.name) + " / " + node;
   }
   return vt_to_us(t1);
 }
@@ -104,8 +110,9 @@ int main(int argc, char** argv) {
 
   std::printf("%-38s %12s\n", "configuration", "RT latency");
   double first = 0, last = 0;
+  obs::OwnerNames tracks;
   for (const TourStep& s : steps) {
-    double us = run_step(s);
+    double us = run_step(s, tracks);
     if (first == 0) first = us;
     last = us;
     std::printf("%-38s %9.1f us\n", s.name, us);
@@ -121,7 +128,7 @@ int main(int argc, char** argv) {
     FILE* f = std::fopen(trace_out.c_str(), "w");
     if (f) {
       const std::vector<obs::SpanEvent> spans = obs::process_ring().snapshot();
-      const std::string json = obs::chrome_trace_json(spans);
+      const std::string json = obs::chrome_trace_json(spans, tracks);
       std::fwrite(json.data(), 1, json.size(), f);
       std::fclose(f);
       std::printf("wrote %s (%zu span events)\n", trace_out.c_str(),

@@ -294,6 +294,29 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
   status=1
 fi
 
+echo "==== trace exports ============================================"
+# The span ring is the one tracer. bench_fig4 <path> and latency_tour
+# --trace-out <path> write it as Chrome trace JSON; each file must parse,
+# and the Figure-4 trace must name one track per node.
+./build/bench/bench_fig4 build/fig4-trace.json > /dev/null || status=1
+./build/examples/latency_tour --trace-out build/tour-trace.json \
+  > /dev/null || status=1
+for f in build/fig4-trace.json build/tour-trace.json; do
+  if ! python3 -m json.tool "$f" > /dev/null; then
+    echo "FAIL: $f is not valid JSON"
+    status=1
+  fi
+done
+if ! python3 -c '
+import json, sys
+tracks = {e["args"]["name"] for e in json.load(open(sys.argv[1]))
+          if e.get("ph") == "M"}
+sys.exit(0 if {"sender", "receiver"} <= tracks else 1)
+' build/fig4-trace.json; then
+  echo "FAIL: the fig4 trace names no sender and receiver tracks"
+  status=1
+fi
+
 echo "==== examples ================================================="
 # frame_inspector --metrics binds the engine, router and stack stats and
 # prints the Prometheus export end to end ($e is left unquoted so it can

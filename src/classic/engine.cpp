@@ -44,7 +44,8 @@ class ClassicEngine::Ops final : public LayerOps {
 };
 
 ClassicEngine::ClassicEngine(ClassicConfig cfg, Env& env)
-    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec) {
+    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
+      sampler_(env.clock_is_virtual()) {
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kClassic);
   region_off_.resize(layout_.num_regions());
@@ -105,6 +106,8 @@ void ClassicEngine::submit(Message m) {
 }
 
 void ClassicEngine::process_send(Message m) {
+  const bool is_timed = sampler_.timed(kTimeSend);
+  const Vt t0 = is_timed ? env_.now() : 0;
   in_send_ = true;
   ++stats_.slow_sends;  // every classic send is a full-stack send
   env_.charge(cfg_.costs.classic_send_cost(stack_.size()));
@@ -132,8 +135,12 @@ void ClassicEngine::process_send(Message m) {
   }
   ++stats_.frames_out;
   ++stats_.conn_ident_sent;
-  env_.trace(m.cb.protocol ? "SEND(proto)" : "SEND");
   env_.send_frame(m.to_wire());
+  // The span ends as the frame leaves, before the inline post phases.
+  if (is_timed) {
+    obs::span(obs::SpanKind::kSendSlow, t0, obs::span_dur(env_.now() - t0),
+              static_cast<std::uint32_t>(m.payload_len()), obs_id_);
+  }
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     Ops ops(this, i);
     stack_.layer(i).post_send(m, v, ops);
@@ -157,19 +164,28 @@ void ClassicEngine::on_frame(WireFrame frame, Vt) {
     stats_.drops.bump(DropReason::kTruncatedHeader);
     return;
   }
+  const bool is_timed = sampler_.timed(kTimeFrame);
+  const Vt t0 = is_timed ? env_.now() : 0;
   env_.charge(cfg_.costs.classic_demux);
   Message m = Message::from_wire(std::move(frame));
   env_.on_alloc(m.capacity());
   m.set_header_len(total_hdr_);
   m.cb.wire_endian = static_cast<std::uint8_t>(cfg_.peer_endian);
   env_.on_reception();
-  deliver_msg(std::move(m), stack_.size());
+  const bool delivered = deliver_msg(std::move(m), stack_.size(), is_timed);
+  if (is_timed) {
+    obs::span(obs::SpanKind::kDeliverSlow, t0, obs::span_dur(env_.now() - t0),
+              delivered ? 1 : 0, obs_id_);
+  }
   env_.gc_point();
   flush_queue();
 }
 
 /// Run the delivery phases for layers above `entered_below` (exclusive).
-void ClassicEngine::deliver_msg(Message m, std::size_t entered_below) {
+/// `timed`: mark the hand-up to the application with a span. True if the
+/// message reached the application.
+bool ClassicEngine::deliver_msg(Message m, std::size_t entered_below,
+                                bool timed) {
   env_.charge(cfg_.costs.classic_deliver_cost(entered_below));
   HeaderView v = bind(m.front(), cfg_.peer_endian);
 
@@ -190,7 +206,7 @@ void ClassicEngine::deliver_msg(Message m, std::size_t entered_below) {
       verdict == DeliverVerdict::kDeliver && entered_below > 0;
   if (to_app) {
     ++stats_.slow_delivers;
-    env_.trace("DELIVER");
+    mark(timed, obs::SpanKind::kDeliverApp, env_);
     deliver_part(m.payload());
   }
   for (std::size_t i = entered_below; i-- > stop;) {
@@ -199,6 +215,7 @@ void ClassicEngine::deliver_msg(Message m, std::size_t entered_below) {
     stack_.layer(i).post_deliver(m, v, vd, ops);
   }
   drain_releases();
+  return to_app;
 }
 
 void ClassicEngine::drain_releases() {
@@ -213,7 +230,7 @@ void ClassicEngine::drain_releases() {
       deliver_part(m.payload());
       continue;
     }
-    deliver_msg(std::move(m), from);
+    deliver_msg(std::move(m), from, sampler_.timed(kTimeRelease));
   }
 }
 
@@ -254,8 +271,8 @@ void ClassicEngine::emit_down(std::size_t from_layer, Message m,
     }
   }
   ++stats_.frames_out;
-  env_.trace("SEND(proto)");
   env_.send_frame(m.to_wire());
+  mark(sampler_.timed(kTimeProto), obs::SpanKind::kSendProto, env_);
   for (std::size_t i = from_layer + 1; i < stack_.size(); ++i) {
     Ops ops(this, i);
     stack_.layer(i).post_send(m, v, ops);
@@ -277,8 +294,8 @@ void ClassicEngine::resend_raw(const Message& stored,
     if (last.kind() == LayerKind::kBottom) last.pre_send(m, v);
   }
   ++stats_.frames_out;
-  env_.trace("SEND(rexmit)");
   env_.send_frame(m.to_wire());
+  mark(sampler_.timed(kTimeRexmit), obs::SpanKind::kSendRexmit, env_);
 }
 
 void ClassicEngine::set_layer_timer(std::size_t layer, VtDur delay,

@@ -58,7 +58,7 @@ class ClassicEngine final : public Engine {
   void submit(Message m);
   void process_send(Message m);
   void flush_queue();
-  void deliver_msg(Message m, std::size_t entered_below);
+  bool deliver_msg(Message m, std::size_t entered_below, bool timed);
   void deliver_part(std::span<const std::uint8_t> part);
   void emit_down(std::size_t from_layer, Message m,
                  const std::function<void(HeaderView&)>& fill);
@@ -88,6 +88,12 @@ class ClassicEngine final : public Engine {
   bool in_send_ = false;  // reentrancy guard for flush_queue
 
   EngineStats stats_;
+  // Timed phases (PhaseSampler, the PA's sampling rule).
+  enum TimedPhase {
+    kTimeSend, kTimeFrame, kTimeRelease, kTimeProto, kTimeRexmit,
+    kNumTimedPhases
+  };
+  PhaseSampler<kNumTimedPhases> sampler_;
 };
 
 }  // namespace pa

@@ -7,11 +7,11 @@
 namespace pa {
 
 /// Env implementation binding an endpoint to its node's CPU, the simulated
-/// network, the node's GC model and the world's trace recorder.
+/// network and the node's GC model.
 class Endpoint::NodeEnv final : public Env {
  public:
-  NodeEnv(Endpoint& ep, SimNetwork& net, NodeId peer, TraceRecorder& tracer)
-      : ep_(ep), net_(net), peer_(peer), tracer_(tracer) {}
+  NodeEnv(Endpoint& ep, SimNetwork& net, NodeId peer)
+      : ep_(ep), net_(net), peer_(peer) {}
 
   Vt now() const override { return ep_.node_.cpu(ep_.cpu_index_).now(); }
   bool clock_is_virtual() const override { return true; }
@@ -42,12 +42,6 @@ class Endpoint::NodeEnv final : public Env {
     ep_.node_.cpu(ep_.cpu_index_).post_at(ep_.node_.cpu(ep_.cpu_index_).now() + delay, std::move(fn));
   }
 
-  void trace(std::string_view label) override {
-    if (tracer_.enabled()) {
-      tracer_.record(now(), ep_.node_.name(), std::string(label));
-    }
-  }
-
   void on_alloc(std::size_t bytes) override {
     ep_.node_.gc(ep_.cpu_index_).on_alloc(bytes);
   }
@@ -59,10 +53,8 @@ class Endpoint::NodeEnv final : public Env {
     VtDur pause = ep_.node_.gc(ep_.cpu_index_).poll();
     if (pause > 0) {
       charge(pause);
-      trace("GARBAGE COLLECTED");
-      obs::span(obs::SpanKind::kGcPause, t0,
-                pause > 0xffffffff ? 0xffffffffu
-                                   : static_cast<std::uint32_t>(pause));
+      obs::span(obs::SpanKind::kGcPause, t0, obs::span_dur(pause), 0,
+                ep_.engine_->obs_id());
     }
   }
 
@@ -70,13 +62,12 @@ class Endpoint::NodeEnv final : public Env {
   Endpoint& ep_;
   SimNetwork& net_;
   NodeId peer_;
-  TraceRecorder& tracer_;
 };
 
 Endpoint::Endpoint(Node& node, SimNetwork& net, NodeId peer,
-                   TraceRecorder& tracer, std::size_t cpu_index)
+                   std::size_t cpu_index)
     : node_(node), cpu_index_(cpu_index),
-      env_(std::make_unique<NodeEnv>(*this, net, peer, tracer)) {}
+      env_(std::make_unique<NodeEnv>(*this, net, peer)) {}
 
 PaEngine* Endpoint::pa() { return dynamic_cast<PaEngine*>(engine_.get()); }
 

@@ -2,7 +2,7 @@
 //
 // Wraps an engine (PA or classic) together with its execution environment
 // binding (node CPU for cost charges, network for frames, GC model for
-// pauses, trace recorder for timelines).
+// pauses).
 #pragma once
 
 #include <functional>
@@ -14,7 +14,6 @@
 #include "sim/event_queue.h"
 #include "sim/gc_model.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 
 namespace pa {
 
@@ -25,7 +24,7 @@ class Endpoint {
  public:
   using DeliverFn = std::function<void(std::span<const std::uint8_t>)>;
 
-  Endpoint(Node& node, SimNetwork& net, NodeId peer, TraceRecorder& tracer,
+  Endpoint(Node& node, SimNetwork& net, NodeId peer,
            std::size_t cpu_index = 0);
 
   /// Install the engine after the env exists (World wires this up).

@@ -13,7 +13,9 @@
 
 #include "buf/message.h"
 #include "buf/wire_frame.h"
+#include "horus/env.h"
 #include "horus/stack.h"
+#include "obs/trace_ring.h"
 #include "pa/drop_reason.h"
 #include "util/stat_fields.h"
 #include "util/types.h"
@@ -69,9 +71,31 @@ struct EngineStats {
   DropCounters drops;  // every dropped frame, by reason
 };
 
+inline constexpr std::uint32_t kPhaseSampleEvery = 16;
+
+/// Which calls of an engine's timed phases read the clock and record spans
+/// (and PA histogram samples): all under a virtual clock, where reading is
+/// free; else the first and then one in kPhaseSampleEvery per phase, since
+/// each read is real work on the measured path. Counters stay exact.
+template <std::size_t kPhases>
+class PhaseSampler {
+ public:
+  explicit PhaseSampler(bool virtual_clock) : every_call_(virtual_clock) {}
+  bool timed(std::size_t phase) {
+    return every_call_ || calls_[phase]++ % kPhaseSampleEvery == 0;
+  }
+
+ private:
+  bool every_call_;
+  std::uint32_t calls_[kPhases] = {};
+};
+
 class Engine {
  public:
   virtual ~Engine() = default;
+
+  /// Owner tag on this engine's trace spans (SpanEvent::owner).
+  std::uint16_t obs_id() const { return obs_id_; }
 
   /// Application send (one application message).
   virtual void send(std::span<const std::uint8_t> payload) = 0;
@@ -106,6 +130,15 @@ class Engine {
 
   virtual Stack& stack() = 0;
   virtual const EngineStats& stats() const = 0;
+
+ protected:
+  /// An instant span at env.now() under this engine's owner, if `timed`.
+  void mark(bool timed, obs::SpanKind kind, const Env& env,
+            std::uint32_t arg = 0) const {
+    if (timed) obs::span(kind, env.now(), 0, arg, obs_id_);
+  }
+
+  const std::uint16_t obs_id_ = obs::next_owner_id();
 };
 
 }  // namespace pa

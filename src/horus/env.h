@@ -50,8 +50,9 @@ class Env {
 
   virtual void set_timer(VtDur delay, std::function<void()> fn) = 0;
 
-  /// Timeline annotation (Figure 4 traces).
-  virtual void trace(std::string_view label) = 0;
+  /// Unused (engines trace through obs::span); kept for the overrides in
+  /// wallbench/env.h and tests/wire_golden_test.cpp (ROADMAP item 1).
+  virtual void trace(std::string_view) {}
 
   /// GC accounting hooks: allocation of message storage, message reception,
   /// and a safe point where a collection pause may be charged.

@@ -5,7 +5,14 @@ namespace pa {
 World::World(WorldConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), net_(queue_, rng_) {
   net_.set_default_link(cfg_.link);
-  tracer_.enable(cfg_.trace);
+}
+
+obs::OwnerNames World::span_owners() const {
+  obs::OwnerNames names;
+  for (const auto& ep : endpoints_) {
+    names[ep->engine().obs_id()] = ep->node().name();
+  }
+  return names;
 }
 
 Node& World::add_node(std::string name, std::size_t n_cpus) {
@@ -72,8 +79,7 @@ std::pair<Endpoint*, Endpoint*> World::connect(Node& a, Node& b,
                        std::uint16_t peer_hop,
                        resil::OverloadGovernor* governor) -> Endpoint* {
     const std::size_t cpu_index = self.next_cpu();
-    auto ep = std::make_unique<Endpoint>(self, net_, peer.id(), tracer_,
-                                         cpu_index);
+    auto ep = std::make_unique<Endpoint>(self, net_, peer.id(), cpu_index);
     // Addressing is the World's to assign: patch the spec's bottom (and
     // relay) configs before the engine builds the layers.
     PaConfig pc = opt.engine;

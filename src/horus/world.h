@@ -24,12 +24,12 @@
 
 #include "classic/engine.h"
 #include "horus/endpoint.h"
+#include "obs/export.h"
 #include "pa/accelerator.h"
 #include "pa/router.h"
 #include "sim/event_queue.h"
 #include "sim/gc_model.h"
 #include "sim/network.h"
-#include "sim/trace.h"
 #include "util/rng.h"
 
 namespace pa {
@@ -39,7 +39,6 @@ struct WorldConfig {
   LinkParams link{};                            // paper: U-Net over ATM
   GcPolicy gc_policy = GcPolicy::kDisabled;     // per-node GC model
   std::uint32_t gc_every_n = 32;
-  bool trace = false;
 };
 
 class Node {
@@ -119,7 +118,9 @@ class World {
 
   EventQueue& queue() { return queue_; }
   SimNetwork& network() { return net_; }
-  TraceRecorder& tracer() { return tracer_; }
+  /// Each endpoint's span owner (Engine::obs_id) -> its node's name, for
+  /// obs::timeline_rows and obs::chrome_trace_json.
+  obs::OwnerNames span_owners() const;
   Rng& rng() { return rng_; }
   Vt now() const { return queue_.now(); }
 
@@ -166,7 +167,6 @@ class World {
   Rng rng_;
   EventQueue queue_;
   SimNetwork net_;
-  TraceRecorder tracer_;
   std::deque<Node> nodes_;
   std::deque<std::unique_ptr<Endpoint>> endpoints_;
   std::uint64_t addr_counter_ = 0;

@@ -30,7 +30,6 @@ class RealEndpoint::LoopEnv final : public Env {
     ep_.loop_->set_timer(delay, std::move(fn));
   }
 
-  void trace(std::string_view) override {}
   void on_alloc(std::size_t) override {}
   void on_reception() override {}
   void gc_point() override {}

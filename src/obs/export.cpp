@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 
 namespace pa::obs {
 namespace {
@@ -95,7 +96,8 @@ std::string render_report(const MetricsRegistry& reg,
   return out;
 }
 
-std::string chrome_trace_json(std::vector<SpanEvent> spans) {
+std::string chrome_trace_json(std::vector<SpanEvent> spans,
+                              const OwnerNames& tracks) {
   // The ring holds events in record order; a span is recorded when it ends,
   // so order by start time (stable, keeping record order among ties).
   std::stable_sort(spans.begin(), spans.end(),
@@ -105,27 +107,95 @@ std::string chrome_trace_json(std::vector<SpanEvent> spans) {
   std::string out = "[\n";
   char line[320];
   for (const SpanEvent& e : spans) {
-    const SpanKind k = static_cast<SpanKind>(e.kind);
     // Chrome's ts/dur are microseconds (fractions allowed).
+    char when[96];
     if (e.dur > 0) {
-      std::snprintf(line, sizeof line,
-                    "  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"X\", "
-                    "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": 1, "
-                    "\"args\": {\"arg\": %u, \"owner\": %u}},\n",
-                    span_kind_name(k), static_cast<double>(e.ts) / 1e3,
-                    static_cast<double>(e.dur) / 1e3, e.arg, e.owner);
+      std::snprintf(when, sizeof when,
+                    "\"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f",
+                    static_cast<double>(e.ts) / 1e3,
+                    static_cast<double>(e.dur) / 1e3);
     } else {
-      std::snprintf(line, sizeof line,
-                    "  {\"name\": \"%s\", \"cat\": \"pa\", \"ph\": \"i\", "
-                    "\"s\": \"t\", \"ts\": %.3f, \"pid\": 1, \"tid\": 1, "
-                    "\"args\": {\"arg\": %u, \"owner\": %u}},\n",
-                    span_kind_name(k), static_cast<double>(e.ts) / 1e3, e.arg,
-                    e.owner);
+      std::snprintf(when, sizeof when,
+                    "\"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f",
+                    static_cast<double>(e.ts) / 1e3);
     }
+    std::snprintf(line, sizeof line,
+                  "  {\"name\": \"%s\", \"cat\": \"pa\", %s, \"pid\": 1, "
+                  "\"tid\": %u, \"args\": {\"arg\": %u, \"owner\": %u}},\n",
+                  span_kind_name(static_cast<SpanKind>(e.kind)), when,
+                  tracks.empty() ? 1u : e.owner, e.arg, e.owner);
     out += line;
   }
-  out += "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": 1, \"args\": {\"name\": \"pa\"}}\n]\n";
+  const OwnerNames one_track{{1, "pa"}};
+  const char* sep = "";
+  for (const auto& [tid, name] : tracks.empty() ? one_track : tracks) {
+    out += sep;
+    std::snprintf(line, sizeof line,
+                  "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+                  "\"tid\": %u, \"args\": {\"name\": \"%s\"}}",
+                  static_cast<unsigned>(tid), name.c_str());
+    out += line;
+    sep = ",\n";
+  }
+  out += "\n]\n";
+  return out;
+}
+
+namespace {
+
+// The Figure-4 label of a span, or null if the timeline does not show it.
+const char* timeline_label(const SpanEvent& e) {
+  switch (static_cast<SpanKind>(e.kind)) {
+    case SpanKind::kSendFast:
+    case SpanKind::kSendSlow:    return "SEND";
+    case SpanKind::kSendProto:   return "SEND(proto)";
+    case SpanKind::kSendRexmit:  return "SEND(rexmit)";
+    case SpanKind::kDeliverApp:  return e.arg ? "DELIVER(slow)" : "DELIVER";
+    case SpanKind::kPostSend:    return "POSTSEND DONE";
+    case SpanKind::kPostDeliver: return "POSTDELIVER DONE";
+    case SpanKind::kGcPause:     return "GARBAGE COLLECTED";
+    default:                     return nullptr;
+  }
+}
+
+}  // namespace
+
+std::vector<TimelineRow> timeline_rows(const std::vector<SpanEvent>& spans,
+                                       const OwnerNames& names) {
+  std::vector<TimelineRow> rows;
+  for (const SpanEvent& e : spans) {
+    const char* label = timeline_label(e);
+    const auto node = names.find(e.owner);
+    if (label != nullptr && node != names.end()) {
+      rows.push_back(TimelineRow{e.ts + e.dur, node->second, label});
+    }
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const TimelineRow& a, const TimelineRow& b) {
+                     return a.t < b.t;
+                   });
+  return rows;
+}
+
+std::string render_timeline(const std::vector<TimelineRow>& rows) {
+  std::set<std::string> cols;
+  for (const TimelineRow& r : rows) cols.insert(r.node);
+  std::string out;
+  char buf[192];
+  auto cell = [&](const char* fmt, auto v) {
+    std::snprintf(buf, sizeof buf, fmt, v);
+    out += buf;
+  };
+  cell("%10s", "t (usec)");
+  for (const std::string& c : cols) cell("  %-28s", c.c_str());
+  out += "\n";
+  for (const TimelineRow& r : rows) {
+    cell("%10.1f", static_cast<double>(r.t) / 1e3);
+    for (const std::string& c : cols) {
+      cell("  %-28s", c == r.node ? r.label : "");
+    }
+    out += "\n";
+  }
   return out;
 }
 

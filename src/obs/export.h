@@ -1,25 +1,13 @@
-// Exporters: turn registry samples and trace-ring snapshots into the three
-// consumable formats.
-//
-//   prometheus_text()  — Prometheus text exposition (counters/gauges as-is,
-//                        histograms as summaries with p50/p99/p999
-//                        quantiles plus _count/_sum), for scraping or
-//                        dumping at exit (`--metrics` on the examples).
-//   render_report()    — the human format every report() overload now
-//                        emits: one `name value  # help` line per nonzero
-//                        metric under a title. One renderer, one format —
-//                        the engine/router/stack reports can no longer
-//                        drift apart.
-//   chrome_trace_json() — Chrome trace_event JSON from binary span events;
-//                        load in chrome://tracing or ui.perfetto.dev for a
-//                        flamegraph of the paper's Figure-4 phases
-//                        (`--trace-out` on the examples).
-//
-// The fourth exporter — the two-column Figure 4 text timeline — is the
-// pre-existing TraceRecorder::render() (sim/trace.h), kept for simulator
-// worlds.
+// Exporters. Registry samples become Prometheus text (prometheus_text,
+// `--metrics` on the examples) or the one human report format every
+// report() overload emits (render_report). Trace-ring snapshots become
+// Chrome trace_event JSON for chrome://tracing or ui.perfetto.dev
+// (chrome_trace_json, `--trace-out` on the examples) or the paper's
+// Figure-4 text timeline (timeline_rows, render_timeline).
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,10 +27,32 @@ std::string prometheus_text(const MetricsRegistry& reg);
 /// and p50/p99/p999 on one line.
 std::string render_report(const MetricsRegistry& reg, const std::string& title);
 
+/// Owner id (SpanEvent::owner) -> display name, e.g. a simulator node.
+using OwnerNames = std::map<std::uint16_t, std::string>;
+
 /// Chrome trace_event JSON array ("X" complete events for spans with a
-/// duration, "i" instant events otherwise), ordered by start time on one
-/// track named "pa". Timestamps are exported in microseconds as Chrome
-/// expects.
-std::string chrome_trace_json(std::vector<SpanEvent> spans);
+/// duration, "i" instant events otherwise), ordered by start time.
+/// Timestamps are exported in microseconds as Chrome expects. Without
+/// `tracks` every span sits on one track named "pa"; with them each owner
+/// gets its own track, named where `tracks` names it.
+std::string chrome_trace_json(std::vector<SpanEvent> spans,
+                              const OwnerNames& tracks = {});
+
+/// One Figure-4 row: when (ns) a named owner reached a phase boundary.
+struct TimelineRow {
+  std::int64_t t;
+  std::string node;
+  const char* label;
+};
+
+/// The Figure-4 rows of the spans whose owner `names` names, by time (ties
+/// keep record order), each where its span ends, labelled as the paper
+/// does: SEND / SEND(proto) / SEND(rexmit), DELIVER / DELIVER(slow),
+/// POSTSEND DONE, POSTDELIVER DONE, GARBAGE COLLECTED.
+std::vector<TimelineRow> timeline_rows(const std::vector<SpanEvent>& spans,
+                                       const OwnerNames& names);
+
+/// Text timeline, one column per node name (sorted), times in µs.
+std::string render_timeline(const std::vector<TimelineRow>& rows);
 
 }  // namespace pa::obs

@@ -16,6 +16,9 @@ const char* span_kind_name(SpanKind k) {
     case SpanKind::kGcPause:      return "gc.pause";
     case SpanKind::kBacklogFlush: return "backlog.flush";
     case SpanKind::kNetBatch:     return "net.batch";
+    case SpanKind::kSendProto:    return "send.proto";
+    case SpanKind::kSendRexmit:   return "send.rexmit";
+    case SpanKind::kDeliverApp:   return "deliver.app";
     case SpanKind::kNumKinds:     break;
   }
   return "unknown";

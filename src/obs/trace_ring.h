@@ -1,10 +1,7 @@
-// Always-on, bounded trace ring of compact binary span events.
-//
-// The paper's Figure 4 is a per-phase latency timeline; the repo's original
-// recorder (sim/trace.h TraceRecorder) builds it from std::string events —
-// fine for an opt-in simulator run, unacceptable as an always-on production
-// facility (allocation on the critical path, unbounded growth). This ring
-// replaces it on the hot paths:
+// Always-on, bounded trace ring of compact binary span events: the
+// process's one tracer. Every phase boundary of the paper's Figure 4 is a
+// span event here; obs/export.h renders a snapshot as the Figure-4 text
+// timeline or as Chrome trace JSON.
 //
 //   - events are 24-byte PODs (timestamp, duration, kind, arg, owner);
 //   - the process has one fixed-capacity ring, written and read by the one
@@ -18,12 +15,9 @@
 // nanoseconds under the simulator (Env::now), wall nanoseconds in the
 // real-time loop. A ring never mixes semantics within one process run in
 // practice, and the exporters only need monotonicity per producer.
-//
-// The string-based TraceRecorder survives as the *Figure-4 text exporter*
-// for simulator worlds (opt-in via WorldConfig::trace); chrome_trace_json
-// (obs/export.h) is the exporter for these binary spans.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +38,10 @@ enum class SpanKind : std::uint8_t {
   kGcPause,         // GC model charged a pause (dur = pause ns)
   kBacklogFlush,    // backlog flushed (arg = messages flushed/packed)
   kNetBatch,        // kernel I/O batch drained/flushed (arg = datagrams)
+  kSendProto,       // instant: a layer-generated frame (ack, NAK) left
+  kSendRexmit,      // instant: a verbatim retransmission left
+  kDeliverApp,      // instant: payload handed to the application
+                    //   (arg = 1 if the PA's prediction missed)
   kNumKinds,        // sentinel
 };
 
@@ -111,6 +109,12 @@ inline void span(SpanKind kind, std::int64_t ts, std::uint32_t dur = 0,
                  std::uint32_t arg = 0, std::uint16_t owner = 0) {
   if (!trace_enabled()) return;
   process_ring().record(kind, ts, dur, arg, owner);
+}
+
+/// A duration as SpanEvent::dur holds it: negative reads 0, anything past
+/// 32 bits saturates.
+inline std::uint32_t span_dur(std::int64_t d) {
+  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(d, 0, 0xffffffff));
 }
 
 /// Unique small id for span `owner` tags (engines take one each).

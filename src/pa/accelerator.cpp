@@ -62,19 +62,13 @@ PhaseHists& phase_hists() {
   return h;
 }
 
-std::uint32_t clamp_dur(std::int64_t d) {
-  if (d < 0) return 0;
-  if (d > 0xffffffff) return 0xffffffffu;
-  return static_cast<std::uint32_t>(d);
-}
-
 // Close a timed phase that began at t0: one clock read, one histogram
 // sample, one span. Returns the end instant.
 Vt close_phase(const Env& env, obs::LatencyHistogram& h, obs::SpanKind kind,
                Vt t0, std::uint32_t arg, std::uint16_t owner) {
   const Vt t1 = env.now();
   h.record(static_cast<std::uint64_t>(t1 - t0));
-  obs::span(kind, t0, clamp_dur(t1 - t0), arg, owner);
+  obs::span(kind, t0, obs::span_dur(t1 - t0), arg, owner);
   return t1;
 }
 
@@ -124,7 +118,7 @@ class PaEngine::Ops final : public LayerOps {
 // ---------------------------------------------------------------------------
 PaEngine::PaEngine(PaConfig cfg, Env& env)
     : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
-      pool_(kPoolCapacity) {
+      pool_(kPoolCapacity), sampler_(env.clock_is_virtual()) {
   pf_ = register_packing_fields(stack_.registry());
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kCompact);
@@ -156,8 +150,6 @@ PaEngine::PaEngine(PaConfig cfg, Env& env)
   Rng cookie_rng(cfg_.cookie_seed);
   out_cookie_ = random_cookie(cookie_rng);
 
-  obs_id_ = obs::next_owner_id();
-  clock_virtual_ = env_.clock_is_virtual();
   win_ = dynamic_cast<const WindowLayer*>(stack_.find(LayerKind::kWindow));
 
   // Composable-stack seams: which layers rewrite frame payloads (AEAD) and
@@ -396,7 +388,7 @@ void PaEngine::enqueue_or_send(Message m) {
 
 void PaEngine::start_send(Message m, std::uint64_t pk_count,
                           std::uint64_t pk_each, bool pk_var) {
-  const bool is_timed = timed(kTimeSend);
+  const bool is_timed = sampler_.timed(kTimeSend);
   const Vt t0 = is_timed ? env_.now() : 0;
   send_busy_ = true;
   std::uint8_t* h = m.push(fixed_hdr_);
@@ -506,7 +498,6 @@ void PaEngine::transmit(Message& m, bool unusual) {
 
   env_.charge(cfg_.costs.pa_send_path);
   ++stats_.frames_out;
-  env_.trace(m.cb.protocol ? "SEND(proto)" : "SEND");
   // Scatter-gather emission: the frame references the message's header chunk
   // and payload chain directly — no copy. The refcounts pin those bytes
   // while the frame is in flight; post-send hooks only read the message
@@ -538,7 +529,7 @@ void PaEngine::run_posts() {
   post_scheduled_ = false;
 
   // One clock read per boundary: post-deliver starts where post-send ends.
-  const bool is_timed = timed(kTimePosts);
+  const bool is_timed = sampler_.timed(kTimePosts);
   const Vt ts0 = is_timed ? env_.now() : 0;
   Vt td0 = ts0;
   const bool had_sends = !pending_post_send_.empty();
@@ -559,7 +550,6 @@ void PaEngine::run_posts() {
   pending_post_send_.clear();
   if (had_sends) {
     send_pred_stale_ = true;  // post-deliver may move it too: rebuilt below
-    env_.trace("POSTSEND DONE");
     send_busy_ = false;
     if (is_timed) {
       td0 = close_phase(env_, phase_hists().post_send,
@@ -593,7 +583,6 @@ void PaEngine::run_posts() {
   // One send-prediction rebuild per batch, whichever phases moved it.
   if (send_pred_stale_) rebuild_send_prediction();
   if (had_delivers) {
-    env_.trace("POSTDELIVER DONE");
     deliver_busy_ = false;
     if (is_timed) {
       close_phase(env_, phase_hists().post_deliver,
@@ -695,7 +684,7 @@ void PaEngine::on_frame(WireFrame frame, Vt) {
 }
 
 void PaEngine::process_frame(WireFrame frame) {
-  const bool is_timed = timed(kTimeFrame);
+  const bool is_timed = sampler_.timed(kTimeFrame);
   const Vt t0 = is_timed ? env_.now() : 0;
   // Peek the preamble before adopting the frame: its bytes live in the
   // frame's chunks, which the message below keeps alive. The frame is
@@ -761,7 +750,9 @@ void PaEngine::process_frame(WireFrame frame) {
     // cursor did not advance for a frame we refuse.
     if (!codec_layers_.empty() && !decode_codecs(m, v)) return;
     ++stats_.fast_delivers;
-    env_.trace("DELIVER");
+    // The hand-up instant: deliver.fast closes after the application's
+    // callback, which may do arbitrary work (an echo's whole reply send).
+    mark(is_timed, obs::SpanKind::kDeliverApp, env_);
     deliver_to_app(m, true);
     if (is_timed) {
       close_phase(env_, phase_hists().deliver_fast,
@@ -799,7 +790,7 @@ void PaEngine::process_frame(WireFrame frame) {
     }
   }
   if (verdict == DeliverVerdict::kDeliver) {
-    env_.trace("DELIVER(slow)");
+    mark(is_timed, obs::SpanKind::kDeliverApp, env_, 1);
     deliver_to_app(m, true);
   }
   if (is_timed) {
@@ -1016,6 +1007,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
     }
   }
   transmit(m, unusual);
+  mark(sampler_.timed(kTimeProto), obs::SpanKind::kSendProto, env_);
   for (std::size_t i = from_layer + 1; i < stack_.size(); ++i) {
     env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_send);
     Ops ops(this, i);
@@ -1041,6 +1033,7 @@ void PaEngine::resend_raw(const Message& stored,
     if (last.kind() == LayerKind::kBottom) last.pre_send(m, v);
   }
   transmit(m, /*unusual=*/true);
+  mark(sampler_.timed(kTimeRexmit), obs::SpanKind::kSendRexmit, env_);
   retire_message(std::move(m));
 }
 
@@ -1056,7 +1049,7 @@ void PaEngine::timer_fire(std::size_t layer,
   rebuild_send_prediction();
   rebuild_deliver_prediction();
   flush_backlog();
-  obs::span(obs::SpanKind::kTimerFire, t0, clamp_dur(env_.now() - t0),
+  obs::span(obs::SpanKind::kTimerFire, t0, obs::span_dur(env_.now() - t0),
             static_cast<std::uint32_t>(layer), obs_id_);
 }
 

@@ -42,12 +42,6 @@ class WindowLayer;
 inline constexpr std::size_t kMaxPackBatch = 128;
 inline constexpr std::size_t kMaxPackBytes = 8192;
 
-/// Phase timing on a wall clock: the first call of each timed phase
-/// (start_send, process_frame, run_posts) and then one in this many reads
-/// the clock and feeds the phase histograms and spans. Under a virtual
-/// clock (Env::clock_is_virtual) every call is timed. Counters stay exact.
-inline constexpr std::uint32_t kPhaseSampleEvery = 16;
-
 struct PaConfig {
   StackParams stack;
   CostModel costs = CostModel::paper();
@@ -168,11 +162,11 @@ class PaEngine final : public Engine {
   /// frame failed authentication and was counted as kAeadAuth.
   bool decode_codecs(Message& m, const HeaderView& v);
   void drain_releases();
-  enum TimedPhase { kTimeSend, kTimeFrame, kTimePosts, kNumTimedPhases };
-  /// Whether this call of `p` is timed (see kPhaseSampleEvery).
-  bool timed(TimedPhase p) {
-    return clock_virtual_ || phase_calls_[p]++ % kPhaseSampleEvery == 0;
-  }
+  // Timed phases (PhaseSampler), the last two for frames the stack emits.
+  enum TimedPhase {
+    kTimeSend, kTimeFrame, kTimePosts, kTimeProto, kTimeRexmit,
+    kNumTimedPhases
+  };
   void rebuild_send_prediction();
   void rebuild_deliver_prediction();
   /// Build the predictions from the layers' current state into the given
@@ -264,9 +258,7 @@ class PaEngine final : public Engine {
   std::map<std::size_t, std::deque<Message>> release_buckets_;
 
   EngineStats stats_;
-  std::uint16_t obs_id_ = 0;  // owner tag on this engine's trace spans
-  bool clock_virtual_ = false;  // env_.clock_is_virtual(), fixed per Env
-  std::uint32_t phase_calls_[kNumTimedPhases] = {};
+  PhaseSampler<kNumTimedPhases> sampler_;
 };
 
 }  // namespace pa

@@ -241,7 +241,6 @@ class RecordingEnv final : public Env {
   void set_timer(VtDur d, std::function<void()> fn) override {
     timers.emplace_back(t + d, std::move(fn));
   }
-  void trace(std::string_view) override {}
   void on_alloc(std::size_t) override {}
   void on_reception() override {}
   void gc_point() override {}

@@ -74,7 +74,6 @@ class PairEnv final : public Env {
     deferred.push_back(std::move(fn));
   }
   void set_timer(VtDur, std::function<void()>) override {}
-  void trace(std::string_view) override {}
   void on_alloc(std::size_t) override {}
   void on_reception() override {}
   void gc_point() override {}

@@ -328,6 +328,63 @@ TEST(PhaseTiming, VirtualClockTimesEveryMessage) {
             s.fast_delivers + d.fast_delivers);
 }
 
+// Spans of `kind` tagged `owner` among those recorded since `since`
+// (process_ring().recorded() at the start).
+std::uint64_t fresh_spans(std::uint64_t since, SpanKind kind,
+                          std::uint16_t owner) {
+  const auto snap = process_ring().snapshot();
+  const std::uint64_t fresh = process_ring().recorded() - since;
+  EXPECT_LE(fresh, snap.size());
+  std::uint64_t n = 0;
+  for (std::size_t i = snap.size() - fresh; i < snap.size(); ++i) {
+    n += static_cast<SpanKind>(snap[i].kind) == kind && snap[i].owner == owner;
+  }
+  return n;
+}
+
+TEST(PhaseTiming, ClassicSpansCarryTheirOwnOwnerUnderTheSimulator) {
+  WorldConfig wc;
+  wc.gc_policy = GcPolicy::kEveryReception;
+  World w(wc);
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  ConnOptions opt;
+  opt.use_pa = false;
+  auto [src, dst] = w.connect(a, b, opt);
+  dst->on_deliver([d = dst](std::span<const std::uint8_t> p) { d->send(p); });
+  const bool was = trace_enabled();
+  set_trace_enabled(true);
+  const std::uint64_t spans0 = process_ring().recorded();
+  src->send(std::vector<std::uint8_t>(8, 3));
+  w.run();
+  set_trace_enabled(was);
+
+  ASSERT_EQ(src->received(), 1u);
+  const std::set<std::uint16_t> owners{src->engine().obs_id(),
+                                       dst->engine().obs_id()};
+  ASSERT_EQ(owners.size(), 2u);
+  const auto snap = process_ring().snapshot();
+  const std::uint64_t fresh = process_ring().recorded() - spans0;
+  ASSERT_LE(fresh, snap.size());
+  for (std::size_t i = snap.size() - fresh; i < snap.size(); ++i) {
+    EXPECT_EQ(owners.count(snap[i].owner), 1u)
+        << span_kind_name(static_cast<SpanKind>(snap[i].kind));
+  }
+  // Under a virtual clock every call is timed: the spans account for every
+  // frame and every hand-up, each under the engine that did it.
+  for (Endpoint* ep : {src, dst}) {
+    const std::uint16_t id = ep->engine().obs_id();
+    const EngineStats& st = ep->engine().stats();
+    EXPECT_EQ(fresh_spans(spans0, SpanKind::kSendSlow, id) +
+                  fresh_spans(spans0, SpanKind::kSendProto, id),
+              st.frames_out);
+    EXPECT_EQ(fresh_spans(spans0, SpanKind::kDeliverSlow, id), st.frames_in);
+    EXPECT_EQ(fresh_spans(spans0, SpanKind::kDeliverApp, id),
+              st.delivered_to_app);
+    EXPECT_GT(fresh_spans(spans0, SpanKind::kGcPause, id), 0u);
+  }
+}
+
 // A steady-clock Env whose deferred work the test runs after each send;
 // frames go nowhere. It keeps Env's default clock_is_virtual() (false).
 class SteadyEnv final : public Env {
@@ -345,7 +402,6 @@ class SteadyEnv final : public Env {
     deferred.push_back(std::move(fn));
   }
   void set_timer(VtDur, std::function<void()>) override {}
-  void trace(std::string_view) override {}
   void on_alloc(std::size_t) override {}
   void on_reception() override {}
   void gc_point() override {}
@@ -396,6 +452,22 @@ TEST(PhaseTiming, WallClockTimesOneMessageInSixteen) {
   }
   EXPECT_EQ(send_spans, 10u);
   EXPECT_EQ(post_spans, 10u);
+
+  // The classic engine samples by the same rule: 10 send spans in 160
+  // sends, under its own owner.
+  ClassicConfig ccfg;
+  ccfg.stack = cfg.stack;
+  SteadyEnv cenv;
+  ClassicEngine ce(ccfg, cenv);
+  const std::uint64_t cspans0 = process_ring().recorded();
+  set_trace_enabled(true);
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    ce.send(std::vector<std::uint8_t>(64, 2));
+    cenv.drain();
+  }
+  set_trace_enabled(was);
+  EXPECT_EQ(ce.stats().frames_out, kSends);
+  EXPECT_EQ(fresh_spans(cspans0, SpanKind::kSendSlow, ce.obs_id()), 10u);
 }
 
 // ---------------------------------------------------------------------------

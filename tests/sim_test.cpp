@@ -1,5 +1,6 @@
 // Unit tests: the discrete-event substrate — event queue, node CPU model,
-// simulated network, cost model, GC model, trace recorder.
+// simulated network, cost model, GC model, and the Figure-4 timeline a
+// simulated world renders from the span ring.
 #include <gtest/gtest.h>
 
 #include "sim/cost_model.h"
@@ -7,8 +8,11 @@
 #include "sim/gc_model.h"
 #include "sim/network.h"
 #include <algorithm>
+#include <iterator>
 
-#include "sim/trace.h"
+#include "horus/world.h"
+#include "obs/export.h"
+#include "obs/trace_ring.h"
 
 namespace pa {
 namespace {
@@ -259,37 +263,48 @@ TEST(GcModel, DisabledNeverCollects) {
   EXPECT_EQ(gc.stats().collections, 0u);
 }
 
-TEST(Trace, RecordsAndRenders) {
-  TraceRecorder t;
-  t.enable(true);
-  t.record(vt_us(10), "sender", "SEND()");
-  t.record(vt_us(45), "receiver", "DELIVER()");
-  std::string out = t.render();
-  EXPECT_NE(out.find("SEND()"), std::string::npos);
-  EXPECT_NE(out.find("DELIVER()"), std::string::npos);
-  EXPECT_NE(out.find("10.0"), std::string::npos);
-}
+// The Figure-4 timeline is rendered from the span ring: one PA round trip
+// (GC after every reception, as bench_fig4 runs it) shows both nodes'
+// columns, and its first rows come in the paper's order.
+TEST(Timeline, PaRoundTripRendersBothNodesInFigure4Order) {
+  WorldConfig wc;
+  wc.gc_policy = GcPolicy::kEveryReception;
+  World w(wc);
+  auto& a = w.add_node("sender");
+  auto& b = w.add_node("receiver");
+  auto [c, s] = w.connect(a, b, ConnOptions{});
+  s->on_deliver([s = s](std::span<const std::uint8_t> p) { s->send(p); });
+  c->send(std::vector<std::uint8_t>(8, 1));
+  w.run();
 
-TEST(Trace, ChromeJsonWellFormed) {
-  TraceRecorder t;
-  t.enable(true);
-  t.record(vt_us(10), "sender", "SEND");
-  t.record(vt_us(45), "receiver", "DELIVER");
-  std::string json = t.to_chrome_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"name\": \"SEND\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 10.000"), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("receiver"), std::string::npos);
-  // balanced brackets / object count sanity
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
+  const std::vector<obs::TimelineRow> rows =
+      obs::timeline_rows(obs::process_ring().snapshot(), w.span_owners());
+  const std::pair<const char*, const char*> fig4[] = {
+      {"sender", "SEND"},
+      {"receiver", "DELIVER"},
+      {"sender", "POSTSEND DONE"},
+      {"receiver", "SEND"},
+      {"sender", "DELIVER"},
+      {"receiver", "POSTSEND DONE"},
+      {"sender", "POSTDELIVER DONE"},
+      {"receiver", "POSTDELIVER DONE"},
+      {"sender", "GARBAGE COLLECTED"},
+      {"receiver", "GARBAGE COLLECTED"},
+  };
+  ASSERT_GE(rows.size(), std::size(fig4));
+  for (std::size_t i = 0; i < std::size(fig4); ++i) {
+    EXPECT_EQ(rows[i].node, fig4[i].first) << "row " << i;
+    EXPECT_STREQ(rows[i].label, fig4[i].second) << "row " << i;
+  }
+  // The wire leg sits between the sender's SEND and the receiver's DELIVER.
+  EXPECT_EQ(rows[0].t, vt_us(25));
+  EXPECT_GT(rows[1].t - rows[0].t, vt_us(35));
 
-TEST(Trace, DisabledRecordsNothing) {
-  TraceRecorder t;
-  t.record(1, "x", "y");
-  EXPECT_TRUE(t.events().empty());
+  const std::string text = obs::render_timeline(rows);
+  EXPECT_EQ(text.find("  t (usec)  receiver"), 0u);
+  EXPECT_NE(text.find("sender"), std::string::npos);
+  EXPECT_NE(text.find("      25.0                                SEND"),
+            std::string::npos);
 }
 
 }  // namespace
