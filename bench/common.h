@@ -176,9 +176,9 @@ inline ZcSweepPoint zc_sweep_point(std::size_t payload_bytes, int warmup = 4,
     // on its steady-state predicted path (cookie learned, prediction warm).
     w.queue().after(vt_ms(5) * static_cast<VtDur>(i + 1), [&, i, c = c] {
       if (i == warmup) {
-        c0 = bs.memcpy_count.load(std::memory_order_relaxed);
-        b0 = bs.memcpy_bytes.load(std::memory_order_relaxed);
-        f0 = bs.flatten_bytes.load(std::memory_order_relaxed);
+        c0 = bs.memcpy_count.load();
+        b0 = bs.memcpy_bytes.load();
+        f0 = bs.flatten_bytes.load();
       }
       c->send(msg);
     });
@@ -186,12 +186,9 @@ inline ZcSweepPoint zc_sweep_point(std::size_t payload_bytes, int warmup = 4,
   w.run();
   const double n = measured;
   return {payload_bytes,
-          static_cast<double>(bs.memcpy_count.load(std::memory_order_relaxed) -
-                              c0) / n,
-          static_cast<double>(bs.memcpy_bytes.load(std::memory_order_relaxed) -
-                              b0) / n,
-          static_cast<double>(
-              bs.flatten_bytes.load(std::memory_order_relaxed) - f0) / n};
+          static_cast<double>(bs.memcpy_count.load() - c0) / n,
+          static_cast<double>(bs.memcpy_bytes.load() - b0) / n,
+          static_cast<double>(bs.flatten_bytes.load() - f0) / n};
 }
 
 /// Run the standard 64 B – 16 KiB sweep, print the table + one-line summary

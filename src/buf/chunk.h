@@ -27,10 +27,9 @@
 //     physical recycler is the real loop's receive-buffer cache, which
 //     reuses a chunk only once its refcount has returned to 1.
 //
-// The refcount is atomic so a chain may be shared across threads: chunk
-// chains are the one exception to the single-thread contract
-// (docs/INTERNALS.md, "Threading contract"). All other chunk state is plain
-// data guarded by the refcount contract above.
+// Like every other object in the tree, a chain belongs to one thread
+// (docs/INTERNALS.md, "Threading contract"): the refcount is a plain
+// integer and all chunk state is plain data guarded by the rules above.
 #pragma once
 
 #include <atomic>
@@ -46,10 +45,9 @@
 
 namespace pa {
 
-/// Process-global data-plane copy accounting. Every counter is a relaxed
-/// atomic: a chain may be cloned, copied or freed on any thread that holds
-/// it, and report()/benchmarks read them without coordination. The split
-/// matters:
+/// Process-global data-plane copy accounting, bumped and read on the one
+/// thread. The fields stay atomic for one reason only: wallbench/
+/// main.cpp reads five of them with .load(). The split matters:
 ///   - ingest_*  : bytes copied across the application boundary (send(span)
 ///     hands us borrowed memory — one copy is the price of admission unless
 ///     the caller transfers ownership of a vector).
@@ -114,9 +112,7 @@ class Chunk {
   const std::uint8_t* data() const noexcept { return bytes_; }
   std::size_t size() const noexcept { return size_; }
 
-  std::uint32_t refs() const noexcept {
-    return refs_.load(std::memory_order_acquire);
-  }
+  std::uint32_t refs() const noexcept { return refs_; }
   bool unique() const noexcept { return refs() == 1; }
 
  private:
@@ -127,7 +123,7 @@ class Chunk {
   Chunk(std::uint8_t* bytes, std::size_t size,
         std::vector<std::uint8_t> adopted) noexcept
       : size_(size), bytes_(bytes), adopted_(std::move(adopted)) {
-    buf_stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
+    ++buf_stats().chunks_allocated;
   }
   ~Chunk() = default;
 
@@ -155,20 +151,16 @@ class Chunk {
     ::operator delete(static_cast<void*>(c));
   }
 
-  std::atomic<std::uint32_t> refs_{1};
+  std::uint32_t refs_ = 1;
   std::size_t size_;
   std::uint8_t* bytes_;  // inline after *this, or adopted_'s buffer
   std::vector<std::uint8_t> adopted_;  // empty unless adopt_vector
 };
 
-inline void chunk_ref(Chunk* c) noexcept {
-  c->refs_.fetch_add(1, std::memory_order_relaxed);
-}
+inline void chunk_ref(Chunk* c) noexcept { ++c->refs_; }
 
 inline void chunk_unref(Chunk* c) noexcept {
-  if (c->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    Chunk::destroy(c);
-  }
+  if (--c->refs_ == 0) Chunk::destroy(c);
 }
 
 /// Intrusive smart pointer over Chunk.

@@ -9,8 +9,8 @@ namespace pa {
 namespace {
 
 void note_ingest(std::size_t n) {
-  buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().ingest_bytes.fetch_add(n, std::memory_order_relaxed);
+  ++buf_stats().ingest_copies;
+  buf_stats().ingest_bytes += n;
 }
 
 }  // namespace
@@ -106,9 +106,8 @@ void Message::share_chain_of(const Message& src) {
   // The whole payload chain was shared by reference: account the copy (and
   // the bytes that did NOT move) so fanout benches can show one logical send
   // reaching N destinations with O(1) byte copies.
-  buf_stats().chain_clones.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().chain_clone_bytes_shared.fetch_add(plen_,
-                                                 std::memory_order_relaxed);
+  ++buf_stats().chain_clones;
+  buf_stats().chain_clone_bytes_shared += plen_;
 }
 
 std::uint8_t* Message::push(std::size_t n) {
@@ -132,7 +131,7 @@ std::uint8_t* Message::push(std::size_t n) {
     hend_ = size;
     hdr_acct_ = size;
     head_owned_ = true;
-    buf_stats().cow_copies.fetch_add(1, std::memory_order_relaxed);
+    ++buf_stats().cow_copies;
   }
   if (hstart_ < n) {
     // Headroom exhausted: regrow geometrically so a stack that repeatedly
@@ -147,7 +146,7 @@ std::uint8_t* Message::push(std::size_t n) {
     hend_ = size;
     hdr_acct_ = size;
     ++regrows_;
-    buf_stats().headroom_regrows.fetch_add(1, std::memory_order_relaxed);
+    ++buf_stats().headroom_regrows;
   }
   hstart_ -= n;
   return front();
@@ -233,10 +232,10 @@ void Message::coalesce_payload() const {
     std::memcpy(c->data() + at, s.chunk->data() + s.off, s.len);
     at += s.len;
   }
-  buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().memcpy_bytes.fetch_add(plen_, std::memory_order_relaxed);
-  buf_stats().flattens.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().flatten_bytes.fetch_add(plen_, std::memory_order_relaxed);
+  ++buf_stats().memcpy_count;
+  buf_stats().memcpy_bytes += plen_;
+  ++buf_stats().flattens;
+  buf_stats().flatten_bytes += plen_;
   chain_.clear();
   chain_.push_back(Slice{std::move(c), 0, plen_});
 }

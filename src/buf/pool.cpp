@@ -36,9 +36,8 @@ Message MessagePool::acquire_with_payload(
     // Message::append_payload).
     ChunkRef c = ChunkRef::make_uninit(payload.size());
     std::memcpy(c->data(), payload.data(), payload.size());
-    buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
-    buf_stats().ingest_bytes.fetch_add(payload.size(),
-                                       std::memory_order_relaxed);
+    ++buf_stats().ingest_copies;
+    buf_stats().ingest_bytes += payload.size();
     m.chain_.push_back(Slice{std::move(c), 0, payload.size()});
     m.plen_ = payload.size();
   }

@@ -20,8 +20,8 @@ WireFrame WireFrame::adopt(std::vector<std::uint8_t> bytes) {
 }
 
 WireFrame WireFrame::copy_of(std::span<const std::uint8_t> bytes) {
-  buf_stats().ingest_copies.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().ingest_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
+  ++buf_stats().ingest_copies;
+  buf_stats().ingest_bytes += bytes.size();
   return adopt(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
 }
 
@@ -44,8 +44,8 @@ std::span<const std::uint8_t> WireFrame::prefix(
     scratch.insert(scratch.end(), sp.begin(), sp.begin() + take);
     if (scratch.size() == n) break;
   }
-  buf_stats().flattens.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().flatten_bytes.fetch_add(n, std::memory_order_relaxed);
+  ++buf_stats().flattens;
+  buf_stats().flatten_bytes += n;
   return scratch;
 }
 
@@ -56,8 +56,8 @@ std::vector<std::uint8_t> WireFrame::flatten() const {
     const auto sp = s.span();
     out.insert(out.end(), sp.begin(), sp.end());
   }
-  buf_stats().flattens.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().flatten_bytes.fetch_add(total_, std::memory_order_relaxed);
+  ++buf_stats().flattens;
+  buf_stats().flatten_bytes += total_;
   return out;
 }
 
@@ -68,8 +68,8 @@ WireFrame WireFrame::deep_copy() const {
     std::memcpy(c->data(), s.chunk->data() + s.off, s.len);
     out.append(Slice{std::move(c), 0, s.len});
   }
-  buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
-  buf_stats().memcpy_bytes.fetch_add(total_, std::memory_order_relaxed);
+  ++buf_stats().memcpy_count;
+  buf_stats().memcpy_bytes += total_;
   return out;
 }
 
@@ -97,9 +97,9 @@ std::uint8_t* WireFrame::mutable_byte(std::size_t i) {
       if (!s.chunk->unique()) {
         ChunkRef priv = ChunkRef::make_uninit(s.len);
         std::memcpy(priv->data(), s.chunk->data() + s.off, s.len);
-        buf_stats().cow_copies.fetch_add(1, std::memory_order_relaxed);
-        buf_stats().memcpy_count.fetch_add(1, std::memory_order_relaxed);
-        buf_stats().memcpy_bytes.fetch_add(s.len, std::memory_order_relaxed);
+        ++buf_stats().cow_copies;
+        ++buf_stats().memcpy_count;
+        buf_stats().memcpy_bytes += s.len;
         s.chunk = std::move(priv);
         s.off = 0;
       }

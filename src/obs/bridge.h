@@ -40,7 +40,8 @@ class Stack;
 namespace pa::obs {
 
 /// Read one stat field: a plain integer, or one of BufStats' counters,
-/// which stay atomic because chunk chains may cross threads (buf/chunk.h).
+/// which keep an atomic type only for wallbench's .load() reads
+/// (buf/chunk.h).
 template <class T>
 double stat_value(const T& field) {
   if constexpr (requires { field.load(); }) {

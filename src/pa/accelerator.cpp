@@ -311,23 +311,26 @@ void PaEngine::report_pressure() {
   cfg_.governor->tick(env_.now());
 }
 
+bool PaEngine::admit_send() {
+  if (!cfg_.governor) return true;
+  // Admission control runs before any allocation or chain adoption: under
+  // pressure the cheapest place to refuse work is the front door, and the
+  // shed stays O(1) whatever the fanout. The signal is re-fed here (not
+  // just from run_posts) so a send-side blast raises pressure even before
+  // any frame returns.
+  const std::size_t depth = backlog_.size();
+  cfg_.governor->report_backlog(depth);
+  cfg_.governor->tick(env_.now());
+  if (cfg_.governor->admit_ingest(depth)) return true;
+  stats_.drops.bump(DropReason::kShedIngest);
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 
 void PaEngine::send(std::span<const std::uint8_t> payload) {
   ++stats_.app_sends;
-  if (cfg_.governor) {
-    // Admission control runs before any allocation: under pressure the
-    // cheapest place to refuse work is the front door. The signal is re-fed
-    // here (not just from run_posts) so a send-side blast raises pressure
-    // even before any frame returns.
-    const std::size_t depth = backlog_.size();
-    cfg_.governor->report_backlog(depth);
-    cfg_.governor->tick(env_.now());
-    if (!cfg_.governor->admit_ingest(depth)) {
-      stats_.drops.bump(DropReason::kShedIngest);
-      return;
-    }
-  }
+  if (!admit_send()) return;
   submit(acquire_message(payload));
 }
 
@@ -337,17 +340,7 @@ void PaEngine::send(Message m) {
   // one chain to N connections via refcount bumps). No ingest copy happens
   // here — the chain is adopted as-is.
   ++stats_.app_sends;
-  if (cfg_.governor) {
-    // Same front-door admission as the span path: refusing before the
-    // chain is adopted keeps the shed O(1) whatever the fanout.
-    const std::size_t depth = backlog_.size();
-    cfg_.governor->report_backlog(depth);
-    cfg_.governor->tick(env_.now());
-    if (!cfg_.governor->admit_ingest(depth)) {
-      stats_.drops.bump(DropReason::kShedIngest);
-      return;
-    }
-  }
+  if (!admit_send()) return;
   env_.on_alloc(m.capacity());
   submit(std::move(m));
 }

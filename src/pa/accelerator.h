@@ -191,6 +191,10 @@ class PaEngine final : public Engine {
   bool window_clamped() const;
   /// Feed the governor the engine-side pressure signals and advance it.
   void report_pressure();
+  /// Front-door admission for both send() overloads: re-feed the backlog,
+  /// tick, and ask admit_ingest. False => the send was shed and counted as
+  /// kShedIngest.
+  bool admit_send();
 
 
   PaConfig cfg_;
