@@ -40,6 +40,22 @@ if grep -rnE 'std::(thread|jthread|async|mutex|shared_mutex|condition_variable|a
   exit 1
 fi
 
+echo "==== no orphan headers ======================================="
+# A header under src/ that no file but its own .cpp includes is code no
+# other part of the tree uses: delete it instead of keeping it compiling.
+orphans=0
+for h in $(cd src && find . -name '*.h' | sed 's|^\./||' | sort); do
+  if ! grep -rlF "#include \"$h\"" src bench examples tests wallbench \
+      | grep -qvx "src/${h%.h}.cpp"; then
+    echo "orphan header: src/$h"
+    orphans=1
+  fi
+done
+if [ "$orphans" -ne 0 ]; then
+  echo "FAIL: headers under src/ that no other file includes (listed above)"
+  exit 1
+fi
+
 echo "==== clang-tidy (buffer / engine / layers / horus / health / group / resil / obs) ="
 # Static races and perf regressions in the zero-copy data plane plus the
 # composition, health, membership, overload and observability planes.

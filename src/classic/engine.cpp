@@ -194,7 +194,19 @@ bool ClassicEngine::deliver_msg(Message m, std::size_t entered_below,
   for (std::size_t i = entered_below; i-- > 0;) {
     verdict = stack_.layer(i).pre_deliver(m, v);
     stop = i;
-    if (verdict != DeliverVerdict::kDeliver) break;
+    if (verdict != DeliverVerdict::kDeliver) {
+      // Count the drops the PA counts for the same frames: in its receive
+      // filter (bottom length/checksum) and in its slow path (relay hop).
+      if (verdict == DeliverVerdict::kDrop) {
+        const LayerKind kind = stack_.layer(i).kind();
+        if (kind == LayerKind::kBottom) {
+          stats_.drops.bump(DropReason::kChecksumFilter);
+        } else if (kind == LayerKind::kRelay) {
+          stats_.drops.bump(DropReason::kMisroutedHop);
+        }
+      }
+      break;
+    }
     if (stack_.layer(i).has_frame_codec() &&
         !stack_.layer(i).decode_frame(m, v)) {
       stats_.drops.bump(DropReason::kAeadAuth);

@@ -30,7 +30,7 @@ McastGroup::McastGroup(World& w, Node& sender,
       sender_node_(&sender),
       member_nodes_(members),
       sender_out_(std::make_shared<GossipOutbound>()),
-      health_(health::HealthConfig{}, health_hooks()) {
+      health_(health_hooks()) {
   const std::size_t n = members.size();
   sender_eps_.reserve(n);
   member_eps_.reserve(n);
@@ -150,7 +150,7 @@ void McastGroup::launch_probe_round(MemberId target) {
   // fine witnesses (our path to them is what's suspect), so fall back to
   // them only when too few joined members exist.
   std::vector<MemberId> picks;
-  const std::size_t k = health_.config().probe_k;
+  constexpr std::size_t k = health::HealthPlane::kProbeK;
   for (int pass = 0; pass < 2 && picks.size() < k; ++pass) {
     for (const auto& [id, mb] : view_.members()) {
       if (picks.size() >= k) break;

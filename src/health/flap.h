@@ -6,10 +6,10 @@
 // the membership epoch, invalidates predictions group-wide, and floods the
 // gossip plane with view changes. Borrowing BGP route-flap damping
 // (RFC 2439): each suspect->restore flap adds a fixed penalty to a score
-// that decays exponentially with a configured half-life. While the score
-// sits above `suppress`, restores are withheld (the member stays suspect
+// that decays exponentially with a fixed half-life. While the score
+// sits above kSuppress, restores are withheld (the member stays suspect
 // even though we can hear it); the member is released once the score
-// decays below `reuse`. A peer that flaps once pays nothing; a peer that
+// decays below kReuse. A peer that flaps once pays nothing; a peer that
 // flaps every few seconds stays suspended until it holds still.
 //
 // Header-only: two doubles of state, driven by explicit timestamps like
@@ -22,31 +22,32 @@
 
 namespace pa::health {
 
-struct FlapConfig {
-  double penalty = 1.0;     // added per suspect->restore flap
-  double suppress = 3.0;    // score at/above which restores are withheld
-  double reuse = 1.5;       // score below which a suppressed peer is freed
-  VtDur half_life = vt_s(4);  // decay: score halves every half_life
-  double ceiling = 8.0;     // score cap (bounds the maximum suppression)
-};
-
 class FlapDamper {
  public:
-  explicit FlapDamper(FlapConfig cfg = {}) : cfg_(cfg) {}
+  /// Added per suspect->restore flap.
+  static constexpr double kPenalty = 1.0;
+  /// Score at/above which restores are withheld.
+  static constexpr double kSuppress = 3.0;
+  /// Score below which a suppressed peer is freed.
+  static constexpr double kReuse = 1.5;
+  /// Decay: the score halves every kHalfLife.
+  static constexpr VtDur kHalfLife = vt_s(4);
+  /// Score cap (bounds the maximum suppression).
+  static constexpr double kCeiling = 8.0;
 
   /// Record one flap (a restore event) at `now`.
   void note_flap(Vt now) {
     decay_to(now);
-    score_ += cfg_.penalty;
-    if (score_ > cfg_.ceiling) score_ = cfg_.ceiling;
-    if (score_ >= cfg_.suppress) suppressed_ = true;
+    score_ += kPenalty;
+    if (score_ > kCeiling) score_ = kCeiling;
+    if (score_ >= kSuppress) suppressed_ = true;
   }
 
   /// May a restore be acted on at `now`? (Hysteresis: once suppressed,
-  /// stays suppressed until the score decays below `reuse`.)
+  /// stays suppressed until the score decays below kReuse.)
   bool restore_allowed(Vt now) {
     decay_to(now);
-    if (suppressed_ && score_ < cfg_.reuse) suppressed_ = false;
+    if (suppressed_ && score_ < kReuse) suppressed_ = false;
     return !suppressed_;
   }
 
@@ -70,11 +71,10 @@ class FlapDamper {
     }
     if (now <= last_) return;
     const double dt = static_cast<double>(now - last_);
-    score_ *= std::exp2(-dt / static_cast<double>(cfg_.half_life));
+    score_ *= std::exp2(-dt / static_cast<double>(kHalfLife));
     last_ = now;
   }
 
-  FlapConfig cfg_;
   double score_ = 0;
   bool suppressed_ = false;
   bool anchored_ = false;

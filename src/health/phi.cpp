@@ -5,17 +5,15 @@
 
 namespace pa::health {
 
-PhiDetector::PhiDetector(PhiConfig cfg) : cfg_(cfg) {
-  ring_.reserve(cfg_.window);
-}
+PhiDetector::PhiDetector() { ring_.reserve(kWindow); }
 
 void PhiDetector::push(VtDur sample) {
   if (sample < 0) sample = 0;
-  if (ring_.size() < cfg_.window) {
+  if (ring_.size() < kWindow) {
     ring_.push_back(sample);
   } else {
     ring_[head_] = sample;
-    head_ = (head_ + 1) % cfg_.window;
+    head_ = (head_ + 1) % kWindow;
   }
 }
 
@@ -33,7 +31,7 @@ void PhiDetector::note_arrival(Vt now) {
 
 void PhiDetector::prime(VtDur interval, std::size_t count) {
   if (interval <= 0) return;
-  for (std::size_t i = ring_.size(); i < std::min(count, cfg_.window); ++i) {
+  for (std::size_t i = ring_.size(); i < std::min(count, kWindow); ++i) {
     ring_.push_back(interval);
   }
 }
@@ -46,7 +44,7 @@ void PhiDetector::reset() {
 }
 
 VtDur PhiDetector::mean_interval() const {
-  if (ring_.empty()) return cfg_.initial_interval;
+  if (ring_.empty()) return kInitialInterval;
   double acc = 0;
   for (VtDur s : ring_) acc += static_cast<double>(s);
   return static_cast<VtDur>(acc / static_cast<double>(ring_.size()));
@@ -54,7 +52,7 @@ VtDur PhiDetector::mean_interval() const {
 
 void PhiDetector::moments(double& mean, double& stddev) const {
   if (ring_.empty()) {
-    mean = static_cast<double>(cfg_.initial_interval);
+    mean = static_cast<double>(kInitialInterval);
   } else {
     double acc = 0;
     for (VtDur s : ring_) acc += static_cast<double>(s);
@@ -67,8 +65,8 @@ void PhiDetector::moments(double& mean, double& stddev) const {
   }
   if (!ring_.empty()) var /= static_cast<double>(ring_.size());
   stddev = std::sqrt(var);
-  stddev = std::max({stddev, mean * cfg_.min_stddev_frac,
-                     static_cast<double>(cfg_.min_stddev)});
+  stddev = std::max({stddev, mean * kMinStddevFrac,
+                     static_cast<double>(kMinStddev)});
 }
 
 double PhiDetector::phi(Vt now) const {

@@ -34,23 +34,21 @@
 
 namespace pa::health {
 
-struct PhiConfig {
+class PhiDetector {
+ public:
   /// Sliding-window length (inter-arrival samples kept).
-  std::size_t window = 64;
+  static constexpr std::size_t kWindow = 64;
   /// Variance floor, as a fraction of the mean interval: a perfectly
   /// regular beacon stream must not make the distribution a spike that
   /// suspects the peer one jitter later. Hayashibara uses a small constant;
   /// a fraction scales with the deployment's beacon interval.
-  double min_stddev_frac = 0.25;
+  static constexpr double kMinStddevFrac = 0.25;
   /// Absolute stddev floor (guards the first samples / tiny intervals).
-  VtDur min_stddev = vt_us(100);
+  static constexpr VtDur kMinStddev = vt_us(100);
   /// Expected interval before any sample or prime() arrives.
-  VtDur initial_interval = vt_ms(100);
-};
+  static constexpr VtDur kInitialInterval = vt_ms(100);
 
-class PhiDetector {
- public:
-  explicit PhiDetector(PhiConfig cfg = {});
+  PhiDetector();
 
   /// A frame arrived from the peer at `now`. The first arrival only anchors
   /// the clock; subsequent ones record inter-arrival samples.
@@ -78,8 +76,7 @@ class PhiDetector {
   void push(VtDur sample);
   void moments(double& mean, double& stddev) const;
 
-  PhiConfig cfg_;
-  std::vector<VtDur> ring_;  // bounded by cfg_.window
+  std::vector<VtDur> ring_;  // bounded by kWindow
   std::size_t head_ = 0;     // next slot to overwrite once full
   bool anchored_ = false;
   Vt last_ = 0;

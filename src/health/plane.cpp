@@ -16,15 +16,9 @@ const char* peer_state_name(PeerState s) {
   return "?";
 }
 
-HealthPlane::HealthPlane(HealthConfig cfg, HealthHooks hooks)
-    : cfg_(cfg), hooks_(std::move(hooks)) {}
+HealthPlane::HealthPlane(HealthHooks hooks) : hooks_(std::move(hooks)) {}
 
-void HealthPlane::track(PeerId p) {
-  auto [it, inserted] = peers_.try_emplace(p);
-  if (!inserted) return;
-  it->second.phi = PhiDetector(cfg_.phi);
-  it->second.flap = FlapDamper(cfg_.flap);
-}
+void HealthPlane::track(PeerId p) { peers_.try_emplace(p); }
 
 void HealthPlane::forget(PeerId p) { peers_.erase(p); }
 
@@ -59,7 +53,7 @@ void HealthPlane::note_probe_ack(PeerId p, Vt now) {
   ++stats_.probe_acks;
   if (peer.state != PeerState::kSuspect) return;
   peer.probe_acked = true;
-  peer.deadline = now + cfg_.probe_timeout;
+  peer.deadline = now + kProbeTimeout;
 }
 
 void HealthPlane::mark_suspect(PeerId p, Vt now) {
@@ -70,7 +64,7 @@ void HealthPlane::mark_suspect(PeerId p, Vt now) {
   peer.state = PeerState::kSuspect;
   peer.restore_pending = false;
   peer.probe_acked = false;
-  peer.deadline = now + cfg_.probe_timeout;
+  peer.deadline = now + kProbeTimeout;
   ++stats_.suspects;
 }
 
@@ -81,7 +75,7 @@ void HealthPlane::prime(PeerId p, VtDur interval, std::size_t count) {
 
 void HealthPlane::request_probe(PeerId p, Peer& peer, Vt now) {
   peer.probe_acked = false;
-  peer.deadline = now + cfg_.probe_timeout;
+  peer.deadline = now + kProbeTimeout;
   ++stats_.probes_requested;
   if (hooks_.request_probe) hooks_.request_probe(p);
 }
@@ -100,7 +94,7 @@ std::size_t HealthPlane::tick(Vt now) {
     const double ph = peer.phi.phi(now);
     switch (peer.state) {
       case PeerState::kAlive:
-        if (ph >= cfg_.phi_suspect) {
+        if (ph >= kPhiSuspect) {
           peer.state = PeerState::kSuspect;
           peer.restore_pending = false;
           ++stats_.suspects;

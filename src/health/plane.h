@@ -58,25 +58,12 @@ enum class PeerState : std::uint8_t { kAlive, kSuspect, kDead };
 
 const char* peer_state_name(PeerState s);
 
-struct HealthConfig {
-  PhiConfig phi{};
-  FlapConfig flap{};
-  /// Suspicion threshold: phi >= this marks the peer suspect (10^-phi
-  /// chance the peer is merely late).
-  double phi_suspect = 8.0;
-  /// Witnesses the owner is asked to recruit per probe round.
-  std::size_t probe_k = 2;
-  /// Grace between suspicion (or the last successful probe round) and the
-  /// dead verdict. Owners should set this to a few beacon intervals.
-  VtDur probe_timeout = vt_ms(100);
-};
-
 struct HealthHooks {
   std::function<void(PeerId)> on_suspect;
   std::function<void(PeerId)> on_restore;
   std::function<void(PeerId)> on_dead;
-  /// Launch one indirect probe round: ask up to cfg.probe_k other peers to
-  /// contact `peer` and report back via note_probe_ack().
+  /// Launch one indirect probe round: ask up to HealthPlane::kProbeK other
+  /// peers to contact `peer` and report back via note_probe_ack().
   std::function<void(PeerId)> request_probe;
 };
 
@@ -98,7 +85,16 @@ struct HealthHooks {
 
 class HealthPlane {
  public:
-  explicit HealthPlane(HealthConfig cfg = {}, HealthHooks hooks = {});
+  /// Suspicion threshold: phi >= this marks the peer suspect (10^-phi
+  /// chance the peer is merely late).
+  static constexpr double kPhiSuspect = 8.0;
+  /// Witnesses the owner is asked to recruit per probe round.
+  static constexpr std::size_t kProbeK = 2;
+  /// Grace between suspicion (or the last successful probe round) and the
+  /// dead verdict: a few beacon intervals.
+  static constexpr VtDur kProbeTimeout = vt_ms(100);
+
+  explicit HealthPlane(HealthHooks hooks = {});
 
   /// Begin tracking a peer (initial state kAlive, nothing heard yet).
   void track(PeerId p);
@@ -142,7 +138,6 @@ class HealthPlane {
   /// registry.
   void bind_stats(obs::MetricsRegistry& reg,
                   const std::string& prefix = Stats::kMetricPrefix) const;
-  const HealthConfig& config() const { return cfg_; }
 
  private:
   struct Peer {
@@ -157,7 +152,6 @@ class HealthPlane {
   void request_probe(PeerId p, Peer& peer, Vt now);
   void restore(PeerId p, Peer& peer);
 
-  HealthConfig cfg_;
   HealthHooks hooks_;
   std::map<PeerId, Peer> peers_;
   Stats stats_;

@@ -10,40 +10,28 @@
 
 namespace pa {
 
-std::string report(const EngineStats& s) {
+namespace {
+
+template <class S>
+std::string render(const S& s, const std::string& title) {
   obs::MetricsRegistry reg;
   obs::bind_stats(reg, s);
-  return obs::render_report(reg, "engine");
+  return obs::render_report(reg, title);
 }
 
-std::string report(const Router::Stats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_stats(reg, s);
-  return obs::render_report(reg, "router");
-}
+}  // namespace
 
-std::string report(const GcModel::Stats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_stats(reg, s);
-  return obs::render_report(reg, "gc");
-}
-
+std::string report(const EngineStats& s) { return render(s, "engine"); }
+std::string report(const Router::Stats& s) { return render(s, "router"); }
+std::string report(const GcModel::Stats& s) { return render(s, "gc"); }
 std::string report(const MessagePool::Stats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_stats(reg, s);
-  return obs::render_report(reg, "message pool");
+  return render(s, "message pool");
 }
-
 std::string report(const BufStats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_stats(reg, s);
-  return obs::render_report(reg, "zero-copy buffers");
+  return render(s, "zero-copy buffers");
 }
-
 std::string report(const SimNetwork::Stats& s) {
-  obs::MetricsRegistry reg;
-  obs::bind_stats(reg, s);
-  return obs::render_report(reg, "network");
+  return render(s, "network");
 }
 
 std::string report(const Stack& s) {

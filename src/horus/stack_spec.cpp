@@ -32,8 +32,8 @@ LayerSpec LayerSpec::window_layer(WindowConfig cfg) {
   return {.type = Type::kWindow, .window = cfg};
 }
 
-LayerSpec LayerSpec::nak_layer(NakConfig cfg) {
-  return {.type = Type::kNak, .nak = cfg};
+LayerSpec LayerSpec::nak_layer() {
+  return {.type = Type::kNak};
 }
 
 LayerSpec LayerSpec::crypt_layer(CryptConfig cfg) {
@@ -63,7 +63,7 @@ std::unique_ptr<Layer> LayerSpec::build() const {
     case Type::kFrag: return std::make_unique<FragLayer>(frag);
     case Type::kSeq: return std::make_unique<SeqLayer>(initial_seq);
     case Type::kWindow: return std::make_unique<WindowLayer>(window);
-    case Type::kNak: return std::make_unique<NakLayer>(nak);
+    case Type::kNak: return std::make_unique<NakLayer>();
     case Type::kCrypt: return std::make_unique<CryptLayer>(crypt);
     case Type::kRelay: return std::make_unique<RelayLayer>(relay);
     case Type::kBottom: return std::make_unique<BottomLayer>(bottom);

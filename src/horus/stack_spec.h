@@ -70,7 +70,6 @@ struct LayerSpec {
   FragConfig frag{/*threshold=*/8192};
   std::uint32_t initial_seq = 0;
   WindowConfig window{};
-  NakConfig nak{};
   CryptConfig crypt{};
   RelayConfig relay{};
   BottomConfig bottom{};
@@ -87,7 +86,7 @@ struct LayerSpec {
   static LayerSpec frag_layer(FragConfig cfg);
   static LayerSpec seq_layer(std::uint32_t initial_seq = 0);
   static LayerSpec window_layer(WindowConfig cfg);
-  static LayerSpec nak_layer(NakConfig cfg);
+  static LayerSpec nak_layer();
   static LayerSpec crypt_layer(CryptConfig cfg = {});
   static LayerSpec relay_layer(RelayConfig cfg = {});
   static LayerSpec bottom_layer(BottomConfig cfg);

@@ -34,7 +34,7 @@ void NakLayer::post_send(const Message& msg, const HeaderView&,
   history_.emplace(next_seq_, msg.share());
   ++next_seq_;
   ++stats_.data_sent;
-  while (history_.size() > cfg_.history) history_.erase(history_.begin());
+  while (history_.size() > kHistory) history_.erase(history_.begin());
 }
 
 void NakLayer::post_deliver(Message& msg, const HeaderView& hdr,
@@ -105,10 +105,10 @@ void NakLayer::emit_nak(std::uint32_t missing, LayerOps& ops) {
 void NakLayer::arm_renak(LayerOps& ops) {
   if (renak_armed_ || stalled_) return;
   renak_armed_ = true;
-  ops.set_timer(cfg_.renak_interval, [this](LayerOps& t) {
+  ops.set_timer(kRenakInterval, [this](LayerOps& t) {
     renak_armed_ = false;
     if (stash_.empty() || stalled_) return;  // gap closed or given up
-    if (++head_retry_count_ > cfg_.max_nak_retries) {
+    if (++head_retry_count_ > kMaxNakRetries) {
       // The peer can no longer have this message: abandon rather than
       // livelock. The stream is permanently stalled at `expected_`.
       stalled_ = true;
@@ -120,7 +120,7 @@ void NakLayer::arm_renak(LayerOps& ops) {
     std::uint32_t top = stash_.rbegin()->first;
     std::uint32_t burst = 0;
     for (std::uint32_t s = expected_;
-         seq_lt(s, top) && burst < cfg_.max_naks_per_fire; ++s) {
+         seq_lt(s, top) && burst < kMaxNaksPerFire; ++s) {
       if (!stash_.contains(s)) {
         emit_nak(s, t);
         ++burst;

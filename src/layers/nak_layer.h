@@ -7,7 +7,7 @@
 //
 //   - zero reverse traffic on a clean link (vs. the window layer's acks);
 //   - no flow control: the sender keeps a bounded history ring and can only
-//     repair losses younger than `history` messages — the classic NAK
+//     repair losses younger than kHistory messages — the classic NAK
 //     trade-off ("best effort within the repair horizon");
 //   - gaps are re-requested on a timer until filled.
 //
@@ -21,17 +21,6 @@
 #include "util/stat_fields.h"
 
 namespace pa {
-
-struct NakConfig {
-  std::size_t history = 64;      // repair horizon (messages)
-  VtDur renak_interval = vt_ms(5);  // re-request cadence for open gaps
-  std::uint32_t max_naks_per_fire = 4;  // bound repair-request bursts
-  // Give up on a head gap after this many re-requests without progress:
-  // the peer's history has certainly wrapped; endless re-NAKing would be a
-  // livelock. The stream stalls (stalled() turns true) — the documented
-  // NAK-protocol failure mode, surfaced instead of spun on.
-  std::uint32_t max_nak_retries = 100;
-};
 
 // NakLayer::Stats, one row per field (util/stat_fields.h).
 #define PA_NAK_STATS(X)                                                        \
@@ -52,7 +41,17 @@ struct NakConfig {
 
 class NakLayer final : public Layer {
  public:
-  explicit NakLayer(NakConfig cfg) : cfg_(cfg) {}
+  // Repair horizon (messages).
+  static constexpr std::size_t kHistory = 64;
+  // Re-request cadence for open gaps.
+  static constexpr VtDur kRenakInterval = vt_ms(5);
+  // Bound repair-request bursts.
+  static constexpr std::uint32_t kMaxNaksPerFire = 4;
+  // Give up on a head gap after this many re-requests without progress:
+  // the peer's history has certainly wrapped; endless re-NAKing would be a
+  // livelock. The stream stalls (stalled() turns true) — the documented
+  // NAK-protocol failure mode, surfaced instead of spun on.
+  static constexpr std::uint32_t kMaxNakRetries = 100;
 
   LayerKind kind() const override { return LayerKind::kCustom; }
   std::string_view name() const override { return "nak"; }
@@ -99,7 +98,6 @@ class NakLayer final : public Layer {
   void emit_nak(std::uint32_t missing, LayerOps& ops);
   void arm_renak(LayerOps& ops);
 
-  NakConfig cfg_;
   FieldHandle f_type_{};  // proto-spec, 1 bit
   FieldHandle f_seq_{};   // proto-spec, 32 bits
   FieldHandle f_rex_{};   // proto-spec, 1 bit

@@ -83,10 +83,11 @@ struct BatchConfig {
   /// run_until(); trains also flush at the end of every poll round (and at
   /// once outside run_until()), so this only bounds burst memory.
   std::size_t send_train = 32;
-  /// Per-slot receive buffer size. 64 KiB covers any UDP datagram; smaller
-  /// buffers save memory but silently truncate larger datagrams.
-  std::size_t recv_buf_bytes = 65536;
 };
+
+/// Per-slot receive buffer size. 64 KiB covers any UDP datagram; smaller
+/// buffers save memory but silently truncate larger datagrams.
+inline constexpr std::size_t kRecvSlotBytes = 65536;
 
 /// Process-global kernel-boundary counters (obs registry; catalogued in
 /// docs/OBSERVABILITY.md under `net_batch_*`).

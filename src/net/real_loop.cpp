@@ -172,7 +172,6 @@ void RealLoop::set_batch_config(const net::BatchConfig& cfg) {
   batch_cfg_ = cfg;
   if (batch_cfg_.recv_batch == 0) batch_cfg_.recv_batch = 1;
   if (batch_cfg_.send_train == 0) batch_cfg_.send_train = 1;
-  if (batch_cfg_.recv_buf_bytes == 0) batch_cfg_.recv_buf_bytes = 65536;
   rx_cache_.clear();  // resize lazily to the new batch geometry
 }
 
@@ -390,17 +389,17 @@ void RealLoop::prepare_rx_slots(std::size_t n) {
   auto& bc = net::batch_counters();
   for (std::size_t i = 0; i < n; ++i) {
     ChunkRef& c = rx_cache_[i];
-    if (c && c->unique() && c->size() >= batch_cfg_.recv_buf_bytes) {
+    if (c && c->unique()) {
       bc.rx_buf_recycled.inc();
     } else {
       // The previous tenant (an in-flight frame, the PA recv queue, a
       // reassembly buffer) still references this chunk — or the slot is
       // new. Leave the old chunk to its holders and allocate fresh. Left
       // unzeroed: a frame slices only the bytes the kernel wrote.
-      c = ChunkRef::make_uninit(batch_cfg_.recv_buf_bytes);
+      c = ChunkRef::make_uninit(net::kRecvSlotBytes);
       bc.rx_buf_fresh.inc();
     }
-    rx_slots_[i] = net::RxSlot{c->data(), batch_cfg_.recv_buf_bytes, 0};
+    rx_slots_[i] = net::RxSlot{c->data(), net::kRecvSlotBytes, 0};
   }
 }
 

@@ -49,35 +49,33 @@ void Router::maybe_reap(Vt at) {
 }
 
 bool Router::quota_exceeded(std::uint64_t cookie, Vt at) {
-  if (churn_.ident_quota == 0) return false;
   auto it = ident_attempts_.find(cookie);
   if (it == ident_attempts_.end()) return false;
-  if (at - it->second.window_start >= churn_.ident_quota_window) {
+  if (at - it->second.window_start >= kIdentQuotaWindow) {
     ident_attempts_.erase(it);  // window over: the cookie earns fresh tries
     return false;
   }
-  return it->second.failures >= churn_.ident_quota;
+  return it->second.failures >= kIdentQuota;
 }
 
 void Router::note_ident_failure(std::uint64_t cookie, Vt at) {
-  if (churn_.ident_quota == 0) return;
-  if (ident_attempts_.size() >= churn_.quota_table_cap &&
+  if (ident_attempts_.size() >= kQuotaTableCap &&
       ident_attempts_.find(cookie) == ident_attempts_.end()) {
     // At the cap: sweep expired windows; if a storm still owns the table,
     // restart it (losing counts is safer than unbounded growth).
     for (auto it = ident_attempts_.begin(); it != ident_attempts_.end();) {
-      if (at - it->second.window_start >= churn_.ident_quota_window) {
+      if (at - it->second.window_start >= kIdentQuotaWindow) {
         it = ident_attempts_.erase(it);
       } else {
         ++it;
       }
     }
-    if (ident_attempts_.size() >= churn_.quota_table_cap) {
+    if (ident_attempts_.size() >= kQuotaTableCap) {
       ident_attempts_.clear();
     }
   }
   auto [it, inserted] = ident_attempts_.try_emplace(cookie);
-  if (inserted || at - it->second.window_start >= churn_.ident_quota_window) {
+  if (inserted || at - it->second.window_start >= kIdentQuotaWindow) {
     it->second.window_start = at;
     it->second.failures = 0;
   }

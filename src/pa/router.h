@@ -72,17 +72,18 @@ class Router {
     DropCounters drops;  // every dropped frame, by reason
   };
 
-  /// Churn-storm hardening knobs. Quotas default on (they only throttle
-  /// identifications that already failed); the idle reaper defaults off
-  /// (0) — hosts with real time flowing opt in.
+  /// Failed identifications one cookie may buy per window before further
+  /// attempts are shed as DropReason::kIdentQuota. The quota only throttles
+  /// identifications that already failed.
+  static constexpr std::uint32_t kIdentQuota = 3;
+  static constexpr VtDur kIdentQuotaWindow = vt_ms(50);
+  /// Bound on the quota table; at the cap, expired entries are swept and
+  /// as a last resort the table is cleared (a storm already owns it).
+  static constexpr std::size_t kQuotaTableCap = 4096;
+
+  /// The idle-cookie reaper. It defaults off (0) — hosts with real time
+  /// flowing opt in.
   struct ChurnConfig {
-    /// Failed identifications one cookie may buy per window before further
-    /// attempts are shed as kIdentQuota (0 = quota off).
-    std::uint32_t ident_quota = 3;
-    VtDur ident_quota_window = vt_ms(50);
-    /// Bound on the quota table; at the cap, expired entries are swept and
-    /// as a last resort the table is cleared (a storm already owns it).
-    std::size_t quota_table_cap = 4096;
     /// Learned cookies idle longer than this are forgotten (0 = off).
     VtDur cookie_idle_timeout = 0;
     /// Lazy-reap cadence: at most one sweep per this interval, triggered
@@ -104,7 +105,6 @@ class Router {
   void set_governor(resil::OverloadGovernor* g) { governor_ = g; }
 
   void set_churn_config(const ChurnConfig& c) { churn_ = c; }
-  const ChurnConfig& churn_config() const { return churn_; }
 
   void add(Engine* engine) { engines_.push_back(engine); }
   const std::vector<Engine*>& engines() const { return engines_; }

@@ -16,16 +16,14 @@ const char* level_name(OverloadLevel level) {
   return "?";
 }
 
-OverloadGovernor::OverloadGovernor(GovernorConfig cfg) : cfg_(cfg) {}
-
 void OverloadGovernor::report_backlog(std::size_t depth) {
   sig_backlog_ = clamp01(static_cast<double>(depth) /
-                         static_cast<double>(cfg_.backlog_watermark));
+                         static_cast<double>(kBacklogWatermark));
 }
 
 void OverloadGovernor::report_recv_queue(std::size_t depth) {
-  sig_recv_ = clamp01(static_cast<double>(depth) /
-                      static_cast<double>(cfg_.recv_watermark));
+  sig_recv_ =
+      clamp01(static_cast<double>(depth) / static_cast<double>(kRecvWatermark));
 }
 
 void OverloadGovernor::report_pool(std::size_t in_use, std::size_t capacity) {
@@ -35,14 +33,14 @@ void OverloadGovernor::report_pool(std::size_t in_use, std::size_t capacity) {
 }
 
 void OverloadGovernor::report_loop_lag(VtDur lag) {
-  const double frac = clamp01(static_cast<double>(lag) /
-                              static_cast<double>(cfg_.lag_watermark));
+  const double frac =
+      clamp01(static_cast<double>(lag) / static_cast<double>(kLagWatermark));
   sig_lag_ += 0.25 * (frac - sig_lag_);
 }
 
 void OverloadGovernor::report_net_train(std::size_t depth) {
   sig_net_tx_ = clamp01(static_cast<double>(depth) /
-                        static_cast<double>(cfg_.net_train_watermark));
+                        static_cast<double>(kNetTrainWatermark));
 }
 
 void OverloadGovernor::report_net_drain(double saturation) {
@@ -54,7 +52,7 @@ void OverloadGovernor::report_churn(double pressure) {
 }
 
 void OverloadGovernor::tick(Vt now) {
-  if (last_tick_ != 0 && now - last_tick_ < cfg_.tick_interval) return;
+  if (last_tick_ != 0 && now - last_tick_ < kTickInterval) return;
   last_tick_ = now;
   ++stats_.ticks;
 
@@ -63,17 +61,17 @@ void OverloadGovernor::tick(Vt now) {
                    sig_churn_}) {
     if (s > raw) raw = s;
   }
-  const double next = smoothed_ + cfg_.alpha * (raw - smoothed_);
+  const double next = smoothed_ + kAlpha * (raw - smoothed_);
   smoothed_ = next;
 
   // Rising edges take effect immediately; falling edges need the margin.
   const OverloadLevel cur = level_;
   OverloadLevel up = OverloadLevel::kNormal;
-  if (next >= cfg_.up_critical) {
+  if (next >= kUpCritical) {
     up = OverloadLevel::kCritical;
-  } else if (next >= cfg_.up_saturated) {
+  } else if (next >= kUpSaturated) {
     up = OverloadLevel::kSaturated;
-  } else if (next >= cfg_.up_elevated) {
+  } else if (next >= kUpElevated) {
     up = OverloadLevel::kElevated;
   }
   if (up > cur) {
@@ -83,11 +81,10 @@ void OverloadGovernor::tick(Vt now) {
   if (up < cur) {
     // Leave the current level only once pressure has dropped a margin below
     // its entry threshold; then fall to wherever pressure now points.
-    const double entry = cur == OverloadLevel::kCritical ? cfg_.up_critical
-                         : cur == OverloadLevel::kSaturated
-                             ? cfg_.up_saturated
-                             : cfg_.up_elevated;
-    if (next < entry - cfg_.down_margin) set_level(up);
+    const double entry = cur == OverloadLevel::kCritical    ? kUpCritical
+                         : cur == OverloadLevel::kSaturated ? kUpSaturated
+                                                            : kUpElevated;
+    if (next < entry - kDownMargin) set_level(up);
   }
 }
 
@@ -111,9 +108,9 @@ void OverloadGovernor::bind_stats(obs::MetricsRegistry& reg) const {
 bool OverloadGovernor::admit_ingest(std::size_t depth) const {
   switch (level()) {
     case OverloadLevel::kNormal: return true;
-    case OverloadLevel::kElevated: return depth < cfg_.admit_elevated;
-    case OverloadLevel::kSaturated: return depth < cfg_.admit_saturated;
-    case OverloadLevel::kCritical: return depth < cfg_.admit_critical;
+    case OverloadLevel::kElevated: return depth < kAdmitElevated;
+    case OverloadLevel::kSaturated: return depth < kAdmitSaturated;
+    case OverloadLevel::kCritical: return depth < kAdmitCritical;
   }
   return true;
 }

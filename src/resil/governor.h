@@ -62,33 +62,6 @@ enum class OverloadLevel : std::uint8_t {
 
 const char* level_name(OverloadLevel level);
 
-struct GovernorConfig {
-  // Smoothing factor folded into the pressure EWMA per tick.
-  double alpha = 0.3;
-  // Minimum spacing between smoothing steps (Env-clock time: virtual ns in
-  // the simulator, wall ns on the real loop).
-  VtDur tick_interval = vt_us(100);
-  // Rising thresholds on smoothed pressure.
-  double up_elevated = 0.25;
-  double up_saturated = 0.55;
-  double up_critical = 0.85;
-  // A level is only left downward once pressure sits this far below its
-  // entry threshold (hysteresis).
-  double down_margin = 0.10;
-  // Signal watermarks: the depth/lag that reads as pressure 1.0.
-  std::size_t backlog_watermark = 256;
-  std::size_t recv_watermark = 512;
-  VtDur lag_watermark = vt_ms(5);
-  // Send-train depth (datagrams queued across the loop's per-socket trains)
-  // that reads as pressure 1.0.
-  std::size_t net_train_watermark = 256;
-  // Per-level ingest admission watermarks (max backlog depth a new app send
-  // may join). kNormal admits unconditionally.
-  std::size_t admit_elevated = 256;
-  std::size_t admit_saturated = 64;
-  std::size_t admit_critical = 16;
-};
-
 // OverloadGovernor::Stats, one row per field (util/stat_fields.h).
 #define PA_GOVERNOR_STATS(X)                                                   \
   X(std::uint64_t, ticks, "ticks_total", "", "governor smoothing steps")       \
@@ -97,7 +70,30 @@ struct GovernorConfig {
 
 class OverloadGovernor {
  public:
-  explicit OverloadGovernor(GovernorConfig cfg = {});
+  // Smoothing factor folded into the pressure EWMA per tick.
+  static constexpr double kAlpha = 0.3;
+  // Minimum spacing between smoothing steps (Env-clock time: virtual ns in
+  // the simulator, wall ns on the real loop).
+  static constexpr VtDur kTickInterval = vt_us(100);
+  // Rising thresholds on smoothed pressure.
+  static constexpr double kUpElevated = 0.25;
+  static constexpr double kUpSaturated = 0.55;
+  static constexpr double kUpCritical = 0.85;
+  // A level is only left downward once pressure sits this far below its
+  // entry threshold (hysteresis).
+  static constexpr double kDownMargin = 0.10;
+  // Signal watermarks: the depth/lag that reads as pressure 1.0.
+  static constexpr std::size_t kBacklogWatermark = 256;
+  static constexpr std::size_t kRecvWatermark = 512;
+  static constexpr VtDur kLagWatermark = vt_ms(5);
+  // Send-train depth (datagrams queued across the loop's per-socket trains)
+  // that reads as pressure 1.0.
+  static constexpr std::size_t kNetTrainWatermark = 256;
+  // Per-level ingest admission watermarks (max backlog depth a new app send
+  // may join). kNormal admits unconditionally.
+  static constexpr std::size_t kAdmitElevated = 256;
+  static constexpr std::size_t kAdmitSaturated = 64;
+  static constexpr std::size_t kAdmitCritical = 16;
 
   // --- signal ingest ------------------------------------------------------
   void report_backlog(std::size_t depth);
@@ -106,7 +102,7 @@ class OverloadGovernor {
   /// Timer wakeup lag on the dispatch loop (how late a due timer fired).
   void report_loop_lag(VtDur lag);
   /// Depth of the real loop's send trains at a flush point (level-shaped,
-  /// normalized against net_train_watermark). A depth that keeps growing
+  /// normalized against kNetTrainWatermark). A depth that keeps growing
   /// means sendmmsg flushes are not keeping up with enqueues.
   void report_net_train(std::size_t depth);
   /// Receive-drain saturation in [0,1]: how close the loop's recvmmsg
@@ -122,7 +118,7 @@ class OverloadGovernor {
 
   // --- smoothing ----------------------------------------------------------
   /// Fold the current signal maximum into the smoothed pressure and update
-  /// the level. Cheap no-op until `tick_interval` has elapsed since the
+  /// the level. Cheap no-op until `kTickInterval` has elapsed since the
   /// last step.
   void tick(Vt now);
 
@@ -163,13 +159,9 @@ class OverloadGovernor {
   /// gauges read-through into `reg`. The governor must outlive the registry.
   void bind_stats(obs::MetricsRegistry& reg) const;
 
-  const GovernorConfig& config() const { return cfg_; }
-
  private:
   static double clamp01(double v) { return v < 0 ? 0 : (v > 1 ? 1 : v); }
   void set_level(OverloadLevel next);
-
-  GovernorConfig cfg_;
 
   // Level-shaped signals: latest value wins.
   double sig_backlog_ = 0;

@@ -402,8 +402,8 @@ TEST(Accelerator, GovernorClampsTheBuiltWindowSize) {
   Vt clock = vt_ms(1);
   for (int i = 0; i < 60; ++i) {
     // The engine never reports a send train, so this signal holds.
-    gov.report_net_train(gov.config().net_train_watermark * 3 / 4);
-    clock += gov.config().tick_interval;
+    gov.report_net_train(resil::OverloadGovernor::kNetTrainWatermark * 3 / 4);
+    clock += resil::OverloadGovernor::kTickInterval;
     gov.tick(clock);
   }
   ASSERT_EQ(gov.level(), resil::OverloadLevel::kSaturated);

@@ -57,23 +57,21 @@ TEST_P(TruncatedPrefix, EveryPrefixDroppedCleanly) {
   // engine-level drops cover all offered prefixes.
   const auto& rs = b.router().stats();
   const auto& es = eb->engine().stats();
-  // The classic engine has no receive filter: header-complete but
-  // payload-truncated frames fall through to the bottom layer's length /
-  // checksum checks (the PA's filter rejects them earlier, as
-  // checksum_filter drops).
-  const auto* bot = static_cast<const BottomLayer*>(
-      eb->engine().stack().find(LayerKind::kBottom));
-  ASSERT_NE(bot, nullptr);
   std::uint64_t offered = 0;
   for (const auto& frame : frames) offered += frame.size() - 1;
-  const std::uint64_t dropped = rs.drops.total() + es.drops.total() +
-                                bot->stats().length_drops +
-                                bot->stats().checksum_drops;
-  EXPECT_EQ(dropped, offered);
-  if (use_pa) {
-    EXPECT_GT(es.drops[DropReason::kTruncatedHeader] +
-                  es.drops[DropReason::kChecksumFilter],
-              0u);
+  EXPECT_EQ(rs.drops.total() + es.drops.total(), offered);
+  EXPECT_GT(es.drops[DropReason::kTruncatedHeader] +
+                es.drops[DropReason::kChecksumFilter],
+            0u);
+  // The classic engine has no receive filter: header-complete but
+  // payload-truncated frames fall through to the bottom layer's length /
+  // checksum checks, which it counts as the PA's filter does.
+  if (!use_pa) {
+    const auto* bot = static_cast<const BottomLayer*>(
+        eb->engine().stack().find(LayerKind::kBottom));
+    ASSERT_NE(bot, nullptr);
+    EXPECT_EQ(es.drops[DropReason::kChecksumFilter],
+              bot->stats().length_drops + bot->stats().checksum_drops);
   }
 
   // The full (untruncated) frames still route fine afterwards: replaying
@@ -84,6 +82,44 @@ TEST_P(TruncatedPrefix, EveryPrefixDroppedCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, TruncatedPrefix, ::testing::Bool());
+
+// --- corrupt link under the classic engine ---------------------------------
+//
+// Every frame the classic bottom layer rejects (length or checksum) is an
+// engine drop under kChecksumFilter, the reason the PA's receive filter
+// gives the same frames; the window layer repairs the loss.
+TEST(ClassicCorruptLink, BottomDropsCountAsChecksumFilter) {
+  WorldConfig wc;
+  wc.link.faults.corrupt_prob = 0.05;
+  wc.seed = 11;
+  World w(wc);
+  auto& a = w.add_node("a");
+  auto& b = w.add_node("b");
+  ConnOptions opt;
+  opt.use_pa = false;
+  auto [ea, eb] = w.connect(a, b, opt);
+
+  std::uint64_t delivered = 0;
+  eb->on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
+  const std::uint64_t kN = 300;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    w.queue().at(vt_us(400) * (i + 1), [ea = ea] {
+      ea->send(std::vector<std::uint8_t>(32, 0x5a));
+    });
+  }
+  w.run();
+
+  ASSERT_EQ(delivered, kN);
+  EXPECT_GT(w.network().stats().frames_corrupted, 0u);
+  const auto* bot = static_cast<const BottomLayer*>(
+      eb->engine().stack().find(LayerKind::kBottom));
+  ASSERT_NE(bot, nullptr);
+  const std::uint64_t filtered =
+      eb->engine().stats().drops[DropReason::kChecksumFilter];
+  EXPECT_GT(filtered, 0u);
+  EXPECT_EQ(filtered,
+            bot->stats().checksum_drops + bot->stats().length_drops);
+}
 
 // --- cookie collision: one cookie claimed by two connections ---------------
 TEST(CookieCollision, CollidingCookieRoutesNobody) {

@@ -603,7 +603,7 @@ TEST(GroupChaos, LowPriorityBeaconsShedFirstAndExactly) {
   // report every tick interval outweighs the engines' idle (zero-backlog)
   // reports — per tick the governor takes the max of its signals.
   const std::size_t hold =
-      (gov.config().backlog_watermark * 3) / 4;
+      (OverloadGovernor::kBacklogWatermark * 3) / 4;
   for (int k = 0; k < 400; ++k) {
     w.queue().at(vt_ms(1) * (k + 1), [&gov, hold, &w] {
       gov.report_backlog(hold);

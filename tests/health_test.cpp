@@ -21,13 +21,10 @@ namespace {
 
 using group::GroupView;
 using group::MemberState;
-using health::FlapConfig;
 using health::FlapDamper;
-using health::HealthConfig;
 using health::HealthHooks;
 using health::HealthPlane;
 using health::PeerState;
-using health::PhiConfig;
 using health::PhiDetector;
 
 // ---------------------------------------------------------------------------
@@ -129,8 +126,7 @@ TEST(Flap, SingleFlapIsFree) {
 }
 
 TEST(Flap, RepeatedFlapsSuppressUntilDecay) {
-  FlapConfig fc;  // penalty 1, suppress 3, reuse 1.5, half-life 4 s
-  FlapDamper f(fc);
+  FlapDamper f;  // penalty 1, suppress 3, reuse 1.5, half-life 4 s
   Vt t = vt_ms(100);
   for (int i = 0; i < 4; ++i) {
     f.note_flap(t);
@@ -146,14 +142,13 @@ TEST(Flap, RepeatedFlapsSuppressUntilDecay) {
 }
 
 TEST(Flap, CeilingBoundsSuppression) {
-  FlapConfig fc;
-  FlapDamper f(fc);
+  FlapDamper f;
   Vt t = 0;
   for (int i = 0; i < 100; ++i) {
     f.note_flap(t);
     t += vt_ms(1);
   }
-  EXPECT_LE(f.score(t), fc.ceiling);
+  EXPECT_LE(f.score(t), FlapDamper::kCeiling);
   // Score 8 halves to 1.5 (reuse) in 3 * half_life * log2(8/1.5)/3 — under
   // 10 s with the defaults; a peer is never suppressed unboundedly.
   EXPECT_TRUE(f.restore_allowed(t + vt_s(12)));
@@ -175,17 +170,9 @@ struct PlaneLog {
   }
 };
 
-HealthConfig fast_cfg() {
-  HealthConfig hc;
-  hc.phi.initial_interval = vt_ms(10);
-  hc.phi_suspect = 8.0;
-  hc.probe_timeout = vt_ms(50);
-  return hc;
-}
-
 TEST(Plane, SilenceSuspectsThenConfirmsDead) {
   PlaneLog log;
-  HealthPlane hp(fast_cfg(), log.hooks());
+  HealthPlane hp(log.hooks());
   hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
@@ -219,7 +206,7 @@ TEST(Plane, ProbeAckKeepsAsymmetricPeerSuspectNotDead) {
     log.probed.push_back(p);
     hpp->note_probe_ack(p, t);
   };
-  HealthPlane hp(fast_cfg(), hooks);
+  HealthPlane hp(hooks);
   hpp = &hp;
   hp.track(1);
   hp.prime(1, vt_ms(10));
@@ -241,7 +228,7 @@ TEST(Plane, ProbeAckKeepsAsymmetricPeerSuspectNotDead) {
 
 TEST(Plane, HeardRestoresSuspect) {
   PlaneLog log;
-  HealthPlane hp(fast_cfg(), log.hooks());
+  HealthPlane hp(log.hooks());
   hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
@@ -260,10 +247,8 @@ TEST(Plane, HeardRestoresSuspect) {
 }
 
 TEST(Plane, FlappingPeerIsHeldSuspectUntilScoreDecays) {
-  HealthConfig hc = fast_cfg();
-  hc.flap.half_life = vt_s(1);  // quick decay so the test can see release
   PlaneLog log;
-  HealthPlane hp(hc, log.hooks());
+  HealthPlane hp(log.hooks());
   hp.track(1);
   hp.prime(1, vt_ms(10));
   Vt t = 0;
@@ -299,7 +284,7 @@ TEST(Plane, FlappingPeerIsHeldSuspectUntilScoreDecays) {
 
 TEST(Plane, ForgetDropsPeer) {
   PlaneLog log;
-  HealthPlane hp(fast_cfg(), log.hooks());
+  HealthPlane hp(log.hooks());
   hp.track(7);
   EXPECT_TRUE(hp.tracked(7));
   hp.forget(7);
@@ -525,7 +510,7 @@ TEST(RouterChurn, IdentQuotaShedsRepeatedFailures) {
   (void)eb;
 
   Router& r = b.router();
-  const auto quota = r.churn_config().ident_quota;
+  const auto quota = Router::kIdentQuota;
   ASSERT_GT(quota, 0u);
   const auto frame = ident_frame(0xbad'c00cull);
   for (std::uint32_t i = 0; i < quota; ++i) {
@@ -540,7 +525,7 @@ TEST(RouterChurn, IdentQuotaShedsRepeatedFailures) {
       << "no further scans";
   EXPECT_EQ(r.stats().drops[DropReason::kIdentQuota], 5u);
   // A new window restores the budget.
-  const Vt later = vt_ms(2) + r.churn_config().ident_quota_window;
+  const Vt later = vt_ms(2) + Router::kIdentQuotaWindow;
   EXPECT_EQ(r.route(frame, later), nullptr);
   EXPECT_EQ(r.stats().drops[DropReason::kNoIdentMatch], quota + 1);
 }
@@ -553,7 +538,7 @@ TEST(RouterChurn, QuotaIsPerCookieAndClearedByASuccessfulIdent) {
   (void)ea;
 
   Router& r = b.router();
-  const auto quota = r.churn_config().ident_quota;
+  const auto quota = Router::kIdentQuota;
   // Burn cookie A's budget; cookie B still gets its scans.
   for (std::uint32_t i = 0; i <= quota; ++i) {
     r.route(ident_frame(0xaaaaull), vt_ms(1));
@@ -583,10 +568,8 @@ TEST(RouterChurn, IdleCookieReaperForgetsQuietMappings) {
   (void)e2a;
 
   Router& r = b.router();
-  Router::ChurnConfig cc = r.churn_config();
-  cc.cookie_idle_timeout = vt_ms(200);
-  cc.reap_interval = vt_ms(50);
-  r.set_churn_config(cc);
+  r.set_churn_config(
+      {.cookie_idle_timeout = vt_ms(200), .reap_interval = vt_ms(50)});
 
   r.register_cookie(0x1d1eull, &e1b->engine());
   r.register_cookie(0xf10ull, &e2b->engine());

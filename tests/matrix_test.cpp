@@ -38,7 +38,7 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   if (meter) s.add(LayerSpec::meter());
   if (frag) s.add(LayerSpec::frag_layer(frag_cfg));
   if (seq) s.add(LayerSpec::seq_layer());
-  if (nak) s.add(LayerSpec::nak_layer({}));
+  if (nak) s.add(LayerSpec::nak_layer());
   for (std::uint64_t i = 0; i < windows; ++i) {
     s.add(LayerSpec::window_layer(win));
   }

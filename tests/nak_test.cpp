@@ -9,7 +9,7 @@ namespace {
 ConnOptions nak_options() {
   ConnOptions opt;
   *opt.engine.stack.spec.find(LayerSpec::Type::kWindow) =
-      LayerSpec::nak_layer({});
+      LayerSpec::nak_layer();
   return opt;
 }
 
@@ -96,7 +96,6 @@ TEST(Nak, LossBeyondHistoryIsUnrepairable) {
   auto& a = w.add_node("src");
   auto& b = w.add_node("dst");
   ConnOptions opt = nak_options();
-  opt.engine.stack.spec.find(LayerSpec::Type::kNak)->nak.history = 8;  // tiny
   opt.engine.enable_packing = false;
   auto [src, dst] = w.connect(a, b, opt);
   int got = 0;
@@ -117,9 +116,11 @@ TEST(Nak, LossBeyondHistoryIsUnrepairable) {
   w.run_for(vt_us(200));
   w.network().set_link(a.id(), b.id(), LinkParams{});
 
-  // Push far more than `history` messages through while NAKs are blocked:
-  // the sender's repair ring wraps past the lost message.
-  for (int i = 0; i < 30; ++i) src->send(std::vector<std::uint8_t>{2});
+  // Push twice the history's worth of messages through while NAKs are
+  // blocked: the sender's repair ring wraps past the lost message.
+  for (std::size_t i = 0; i < 2 * NakLayer::kHistory; ++i) {
+    src->send(std::vector<std::uint8_t>{2});
+  }
   w.run_for(vt_ms(50));
   // Re-open the reverse path: the re-NAK timer asks again — too late.
   w.network().set_link(b.id(), a.id(), LinkParams{});

@@ -622,7 +622,7 @@ std::vector<std::string> bound_stat_names() {
     // protocol and the doubled-window ablation. One registry per stack: a
     // name binds once.
     StackSpec nak = StackSpec::paper();
-    *nak.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
+    *nak.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer();
     Stack nak_stack{nak};
     Stack dbl_stack{StackSpec{}
                         .add(LayerSpec::frag_layer({/*threshold=*/8192}))

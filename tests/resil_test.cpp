@@ -21,7 +21,6 @@ using resil::FaultConfig;
 using resil::FaultSocket;
 using resil::FaultVerdict;
 using Dir = resil::FaultSocket::Dir;
-using resil::GovernorConfig;
 using resil::OverloadGovernor;
 using resil::OverloadLevel;
 
@@ -33,7 +32,7 @@ using resil::OverloadLevel;
 void settle(OverloadGovernor& g, std::size_t backlog, Vt& clock, int ticks) {
   for (int i = 0; i < ticks; ++i) {
     g.report_backlog(backlog);
-    clock += g.config().tick_interval;
+    clock += OverloadGovernor::kTickInterval;
     g.tick(clock);
   }
 }
@@ -43,13 +42,14 @@ TEST(Governor, ClimbsTheLadderAsPressureRises) {
   Vt clock = vt_ms(1);
   EXPECT_EQ(g.level(), OverloadLevel::kNormal);
 
-  settle(g, g.config().backlog_watermark / 3, clock, 50);  // pressure ~0.33
+  constexpr std::size_t wm = OverloadGovernor::kBacklogWatermark;
+  settle(g, wm / 3, clock, 50);  // pressure ~0.33
   EXPECT_EQ(g.level(), OverloadLevel::kElevated);
 
-  settle(g, (g.config().backlog_watermark * 3) / 4, clock, 50);  // ~0.75
+  settle(g, (wm * 3) / 4, clock, 50);  // ~0.75
   EXPECT_EQ(g.level(), OverloadLevel::kSaturated);
 
-  settle(g, g.config().backlog_watermark * 2, clock, 50);  // clamped to 1.0
+  settle(g, wm * 2, clock, 50);  // clamped to 1.0
   EXPECT_EQ(g.level(), OverloadLevel::kCritical);
   EXPECT_EQ(g.max_level(), OverloadLevel::kCritical);
 }
@@ -59,12 +59,13 @@ TEST(Governor, HysteresisHoldsLevelNearThreshold) {
   Vt clock = vt_ms(1);
   // Enter Saturated, then hover just below its entry threshold: the level
   // must hold (no flapping) until pressure clears the down margin.
-  settle(g, (g.config().backlog_watermark * 3) / 4, clock, 60);
+  constexpr std::size_t wm = OverloadGovernor::kBacklogWatermark;
+  settle(g, (wm * 3) / 4, clock, 60);
   ASSERT_EQ(g.level(), OverloadLevel::kSaturated);
 
-  const double entry = g.config().up_saturated;
-  const std::size_t hover = static_cast<std::size_t>(
-      (entry - 0.03) * static_cast<double>(g.config().backlog_watermark));
+  const double entry = OverloadGovernor::kUpSaturated;
+  const std::size_t hover =
+      static_cast<std::size_t>((entry - 0.03) * static_cast<double>(wm));
   settle(g, hover, clock, 80);
   EXPECT_EQ(g.level(), OverloadLevel::kSaturated) << g.pressure();
 
@@ -82,8 +83,8 @@ TEST(Governor, RisingEdgeIsImmediateOnceSmoothed) {
   Vt clock = vt_ms(1);
   OverloadLevel prev = OverloadLevel::kNormal;
   for (int i = 0; i < 60; ++i) {
-    g.report_backlog(g.config().backlog_watermark * 4);
-    clock += g.config().tick_interval;
+    g.report_backlog(OverloadGovernor::kBacklogWatermark * 4);
+    clock += OverloadGovernor::kTickInterval;
     g.tick(clock);
     EXPECT_GE(g.level(), prev);
     prev = g.level();
@@ -93,14 +94,14 @@ TEST(Governor, RisingEdgeIsImmediateOnceSmoothed) {
 
 TEST(Governor, TickIsRateLimited) {
   OverloadGovernor g;
-  g.report_backlog(g.config().backlog_watermark);
+  g.report_backlog(OverloadGovernor::kBacklogWatermark);
   Vt clock = vt_ms(1);
   g.tick(clock);
   const std::uint64_t after_first = g.stats().ticks;
   // Sub-interval ticks are no-ops.
   for (int i = 0; i < 10; ++i) g.tick(clock + i);
   EXPECT_EQ(g.stats().ticks, after_first);
-  g.tick(clock + g.config().tick_interval);
+  g.tick(clock + OverloadGovernor::kTickInterval);
   EXPECT_EQ(g.stats().ticks, after_first + 1);
 }
 
@@ -116,24 +117,24 @@ TEST(Governor, PoliciesFollowTheLadder) {
   EXPECT_EQ(g.pack_batch_limit(128), 128u);
   EXPECT_EQ(g.window_clamp(16), 16u);
 
-  settle(g, g.config().backlog_watermark / 3, clock, 50);
+  settle(g, OverloadGovernor::kBacklogWatermark / 3, clock, 50);
   ASSERT_EQ(g.level(), OverloadLevel::kElevated);
-  EXPECT_TRUE(g.admit_ingest(g.config().admit_elevated - 1));
-  EXPECT_FALSE(g.admit_ingest(g.config().admit_elevated));
+  EXPECT_TRUE(g.admit_ingest(OverloadGovernor::kAdmitElevated - 1));
+  EXPECT_FALSE(g.admit_ingest(OverloadGovernor::kAdmitElevated));
   EXPECT_FALSE(g.shed_heartbeat());
 
-  settle(g, (g.config().backlog_watermark * 3) / 4, clock, 50);
+  settle(g, (OverloadGovernor::kBacklogWatermark * 3) / 4, clock, 50);
   ASSERT_EQ(g.level(), OverloadLevel::kSaturated);
-  EXPECT_FALSE(g.admit_ingest(g.config().admit_saturated));
+  EXPECT_FALSE(g.admit_ingest(OverloadGovernor::kAdmitSaturated));
   EXPECT_TRUE(g.shed_heartbeat());
   EXPECT_FALSE(g.shed_gossip());  // gossip survives until Critical
   EXPECT_TRUE(g.reject_new_idents());
   EXPECT_EQ(g.pack_batch_limit(128), 64u);
   EXPECT_EQ(g.window_clamp(16), 8u);
 
-  settle(g, g.config().backlog_watermark * 2, clock, 50);
+  settle(g, OverloadGovernor::kBacklogWatermark * 2, clock, 50);
   ASSERT_EQ(g.level(), OverloadLevel::kCritical);
-  EXPECT_FALSE(g.admit_ingest(g.config().admit_critical));
+  EXPECT_FALSE(g.admit_ingest(OverloadGovernor::kAdmitCritical));
   EXPECT_TRUE(g.admit_ingest(0));  // even Critical admits an empty backlog
   EXPECT_TRUE(g.shed_gossip());
   EXPECT_EQ(g.pack_batch_limit(128), 32u);
@@ -150,7 +151,7 @@ TEST(Governor, MaxOfAllSignalsDrivesPressure) {
     Vt clock = vt_ms(1);
     for (int i = 0; i < 60; ++i) {
       report(g);
-      clock += g.config().tick_interval;
+      clock += OverloadGovernor::kTickInterval;
       g.tick(clock);
     }
     return g.level();
@@ -165,7 +166,7 @@ TEST(Governor, MaxOfAllSignalsDrivesPressure) {
   // ladder: a send train the kernel will not drain, or receive drains that
   // never find the socket empty.
   EXPECT_EQ(drive([](OverloadGovernor& g) {
-              g.report_net_train(g.config().net_train_watermark * 2);
+              g.report_net_train(OverloadGovernor::kNetTrainWatermark * 2);
             }),
             OverloadLevel::kCritical);
   EXPECT_EQ(drive([](OverloadGovernor& g) { g.report_net_drain(1.0); }),
@@ -182,8 +183,8 @@ TEST(Governor, NetSignalsNormalizeAgainstWatermarks) {
   // A train at 3/8 of the watermark settles at 0.375 pressure — inside the
   // Elevated band (>= 0.25), below Saturated (0.55).
   for (int i = 0; i < 60; ++i) {
-    g.report_net_train(g.config().net_train_watermark * 3 / 8);
-    clock += g.config().tick_interval;
+    g.report_net_train(OverloadGovernor::kNetTrainWatermark * 3 / 8);
+    clock += OverloadGovernor::kTickInterval;
     g.tick(clock);
   }
   EXPECT_EQ(g.level(), OverloadLevel::kElevated) << g.pressure();
@@ -194,7 +195,7 @@ TEST(Governor, NetSignalsNormalizeAgainstWatermarks) {
   h.report_net_drain(1.0);
   for (int i = 0; i < 80; ++i) {
     h.report_net_drain(0.0);
-    clock += h.config().tick_interval;
+    clock += OverloadGovernor::kTickInterval;
     h.tick(clock);
   }
   EXPECT_EQ(h.level(), OverloadLevel::kNormal) << h.pressure();
@@ -665,13 +666,7 @@ TEST(RealChaos, PeerRestartReestablishesCookie) {
 
 TEST(RealChaos, GovernorShedsIngestUnderBlast) {
   REQUIRE_SOCKETS();
-  GovernorConfig gc;
-  gc.backlog_watermark = 32;  // tiny watermarks so a blast saturates fast
-  gc.admit_elevated = 24;
-  gc.admit_saturated = 12;
-  gc.admit_critical = 4;
-  gc.tick_interval = vt_us(10);
-  OverloadGovernor gov(gc);
+  OverloadGovernor gov;
 
   RealLoop loop;
   RealEndpoint a{loop};

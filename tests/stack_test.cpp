@@ -34,7 +34,7 @@ TEST(Stack, AllOptionsComposition) {
 
 TEST(Stack, NakReplacesWindow) {
   StackSpec spec = StackSpec::paper();
-  *spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer({});
+  *spec.find(LayerSpec::Type::kWindow) = LayerSpec::nak_layer();
   Stack s{spec};
   EXPECT_EQ(s.find(LayerKind::kWindow), nullptr);
   ASSERT_NE(s.find(LayerKind::kCustom), nullptr);

@@ -271,7 +271,7 @@ TEST(StackMix, MisorderedKindsRejected) {
 TEST(StackMix, TwoDistinctReliabilityProtocolsRejected) {
   StackSpec s;
   s.add(LayerSpec::window_layer({}))
-      .add(LayerSpec::nak_layer({}))
+      .add(LayerSpec::nak_layer())
       .add(LayerSpec::bottom_layer({}));
   expect_invalid(s, "second reliability protocol");
 }
@@ -424,23 +424,27 @@ TEST(StackMix, RelayForwarderIgnoresGarbage) {
 // --- misrouted frames ------------------------------------------------------
 
 TEST(StackMix, MismatchedHopsAreDroppedAsMisrouted) {
-  World w;
-  auto& na = w.add_node("a");
-  auto& nb = w.add_node("b");
-  ConnOptions o;
-  // Force a hop mismatch: a stamps dst=7 but b expects 3.
-  std::vector<LayerSpec>& layers = o.engine.stack.spec.layers;
-  layers.insert(layers.end() - 1,
-                LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
-  auto [ea, eb] = w.connect(na, nb, o);
+  for (bool use_pa : {true, false}) {
+    SCOPED_TRACE(use_pa ? "pa" : "classic");
+    World w;
+    auto& na = w.add_node("a");
+    auto& nb = w.add_node("b");
+    ConnOptions o;
+    o.use_pa = use_pa;
+    // Force a hop mismatch: a stamps dst=7 but b expects 3.
+    std::vector<LayerSpec>& layers = o.engine.stack.spec.layers;
+    layers.insert(layers.end() - 1,
+                  LayerSpec::relay_layer({/*local_hop=*/3, /*peer_hop=*/7}));
+    auto [ea, eb] = w.connect(na, nb, o);
 
-  std::size_t got = 0;
-  eb->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
-  ea->send(bytes("lost"));
-  w.run_for(vt_ms(50));  // bounded: the window will retransmit forever
+    std::size_t got = 0;
+    eb->on_deliver([&](std::span<const std::uint8_t>) { ++got; });
+    ea->send(bytes("lost"));
+    w.run_for(vt_ms(50));  // bounded: the window will retransmit forever
 
-  EXPECT_EQ(got, 0u);
-  EXPECT_GT(eb->engine().stats().drops[DropReason::kMisroutedHop], 0u);
+    EXPECT_EQ(got, 0u);
+    EXPECT_GT(eb->engine().stats().drops[DropReason::kMisroutedHop], 0u);
+  }
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST(Wraparound, NakProtocolAcrossWrap) {
   // The seq layer wraps; nak uses its own seq.
   ConnOptions opt = near_wrap();
   *opt.engine.stack.spec.find(LayerSpec::Type::kWindow) =
-      LayerSpec::nak_layer({});
+      LayerSpec::nak_layer();
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
