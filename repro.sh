@@ -4,27 +4,45 @@
 # check) fails.
 set -e
 
-cmake -B build -G Ninja
-cmake --build build
+# Configure a build tree: a new one with Ninja, an existing one with the
+# generator it was made with (the presets and a plain `cmake -B` make Unix
+# Makefiles, and cmake refuses to switch a tree's generator).
+configure() {
+  dir=$1
+  shift
+  if [ -f "$dir/CMakeCache.txt" ]; then
+    cmake -B "$dir" "$@"
+  else
+    cmake -B "$dir" -G Ninja "$@"
+  fi
+}
+
+jobs=$(nproc 2>/dev/null || echo 2)
+configure build
+cmake --build build --parallel "$jobs"
 
 echo "==== tests ===================================================="
 ctest --test-dir build --output-on-failure
 # Record the steady-state allocation count with every full run (the test
 # gates it; this line keeps the number in the log).
 build/tests/alloc_test | grep 'heap allocations per message'
+# The same for wall-clock reads: the PA reads once per post batch plus its
+# sampled phase timing; the classic engine reads at every LayerOps::now().
+build/tests/clock_test --gtest_filter='ClockReads.*' \
+  | grep 'clock reads per message'
 
 echo "==== tests with assertions on ================================="
 # Every other slice builds RelWithDebInfo, whose -DNDEBUG compiles out
 # every assert. This one keeps the optimiser and drops NDEBUG, so the
 # layout, window and engine invariants are checked across the suite.
-cmake -B build-assert -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
-cmake --build build-assert
+configure build-assert -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
+cmake --build build-assert --parallel "$jobs"
 ctest --test-dir build-assert --output-on-failure
 
 echo "==== tests under ASan+UBSan ==================================="
-cmake -B build-san -G Ninja -DPA_SANITIZE=ON
-cmake --build build-san
+configure build-san -DPA_SANITIZE=ON
+cmake --build build-san --parallel "$jobs"
 ctest --test-dir build-san --output-on-failure
 
 echo "==== single-thread contract ==================================="

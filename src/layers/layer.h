@@ -61,6 +61,12 @@ class LayerOps {
  public:
   virtual ~LayerOps() = default;
 
+  /// The current instant. On a virtual clock it is exact. On a wall clock
+  /// the PA gives each step (one deferred post batch, or one timer fire)
+  /// one instant, read once, so a value may be stale by up to the step's
+  /// length: a timer armed late in a long batch (a full window's post
+  /// phases) fires at most that much late, against an RTO floor of
+  /// WindowLayer::kMinRto. It never goes backwards within an engine.
   virtual Vt now() const = 0;
 
   /// Send a freshly generated protocol message (e.g. an ack) downward: the

@@ -81,7 +81,7 @@ class PaEngine::Ops final : public LayerOps {
  public:
   Ops(PaEngine* e, std::size_t layer) : e_(e), layer_(layer) {}
 
-  Vt now() const override { return e_->env_.now(); }
+  Vt now() const override { return e_->step_now(); }
 
   void emit_down(Message msg, std::function<void(HeaderView&)> fill,
                  bool unusual) override {
@@ -118,7 +118,8 @@ class PaEngine::Ops final : public LayerOps {
 // ---------------------------------------------------------------------------
 PaEngine::PaEngine(PaConfig cfg, Env& env)
     : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
-      pool_(kPoolCapacity), sampler_(env.clock_is_virtual()) {
+      pool_(kPoolCapacity), virtual_clock_(env.clock_is_virtual()),
+      sampler_(virtual_clock_) {
   pf_ = register_packing_fields(stack_.registry());
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kCompact);
@@ -525,6 +526,8 @@ void PaEngine::run_posts() {
   const bool is_timed = sampler_.timed(kTimePosts);
   const Vt ts0 = is_timed ? env_.now() : 0;
   Vt td0 = ts0;
+  step_read_ = is_timed;
+  step_at_ = ts0;
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
       static_cast<std::uint32_t>(pending_post_send_.size());
@@ -1033,6 +1036,8 @@ void PaEngine::resend_raw(const Message& stored,
 void PaEngine::timer_fire(std::size_t layer,
                           const std::function<void(LayerOps&)>& cb) {
   const Vt t0 = env_.now();
+  step_read_ = true;
+  step_at_ = t0;
   env_.charge(cfg_.costs.timer_cost);
   Ops ops(this, layer);
   cb(ops);
@@ -1044,6 +1049,15 @@ void PaEngine::timer_fire(std::size_t layer,
   flush_backlog();
   obs::span(obs::SpanKind::kTimerFire, t0, obs::span_dur(env_.now() - t0),
             static_cast<std::uint32_t>(layer), obs_id_);
+}
+
+Vt PaEngine::step_now() {
+  if (virtual_clock_) return env_.now();
+  if (!step_read_) {
+    step_at_ = env_.now();
+    step_read_ = true;
+  }
+  return step_at_;
 }
 
 void PaEngine::set_layer_timer(std::size_t layer, VtDur delay,

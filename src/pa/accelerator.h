@@ -182,6 +182,8 @@ class PaEngine final : public Engine {
                        std::function<void(LayerOps&)> cb);
   void timer_fire(std::size_t layer,
                   const std::function<void(LayerOps&)>& cb);
+  /// Ops::now(): the current step's instant (LayerOps::now()).
+  Vt step_now();
   Message acquire_message(std::span<const std::uint8_t> payload);
   void retire_message(Message&& m);
 
@@ -260,6 +262,15 @@ class PaEngine final : public Engine {
   // one frame completes a reassembly at the frag layer while also unblocking
   // the window layer's stash below it.
   std::map<std::size_t, std::deque<Message>> release_buckets_;
+
+  // One instant per step (a post batch or a timer fire; Ops exist only
+  // inside one) on a wall clock: the step's first Ops::now() reads the
+  // clock, unless the step already read it for its own span, and every
+  // later call returns that reading. Under a virtual clock each call reads
+  // through, since charge() moves it.
+  const bool virtual_clock_;
+  bool step_read_ = false;  // step_at_ holds the current step's instant
+  Vt step_at_ = 0;
 
   EngineStats stats_;
   PhaseSampler<kNumTimedPhases> sampler_;
