@@ -27,9 +27,14 @@ ctest --test-dir build --output-on-failure
 # gates it; this line keeps the number in the log).
 build/tests/alloc_test | grep 'heap allocations per message'
 # The same for wall-clock reads: the PA reads once per post batch plus its
-# sampled phase timing; the classic engine reads at every LayerOps::now().
+# sampled phase timing, and not for a batch that opens at its frame's
+# arrival; the classic engine reads at every LayerOps::now().
 build/tests/clock_test --gtest_filter='ClockReads.*' \
   | grep 'clock reads per message'
+# And for header prediction: the fixed layers (frag, bottom) are predicted
+# once at construction, the others once per rebuild.
+build/tests/alloc_test --gtest_filter='Predictions.*' \
+  | grep 'predict calls per message'
 
 echo "==== tests with assertions on ================================="
 # Every other slice builds RelWithDebInfo, whose -DNDEBUG compiles out

@@ -44,8 +44,9 @@ class ClassicEngine::Ops final : public LayerOps {
 };
 
 ClassicEngine::ClassicEngine(ClassicConfig cfg, Env& env)
-    : cfg_(std::move(cfg)), env_(env), stack_(cfg_.stack.spec),
-      sampler_(env.clock_is_virtual()) {
+    : cfg_(std::move(cfg)), env_(env),
+      virtual_clock_(env.clock_is_virtual()), stack_(cfg_.stack.spec),
+      sampler_(virtual_clock_) {
   stack_.init();
   layout_ = stack_.registry().compile(LayoutMode::kClassic);
   region_off_.resize(layout_.num_regions());
@@ -110,7 +111,9 @@ void ClassicEngine::process_send(Message m) {
   const Vt t0 = is_timed ? env_.now() : 0;
   in_send_ = true;
   ++stats_.slow_sends;  // every classic send is a full-stack send
-  env_.charge(cfg_.costs.classic_send_cost(stack_.size()));
+  if (virtual_clock_) {
+    env_.charge(cfg_.costs.classic_send_cost(stack_.size()));
+  }
 
   std::uint8_t* h = m.push(total_hdr_);
   std::memset(h, 0, total_hdr_);
@@ -166,7 +169,7 @@ void ClassicEngine::on_frame(WireFrame frame, Vt) {
   }
   const bool is_timed = sampler_.timed(kTimeFrame);
   const Vt t0 = is_timed ? env_.now() : 0;
-  env_.charge(cfg_.costs.classic_demux);
+  if (virtual_clock_) env_.charge(cfg_.costs.classic_demux);
   Message m = Message::from_wire(std::move(frame));
   env_.on_alloc(m.capacity());
   m.set_header_len(total_hdr_);
@@ -186,7 +189,9 @@ void ClassicEngine::on_frame(WireFrame frame, Vt) {
 /// message reached the application.
 bool ClassicEngine::deliver_msg(Message m, std::size_t entered_below,
                                 bool timed) {
-  env_.charge(cfg_.costs.classic_deliver_cost(entered_below));
+  if (virtual_clock_) {
+    env_.charge(cfg_.costs.classic_deliver_cost(entered_below));
+  }
   HeaderView v = bind(m.front(), cfg_.peer_endian);
 
   std::size_t stop = entered_below;  // will move to the lowest layer reached
@@ -267,7 +272,9 @@ void ClassicEngine::emit_down(std::size_t from_layer, Message m,
   ++stats_.protocol_emits;
   env_.on_alloc(m.capacity());
   m.cb.protocol = true;
-  env_.charge(cfg_.costs.classic_send_cost(stack_.size() - from_layer - 1));
+  if (virtual_clock_) {
+    env_.charge(cfg_.costs.classic_send_cost(stack_.size() - from_layer - 1));
+  }
 
   std::uint8_t* h = m.push(total_hdr_);
   std::memset(h, 0, total_hdr_);
@@ -296,7 +303,7 @@ void ClassicEngine::resend_raw(const Message& stored,
   ++stats_.raw_resends;
   Message m = stored.clone();
   env_.on_alloc(m.capacity());
-  env_.charge(cfg_.costs.classic_send_per_layer);
+  if (virtual_clock_) env_.charge(cfg_.costs.classic_send_per_layer);
   HeaderView v = bind(m.front(), cfg_.self_endian);
   patch(v);
   // Refresh length + checksum: the patch may touch bits covered by the
@@ -313,7 +320,7 @@ void ClassicEngine::resend_raw(const Message& stored,
 void ClassicEngine::set_layer_timer(std::size_t layer, VtDur delay,
                                     std::function<void(LayerOps&)> cb) {
   env_.set_timer(delay, [this, layer, cb = std::move(cb)] {
-    env_.charge(cfg_.costs.timer_cost);
+    if (virtual_clock_) env_.charge(cfg_.costs.timer_cost);
     Ops ops(this, layer);
     cb(ops);
     drain_releases();

@@ -70,6 +70,9 @@ class ClassicEngine final : public Engine {
 
   ClassicConfig cfg_;
   Env& env_;
+  // Cost-model charges move only a virtual clock; on any other clock the
+  // engine skips both the charge and the cost lookup.
+  const bool virtual_clock_;
   Stack stack_;
   CompiledLayout layout_;
   std::vector<std::size_t> region_off_;  // byte offset of each layer header

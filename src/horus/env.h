@@ -29,7 +29,9 @@ class Env {
   /// time a sample, because each read is real work on the measured path.
   virtual bool clock_is_virtual() const { return false; }
 
-  /// Consume CPU time (virtual cost model charge).
+  /// Consume CPU time (virtual cost model charge). Engines call it only
+  /// when clock_is_virtual(): on any other clock the CPU charges itself,
+  /// so they skip the call and the cost lookup.
   virtual void charge(VtDur d) = 0;
 
   /// Put a wire frame on the network toward the peer.

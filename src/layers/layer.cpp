@@ -11,16 +11,18 @@ std::vector<Message> Layer::transform_send(Message&) { return {}; }
 void Layer::bind_stats(obs::MetricsRegistry&, const std::string&) const {}
 
 LayerTraits Layer::traits() const {
+  // Meter, comp and bottom predict nothing; frag predicts a non-fragment
+  // and relay its configured hops: all fixed.
   switch (kind()) {
-    case LayerKind::kMeter:
+    case LayerKind::kMeter: return {0, false, false, true};
     case LayerKind::kCustom: return {0, false, false};
-    case LayerKind::kComp: return {10, false, false};
-    case LayerKind::kFrag: return {20, false, false};
+    case LayerKind::kComp: return {10, false, false, true};
+    case LayerKind::kFrag: return {20, false, false, true};
     case LayerKind::kSeq: return {30, false, false};
     case LayerKind::kWindow: return {40, true, false};
     case LayerKind::kCrypt: return {50, false, false};
-    case LayerKind::kRelay: return {60, false, false};
-    case LayerKind::kBottom: return {100, false, true};
+    case LayerKind::kRelay: return {60, false, false, true};
+    case LayerKind::kBottom: return {100, false, true, true};
   }
   return {0, false, false};
 }

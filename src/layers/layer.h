@@ -63,10 +63,14 @@ class LayerOps {
 
   /// The current instant. On a virtual clock it is exact. On a wall clock
   /// the PA gives each step (one deferred post batch, or one timer fire)
-  /// one instant, read once, so a value may be stale by up to the step's
-  /// length: a timer armed late in a long batch (a full window's post
-  /// phases) fires at most that much late, against an RTO floor of
-  /// WindowLayer::kMinRto. It never goes backwards within an engine.
+  /// one instant, so a value may be stale by up to the step's length: a
+  /// timer armed late in a long batch (a full window's post phases) fires
+  /// at most that much late, against an RTO floor of WindowLayer::kMinRto.
+  /// A batch scheduled while the engine handles a frame takes that frame's
+  /// arrival instant (the `at` of Engine::on_frame), so its value may also
+  /// trail by the time from arrival to the batch; any other step reads the
+  /// clock once, at its first call. It never goes backwards within an
+  /// engine.
   virtual Vt now() const = 0;
 
   /// Send a freshly generated protocol message (e.g. an ack) downward: the
@@ -128,10 +132,18 @@ enum class ShedClass : std::uint8_t { kNever, kLiveness, kGossipAck };
 /// *named* reliability protocol may appear (repeated instances of the same
 /// one are allowed — the paper's doubled-window study), and exactly one
 /// bottom layer, which must terminate the stack.
+///
+/// `fixed_prediction` is a promise to the PA: predict_send() and
+/// predict_deliver() write values that depend only on the layer's config
+/// (and the view's byte order), never on protocol state. The PA then calls
+/// them once, at construction, and copies their output into every later
+/// prediction; predictions_fresh() still rebuilds from every layer, so a
+/// false promise shows there.
 struct LayerTraits {
   int rank = 0;
   bool reliability = false;
   bool bottom = false;
+  bool fixed_prediction = false;
 };
 
 class Layer {

@@ -15,7 +15,9 @@
 // endianness-independent.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 #include "layout/layout.h"
@@ -28,13 +30,22 @@ class HeaderView {
   static constexpr std::size_t kMaxRegions = 40;
 
   HeaderView() = default;
+  /// Every region of the layout starts unbound (null); slots past
+  /// layout->num_regions() are left unset and must not be touched.
   HeaderView(const CompiledLayout* layout, Endian wire_endian)
-      : layout_(layout), wire_endian_(wire_endian) {}
+      : layout_(layout), wire_endian_(wire_endian) {
+    assert(layout->num_regions() <= kMaxRegions);
+    std::fill_n(bases_.begin(), layout->num_regions(), nullptr);
+  }
 
   void set_region(std::size_t region, std::uint8_t* base) {
-    bases_.at(region) = base;
+    assert(layout_ != nullptr && region < layout_->num_regions());
+    bases_[region] = base;
   }
-  std::uint8_t* region(std::size_t r) const { return bases_.at(r); }
+  std::uint8_t* region(std::size_t r) const {
+    assert(layout_ != nullptr && r < layout_->num_regions());
+    return bases_[r];
+  }
 
   const CompiledLayout* layout() const { return layout_; }
   Endian wire_endian() const { return wire_endian_; }
@@ -45,7 +56,7 @@ class HeaderView {
  private:
   const CompiledLayout* layout_ = nullptr;
   Endian wire_endian_ = host_endian();
-  std::array<std::uint8_t*, kMaxRegions> bases_{};
+  std::array<std::uint8_t*, kMaxRegions> bases_;  // see the constructor
 };
 
 }  // namespace pa

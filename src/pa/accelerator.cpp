@@ -142,7 +142,8 @@ PaEngine::PaEngine(PaConfig cfg, Env& env)
   pred_send_proto_.resize(pr_);
   pred_send_gossip_.resize(go_);
   pred_deliver_proto_.resize(pr_);
-  scratch_.resize(ms_ + pk_ + ci_);
+  // Message-specific, packing, then the deliver prediction's gossip.
+  scratch_.resize(ms_ + pk_ + go_);
   released_hdr_.assign(fixed_hdr_, 0);
 
   peer_endian_ = cfg_.self_endian;
@@ -163,15 +164,14 @@ PaEngine::PaEngine(PaConfig cfg, Env& env)
     }
   }
 
+  predict_fixed_layers();
   rebuild_send_prediction();
   rebuild_deliver_prediction();
 }
 
 bool PaEngine::encode_codecs(Message& m, const HeaderView& v, bool charge) {
   for (std::size_t i : codec_layers_) {
-    if (charge) {
-      env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_send);
-    }
+    if (charge) charge_layer(i, &PhaseCosts::pre_send);
     if (!stack_.layer(i).encode_frame(m, v)) return false;
   }
   return true;
@@ -180,7 +180,7 @@ bool PaEngine::encode_codecs(Message& m, const HeaderView& v, bool charge) {
 bool PaEngine::decode_codecs(Message& m, const HeaderView& v) {
   for (std::size_t k = codec_layers_.size(); k-- > 0;) {
     const std::size_t i = codec_layers_[k];
-    env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_deliver);
+    charge_layer(i, &PhaseCosts::pre_deliver);
     if (!stack_.layer(i).decode_frame(m, v)) {
       stats_.drops.bump(DropReason::kAeadAuth);
       return false;
@@ -372,7 +372,7 @@ void PaEngine::enqueue_or_send(Message m) {
     // Message creation + backlog append runs in the (slow, O'Caml) app
     // process — this per-message cost is what bounds the paper's 80k
     // msgs/sec streaming rate.
-    env_.charge(cfg_.costs.pa_backlog_per_msg);
+    charge(cfg_.costs.pa_backlog_per_msg);
     backlog_.push_back(std::move(m));
     return;
   }
@@ -437,7 +437,7 @@ void PaEngine::start_send(Message m, std::uint64_t pk_count,
   // Slow path: the stack's pre-send phases build the headers.
   ++stats_.slow_sends;
   for (std::size_t i = 0; i < stack_.size(); ++i) {
-    env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_send);
+    charge_layer(i, &PhaseCosts::pre_send);
     SendVerdict sv = stack_.layer(i).pre_send(m, v);
     if (sv == SendVerdict::kRefuse) {
       // Window filled between our disable-counter check and here; park the
@@ -490,7 +490,7 @@ void PaEngine::transmit(Message& m, bool unusual) {
   std::uint8_t* pb = m.push(kPreambleBytes);
   encode_preamble(pb, Preamble{include_ci, cfg_.self_endian, out_cookie_});
 
-  env_.charge(cfg_.costs.pa_send_path);
+  charge(cfg_.costs.pa_send_path);
   ++stats_.frames_out;
   // Scatter-gather emission: the frame references the message's header chunk
   // and payload chain directly — no copy. The refcounts pin those bytes
@@ -511,6 +511,7 @@ void PaEngine::queue_post_send(Message m) {
 void PaEngine::schedule_post() {
   if (post_scheduled_) return;
   post_scheduled_ = true;
+  post_at_ = frame_at_;
   env_.defer([this] { run_posts(); });
 }
 
@@ -526,8 +527,7 @@ void PaEngine::run_posts() {
   const bool is_timed = sampler_.timed(kTimePosts);
   const Vt ts0 = is_timed ? env_.now() : 0;
   Vt td0 = ts0;
-  step_read_ = is_timed;
-  step_at_ = ts0;
+  open_step(is_timed ? ts0 : post_at_);
   const bool had_sends = !pending_post_send_.empty();
   const std::uint32_t n_sends =
       static_cast<std::uint32_t>(pending_post_send_.size());
@@ -536,7 +536,7 @@ void PaEngine::run_posts() {
     Message m = std::move(pending_post_send_[k]);
     HeaderView v = bind(m, cfg_.self_endian);
     for (std::size_t i = 0; i < stack_.size(); ++i) {
-      env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_send);
+      charge_layer(i, &PhaseCosts::post_send);
       Ops ops(this, i);
       stack_.layer(i).post_send(m, v, ops);
     }
@@ -560,7 +560,7 @@ void PaEngine::run_posts() {
     PendingDeliver pd = std::move(pending_post_deliver_[k]);
     HeaderView v = bind(pd.msg, static_cast<Endian>(pd.msg.cb.wire_endian));
     for (std::size_t i = stack_.size(); i-- > pd.stop;) {
-      env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_deliver);
+      charge_layer(i, &PhaseCosts::post_deliver);
       Ops ops(this, i);
       DeliverVerdict verdict =
           (i == pd.stop) ? pd.verdict : DeliverVerdict::kDeliver;
@@ -648,8 +648,8 @@ void PaEngine::flush_backlog() {
 
   ++stats_.packed_batches;
   stats_.packed_msgs += batch.size();
-  obs::span(obs::SpanKind::kBacklogFlush, env_.now(), 0,
-            static_cast<std::uint32_t>(batch.size()), obs_id_);
+  mark(sampler_.timed(kTimeFlush), obs::SpanKind::kBacklogFlush, env_,
+       static_cast<std::uint32_t>(batch.size()));
   Message packed = cfg_.variable_packing ? pack_variable(batch)
                                          : pack_same_size(batch);
   env_.on_alloc(packed.capacity());
@@ -661,7 +661,7 @@ void PaEngine::flush_backlog() {
 // ---------------------------------------------------------------------------
 // Delivery path (paper Figure 3, from_network() / deliver()).
 // ---------------------------------------------------------------------------
-void PaEngine::on_frame(WireFrame frame, Vt) {
+void PaEngine::on_frame(WireFrame frame, Vt at) {
   ++stats_.frames_in;
   if (deliver_busy_) {
     // Post-processing of the previous delivery is still pending: the
@@ -676,7 +676,12 @@ void PaEngine::on_frame(WireFrame frame, Vt) {
     recv_queue_.push_back(std::move(frame));
     return;
   }
+  // A post batch this frame schedules (its post-deliver, or the post-send
+  // of a reply the application sends from its callback) opens at `at`.
+  const Vt outer = frame_at_;
+  frame_at_ = at;
   process_frame(std::move(frame));
+  frame_at_ = outer;
 }
 
 void PaEngine::process_frame(WireFrame frame) {
@@ -737,7 +742,7 @@ void PaEngine::process_frame(WireFrame frame) {
       (pr_ == 0 ||  // no proto-spec fields: trivially matches (null data())
        std::memcmp(m.front(), pred_deliver_proto_.data(), pr_) == 0);
 
-  env_.charge(cfg_.costs.pa_deliver_path);
+  charge(cfg_.costs.pa_deliver_path);
 
   if (predicted) {
     // Frame codecs invert bottom-up before the payload is touched. An auth
@@ -768,7 +773,7 @@ void PaEngine::process_frame(WireFrame frame) {
   std::size_t stop = 0;
   DeliverVerdict verdict = DeliverVerdict::kDeliver;
   for (std::size_t i = stack_.size(); i-- > 0;) {
-    env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_deliver);
+    charge_layer(i, &PhaseCosts::pre_deliver);
     verdict = stack_.layer(i).pre_deliver(m, v);
     stop = i;
     if (verdict != DeliverVerdict::kDeliver) {
@@ -814,7 +819,7 @@ void PaEngine::deliver_part(std::span<const std::uint8_t> part) {
     // application message: a packed train carries independently coded
     // parts, and reassembled fragment trains arrive here too.
     const Layer& l = stack_.layer(deliver_transform_);
-    env_.charge(cfg_.costs.ml_costs(l.kind()).pre_deliver);
+    charge_layer(deliver_transform_, &PhaseCosts::pre_deliver);
     std::span<const std::uint8_t> res;
     if (!l.decode_part(part, res, part_scratch_)) {
       stats_.drops.bump(DropReason::kCompCodec);
@@ -850,8 +855,8 @@ void PaEngine::deliver_to_app(Message& m, bool charge_unpack) {
     return;
   }
   if (charge_unpack && parts.size() > 1) {
-    env_.charge(cfg_.costs.pa_per_packed_extra *
-                static_cast<VtDur>(parts.size() - 1));
+    charge(cfg_.costs.pa_per_packed_extra *
+           static_cast<VtDur>(parts.size() - 1));
   }
   for (auto part : parts) {
     deliver_part(part);
@@ -887,14 +892,14 @@ void PaEngine::drain_releases() {
     std::size_t stop = from - 1;
     DeliverVerdict verdict = DeliverVerdict::kDeliver;
     for (std::size_t i = from; i-- > 0;) {
-      env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_deliver);
+      charge_layer(i, &PhaseCosts::pre_deliver);
       verdict = stack_.layer(i).pre_deliver(m, v);
       stop = i;
       if (verdict != DeliverVerdict::kDeliver) break;
     }
     if (verdict == DeliverVerdict::kDeliver) deliver_to_app(m, false);
     for (std::size_t i = from; i-- > stop;) {
-      env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_deliver);
+      charge_layer(i, &PhaseCosts::post_deliver);
       Ops ops(this, i);
       DeliverVerdict vd =
           (i == stop) ? verdict : DeliverVerdict::kDeliver;
@@ -907,42 +912,83 @@ void PaEngine::drain_releases() {
 // ---------------------------------------------------------------------------
 // Header prediction (paper §3.2).
 // ---------------------------------------------------------------------------
-void PaEngine::predict_send_into(std::uint8_t* proto,
-                                 std::uint8_t* gossip) const {
-  std::fill_n(proto, pr_, 0);
-  std::fill_n(gossip, go_, 0);
-  HeaderView v = bind_prediction(proto, gossip, cfg_.self_endian);
+// Layers write disjoint fields, so the fixed layers' bytes can be written
+// once and copied: what a rebuild adds is only the varying layers' fields.
+void PaEngine::predict_fixed_layers() {
+  fixed_send_proto_.assign(pr_, 0);
+  fixed_send_gossip_.assign(go_, 0);
+  HeaderView sv = bind_prediction(fixed_send_proto_.data(),
+                                  fixed_send_gossip_.data(), cfg_.self_endian);
+  std::array<HeaderView, 2> dv;
+  for (const Endian e : {Endian::kBig, Endian::kLittle}) {
+    std::vector<std::uint8_t>& img =
+        fixed_deliver_proto_[static_cast<std::size_t>(e)];
+    img.assign(pr_, 0);
+    dv[static_cast<std::size_t>(e)] =
+        bind_prediction(img.data(), scratch_.data() + ms_ + pk_, e);
+  }
   for (std::size_t i = 0; i < stack_.size(); ++i) {
-    stack_.layer(i).predict_send(v);
+    const Layer& l = stack_.layer(i);
+    if (!l.traits().fixed_prediction) {
+      varying_layers_.push_back(i);
+      continue;
+    }
+    l.predict_send(sv);
+    for (HeaderView& v : dv) l.predict_deliver(v);
   }
 }
 
-void PaEngine::predict_deliver_into(std::uint8_t* proto) const {
-  std::fill_n(proto, pr_, 0);
+void PaEngine::predict_send_into(std::uint8_t* proto, std::uint8_t* gossip,
+                                 bool from_scratch) const {
+  HeaderView v = bind_prediction(proto, gossip, cfg_.self_endian);
+  if (from_scratch) {
+    std::fill_n(proto, pr_, 0);
+    std::fill_n(gossip, go_, 0);
+    for (std::size_t i = 0; i < stack_.size(); ++i) {
+      stack_.layer(i).predict_send(v);
+    }
+    return;
+  }
+  std::copy_n(fixed_send_proto_.data(), pr_, proto);
+  std::copy_n(fixed_send_gossip_.data(), go_, gossip);
+  for (std::size_t i : varying_layers_) stack_.layer(i).predict_send(v);
+}
+
+void PaEngine::predict_deliver_into(std::uint8_t* proto,
+                                    bool from_scratch) const {
   // Gossip is not compared on delivery; give predict_deliver writers of
   // gossip fields a scratch area.
   HeaderView v =
       bind_prediction(proto, scratch_.data() + ms_ + pk_, peer_endian_);
-  for (std::size_t i = 0; i < stack_.size(); ++i) {
-    stack_.layer(i).predict_deliver(v);
+  if (from_scratch) {
+    std::fill_n(proto, pr_, 0);
+    for (std::size_t i = 0; i < stack_.size(); ++i) {
+      stack_.layer(i).predict_deliver(v);
+    }
+    return;
   }
+  std::copy_n(fixed_deliver_proto_[static_cast<std::size_t>(peer_endian_)]
+                  .data(),
+              pr_, proto);
+  for (std::size_t i : varying_layers_) stack_.layer(i).predict_deliver(v);
 }
 
 void PaEngine::rebuild_send_prediction() {
-  predict_send_into(pred_send_proto_.data(), pred_send_gossip_.data());
+  predict_send_into(pred_send_proto_.data(), pred_send_gossip_.data(),
+                    /*from_scratch=*/false);
   send_pred_stale_ = false;
 }
 
 void PaEngine::rebuild_deliver_prediction() {
-  predict_deliver_into(pred_deliver_proto_.data());
+  predict_deliver_into(pred_deliver_proto_.data(), /*from_scratch=*/false);
   pred_deliver_endian_ = peer_endian_;
 }
 
 bool PaEngine::predictions_fresh() const {
   std::vector<std::uint8_t> proto(pr_), gossip(go_);
-  predict_send_into(proto.data(), gossip.data());
+  predict_send_into(proto.data(), gossip.data(), /*from_scratch=*/true);
   if (proto != pred_send_proto_ || gossip != pred_send_gossip_) return false;
-  predict_deliver_into(proto.data());
+  predict_deliver_into(proto.data(), /*from_scratch=*/true);
   return pred_deliver_endian_ == peer_endian_ && proto == pred_deliver_proto_;
 }
 
@@ -991,7 +1037,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
   fill(v);
 
   for (std::size_t i = from_layer + 1; i < stack_.size(); ++i) {
-    env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).pre_send);
+    charge_layer(i, &PhaseCosts::pre_send);
     if (stack_.layer(i).pre_send(m, v) == SendVerdict::kRefuse) {
       return;  // lower layer cannot carry it now; drop (acks are repairable)
     }
@@ -1005,7 +1051,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
   transmit(m, unusual);
   mark(sampler_.timed(kTimeProto), obs::SpanKind::kSendProto, env_);
   for (std::size_t i = from_layer + 1; i < stack_.size(); ++i) {
-    env_.charge(cfg_.costs.ml_costs(stack_.layer(i).kind()).post_send);
+    charge_layer(i, &PhaseCosts::post_send);
     Ops ops(this, i);
     stack_.layer(i).post_send(m, v, ops);
   }
@@ -1036,9 +1082,8 @@ void PaEngine::resend_raw(const Message& stored,
 void PaEngine::timer_fire(std::size_t layer,
                           const std::function<void(LayerOps&)>& cb) {
   const Vt t0 = env_.now();
-  step_read_ = true;
-  step_at_ = t0;
-  env_.charge(cfg_.costs.timer_cost);
+  open_step(t0);
+  charge(cfg_.costs.timer_cost);
   Ops ops(this, layer);
   cb(ops);
   drain_releases();
@@ -1054,10 +1099,17 @@ void PaEngine::timer_fire(std::size_t layer,
 Vt PaEngine::step_now() {
   if (virtual_clock_) return env_.now();
   if (!step_read_) {
-    step_at_ = env_.now();
+    // The max keeps the instants monotonic even if an accepted arrival
+    // instant ran ahead of this Env's clock.
+    step_at_ = last_at_ = std::max(last_at_, env_.now());
     step_read_ = true;
   }
   return step_at_;
+}
+
+void PaEngine::open_step(Vt at) {
+  step_read_ = at != 0 && at >= last_at_;
+  if (step_read_) step_at_ = last_at_ = at;
 }
 
 void PaEngine::set_layer_timer(std::size_t layer, VtDur delay,

@@ -18,6 +18,7 @@
 //            protocol-specific header against the prediction → application.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -162,17 +163,23 @@ class PaEngine final : public Engine {
   /// frame failed authentication and was counted as kAeadAuth.
   bool decode_codecs(Message& m, const HeaderView& v);
   void drain_releases();
-  // Timed phases (PhaseSampler), the last two for frames the stack emits.
+  // Timed phases (PhaseSampler): kTimeProto and kTimeRexmit mark frames
+  // the stack emits, kTimeFlush each packed backlog batch.
   enum TimedPhase {
-    kTimeSend, kTimeFrame, kTimePosts, kTimeProto, kTimeRexmit,
+    kTimeSend, kTimeFrame, kTimePosts, kTimeProto, kTimeRexmit, kTimeFlush,
     kNumTimedPhases
   };
   void rebuild_send_prediction();
   void rebuild_deliver_prediction();
   /// Build the predictions from the layers' current state into the given
-  /// buffers (pr_ proto bytes, go_ gossip bytes).
-  void predict_send_into(std::uint8_t* proto, std::uint8_t* gossip) const;
-  void predict_deliver_into(std::uint8_t* proto) const;
+  /// buffers (pr_ proto bytes, go_ gossip bytes): from zeroed buffers
+  /// through every layer when `from_scratch`, else from the fixed layers'
+  /// images through the varying layers only. Both give the same bytes.
+  void predict_send_into(std::uint8_t* proto, std::uint8_t* gossip,
+                         bool from_scratch) const;
+  void predict_deliver_into(std::uint8_t* proto, bool from_scratch) const;
+  /// Build the fixed layers' images (LayerTraits::fixed_prediction).
+  void predict_fixed_layers();
   void emit_down(std::size_t from_layer, Message m,
                  const std::function<void(HeaderView&)>& fill, bool unusual);
   void resend_raw(const Message& stored,
@@ -184,6 +191,19 @@ class PaEngine final : public Engine {
                   const std::function<void(LayerOps&)>& cb);
   /// Ops::now(): the current step's instant (LayerOps::now()).
   Vt step_now();
+  /// Open a step at `at` (0 = none: the step reads the clock lazily). An
+  /// instant older than one already handed out is refused the same way.
+  void open_step(Vt at);
+  /// Cost-model charges move only a virtual clock; on any other clock the
+  /// engine skips both the charge and the cost lookup.
+  void charge(VtDur d) {
+    if (virtual_clock_) env_.charge(d);
+  }
+  void charge_layer(std::size_t layer, VtDur PhaseCosts::*phase) {
+    if (virtual_clock_) {
+      env_.charge(cfg_.costs.ml_costs(stack_.layer(layer).kind()).*phase);
+    }
+  }
   Message acquire_message(std::span<const std::uint8_t> payload);
   void retire_message(Message&& m);
 
@@ -218,6 +238,12 @@ class PaEngine final : public Engine {
   std::vector<std::uint8_t> pred_send_gossip_;
   std::vector<std::uint8_t> pred_deliver_proto_;
   Endian pred_deliver_endian_;
+  // The fixed layers' predictions, made once at construction; the deliver
+  // image is kept per peer byte order (indexed by Endian).
+  std::vector<std::uint8_t> fixed_send_proto_;
+  std::vector<std::uint8_t> fixed_send_gossip_;
+  std::array<std::vector<std::uint8_t>, 2> fixed_deliver_proto_;
+  std::vector<std::size_t> varying_layers_;  // the rest, top-down
   mutable std::vector<std::uint8_t> scratch_;  // unpredicted regions
   std::vector<std::uint8_t> released_hdr_;     // all-zero header for releases
 
@@ -264,13 +290,18 @@ class PaEngine final : public Engine {
   std::map<std::size_t, std::deque<Message>> release_buckets_;
 
   // One instant per step (a post batch or a timer fire; Ops exist only
-  // inside one) on a wall clock: the step's first Ops::now() reads the
-  // clock, unless the step already read it for its own span, and every
-  // later call returns that reading. Under a virtual clock each call reads
-  // through, since charge() moves it.
+  // inside one) on a wall clock: a post batch scheduled while a frame is
+  // handled (on_frame, the application's callback, sends made from it)
+  // opens at the frame's arrival; otherwise the step's first Ops::now()
+  // reads the clock, unless the step already read it for its own span.
+  // Every later call returns that instant. Under a virtual clock each call
+  // reads through, since charge() moves it.
   const bool virtual_clock_;
   bool step_read_ = false;  // step_at_ holds the current step's instant
   Vt step_at_ = 0;
+  Vt last_at_ = 0;   // the latest instant handed out
+  Vt frame_at_ = 0;  // arrival of the frame being handled, else 0
+  Vt post_at_ = 0;   // frame_at_ when the pending batch was scheduled
 
   EngineStats stats_;
   PhaseSampler<kNumTimedPhases> sampler_;

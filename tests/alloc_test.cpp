@@ -11,6 +11,10 @@
 // so after a warm-up every allocation counted is the engines' own. The
 // count is taken over 10,000 round trips of 64 B each way and divided by
 // the 20,000 messages.
+//
+// The same ping-pong counts each layer's predict_* calls: the PA predicts
+// the fixed layers (LayerTraits::fixed_prediction) once, at construction,
+// and only the others at each rebuild.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "classic/engine.h"
+#include "forwarding_layer.h"
 #include "pa/accelerator.h"
 
 namespace {
@@ -101,35 +106,48 @@ class PairEnv final : public Env {
   std::uint64_t delivered = 0;
 };
 
-void pump(PairEnv& a, PairEnv& b) {
-  while (a.step() | b.step()) {
+/// Two engines of one kind joined through a pair of PairEnvs.
+template <typename E>
+struct PingPong {
+  template <typename Cfg>
+  PingPong(const Cfg& cfg_a, const Cfg& cfg_b) : a(cfg_a, ea), b(cfg_b, eb) {
+    ea.engine = &a;
+    eb.engine = &b;
+    ea.peer = &eb;
+    eb.peer = &ea;
   }
-}
+
+  void pump() {
+    while (ea.step() | eb.step()) {
+    }
+  }
+  /// `n` round trips of kPayloadBytes each way.
+  void round_trips(int n) {
+    for (int i = 0; i < n; ++i) {
+      a.send(payload);
+      pump();
+      b.send(payload);
+      pump();
+    }
+  }
+  std::uint64_t delivered() const { return ea.delivered + eb.delivered; }
+
+  PairEnv ea, eb;
+  E a, b;
+  const std::vector<std::uint8_t> payload =
+      std::vector<std::uint8_t>(kPayloadBytes, 0x5a);
+};
 
 template <typename E, typename Cfg>
 double allocs_per_msg(const Cfg& cfg_a, const Cfg& cfg_b) {
-  PairEnv ea, eb;
-  E a(cfg_a, ea);
-  E b(cfg_b, eb);
-  ea.engine = &a;
-  eb.engine = &b;
-  ea.peer = &eb;
-  eb.peer = &ea;
-  const std::vector<std::uint8_t> payload(kPayloadBytes, 0x5a);
-  auto round_trip = [&] {
-    a.send(payload);
-    pump(ea, eb);
-    b.send(payload);
-    pump(ea, eb);
-  };
-  for (int i = 0; i < kWarmupRoundTrips; ++i) round_trip();
+  PingPong<E> p(cfg_a, cfg_b);
+  p.round_trips(kWarmupRoundTrips);
 
-  const std::uint64_t delivered0 = ea.delivered + eb.delivered;
+  const std::uint64_t delivered0 = p.delivered();
   const std::uint64_t allocs0 = g_allocs;
-  for (int i = 0; i < kRoundTrips; ++i) round_trip();
+  p.round_trips(kRoundTrips);
   const std::uint64_t allocs = g_allocs - allocs0;
-  const std::uint64_t msgs = ea.delivered + eb.delivered - delivered0;
-  EXPECT_EQ(msgs, 2u * kRoundTrips);
+  EXPECT_EQ(p.delivered() - delivered0, 2u * kRoundTrips);
   return static_cast<double>(allocs) / static_cast<double>(2 * kRoundTrips);
 }
 
@@ -147,6 +165,90 @@ TEST(Allocations, PaAllocatesNoMoreThanClassicPerMessage) {
   EXPECT_LE(pa, classic);
   EXPECT_LE(pa, 5.0);
   EXPECT_LE(classic, 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// predict_* calls per layer
+
+struct PredictCalls {
+  std::uint64_t send = 0;
+  std::uint64_t deliver = 0;
+};
+
+/// Counts its layer's predict_* calls into `calls`.
+class PredictCounter final : public ForwardingLayer {
+ public:
+  PredictCounter(std::unique_ptr<Layer> inner, PredictCalls* calls)
+      : ForwardingLayer(std::move(inner)), calls_(calls) {}
+
+  void predict_send(HeaderView& hdr) const override {
+    ++calls_->send;
+    ForwardingLayer::predict_send(hdr);
+  }
+  void predict_deliver(HeaderView& hdr) const override {
+    ++calls_->deliver;
+    ForwardingLayer::predict_deliver(hdr);
+  }
+
+ private:
+  PredictCalls* calls_;
+};
+
+TEST(Predictions, FixedLayersArePredictedOnceAtConstruction) {
+  // calls[i] sums layer i of the paper stack (frag, seq, window, bottom)
+  // over both engines.
+  const StackSpec paper = StackSpec::paper();
+  std::vector<PredictCalls> calls(paper.layers.size());
+  auto config = [&](std::uint64_t cookie_seed) {
+    PaConfig cfg;
+    cfg.cookie_seed = cookie_seed;
+    for (std::size_t i = 0; i < paper.layers.size(); ++i) {
+      cfg.stack.spec.layers[i] =
+          LayerSpec::custom([inner = paper.layers[i], c = &calls[i]] {
+            return std::make_unique<PredictCounter>(inner.build(), c);
+          });
+    }
+    return cfg;
+  };
+  PingPong<PaEngine> p(config(1), config(2));
+  const Stack& stack = p.a.stack();
+  ASSERT_EQ(stack.size(), 4u);
+
+  // Construction: a fixed layer predicts each side once, the deliver side
+  // once per peer byte order; a varying layer joins the first rebuilds.
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE(std::string(stack.layer(i).name()));
+    if (stack.layer(i).traits().fixed_prediction) {
+      EXPECT_EQ(calls[i].send, 2u);
+      EXPECT_EQ(calls[i].deliver, 4u);
+    } else {
+      EXPECT_EQ(calls[i].send, 2u);
+      EXPECT_EQ(calls[i].deliver, 2u);
+    }
+  }
+
+  p.round_trips(kWarmupRoundTrips);
+  const std::vector<PredictCalls> calls0 = calls;
+  const std::uint64_t delivered0 = p.delivered();
+  p.round_trips(kRoundTrips);
+  const auto msgs = static_cast<double>(p.delivered() - delivered0);
+  ASSERT_EQ(msgs, 2.0 * kRoundTrips);
+  // Each message is one rebuild of the send prediction at its sender's
+  // post-send batch, and one of each prediction at its receiver's
+  // post-deliver batch.
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const std::string name(stack.layer(i).name());
+    const double send = static_cast<double>(calls[i].send - calls0[i].send);
+    const double deliver =
+        static_cast<double>(calls[i].deliver - calls0[i].deliver);
+    std::printf("predict calls per message, %s: send %.2f, deliver %.2f\n",
+                name.c_str(), send / msgs, deliver / msgs);
+    SCOPED_TRACE(name);
+    const bool fixed = name == "frag" || name == "bottom";
+    EXPECT_EQ(stack.layer(i).traits().fixed_prediction, fixed);
+    EXPECT_DOUBLE_EQ(send / msgs, fixed ? 0.0 : 2.0);
+    EXPECT_DOUBLE_EQ(deliver / msgs, fixed ? 0.0 : 1.0);
+  }
 }
 
 }  // namespace

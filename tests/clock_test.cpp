@@ -1,13 +1,14 @@
 // The PA's clock reads on a wall clock. Every post batch and timer fire is
 // one step, and every LayerOps::now() inside a step returns one instant, so
 // a batch reads the clock at most once beyond its 1-in-kPhaseSampleEvery
-// phase timing.
+// phase timing, and not at all when it opens at its frame's arrival.
 //
 // ClockReads counts every Env::now() over the steady-state ping-pong of
-// tests/alloc_test.cpp (two engines joined in process, no timer ever due).
-// StepInstant loses the first frame of a stream on a steady clock with
-// working timers and checks that retransmission and the RTT estimator still
-// see time move forward.
+// tests/alloc_test.cpp (two engines joined in process, no timer ever due),
+// with frames handed over without an arrival instant, with one, and with
+// one older than the engine's last instant. StepInstant loses the first
+// frame of a stream on a steady clock with working timers and checks that
+// retransmission and the RTT estimator still see time move forward.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "classic/engine.h"
+#include "forwarding_layer.h"
 #include "layers/window_layer.h"
 #include "pa/accelerator.h"
 
@@ -70,13 +72,16 @@ class SteadyPairEnv final : public Env {
   void gc_point() override {}
 
   /// Hand the inbox to the engine, run the deferred work, then the due
-  /// timers. False when there was no frame or deferred work.
+  /// timers. False when there was no frame or deferred work. With
+  /// `pass_at`, each frame's arrival instant is one steady_now() reading
+  /// per step, taken outside the counted now(), minus `at_lag`; else 0.
   bool step() {
     if (inbox.empty() && deferred.empty() && timers.empty()) return false;
     const bool busy = !inbox.empty() || !deferred.empty();
     std::vector<WireFrame> frames = std::move(inbox);
     inbox.clear();
-    for (WireFrame& f : frames) engine->on_frame(std::move(f), 0);
+    const Vt at = pass_at ? steady_now() - at_lag : 0;
+    for (WireFrame& f : frames) engine->on_frame(std::move(f), at);
     in_batch = true;
     // By index: deferred work may defer more, which runs in this step.
     for (std::size_t i = 0; i < deferred.size(); ++i) {
@@ -106,6 +111,8 @@ class SteadyPairEnv final : public Env {
   Engine* engine = nullptr;
   SteadyPairEnv* peer = nullptr;
   bool run_timers = false;
+  bool pass_at = false;
+  VtDur at_lag = 0;
   bool echo = false;       // send back every message delivered
   bool drop_next = false;  // lose the next frame sent
   bool in_batch = false;
@@ -127,7 +134,8 @@ struct PerMsg {
 };
 
 template <typename E, typename Cfg>
-PerMsg clock_reads_per_msg(const Cfg& cfg_a, const Cfg& cfg_b) {
+PerMsg clock_reads_per_msg(const Cfg& cfg_a, const Cfg& cfg_b,
+                           bool pass_at = false, VtDur at_lag = 0) {
   SteadyPairEnv ea, eb;
   E a(cfg_a, ea);
   E b(cfg_b, eb);
@@ -135,6 +143,8 @@ PerMsg clock_reads_per_msg(const Cfg& cfg_a, const Cfg& cfg_b) {
   eb.engine = &b;
   ea.peer = &eb;
   eb.peer = &ea;
+  ea.pass_at = eb.pass_at = pass_at;
+  ea.at_lag = eb.at_lag = at_lag;
   auto pump = [&] {
     while (ea.step() | eb.step()) {
     }
@@ -184,6 +194,43 @@ TEST(ClockReads, PaReadsTheClockOncePerPostBatch) {
   EXPECT_LT(pa.reads, classic.reads);
 }
 
+TEST(ClockReads, PostDeliverBatchOpensAtTheFrameArrival) {
+  PaConfig pa_a, pa_b;
+  pa_a.cookie_seed = 1;
+  pa_b.cookie_seed = 2;
+  const PerMsg pa =
+      clock_reads_per_msg<PaEngine>(pa_a, pa_b, /*pass_at=*/true);
+  const PerMsg classic = clock_reads_per_msg<ClassicEngine>(
+      ClassicConfig{}, ClassicConfig{}, /*pass_at=*/true);
+  std::printf(
+      "clock reads per message, frames with arrival instants: PA %.2f, "
+      "classic %.2f\n",
+      pa.reads, classic.reads);
+  RecordProperty("pa_clock_reads_per_msg_arrival", std::to_string(pa.reads));
+
+  EXPECT_DOUBLE_EQ(pa.batches, 2.0);
+  // The post-deliver batch is scheduled while its frame is handled and
+  // takes the frame's arrival as its instant; the post-send batch (the
+  // test sends from outside any frame) still reads once. Sampled, as above,
+  // except that a timed post-deliver batch reads 2 (its span's open and
+  // close).
+  const double sampled = (2.0 + 3.0 + 1.0 + 2.0) / kPhaseSampleEvery;
+  EXPECT_LE(pa.reads, pa.batches - 1.0 + sampled);
+  EXPECT_LT(pa.reads, classic.reads);
+}
+
+TEST(ClockReads, ArrivalOlderThanTheLastInstantFallsBackToARead) {
+  // Every arrival is 1 s old: older than any instant the engine handed out
+  // after its first batch, so each batch reads the clock as with at = 0.
+  PaConfig pa_a, pa_b;
+  pa_a.cookie_seed = 1;
+  pa_b.cookie_seed = 2;
+  const PerMsg pa = clock_reads_per_msg<PaEngine>(pa_a, pa_b,
+                                                  /*pass_at=*/true, vt_ms(1000));
+  EXPECT_DOUBLE_EQ(pa.batches, 2.0);
+  EXPECT_GE(pa.reads, pa.batches);
+}
+
 // ---------------------------------------------------------------------------
 // A shared instant keeps retransmission and RTT samples sound
 
@@ -192,10 +239,11 @@ TEST(ClockReads, PaReadsTheClockOncePerPostBatch) {
 /// window stamps sent_at from these readings and takes every RTT sample as
 /// a later reading minus one of them, so if they never go backwards no
 /// sample is negative.
-class NowProbe final : public Layer {
+class NowProbe final : public ForwardingLayer {
  public:
   explicit NowProbe(std::vector<Vt>* seen)
-      : inner_(std::make_unique<WindowLayer>(config())), seen_(seen) {}
+      : ForwardingLayer(std::make_unique<WindowLayer>(config())),
+        seen_(seen) {}
 
   /// Fast retransmit off: the lost head must come back through the RTO.
   static WindowConfig config() {
@@ -203,46 +251,20 @@ class NowProbe final : public Layer {
     cfg.fast_retransmit = false;
     return cfg;
   }
-  const WindowLayer& window() const { return *inner_; }
+  const WindowLayer& window() const {
+    return static_cast<const WindowLayer&>(inner());
+  }
 
-  LayerKind kind() const override { return inner_->kind(); }
-  std::string_view name() const override { return inner_->name(); }
-  LayerTraits traits() const override { return inner_->traits(); }
-  ShedClass shed_class() const override { return inner_->shed_class(); }
-  void init(LayerInit& ctx) override { inner_->init(ctx); }
-  void write_conn_ident(HeaderView& hdr, bool incoming) const override {
-    inner_->write_conn_ident(hdr, incoming);
-  }
-  bool match_conn_ident(const HeaderView& hdr) const override {
-    return inner_->match_conn_ident(hdr);
-  }
-  SendVerdict pre_send(Message& msg, HeaderView& hdr) const override {
-    return inner_->pre_send(msg, hdr);
-  }
-  DeliverVerdict pre_deliver(const Message& msg,
-                             const HeaderView& hdr) const override {
-    return inner_->pre_deliver(msg, hdr);
-  }
   void post_send(const Message& msg, const HeaderView& hdr,
                  LayerOps& ops) override {
     Ops probe(ops, seen_);
-    inner_->post_send(msg, hdr, probe);
+    ForwardingLayer::post_send(msg, hdr, probe);
   }
   void post_deliver(Message& msg, const HeaderView& hdr,
                     DeliverVerdict verdict, LayerOps& ops) override {
     Ops probe(ops, seen_);
-    inner_->post_deliver(msg, hdr, verdict, probe);
+    ForwardingLayer::post_deliver(msg, hdr, verdict, probe);
   }
-  void predict_send(HeaderView& hdr) const override {
-    inner_->predict_send(hdr);
-  }
-  void predict_deliver(HeaderView& hdr) const override {
-    inner_->predict_deliver(hdr);
-  }
-  std::uint64_t state_digest() const override {
-    return inner_->state_digest();
-  }
-  std::uint64_t sync_digest() const override { return inner_->sync_digest(); }
 
  private:
   class Ops final : public LayerOps {
@@ -281,11 +303,13 @@ class NowProbe final : public Layer {
     std::vector<Vt>* seen_;
   };
 
-  std::unique_ptr<WindowLayer> inner_;
   std::vector<Vt>* seen_;
 };
 
-TEST(StepInstant, LostFirstFrameIsResentAndNoRttGoesBackwards) {
+/// Loses A's first frame of a stream echoed by B and checks the repair and
+/// every instant the windows saw. Frames reach each engine with an arrival
+/// instant when `pass_at` is set (the step's reading minus `at_lag`).
+void lost_first_frame(bool pass_at, VtDur at_lag) {
   constexpr std::uint8_t kMsgs = 8;
   std::vector<Vt> seen_a, seen_b;
   const NowProbe* win_a = nullptr;
@@ -312,6 +336,8 @@ TEST(StepInstant, LostFirstFrameIsResentAndNoRttGoesBackwards) {
   ea.peer = &eb;
   eb.peer = &ea;
   ea.run_timers = eb.run_timers = true;
+  ea.pass_at = eb.pass_at = pass_at;
+  ea.at_lag = eb.at_lag = at_lag;
   eb.echo = true;
 
   // A's first frame is lost, so B stashes the rest until A's RTO resends
@@ -359,6 +385,24 @@ TEST(StepInstant, LostFirstFrameIsResentAndNoRttGoesBackwards) {
   }
   EXPECT_GT(win_a->window().srtt(), 0);
   EXPECT_GT(win_b->window().srtt(), 0);
+}
+
+TEST(StepInstant, LostFirstFrameIsResentAndNoRttGoesBackwards) {
+  lost_first_frame(/*pass_at=*/false, 0);
+}
+
+// Batches that open at their frame's arrival, and arrivals 1 s older than
+// the step, which an engine must refuse once it has handed out a later
+// instant: either way no window sees time go backwards.
+TEST(StepInstant, ArrivalInstantsKeepRttSamplesSound) {
+  {
+    SCOPED_TRACE("arrival");
+    lost_first_frame(/*pass_at=*/true, 0);
+  }
+  {
+    SCOPED_TRACE("stale arrival");
+    lost_first_frame(/*pass_at=*/true, vt_ms(1000));
+  }
 }
 
 }  // namespace

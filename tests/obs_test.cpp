@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "forwarding_layer.h"
 #include "horus/report.h"
 #include "horus/stack.h"
 #include "horus/stack_spec.h"
@@ -204,45 +205,12 @@ TEST(Registry, MetricSlug) {
 // ---------------------------------------------------------------------------
 // Stack binding
 
-// A decorator that forwards kind() and name() to the WindowLayer it owns, as
-// a timing wrapper does, but not bind_stats(): by kind and name it looks
-// like a window layer, yet it is not a WindowLayer object.
-class WrappedWindow final : public Layer {
+// A decorator that forwards every call but bind_stats() to the WindowLayer
+// it owns, as a timing wrapper does: by kind and name it looks like a
+// window layer, yet it is not a WindowLayer object.
+class WrappedWindow final : public ForwardingLayer {
  public:
-  explicit WrappedWindow(std::unique_ptr<Layer> inner)
-      : inner_(std::move(inner)) {}
-
-  LayerKind kind() const override { return inner_->kind(); }
-  std::string_view name() const override { return inner_->name(); }
-  LayerTraits traits() const override { return inner_->traits(); }
-  void init(LayerInit& ctx) override { inner_->init(ctx); }
-  SendVerdict pre_send(Message& msg, HeaderView& hdr) const override {
-    return inner_->pre_send(msg, hdr);
-  }
-  DeliverVerdict pre_deliver(const Message& msg,
-                             const HeaderView& hdr) const override {
-    return inner_->pre_deliver(msg, hdr);
-  }
-  void post_send(const Message& msg, const HeaderView& hdr,
-                 LayerOps& ops) override {
-    inner_->post_send(msg, hdr, ops);
-  }
-  void post_deliver(Message& msg, const HeaderView& hdr,
-                    DeliverVerdict verdict, LayerOps& ops) override {
-    inner_->post_deliver(msg, hdr, verdict, ops);
-  }
-  void predict_send(HeaderView& hdr) const override {
-    inner_->predict_send(hdr);
-  }
-  void predict_deliver(HeaderView& hdr) const override {
-    inner_->predict_deliver(hdr);
-  }
-  std::uint64_t state_digest() const override {
-    return inner_->state_digest();
-  }
-
- private:
-  std::unique_ptr<Layer> inner_;
+  using ForwardingLayer::ForwardingLayer;
 };
 
 TEST(StackBinding, WrapperWithAWindowKindIsNotBoundAsAWindow) {

@@ -6,11 +6,14 @@
 // end-to-end, and the RelayForwarder's derived hop peeking.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "group/gossip_layer.h"
 #include "horus/relay.h"
 #include "horus/stack_spec.h"
 #include "horus/world.h"
@@ -85,32 +88,39 @@ ConnOptions mix_options(const Mix& mix, bool use_pa) {
   return o;
 }
 
-// Runs the world to quiescence. Under the PA it steps one event at a time
-// and checks, after each, that both engines' stored predictions equal a
-// rebuild from their layers' state: the send prediction is rebuilt lazily,
-// once per post batch, and must never be left stale.
-void run_checking_predictions(World& w, Endpoint* ea, Endpoint* eb) {
+// Runs the world to quiescence, or to the first event at or past `horizon`
+// (stacks whose timers re-arm forever). Under the PA it steps one event at
+// a time and checks, after each, that both engines' stored predictions
+// equal a rebuild from every layer's state: the send prediction is rebuilt
+// lazily, once per post batch, and must never be left stale; the fixed
+// layers' part is copied from images made at construction.
+void run_checking_predictions(World& w, Endpoint* ea, Endpoint* eb,
+                              Vt horizon = std::numeric_limits<Vt>::max()) {
   if (!ea->pa()) {
-    w.run();
+    while (w.queue().now() < horizon && w.queue().step()) {
+    }
     return;
   }
   std::uint64_t events = 0;
-  while (w.queue().step()) {
+  while (w.queue().now() < horizon && w.queue().step()) {
     ++events;
     ASSERT_TRUE(ea->pa()->predictions_fresh()) << "a, event " << events;
     ASSERT_TRUE(eb->pa()->predictions_fresh()) << "b, event " << events;
   }
 }
 
-// One matrix body shared by the PA and classic runs: bidirectional traffic
-// mixing sizes (small, compressible, incompressible, above-frag-threshold),
-// then full delivery + payload fidelity + digest convergence.
-void run_mix(const Mix& mix, bool use_pa) {
-  SCOPED_TRACE((use_pa ? "pa/" : "classic/") + mix.name());
+// One body shared by the matrix's PA and classic runs and the other stacks:
+// bidirectional traffic mixing sizes (small, compressible, incompressible,
+// above-frag-threshold), then full delivery + payload fidelity + digest
+// convergence (only for a run to quiescence: at a horizon, frames and
+// their acks may still be in flight).
+void run_conn(const std::string& name, const ConnOptions& opt,
+              Vt horizon = std::numeric_limits<Vt>::max()) {
+  SCOPED_TRACE((opt.use_pa ? "pa/" : "classic/") + name);
   World w;
   auto& na = w.add_node("a");
   auto& nb = w.add_node("b");
-  auto [ea, eb] = w.connect(na, nb, mix_options(mix, use_pa));
+  auto [ea, eb] = w.connect(na, nb, opt);
 
   const std::vector<std::vector<std::uint8_t>> sent = {
       bytes("hello stack"),       // tiny (below CompLayer::kMinPayload)
@@ -133,7 +143,7 @@ void run_mix(const Mix& mix, bool use_pa) {
     w.queue().at(vt_ms(1) * (i + 1) + vt_us(250),
                  [&, i, eb = eb] { eb->send(sent[i]); });
   }
-  run_checking_predictions(w, ea, eb);
+  run_checking_predictions(w, ea, eb, horizon);
 
   ASSERT_EQ(got_b.size(), sent.size());
   ASSERT_EQ(got_a.size(), sent.size());
@@ -141,8 +151,14 @@ void run_mix(const Mix& mix, bool use_pa) {
     EXPECT_EQ(got_b[i], sent[i]) << "a->b message " << i;
     EXPECT_EQ(got_a[i], sent[i]) << "b->a message " << i;
   }
-  EXPECT_EQ(ea->engine().stack().sync_digest(),
-            eb->engine().stack().sync_digest());
+  if (horizon == std::numeric_limits<Vt>::max()) {
+    EXPECT_EQ(ea->engine().stack().sync_digest(),
+              eb->engine().stack().sync_digest());
+  }
+}
+
+void run_mix(const Mix& mix, bool use_pa) {
+  run_conn(mix.name(), mix_options(mix, use_pa));
 }
 
 TEST(StackMix, EveryValidCombinationRoundTripsUnderPa) {
@@ -151,6 +167,100 @@ TEST(StackMix, EveryValidCombinationRoundTripsUnderPa) {
 
 TEST(StackMix, EveryValidCombinationRoundTripsUnderClassic) {
   for (const Mix& m : all_mixes()) run_mix(m, /*use_pa=*/false);
+}
+
+// The after-every-event prediction check over the stacks outside the
+// matrix: a NAK protocol, a heartbeat, the doubled window, and group gossip
+// (whose predicted gossip moves in post phases).
+TEST(StackMix, PredictionsStayFreshOnTheOtherStacks) {
+  auto with = [](StackSpec spec) {
+    ConnOptions o;
+    o.engine.stack.spec = std::move(spec);
+    return o;
+  };
+  const LayerSpec frag = LayerSpec::frag_layer({/*threshold=*/2048});
+  {
+    StackSpec s;
+    s.add(frag).add(LayerSpec::seq_layer()).add(LayerSpec::nak_layer());
+    s.add(LayerSpec::bottom_layer({}));
+    run_conn("nak", with(s));
+  }
+  {
+    StackSpec s;
+    s.add(LayerSpec::heartbeat_layer({/*interval=*/vt_ms(2)})).add(frag);
+    s.add(LayerSpec::window_layer({})).add(LayerSpec::bottom_layer({}));
+    // The heartbeat re-arms forever: stop well after the traffic.
+    run_conn("heartbeat", with(s), vt_ms(100));
+  }
+  {
+    StackSpec s;
+    s.add(frag).add(LayerSpec::window_layer({}));
+    s.add(LayerSpec::window_layer({})).add(LayerSpec::bottom_layer({}));
+    run_conn("doubled-window", with(s));
+  }
+  {
+    // The a side stamps a fixed view; the b side echoes each view it hears
+    // from its post-deliver phase, which moves its predicted gossip.
+    auto out_a = std::make_shared<group::GossipOutbound>(
+        group::GossipOutbound{3, 0xabcd, true, 7});
+    auto out_b = std::make_shared<group::GossipOutbound>();
+    StackSpec s;
+    s.add(LayerSpec::custom([out_a, out_b, calls = std::make_shared<int>(0)]()
+                                -> std::unique_ptr<Layer> {
+      group::GroupGossipConfig cfg;
+      cfg.beacon_interval = vt_ms(2);
+      if ((*calls)++ == 0) {  // World::connect builds the a side first
+        return std::make_unique<group::GroupGossipLayer>(cfg, out_a,
+                                                         group::GossipHooks{});
+      }
+      group::GossipHooks hooks;
+      hooks.on_view = [out_b](std::uint16_t epoch, std::uint32_t digest) {
+        out_b->epoch = epoch;
+        out_b->digest = digest;
+      };
+      return std::make_unique<group::GroupGossipLayer>(cfg, out_b,
+                                                       std::move(hooks));
+    }));
+    s.add(frag).add(LayerSpec::window_layer({}));
+    s.add(LayerSpec::bottom_layer({}));
+    run_conn("group-gossip", with(s), vt_ms(100));
+    EXPECT_EQ(out_b->digest, 0xabcdu);
+  }
+}
+
+// The fixed layers' deliver image is kept per peer byte order: between
+// peers of opposite byte order the relay's hop ids (16-bit fields, so the
+// order shows) must still be predicted. Checked once the run drains: the
+// peer's byte order is learnt from each frame and the deliver prediction
+// follows it at that frame's post batch, so in between the two differ.
+TEST(StackMix, FixedLayersPredictAcrossByteOrders) {
+  World w;
+  auto& na = w.add_node("a");
+  auto& nb = w.add_node("b");
+  ConnOptions o;
+  o.engine.stack.spec = StackSpec::paper();
+  std::vector<LayerSpec>& layers = o.engine.stack.spec.layers;
+  layers.insert(layers.end() - 1, LayerSpec::relay_layer());  // above bottom
+  o.a_endian = Endian::kBig;
+  o.b_endian = Endian::kLittle;
+  auto [ea, eb] = w.connect(na, nb, o);
+
+  std::size_t got_a = 0, got_b = 0;
+  ea->on_deliver([&](std::span<const std::uint8_t>) { ++got_a; });
+  eb->on_deliver([&](std::span<const std::uint8_t>) { ++got_b; });
+  for (int i = 0; i < 20; ++i) {
+    w.queue().at(vt_ms(2) * (i + 1), [&, ea = ea] { ea->send(bytes("ab")); });
+    w.queue().at(vt_ms(2) * (i + 1) + vt_ms(1),
+                 [&, eb = eb] { eb->send(bytes("ba")); });
+  }
+  w.run();
+
+  EXPECT_EQ(got_a, 20u);
+  EXPECT_EQ(got_b, 20u);
+  EXPECT_TRUE(ea->pa()->predictions_fresh());
+  EXPECT_TRUE(eb->pa()->predictions_fresh());
+  EXPECT_GT(ea->pa()->stats().fast_delivers, 15u);
+  EXPECT_GT(eb->pa()->stats().fast_delivers, 15u);
 }
 
 // Steady-state prediction must survive the full optional-layer load: the

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <new>
 
 #include "layout/view.h"
 #include "util/rng.h"
@@ -82,6 +83,30 @@ TEST(HeaderView, CrossByteBitField) {
   v.set_region(1, buf.data());
   v.set(f, 0x1abc);
   EXPECT_EQ(v.get(f), 0x1abcu);
+}
+
+// The constructor clears only the layout's regions, so a view built over
+// dirty storage must still read every one of them as unbound: wide_digest
+// (filter/interp.cpp) skips the regions an engine left unbound by that.
+TEST(HeaderView, FreshlyBoundViewHasEveryRegionUnbound) {
+  LayoutRegistry reg;
+  for (LayerId layer = 0; layer < 6; ++layer) {
+    reg.set_current_layer(layer);
+    reg.add_field(FieldClass::kProtoSpec, "p", 8);
+    reg.add_field(FieldClass::kGossip, "g", 16);
+    reg.add_field(FieldClass::kMsgSpec, "m", 32);
+  }
+  for (const LayoutMode mode : {LayoutMode::kCompact, LayoutMode::kClassic}) {
+    SCOPED_TRACE(mode == LayoutMode::kCompact ? "compact" : "classic");
+    const CompiledLayout cl = reg.compile(mode);
+    ASSERT_GT(cl.num_regions(), 1u);
+    alignas(HeaderView) unsigned char storage[sizeof(HeaderView)];
+    std::memset(storage, 0xa5, sizeof storage);
+    const HeaderView* v = new (storage) HeaderView(&cl, Endian::kLittle);
+    for (std::size_t r = 0; r < cl.num_regions(); ++r) {
+      EXPECT_EQ(v->region(r), nullptr) << "region " << r;
+    }
+  }
 }
 
 TEST(HeaderView, SetDoesNotClobberNeighbors) {
