@@ -99,7 +99,7 @@ class Mallory {
     // The wide digest, reproduced: covered header bytes per region mask
     // (the mask excludes the msg-spec bits, checksum included), then the
     // payload stream.
-    DigestStream ds(DigestKind::kCrc32c);
+    DigestStream ds;
     std::vector<std::uint8_t> buf;
     for (std::size_t r = 0; r < layout_.num_regions(); ++r) {
       const auto& mask = layout_.digest_mask(r);

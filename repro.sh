@@ -66,16 +66,23 @@ fi
 echo "==== no orphan headers ======================================="
 # A header under src/ that no file but its own .cpp includes is code no
 # other part of the tree uses: delete it instead of keeping it compiling.
+# One that only files under tests/ include is code only the tests run:
+# move it into tests/ as a fixture, or delete it with its tests.
 orphans=0
 for h in $(cd src && find . -name '*.h' | sed 's|^\./||' | sort); do
-  if ! grep -rlF "#include \"$h\"" src bench examples tests wallbench \
-      | grep -qvx "src/${h%.h}.cpp"; then
+  users=$(grep -rlF "#include \"$h\"" src bench examples tests wallbench \
+      | grep -vx "src/${h%.h}.cpp")
+  if [ -z "$users" ]; then
     echo "orphan header: src/$h"
+    orphans=1
+  elif ! printf '%s\n' "$users" | grep -qv '^tests/'; then
+    echo "test-only header: src/$h (included only by tests/)"
     orphans=1
   fi
 done
 if [ "$orphans" -ne 0 ]; then
-  echo "FAIL: headers under src/ that no other file includes (listed above)"
+  echo "FAIL: headers under src/ that no other file, or only tests, include"
+  echo "      (listed above)"
   exit 1
 fi
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "util/checksum.h"
+
 namespace pa {
 
 namespace {
@@ -240,8 +242,8 @@ void Message::coalesce_payload() const {
   chain_.push_back(Slice{std::move(c), 0, plen_});
 }
 
-std::uint64_t Message::payload_digest(DigestKind kind) const {
-  DigestStream ds(kind);
+std::uint64_t Message::payload_digest() const {
+  DigestStream ds;
   for (const Slice& s : chain_) ds.update(s.span());
   return ds.finish();
 }

@@ -40,7 +40,6 @@
 
 #include "buf/chunk.h"
 #include "buf/wire_frame.h"
-#include "util/checksum.h"
 
 namespace pa {
 
@@ -160,8 +159,8 @@ class Message {
   /// boundary for packed trains and reassembled fragments).
   std::span<const std::uint8_t> payload() const;
 
-  /// Digest of the payload computed by walking the chain — no flattening.
-  std::uint64_t payload_digest(DigestKind kind) const;
+  /// CRC32C of the payload computed by walking the chain — no flattening.
+  std::uint64_t payload_digest() const;
 
   /// The payload chain (possibly several slices).
   const std::vector<Slice>& payload_slices() const { return chain_; }

@@ -125,7 +125,6 @@ CompiledFilter CompiledFilter::compile(const FilterProgram& program,
     if (remaining() >= 2 && at(0).op == FilterOp::kDigest &&
         at(1).op == FilterOp::kPopField) {
       CInstr c{COp::kStoreDigest};
-      c.dig = at(0).dig;
       c.wide = at(0).wide;
       c.field = resolve(at(1).field, layout, wire_endian);
       out.code_.push_back(c);
@@ -139,7 +138,6 @@ CompiledFilter CompiledFilter::compile(const FilterProgram& program,
         at(3).op == FilterOp::kAbort) {
       CInstr c{COp::kCheckDigest};
       c.field = resolve(at(0).field, layout, wire_endian);
-      c.dig = at(1).dig;
       c.wide = at(1).wide;
       c.imm = at(3).imm;
       out.code_.push_back(c);
@@ -198,7 +196,6 @@ CompiledFilter CompiledFilter::compile(const FilterProgram& program,
       case FilterOp::kPushSize: c.op = COp::kPushSize; break;
       case FilterOp::kDigest:
         c.op = COp::kDigest;
-        c.dig = in.dig;
         c.wide = in.wide;
         break;
       case FilterOp::kPopField:
@@ -242,12 +239,11 @@ std::int64_t CompiledFilter::run(const HeaderView& hdr,
         break;
       case COp::kStoreDigest:
         store(c.field, hdr,
-              c.wide ? wide_digest(c.dig, hdr, msg)
-                     : msg.payload_digest(c.dig));
+              c.wide ? wide_digest(hdr, msg) : msg.payload_digest());
         break;
       case COp::kCheckDigest:
-        if (load(c.field, hdr) != (c.wide ? wide_digest(c.dig, hdr, msg)
-                                          : msg.payload_digest(c.dig))) {
+        if (load(c.field, hdr) !=
+            (c.wide ? wide_digest(hdr, msg) : msg.payload_digest())) {
           return c.imm;
         }
         break;
@@ -270,8 +266,7 @@ std::int64_t CompiledFilter::run(const HeaderView& hdr,
         stack[sp++] = msg.payload_len();
         break;
       case COp::kDigest:
-        stack[sp++] = c.wide ? wide_digest(c.dig, hdr, msg)
-                             : msg.payload_digest(c.dig);
+        stack[sp++] = c.wide ? wide_digest(hdr, msg) : msg.payload_digest();
         break;
       case COp::kPopField:
         store(c.field, hdr, stack[--sp]);

@@ -78,7 +78,6 @@ class CompiledFilter {
     std::int64_t imm = 0;
     std::uint64_t konst = 0;
     RField field{};
-    DigestKind dig = DigestKind::kCrc32c;
     FilterOp cmp = FilterOp::kEq;  // for kCheckFieldConst
     bool wide = false;             // digest covers header regions too
   };

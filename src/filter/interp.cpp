@@ -3,16 +3,17 @@
 #include <array>
 #include <cassert>
 
+#include "util/checksum.h"
+
 namespace pa {
 
-std::uint64_t wide_digest(DigestKind kind, const HeaderView& hdr,
-                          const Message& msg) {
+std::uint64_t wide_digest(const HeaderView& hdr, const Message& msg) {
   const CompiledLayout* lay = hdr.layout();
   // Covered header bytes are few (tens): mask them through a small stack
   // buffer, then stream the payload chain through the digest without
   // flattening or concatenating anything. DigestStream gives the same
   // result however its input is split.
-  DigestStream ds(kind);
+  DigestStream ds;
   if (lay != nullptr) {
     std::array<std::uint8_t, 64> buf{};
     std::size_t n = 0;
@@ -55,8 +56,7 @@ std::int64_t run_filter(const FilterProgram& program, HeaderView& hdr,
         stack[sp++] = msg.payload_len();
         break;
       case FilterOp::kDigest:
-        stack[sp++] = in.wide ? wide_digest(in.dig, hdr, msg)
-                              : msg.payload_digest(in.dig);
+        stack[sp++] = in.wide ? wide_digest(hdr, msg) : msg.payload_digest();
         break;
       case FilterOp::kPopField:
         hdr.set(in.field, stack[--sp]);

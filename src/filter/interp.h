@@ -27,7 +27,6 @@ std::int64_t run_filter(const FilterProgram& program, HeaderView& hdr,
 /// region is present. Used by the interpreter, the compiled backend and
 /// BottomLayer's classic-path verification — all three must agree bit for
 /// bit.
-std::uint64_t wide_digest(DigestKind kind, const HeaderView& hdr,
-                          const Message& msg);
+std::uint64_t wide_digest(const HeaderView& hdr, const Message& msg);
 
 }  // namespace pa

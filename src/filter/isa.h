@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "layout/field.h"
-#include "util/checksum.h"
 
 namespace pa {
 
@@ -50,7 +49,6 @@ struct FilterInstr {
   FilterOp op;
   std::int64_t imm = 0;
   FieldHandle field{};
-  DigestKind dig = DigestKind::kCrc32c;
   // DIGEST only: cover the predictable header regions (everything except
   // conn-ident and msg-spec bits, per CompiledLayout::digest_mask) in
   // addition to the payload. Protects sequence numbers and packing

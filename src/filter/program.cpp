@@ -69,8 +69,8 @@ FilterProgram& FilterProgram::push_size() {
   return emit({FilterOp::kPushSize, 0, {}, {}});
 }
 
-FilterProgram& FilterProgram::digest(DigestKind kind, bool wide) {
-  return emit({FilterOp::kDigest, 0, {}, kind, wide});
+FilterProgram& FilterProgram::digest(bool wide) {
+  return emit({FilterOp::kDigest, 0, {}, wide});
 }
 
 FilterProgram& FilterProgram::pop_field(FieldHandle h) {
@@ -153,8 +153,8 @@ std::string FilterProgram::disassemble() const {
                       filter_op_name(in.op), in.field.index);
         break;
       case FilterOp::kDigest:
-        std::snprintf(line, sizeof line, "%3zu  %-14s %s\n", i,
-                      filter_op_name(in.op), digest_kind_name(in.dig));
+        std::snprintf(line, sizeof line, "%3zu  %-14s crc32c\n", i,
+                      filter_op_name(in.op));
         break;
       default:
         std::snprintf(line, sizeof line, "%3zu  %s\n", i,

@@ -24,7 +24,7 @@ class FilterProgram {
   FilterProgram& push_size();
   /// `wide` extends the digest over the predictable header regions too
   /// (see FilterInstr::wide).
-  FilterProgram& digest(DigestKind kind, bool wide = false);
+  FilterProgram& digest(bool wide = false);
   FilterProgram& pop_field(FieldHandle h);
   FilterProgram& op(FilterOp o);  // arithmetic / comparison ops only
   FilterProgram& ret(std::int64_t v);

@@ -47,7 +47,7 @@ void GroupGossipLayer::post_deliver(Message&, const HeaderView& hdr,
   if (hooks_.on_heard) hooks_.on_heard(ops.now());
 
   // Harvest the gossip region. All-zero means the frame was emitted below
-  // this layer (window ack, heartbeat) and simply has nothing to say —
+  // this layer (window ack, NAK) and simply has nothing to say —
   // out-of-date or absent gossip must be harmless (paper §2.1).
   const std::uint64_t epoch = hdr.get(f_epoch_);
   const std::uint64_t digest = hdr.get(f_digest_);

@@ -12,7 +12,7 @@
 //       how the coordinator observes view convergence.
 //   gack (32b) — highest group seqno this endpoint has delivered, PLUS ONE:
 //       zero is the "no information" sentinel, because frames emitted by
-//       layers *below* this one (window acks, heartbeats) carry an
+//       layers *below* this one (window acks, NAKs) carry an
 //       all-zero gossip region and must be harmless.
 //
 // Fast-path interaction (the point of the exercise): on the send side the

@@ -56,7 +56,7 @@ struct McastOptions {
   /// Gossip beacon idle interval for both sides; 0 disables beacons (then
   /// stability only advances, and members are only heard, while traffic
   /// flows: poll() on a long-idle group suspects them). NOTE: beacons re-arm
-  /// forever, like heartbeats — run with a bounded horizon, or disable.
+  /// forever — run with a bounded horizon, or disable.
   VtDur beacon_interval = vt_ms(25);
   /// Per-member priorities (default 1). Priority 0 = low: that member's
   /// beacons are shed at Saturated (ShedClass::kLiveness); others survive

@@ -5,8 +5,8 @@
 // The health plane centralizes that question (the lesson of *A Reflection
 // on the Organic Growth of the Internet Protocol Stack*, PAPERS.md: failure
 // handling bolted on per-layer ossifies). Every McastGroup runs one plane,
-// and it is the only thing that suspects a group member; the heartbeat
-// layer only keeps a link audible. Per peer it combines:
+// and it is the only thing that suspects a group member; the gossip
+// layer's beacons only keep a link audible. Per peer it combines:
 //
 //   - a phi-accrual detector (health/phi.h) fed by every arrival the owner
 //     observes (gossip, beacons, data, acks) and primed from the adaptive

@@ -12,7 +12,6 @@
 
 #include "horus/stack_spec.h"
 #include "layers/layer.h"
-#include "layers/pace_layer.h"
 
 namespace pa {
 

@@ -8,14 +8,6 @@ LayerSpec LayerSpec::custom(std::function<std::unique_ptr<Layer>()> make) {
   return {.type = Type::kCustom, .make_custom = std::move(make)};
 }
 
-LayerSpec LayerSpec::meter() {
-  return {.type = Type::kMeter};
-}
-
-LayerSpec LayerSpec::heartbeat_layer(HeartbeatConfig cfg) {
-  return {.type = Type::kHeartbeat, .heartbeat = cfg};
-}
-
 LayerSpec LayerSpec::comp_layer() {
   return {.type = Type::kComp};
 }
@@ -57,8 +49,6 @@ std::unique_ptr<Layer> LayerSpec::build() const {
             "LayerSpec::custom(make_fn)");
       }
       return make_custom();
-    case Type::kMeter: return std::make_unique<MeterLayer>();
-    case Type::kHeartbeat: return std::make_unique<HeartbeatLayer>(heartbeat);
     case Type::kComp: return std::make_unique<CompLayer>();
     case Type::kFrag: return std::make_unique<FragLayer>(frag);
     case Type::kSeq: return std::make_unique<SeqLayer>(initial_seq);

@@ -8,8 +8,8 @@
 //
 //   - the stack is non-empty and terminated by exactly one bottom layer;
 //   - non-zero traits().rank values must be non-decreasing walking from the
-//     application toward the wire (rank-0 layers — meters, heartbeats,
-//     gossip carriers, arbitrary customs — compose anywhere);
+//     application toward the wire (rank-0 layers — gossip carriers,
+//     arbitrary customs — compose anywhere);
 //   - at most one *named* reliability protocol (repeated instances of the
 //     same one are allowed: the paper's doubled-window study runs
 //     window/window; window above nak is rejected).
@@ -36,9 +36,7 @@
 #include "layers/comp_layer.h"
 #include "layers/crypt_layer.h"
 #include "layers/frag_layer.h"
-#include "layers/heartbeat_layer.h"
 #include "layers/layer.h"
-#include "layers/meter_layer.h"
 #include "layers/nak_layer.h"
 #include "layers/relay_layer.h"
 #include "layers/seq_layer.h"
@@ -51,8 +49,6 @@ namespace pa {
 struct LayerSpec {
   enum class Type : std::uint8_t {
     kCustom,
-    kMeter,
-    kHeartbeat,
     kComp,
     kFrag,
     kSeq,
@@ -66,7 +62,6 @@ struct LayerSpec {
   Type type = Type::kCustom;
 
   // Per-type configs (only the one matching `type` is read).
-  HeartbeatConfig heartbeat{};
   FragConfig frag{/*threshold=*/8192};
   std::uint32_t initial_seq = 0;
   WindowConfig window{};
@@ -77,11 +72,6 @@ struct LayerSpec {
   std::function<std::unique_ptr<Layer>()> make_custom{};
 
   static LayerSpec custom(std::function<std::unique_ptr<Layer>()> make);
-  static LayerSpec meter();
-  /// A heartbeat layer re-arms its timer forever, so simulations using it
-  /// must run with a bounded horizon (World::run_for / run_until), not
-  /// run-to-drain.
-  static LayerSpec heartbeat_layer(HeartbeatConfig cfg);
   static LayerSpec comp_layer();
   static LayerSpec frag_layer(FragConfig cfg);
   static LayerSpec seq_layer(std::uint32_t initial_seq = 0);

@@ -27,11 +27,11 @@ void BottomLayer::init(LayerInit& ctx) {
   // lands in the wrong window slot and the stream misdelivers. It costs a
   // few dozen extra digested bytes per frame.
   ctx.send_filter.push_size().pop_field(f_len_);
-  ctx.send_filter.digest(cfg_.digest, /*wide=*/true).pop_field(f_cksum_);
+  ctx.send_filter.digest(/*wide=*/true).pop_field(f_cksum_);
 
   // Receive filter: verify them; 0 = drop.
   ctx.recv_filter.push_size().push_field(f_len_).op(FilterOp::kNe).abort_if(0);
-  ctx.recv_filter.push_field(f_cksum_).digest(cfg_.digest, /*wide=*/true)
+  ctx.recv_filter.push_field(f_cksum_).digest(/*wide=*/true)
       .op(FilterOp::kNe).abort_if(0);
 }
 
@@ -58,7 +58,7 @@ SendVerdict BottomLayer::pre_send(Message& msg, HeaderView& hdr) const {
   // Slow path (no send filter ran): write the message-specific fields here.
   // Must match the send filter's StoreDigest bit for bit.
   hdr.set(f_len_, msg.payload_len());
-  hdr.set(f_cksum_, wide_digest(cfg_.digest, hdr, msg));
+  hdr.set(f_cksum_, wide_digest(hdr, msg));
   return SendVerdict::kOk;
 }
 
@@ -67,7 +67,7 @@ DeliverVerdict BottomLayer::pre_deliver(const Message& msg,
   // Under the PA the receive filter already verified these; under the
   // classic engine this is where verification lives.
   if (hdr.get(f_len_) != msg.payload_len()) return DeliverVerdict::kDrop;
-  if (hdr.get(f_cksum_) != wide_digest(cfg_.digest, hdr, msg)) {
+  if (hdr.get(f_cksum_) != wide_digest(hdr, msg)) {
     return DeliverVerdict::kDrop;
   }
   return DeliverVerdict::kDeliver;

@@ -10,7 +10,6 @@
 #include <array>
 
 #include "layers/layer.h"
-#include "util/checksum.h"
 #include "util/stat_fields.h"
 
 namespace pa {
@@ -28,7 +27,6 @@ struct BottomConfig {
   Address local;
   Address remote;
   std::uint64_t group = 0;
-  DigestKind digest = DigestKind::kCrc32c;
 };
 
 // BottomLayer::Stats, one row per field (util/stat_fields.h).

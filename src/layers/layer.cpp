@@ -11,10 +11,9 @@ std::vector<Message> Layer::transform_send(Message&) { return {}; }
 void Layer::bind_stats(obs::MetricsRegistry&, const std::string&) const {}
 
 LayerTraits Layer::traits() const {
-  // Meter, comp and bottom predict nothing; frag predicts a non-fragment
-  // and relay its configured hops: all fixed.
+  // Comp and bottom predict nothing; frag predicts a non-fragment and
+  // relay its configured hops: all fixed.
   switch (kind()) {
-    case LayerKind::kMeter: return {0, false, false, true};
     case LayerKind::kCustom: return {0, false, false};
     case LayerKind::kComp: return {10, false, false, true};
     case LayerKind::kFrag: return {20, false, false, true};

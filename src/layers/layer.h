@@ -115,7 +115,7 @@ class LayerOps {
 /// How the overload governor may treat a layer's *protocol emissions*
 /// (emit_down messages — never application data) under pressure:
 ///   - kNever     : repairs and irreplaceable control (NAKs). Never shed.
-///   - kLiveness  : pure liveness gossip (heartbeats, membership beacons).
+///   - kLiveness  : pure liveness gossip (membership beacons).
 ///     The peer's failure detector tolerates misses up to its timeout, so
 ///     these go first (Saturated and above).
 ///   - kGossipAck : standalone acknowledgement/gossip carriers that are
@@ -127,8 +127,8 @@ enum class ShedClass : std::uint8_t { kNever, kLiveness, kGossipAck };
 /// Composition constraints a layer declares about itself (consumed by
 /// StackSpec::validate_built(), src/horus/stack_spec.h). `rank` orders
 /// layers top (application) to bottom (wire): within a stack, non-zero
-/// ranks must be non-decreasing walking downward. Rank-0 layers (meters, heartbeats,
-/// gossip carriers, arbitrary custom layers) compose anywhere. At most one
+/// ranks must be non-decreasing walking downward. Rank-0 layers (gossip
+/// carriers, arbitrary custom layers) compose anywhere. At most one
 /// *named* reliability protocol may appear (repeated instances of the same
 /// one are allowed — the paper's doubled-window study), and exactly one
 /// bottom layer, which must terminate the stack.

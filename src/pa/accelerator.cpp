@@ -666,9 +666,8 @@ void PaEngine::on_frame(WireFrame frame, Vt at) {
   if (deliver_busy_) {
     // Post-processing of the previous delivery is still pending: the
     // message waits (paper §3.4 — this is the backlog that packing was
-    // invented to shrink, on the send side). A bounded buffer: a real NIC
-    // receive ring overflows too, and retransmission recovers the loss.
-    if (recv_queue_.size() >= cfg_.max_recv_queue) {
+    // invented to shrink, on the send side), up to kMaxRecvQueue frames.
+    if (recv_queue_.size() >= kMaxRecvQueue) {
       stats_.drops.bump(DropReason::kRecvQueueFull);
       return;
     }
@@ -1000,7 +999,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
                          bool unusual) {
   if (cfg_.governor) {
     // Priority-aware shedding: control traffic that the protocol can repair
-    // goes first. Heartbeats are pure liveness gossip (the peer's failure
+    // goes first. Liveness beacons are pure gossip (the peer's failure
     // detector tolerates misses up to its timeout); standalone window acks
     // are re-emitted by the ack-every counter and the delayed-ack timer, and
     // data's piggybacked gossip still flows. Data and NAK repairs are never
@@ -1042,7 +1041,7 @@ void PaEngine::emit_down(std::size_t from_layer, Message m,
       return;  // lower layer cannot carry it now; drop (acks are repairable)
     }
     if (stack_.layer(i).has_frame_codec()) {
-      // Protocol messages (acks, NAK repairs, heartbeats) are sealed too —
+      // Protocol messages (acks, NAK repairs, beacons) are sealed too —
       // every frame below the codec layer is ciphertext, each with its own
       // nonce taken in the pre_send just above.
       stack_.layer(i).encode_frame(m, v);

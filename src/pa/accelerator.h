@@ -49,7 +49,6 @@ struct PaConfig {
   bool use_compiled_filters = true;
   bool enable_packing = true;
   bool variable_packing = false;   // extension: pack unequal sizes
-  std::size_t max_recv_queue = 1024;  // frames parked behind post-processing
   bool use_message_pool = true;    // §6: explicit alloc/dealloc of messages
   Endian self_endian = host_endian();
   std::uint64_t cookie_seed = 1;   // deterministic cookie source
@@ -66,7 +65,7 @@ struct PaConfig {
   // --- overload governor (src/resil/) -------------------------------------
   /// When set, the engine feeds the governor its pressure signals (backlog
   /// depth, recv-queue depth, pool occupancy) and obeys its degradation
-  /// policies: ingest admission control, heartbeat/gossip shedding,
+  /// policies: ingest admission control, beacon/gossip shedding,
   /// packing-train shrink and window clamp. Every refusal lands in
   /// stats().drops under a shed_* reason. Non-owning; shared across the
   /// engines and router of one node.
@@ -79,6 +78,11 @@ struct PaConfig {
 // thread is next idle (paper §3.1).
 class PaEngine final : public Engine {
  public:
+  /// Frames parked behind a pending post-deliver batch. A bounded buffer: a
+  /// real NIC receive ring overflows too, and retransmission recovers the
+  /// loss (DropReason::kRecvQueueFull).
+  static constexpr std::size_t kMaxRecvQueue = 1024;
+
   PaEngine(PaConfig cfg, Env& env);
 
   // --- Engine interface ---------------------------------------------------

@@ -26,7 +26,7 @@ enum class DropReason : std::uint8_t {
   // Overload-governor sheds (src/resil/): deliberate, accounted rejections
   // under pressure — never silent loss.
   kShedIngest,             // admission control refused a new app send
-  kShedHeartbeat,          // heartbeat emission shed (>= Saturated)
+  kShedHeartbeat,          // liveness beacon emission shed (>= Saturated)
   kShedGossip,             // standalone ack/gossip emission shed (Critical)
   kShedNewConn,            // fresh conn-ident rejected before established
   kIdentQuota,             // cookie exhausted its failed-ident quota (storm)

@@ -4,11 +4,11 @@
 
 namespace pa {
 
-void Router::learn(std::uint64_t cookie, Engine* engine, Vt at) {
+void Router::learn(std::uint64_t cookie, Engine* engine) {
   stale_.erase(cookie);
   ident_attempts_.erase(cookie);  // a successful ident clears its quota debt
-  auto [it, inserted] = by_cookie_.try_emplace(cookie, CookieEntry{engine, at});
-  if (!inserted && it->second.engine != engine) {
+  auto [it, inserted] = by_cookie_.try_emplace(cookie, engine);
+  if (!inserted && it->second != engine) {
     // Two live connections presenting the same cookie: neither may receive
     // the other's frames, so the entry is poisoned instead of overwritten.
     by_cookie_.erase(it);
@@ -21,29 +21,12 @@ void Router::learn(std::uint64_t cookie, Engine* engine, Vt at) {
     // epoch) supersedes its old mappings: mark them stale so late frames
     // are classified, not treated as unknown.
     for (auto old = by_cookie_.begin(); old != by_cookie_.end();) {
-      if (old->second.engine == engine && old->first != cookie) {
+      if (old->second == engine && old->first != cookie) {
         stale_.insert(old->first);
         old = by_cookie_.erase(old);
       } else {
         ++old;
       }
-    }
-  }
-}
-
-void Router::maybe_reap(Vt at) {
-  if (churn_.cookie_idle_timeout == 0) return;
-  if (at < next_reap_at_) return;
-  next_reap_at_ = at + churn_.reap_interval;
-  for (auto it = by_cookie_.begin(); it != by_cookie_.end();) {
-    if (at - it->second.last_seen > churn_.cookie_idle_timeout) {
-      // Forget, don't mark stale: a reaped live peer re-identifies and
-      // re-teaches the mapping (the §2.2 recovery path), whereas stale
-      // means "superseded by a newer epoch" and would misclassify it.
-      it = by_cookie_.erase(it);
-      ++stats_.cookies_reaped;
-    } else {
-      ++it;
     }
   }
 }
@@ -90,7 +73,6 @@ void Router::report_churn_event(Vt at) {
 
 Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
   if (at > now_hint_) now_hint_ = at;
-  maybe_reap(at);
   if (kind_ == Kind::kClassic) {
     for (Engine* e : engines_) {
       if (e->match_ident(frame)) {
@@ -122,10 +104,9 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
       report_churn_event(at);
       return nullptr;
     }
-    it->second.last_seen = at;
     ++stats_.routed_by_cookie;
     if (governor_) governor_->report_churn(0.0);
-    return it->second.engine;
+    return it->second;
   }
   if (governor_ && governor_->reject_new_idents()) {
     // Identification scans cost O(engines); under overload, cookies the
@@ -138,10 +119,9 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
     // RTO-spaced re-identification still lands within a few tries.
     auto it = by_cookie_.find(p->cookie);
     if (it != by_cookie_.end()) {
-      it->second.last_seen = at;
       ++stats_.routed_by_cookie;
       governor_->report_churn(0.0);
-      return it->second.engine;
+      return it->second;
     }
     const bool escape = (++governed_scan_misses_ % kGovernedScanEvery) == 0;
     if (ident_scan_credit_ == 0 && !escape) {
@@ -163,7 +143,7 @@ Engine* Router::route(std::span<const std::uint8_t> frame, Vt at) {
   }
   for (Engine* e : engines_) {
     if (e->match_ident(frame)) {
-      learn(p->cookie, e, at);
+      learn(p->cookie, e);
       ++stats_.routed_by_ident;
       return e;
     }

@@ -24,10 +24,11 @@
 //   - per-cookie failed-ident quotas: a cookie whose identification keeps
 //     matching nobody stops buying O(engines) scans — further attempts are
 //     shed as DropReason::kIdentQuota until its window expires;
-//   - an idle-cookie reaper on a lazy timer (no timer wheel: the next
-//     arrival's timestamp drives it) forgets learned cookies that carried
-//     no traffic for cookie_idle_timeout, so a churn storm cannot grow the
-//     cookie table without bound — a reaped live peer just re-identifies;
+//   - the cookie table holds at most one cookie per registered engine: a
+//     cookie is learned only when its identification matches a registered
+//     engine (or is registered out of band), and learning a new cookie for
+//     an engine moves its old one to the stale set, so a churn storm of
+//     unknown cookies never enters it;
 //   - a storm detector feeds the overload governor: each fresh-ident scan,
 //     quota shed or unknown cookie reports churn pressure 1.0 and each
 //     established cookie-routed frame reports 0.0, so a join storm raises
@@ -57,8 +58,6 @@ namespace pa {
     "frames fanned out by a registered group cookie")                          \
   X(std::uint64_t, group_deliveries, "group_deliveries_total", "",             \
     "engine deliveries produced by group-cookie fanout")                       \
-  X(std::uint64_t, cookies_reaped, "cookies_reaped_total", "",                 \
-    "idle learned cookies forgotten by the reaper")                            \
   X(std::uint64_t, churn_events, "churn_events_total", "",                     \
     "ident-storm events reported to the overload governor")
 
@@ -81,16 +80,6 @@ class Router {
   /// as a last resort the table is cleared (a storm already owns it).
   static constexpr std::size_t kQuotaTableCap = 4096;
 
-  /// The idle-cookie reaper. It defaults off (0) — hosts with real time
-  /// flowing opt in.
-  struct ChurnConfig {
-    /// Learned cookies idle longer than this are forgotten (0 = off).
-    VtDur cookie_idle_timeout = 0;
-    /// Lazy-reap cadence: at most one sweep per this interval, triggered
-    /// by whatever frame arrives next (no dedicated timer).
-    VtDur reap_interval = vt_ms(100);
-  };
-
   explicit Router(Kind kind = Kind::kPa) : kind_(kind) {}
 
   void set_kind(Kind kind) { kind_ = kind; }
@@ -104,15 +93,13 @@ class Router {
   /// live peer's re-identification from being starved forever.
   void set_governor(resil::OverloadGovernor* g) { governor_ = g; }
 
-  void set_churn_config(const ChurnConfig& c) { churn_ = c; }
-
   void add(Engine* engine) { engines_.push_back(engine); }
   const std::vector<Engine*>& engines() const { return engines_; }
 
   /// Pre-agreed-cookie extension: install a cookie→connection mapping out
   /// of band so the first message needs no connection identification.
   void register_cookie(std::uint64_t cookie, Engine* engine) {
-    learn(cookie, engine, now_hint_);
+    learn(cookie, engine);
   }
 
   /// Group-cookie fanout: a frame whose cookie matches a registered group
@@ -137,8 +124,8 @@ class Router {
   /// effect). Returns nullptr when the frame must be dropped. Routing only
   /// inspects the leading header bytes, which every engine-emitted frame
   /// keeps in its first slice — the gather-list overload peeks there.
-  /// `at` stamps cookie liveness and drives the quota windows and the lazy
-  /// reaper; the timeless overloads reuse the last timestamp seen.
+  /// `at` drives the failed-ident quota windows; the timeless overloads
+  /// reuse the last timestamp seen.
   Engine* route(std::span<const std::uint8_t> frame, Vt at);
   Engine* route(std::span<const std::uint8_t> frame) {
     return route(frame, now_hint_);
@@ -167,19 +154,12 @@ class Router {
   std::size_t cookie_table_size() const { return by_cookie_.size(); }
 
  private:
-  struct CookieEntry {
-    Engine* engine = nullptr;
-    Vt last_seen = 0;  // stamped per routed frame; drives the idle reaper
-  };
   struct IdentAttempts {
     std::uint32_t failures = 0;
     Vt window_start = 0;
   };
 
-  void learn(std::uint64_t cookie, Engine* engine, Vt at = 0);
-  /// Lazy idle-cookie reap: a no-op until reap_interval has passed since
-  /// the last sweep (the arriving frame's timestamp is the clock).
-  void maybe_reap(Vt at);
+  void learn(std::uint64_t cookie, Engine* engine);
   /// True when the cookie has burned its failed-ident budget this window.
   bool quota_exceeded(std::uint64_t cookie, Vt at);
   void note_ident_failure(std::uint64_t cookie, Vt at);
@@ -193,13 +173,11 @@ class Router {
 
   Kind kind_;
   resil::OverloadGovernor* governor_ = nullptr;
-  ChurnConfig churn_;
   std::uint32_t ident_scan_credit_ = kIdentScanBurst;
   std::uint64_t governed_scan_misses_ = 0;
-  Vt now_hint_ = 0;      // latest timestamp seen (for timeless route calls)
-  Vt next_reap_at_ = 0;  // lazy reaper deadline
+  Vt now_hint_ = 0;  // latest timestamp seen (for timeless route calls)
   std::vector<Engine*> engines_;
-  std::map<std::uint64_t, CookieEntry> by_cookie_;
+  std::map<std::uint64_t, Engine*> by_cookie_;
   std::map<std::uint64_t, IdentAttempts> ident_attempts_;  // failed idents
   std::map<std::uint64_t, std::vector<Engine*>> groups_;  // fanout bindings
   std::set<std::uint64_t> ambiguous_;  // collided cookies: route nobody

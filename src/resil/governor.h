@@ -33,7 +33,7 @@
 // Policy ladder (each level keeps everything the previous level does):
 //   Elevated:   admission watermark at PA ingest (new app sends beyond the
 //               watermark are shed as `shed_ingest`).
-//   Saturated:  watermark tightens; heartbeat emissions shed
+//   Saturated:  watermark tightens; liveness beacons shed
 //               (`shed_heartbeat`); new conn-idents rejected at the router
 //               before established traffic (`shed_new_conn`); packing
 //               trains shrink and the send window is clamped.
@@ -130,7 +130,7 @@ class OverloadGovernor {
   // --- policy ladder ------------------------------------------------------
   /// May a new application send join a backlog currently `depth` deep?
   bool admit_ingest(std::size_t depth) const;
-  /// Shed heartbeat emissions? (>= Saturated)
+  /// Shed liveness beacons (ShedClass::kLiveness emissions)? (>= Saturated)
   bool shed_heartbeat() const { return level() >= OverloadLevel::kSaturated; }
   /// Shed standalone-ack/gossip emissions? (Critical only: acks are
   /// repairable — retransmission re-triggers them — but shedding them any

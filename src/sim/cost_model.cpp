@@ -8,7 +8,6 @@ const char* layer_kind_name(LayerKind kind) {
     case LayerKind::kWindow: return "window";
     case LayerKind::kSeq: return "seq";
     case LayerKind::kFrag: return "frag";
-    case LayerKind::kMeter: return "meter";
     case LayerKind::kCustom: return "custom";
     case LayerKind::kComp: return "comp";
     case LayerKind::kCrypt: return "crypt";
@@ -23,7 +22,6 @@ PhaseCosts CostModel::ml_costs(LayerKind kind) const {
     case LayerKind::kWindow: return ml_window;
     case LayerKind::kSeq: return ml_seq;
     case LayerKind::kFrag: return ml_frag;
-    case LayerKind::kMeter: return ml_meter;
     case LayerKind::kCustom: return ml_custom;
     case LayerKind::kComp: return ml_comp;
     case LayerKind::kCrypt: return ml_crypt;
@@ -53,8 +51,8 @@ CostModel CostModel::zero() {
   m.pa_per_packed_extra = 0;
   m.pa_backlog_per_msg = 0;
   m.timer_cost = 0;
-  m.ml_bottom = m.ml_window = m.ml_seq = m.ml_frag = m.ml_meter =
-      m.ml_custom = m.ml_comp = m.ml_crypt = m.ml_relay = PhaseCosts{};
+  m.ml_bottom = m.ml_window = m.ml_seq = m.ml_frag = m.ml_custom =
+      m.ml_comp = m.ml_crypt = m.ml_relay = PhaseCosts{};
   m.classic_send_per_layer = 0;
   m.classic_deliver_per_layer = 0;
   m.classic_demux = 0;

@@ -27,7 +27,6 @@ enum class LayerKind : std::uint8_t {
   kWindow,
   kSeq,
   kFrag,
-  kMeter,
   kCustom,
   kComp,
   kCrypt,
@@ -57,7 +56,6 @@ struct CostModel {
   PhaseCosts ml_window{vt_us(15), vt_us(15), vt_us(15), vt_us(15)};
   PhaseCosts ml_seq{vt_us(10), vt_us(15), vt_us(10), vt_us(10)};
   PhaseCosts ml_frag{vt_us(10), vt_us(20), vt_us(10), vt_us(10)};
-  PhaseCosts ml_meter{vt_us(2), vt_us(2), vt_us(2), vt_us(2)};
   PhaseCosts ml_custom{vt_us(15), vt_us(15), vt_us(15), vt_us(15)};
   // Post-paper layers (composable-stack extension). The codec work itself
   // (cipher, compressor) runs for real; these model only the per-layer

@@ -104,163 +104,8 @@ std::uint32_t crc32c(std::span<const std::uint8_t> data) {
   return kCrc32cUpdate(0xffffffffu, data.data(), data.size()) ^ 0xffffffffu;
 }
 
-std::uint32_t fletcher32(std::span<const std::uint8_t> data) {
-  // Operates on 16-bit words, zero-padding an odd trailing byte.
-  std::uint32_t sum1 = 0xffff;
-  std::uint32_t sum2 = 0xffff;
-  std::size_t i = 0;
-  while (i + 1 < data.size()) {
-    std::uint32_t word =
-        static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
-    i += 2;
-    sum1 += word;
-    sum2 += sum1;
-    if ((i & 0x1ff) == 0) {  // fold periodically to avoid overflow
-      sum1 = (sum1 & 0xffff) + (sum1 >> 16);
-      sum2 = (sum2 & 0xffff) + (sum2 >> 16);
-    }
-  }
-  if (i < data.size()) {
-    std::uint32_t word = static_cast<std::uint32_t>(data[i]) << 8;
-    sum1 += word;
-    sum2 += sum1;
-  }
-  sum1 = (sum1 & 0xffff) + (sum1 >> 16);
-  sum2 = (sum2 & 0xffff) + (sum2 >> 16);
-  sum1 = (sum1 & 0xffff) + (sum1 >> 16);
-  sum2 = (sum2 & 0xffff) + (sum2 >> 16);
-  return (sum2 << 16) | sum1;
-}
-
-std::uint16_t inet_checksum(std::span<const std::uint8_t> data) {
-  std::uint64_t sum = 0;
-  std::size_t i = 0;
-  while (i + 1 < data.size()) {
-    sum += static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
-    i += 2;
-  }
-  if (i < data.size()) sum += static_cast<std::uint32_t>(data[i]) << 8;
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
-}
-
-std::uint8_t xor8(std::span<const std::uint8_t> data) {
-  std::uint8_t x = 0;
-  for (std::uint8_t b : data) x ^= b;
-  return x;
-}
-
-std::uint64_t digest(DigestKind kind, std::span<const std::uint8_t> data) {
-  switch (kind) {
-    case DigestKind::kCrc32c: return crc32c(data);
-    case DigestKind::kFletcher32: return fletcher32(data);
-    case DigestKind::kSum16: return inet_checksum(data);
-    case DigestKind::kXor8: return xor8(data);
-  }
-  return 0;
-}
-
-const char* digest_kind_name(DigestKind kind) {
-  switch (kind) {
-    case DigestKind::kCrc32c: return "crc32c";
-    case DigestKind::kFletcher32: return "fletcher32";
-    case DigestKind::kSum16: return "sum16";
-    case DigestKind::kXor8: return "xor8";
-  }
-  return "?";
-}
-
-DigestStream::DigestStream(DigestKind kind) : kind_(kind) {}
-
 void DigestStream::update(std::span<const std::uint8_t> data) {
-  if (data.empty()) return;
-  switch (kind_) {
-    case DigestKind::kCrc32c:
-      crc_ = kCrc32cUpdate(crc_, data.data(), data.size());
-      return;
-    case DigestKind::kXor8:
-      for (std::uint8_t b : data) x_ ^= b;
-      return;
-    case DigestKind::kFletcher32: {
-      std::size_t i = 0;
-      if (have_carry_) {
-        // Complete the 16-bit word split across the span boundary.
-        sum1_ += static_cast<std::uint32_t>(carry_) << 8 | data[0];
-        sum2_ += sum1_;
-        paired_ += 2;
-        if ((paired_ & 0x1ff) == 0) {
-          sum1_ = (sum1_ & 0xffff) + (sum1_ >> 16);
-          sum2_ = (sum2_ & 0xffff) + (sum2_ >> 16);
-        }
-        have_carry_ = false;
-        i = 1;
-      }
-      while (i + 1 < data.size()) {
-        sum1_ += static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
-        sum2_ += sum1_;
-        i += 2;
-        paired_ += 2;
-        if ((paired_ & 0x1ff) == 0) {
-          sum1_ = (sum1_ & 0xffff) + (sum1_ >> 16);
-          sum2_ = (sum2_ & 0xffff) + (sum2_ >> 16);
-        }
-      }
-      if (i < data.size()) {
-        carry_ = data[i];
-        have_carry_ = true;
-      }
-      return;
-    }
-    case DigestKind::kSum16: {
-      std::size_t i = 0;
-      if (have_carry_) {
-        isum_ += static_cast<std::uint32_t>(carry_) << 8 | data[0];
-        have_carry_ = false;
-        i = 1;
-      }
-      while (i + 1 < data.size()) {
-        isum_ += static_cast<std::uint32_t>(data[i]) << 8 | data[i + 1];
-        i += 2;
-      }
-      if (i < data.size()) {
-        carry_ = data[i];
-        have_carry_ = true;
-      }
-      return;
-    }
-  }
-}
-
-std::uint64_t DigestStream::finish() {
-  switch (kind_) {
-    case DigestKind::kCrc32c:
-      return crc_ ^ 0xffffffffu;
-    case DigestKind::kXor8:
-      return x_;
-    case DigestKind::kFletcher32: {
-      if (have_carry_) {
-        // The genuinely odd trailing byte: added high, no periodic fold —
-        // exactly what the one-shot function does after its main loop.
-        sum1_ += static_cast<std::uint32_t>(carry_) << 8;
-        sum2_ += sum1_;
-        have_carry_ = false;
-      }
-      sum1_ = (sum1_ & 0xffff) + (sum1_ >> 16);
-      sum2_ = (sum2_ & 0xffff) + (sum2_ >> 16);
-      sum1_ = (sum1_ & 0xffff) + (sum1_ >> 16);
-      sum2_ = (sum2_ & 0xffff) + (sum2_ >> 16);
-      return (sum2_ << 16) | sum1_;
-    }
-    case DigestKind::kSum16: {
-      if (have_carry_) {
-        isum_ += static_cast<std::uint32_t>(carry_) << 8;
-        have_carry_ = false;
-      }
-      while (isum_ >> 16) isum_ = (isum_ & 0xffff) + (isum_ >> 16);
-      return static_cast<std::uint16_t>(~isum_ & 0xffff);
-    }
-  }
-  return 0;
+  crc_ = kCrc32cUpdate(crc_, data.data(), data.size());
 }
 
 }  // namespace pa

@@ -1,39 +1,23 @@
-// Message digests available to packet-filter DIGEST instructions.
+// The message digest behind the packet filters' DIGEST instruction.
 //
 // The paper's packet filter has a DIGEST op carrying a function pointer
-// (Table 2). We expose a small closed set of digest kinds instead of raw
-// pointers so that filter programs remain serializable and statically
-// checkable.
-//
-// Two implementation notes for the zero-copy message path:
-//   - DigestStream computes any digest incrementally over a sequence of
-//     spans (a chained payload) with bit-exact equivalence to the one-shot
-//     functions over the concatenated bytes — including Fletcher's periodic
-//     fold points and the odd-trailing-byte rules, which are carried across
-//     span boundaries.
+// (Table 2). Every stack's send and receive filter computes one digest,
+// CRC-32C, so that is the only function here:
 //   - crc32c() dispatches at runtime to the CPU's CRC32 instructions
 //     (SSE4.2 on x86, the CRC32 extension on ARMv8) when available; the
 //     software table implementation remains both the fallback and the
 //     oracle the hardware path is tested against (crc32c_sw()).
+//   - DigestStream computes the same CRC incrementally over a sequence of
+//     spans (a chained payload), equal to crc32c() over the concatenated
+//     bytes however the input is split.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace pa {
 
-enum class DigestKind : std::uint8_t {
-  kCrc32c,      // Castagnoli CRC-32 (hardware-accelerated when possible)
-  kFletcher32,  // Fletcher-32 over bytes
-  kSum16,       // 16-bit ones-complement Internet checksum
-  kXor8,        // trivial xor of all bytes (cheap, for tests)
-};
-
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
-std::uint32_t fletcher32(std::span<const std::uint8_t> data);
-std::uint16_t inet_checksum(std::span<const std::uint8_t> data);
-std::uint8_t xor8(std::span<const std::uint8_t> data);
 
 /// The pure software-table CRC32C — the oracle the dispatched path must
 /// agree with byte-for-byte.
@@ -42,42 +26,19 @@ std::uint32_t crc32c_sw(std::span<const std::uint8_t> data);
 /// Whether crc32c() is using a hardware CRC instruction on this machine.
 bool crc32c_hw_available();
 
-/// Dispatch by kind; result is zero-extended to 64 bits for the filter stack.
-std::uint64_t digest(DigestKind kind, std::span<const std::uint8_t> data);
-
-const char* digest_kind_name(DigestKind kind);
-
-/// Incremental digest over a sequence of byte spans. For every kind,
-///   DigestStream ds(k); ds.update(a); ds.update(b); ds.finish()
-/// equals digest(k, a ++ b) exactly, for any split — this is what lets the
+/// Incremental CRC32C over a sequence of byte spans:
+///   DigestStream ds; ds.update(a); ds.update(b); ds.finish()
+/// equals crc32c(a ++ b) exactly, for any split — this is what lets the
 /// packet filters checksum a chained payload without flattening it.
 class DigestStream {
  public:
-  explicit DigestStream(DigestKind kind);
-
   void update(std::span<const std::uint8_t> data);
 
-  /// Final digest value; the stream must not be updated afterwards.
-  std::uint64_t finish();
-
-  DigestKind kind() const { return kind_; }
+  /// The CRC of every byte passed to update() so far.
+  std::uint32_t finish() const { return crc_ ^ 0xffffffffu; }
 
  private:
-  DigestKind kind_;
-  // CRC32C: raw (pre-final-xor) state.
-  std::uint32_t crc_ = 0xffffffffu;
-  // Fletcher-32: running sums, plus the absolute paired-byte index so the
-  // periodic overflow fold lands at the same offsets as the one-shot code.
-  std::uint32_t sum1_ = 0xffff;
-  std::uint32_t sum2_ = 0xffff;
-  std::uint64_t paired_ = 0;
-  // Internet checksum: plain 64-bit accumulator (folded at finish).
-  std::uint64_t isum_ = 0;
-  std::uint8_t x_ = 0;
-  // A byte left over when a span ends mid-16-bit-word; completed by the
-  // next span or treated as the odd trailing byte at finish().
-  std::uint8_t carry_ = 0;
-  bool have_carry_ = false;
+  std::uint32_t crc_ = 0xffffffffu;  // raw (pre-final-xor) state
 };
 
 }  // namespace pa

@@ -65,16 +65,19 @@ TEST(Accelerator, RecvQueueOverflowDropsAndRecovers) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.engine.max_recv_queue = 2;      // tiny receive buffer
   opt.engine.enable_packing = false;  // every message its own frame
   auto [src, dst] = w.connect(a, b, opt);
   std::vector<std::uint32_t> got;
   dst->on_deliver([&](std::span<const std::uint8_t> p) {
     got.push_back(load_be32(p.data()));
   });
+  std::vector<std::uint8_t> last_frame;  // the latest frame a put on the wire
+  w.network().set_tap([&, a_id = a.id()](NodeId from, NodeId,
+                                         std::span<const std::uint8_t> f, Vt) {
+    if (from == a_id) last_frame.assign(f.begin(), f.end());
+  });
 
-  // Burst far faster than the receiver's post-processing (130 µs/frame):
-  // frames pile up behind deliver_busy_ and overflow the 2-slot queue.
+  // Burst faster than the receiver's post-processing (130 µs/frame).
   for (std::uint32_t i = 0; i < 12; ++i) {
     w.queue().at(vt_us(30) * i, [&, i, src = src] {
       std::uint8_t buf[4];
@@ -82,10 +85,25 @@ TEST(Accelerator, RecvQueueOverflowDropsAndRecovers) {
       src->send(std::span<const std::uint8_t>(buf, 4));
     });
   }
+  // Mid-burst, a flood of duplicates of a's latest frame: the first leaves
+  // a post-deliver batch pending (if none already is), the next
+  // kMaxRecvQueue park behind it, and the rest overflow the queue, as do
+  // the burst's own frames arriving while it is full.
+  w.queue().at(vt_us(30) * 6, [&, dst = dst] {
+    ASSERT_FALSE(last_frame.empty());
+    for (std::size_t k = 0; k < PaEngine::kMaxRecvQueue + 2; ++k) {
+      dst->engine().on_frame(WireFrame::copy_of(last_frame), w.now());
+    }
+  });
   w.run();
 
   EXPECT_GT(dst->engine().stats().drops[DropReason::kRecvQueueFull], 0u);
   // Retransmission must still complete the stream, in order.
+  EXPECT_GT(dynamic_cast<const WindowLayer&>(
+                *src->engine().stack().find(LayerKind::kWindow))
+                .stats()
+                .retransmits,
+            0u);
   ASSERT_EQ(got.size(), 12u);
   for (std::uint32_t i = 0; i < 12; ++i) EXPECT_EQ(got[i], i);
 }

@@ -521,14 +521,13 @@ TEST(MessagePool, StressWithSharingNeverLeaksOrCorrupts) {
     } else if (roll < 0.6 && clones.size() < 64) {
       std::size_t i = rng.next_below(live.size());
       Message c = live[i].clone();
-      std::uint64_t d = c.payload_digest(DigestKind::kCrc32c);
+      std::uint64_t d = c.payload_digest();
       clones.emplace_back(std::move(c), d);
     } else if (roll < 0.75 && !clones.empty()) {
       // A clone's bytes must be intact for as long as it lives, even after
       // the pool took back the message it was cloned from.
       std::size_t i = rng.next_below(clones.size());
-      ASSERT_EQ(clones[i].first.payload_digest(DigestKind::kCrc32c),
-                clones[i].second);
+      ASSERT_EQ(clones[i].first.payload_digest(), clones[i].second);
       clones.erase(clones.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       std::size_t i = rng.next_below(live.size());
@@ -537,43 +536,25 @@ TEST(MessagePool, StressWithSharingNeverLeaksOrCorrupts) {
     }
   }
   for (auto& [c, d] : clones) {
-    ASSERT_EQ(c.payload_digest(DigestKind::kCrc32c), d);
+    ASSERT_EQ(c.payload_digest(), d);
   }
 }
 
 // --- digests over chains ---------------------------------------------------
 
 TEST(DigestStream, MatchesOneShotForEverySplit) {
-  auto data = seq_bytes(97);  // odd length exercises the carry rules
-  for (DigestKind k : {DigestKind::kCrc32c, DigestKind::kFletcher32,
-                       DigestKind::kSum16, DigestKind::kXor8}) {
-    const std::uint64_t want = digest(k, data);
-    for (std::size_t cut1 = 0; cut1 <= data.size(); cut1 += 13) {
-      for (std::size_t cut2 = cut1; cut2 <= data.size(); cut2 += 17) {
-        DigestStream ds(k);
-        ds.update(std::span(data).subspan(0, cut1));
-        ds.update(std::span(data).subspan(cut1, cut2 - cut1));
-        ds.update(std::span(data).subspan(cut2));
-        ASSERT_EQ(ds.finish(), want)
-            << digest_kind_name(k) << " split " << cut1 << "/" << cut2;
-      }
+  // An odd length leaves a tail shorter than the hardware path's 8-byte
+  // words at every split.
+  auto data = seq_bytes(97);
+  const std::uint32_t want = crc32c(data);
+  for (std::size_t cut1 = 0; cut1 <= data.size(); cut1 += 13) {
+    for (std::size_t cut2 = cut1; cut2 <= data.size(); cut2 += 17) {
+      DigestStream ds;
+      ds.update(std::span(data).subspan(0, cut1));
+      ds.update(std::span(data).subspan(cut1, cut2 - cut1));
+      ds.update(std::span(data).subspan(cut2));
+      ASSERT_EQ(ds.finish(), want) << "split " << cut1 << "/" << cut2;
     }
-  }
-}
-
-TEST(DigestStream, FletcherFoldPointsSurviveChunking) {
-  // 2000 bytes crosses Fletcher's 512-pair overflow fold; stream it in
-  // pathological chunk sizes (1, 3, 509) and require exact agreement.
-  std::vector<std::uint8_t> data(2000);
-  Rng rng(7);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  const std::uint64_t want = digest(DigestKind::kFletcher32, data);
-  for (std::size_t step : {std::size_t{1}, std::size_t{3}, std::size_t{509}}) {
-    DigestStream ds(DigestKind::kFletcher32);
-    for (std::size_t off = 0; off < data.size(); off += step) {
-      ds.update(std::span(data).subspan(off, std::min(step, data.size() - off)));
-    }
-    ASSERT_EQ(ds.finish(), want) << "step " << step;
   }
 }
 
@@ -587,10 +568,7 @@ TEST(Message, PayloadDigestMatchesFlatDigest) {
   flat.insert(flat.end(), a.begin(), a.end());
   flat.insert(flat.end(), b.begin(), b.end());
   flat.insert(flat.end(), c.begin(), c.end());
-  for (DigestKind k : {DigestKind::kCrc32c, DigestKind::kFletcher32,
-                       DigestKind::kSum16, DigestKind::kXor8}) {
-    EXPECT_EQ(m.payload_digest(k), digest(k, flat)) << digest_kind_name(k);
-  }
+  EXPECT_EQ(m.payload_digest(), crc32c(flat));
 }
 
 TEST(Crc32c, HardwarePathMatchesSoftwareOracle) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "horus/world.h"
+#include "test_layers.h"
 
 namespace pa {
 namespace {
@@ -66,22 +67,20 @@ TEST(Classic, HeartbeatWorksUnderClassicEngine) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt = classic_options();
-  HeartbeatConfig hcfg;
-  hcfg.interval = vt_ms(10);
-  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hcfg));
+  opt.engine.stack.spec.push_top(beacon_layer(vt_ms(10)));
   auto [ea, eb] = w.connect(a, b, opt);
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});
   w.run_for(vt_ms(200));
-  auto* hb_a = dynamic_cast<HeartbeatLayer*>(
+  auto* hb_a = dynamic_cast<group::GroupGossipLayer*>(
       ea->engine().stack().find(LayerKind::kCustom));
-  auto* hb_b = dynamic_cast<HeartbeatLayer*>(
+  auto* hb_b = dynamic_cast<group::GroupGossipLayer*>(
       eb->engine().stack().find(LayerKind::kCustom));
   ASSERT_NE(hb_a, nullptr);
   ASSERT_NE(hb_b, nullptr);
-  EXPECT_GT(hb_a->stats().heartbeats_sent, 5u);
-  EXPECT_GT(hb_a->stats().heartbeats_received, 5u);
-  EXPECT_GT(hb_b->stats().heartbeats_received, 5u);
+  EXPECT_GT(hb_a->stats().beacons_attempted, 5u);
+  EXPECT_GT(hb_a->stats().beacons_received, 5u);
+  EXPECT_GT(hb_b->stats().beacons_received, 5u);
 }
 
 TEST(Classic, RetransmissionCarriesFullHeaders) {

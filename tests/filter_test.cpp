@@ -6,6 +6,7 @@
 #include "filter/compiled.h"
 #include "filter/interp.h"
 #include "filter/program.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace pa {
@@ -94,8 +95,7 @@ TEST(FilterProgram, PatchConstRejectsNonImmediate) {
 TEST(FilterProgram, DisassembleReadable) {
   Fixture fx;
   FilterProgram p;
-  p.push_size().pop_field(fx.f_len).digest(DigestKind::kCrc32c)
-      .pop_field(fx.f_sum).ret(1);
+  p.push_size().pop_field(fx.f_len).digest().pop_field(fx.f_sum).ret(1);
   std::string d = p.disassemble();
   EXPECT_NE(d.find("PUSH_SIZE"), std::string::npos);
   EXPECT_NE(d.find("POP_FIELD"), std::string::npos);
@@ -106,7 +106,7 @@ TEST(FilterInterp, SendFilterFillsFields) {
   Fixture fx;
   FilterProgram p;
   p.push_size().pop_field(fx.f_len);
-  p.digest(DigestKind::kCrc32c).pop_field(fx.f_sum);
+  p.digest().pop_field(fx.f_sum);
   p.ret(1);
   p.validate(fx.reg.size());
 
@@ -122,8 +122,7 @@ TEST(FilterInterp, RecvFilterVerifies) {
   Fixture fx;
   FilterProgram p;
   p.push_size().push_field(fx.f_len).op(FilterOp::kNe).abort_if(0);
-  p.push_field(fx.f_sum).digest(DigestKind::kCrc32c).op(FilterOp::kNe)
-      .abort_if(0);
+  p.push_field(fx.f_sum).digest().op(FilterOp::kNe).abort_if(0);
   p.ret(1);
   p.validate(fx.reg.size());
 
@@ -220,17 +219,14 @@ TEST(FilterInterp, WideDigestOfLongHeaderEqualsFlatDigest) {
   const Message m = Message::with_payload(payload);
   flat.insert(flat.end(), payload.begin(), payload.end());
 
-  for (DigestKind k : {DigestKind::kCrc32c, DigestKind::kFletcher32,
-                       DigestKind::kSum16, DigestKind::kXor8}) {
-    EXPECT_EQ(wide_digest(k, v, m), digest(k, flat)) << digest_kind_name(k);
-  }
+  EXPECT_EQ(wide_digest(v, m), crc32c(flat));
 }
 
 TEST(FilterCompiled, FusesCanonicalSendProgram) {
   Fixture fx;
   FilterProgram p;
   p.push_size().pop_field(fx.f_len);
-  p.digest(DigestKind::kCrc32c).pop_field(fx.f_sum);
+  p.digest().pop_field(fx.f_sum);
   p.ret(1);
   p.validate(fx.reg.size());
   auto c = CompiledFilter::compile(p, fx.cl, Endian::kLittle);
@@ -242,8 +238,7 @@ TEST(FilterCompiled, FusesCanonicalRecvProgram) {
   Fixture fx;
   FilterProgram p;
   p.push_size().push_field(fx.f_len).op(FilterOp::kNe).abort_if(0);
-  p.push_field(fx.f_sum).digest(DigestKind::kCrc32c).op(FilterOp::kNe)
-      .abort_if(0);
+  p.push_field(fx.f_sum).digest().op(FilterOp::kNe).abort_if(0);
   p.push_size().push_const(1024).op(FilterOp::kGt).abort_if(0);
   p.ret(1);
   p.validate(fx.reg.size());
@@ -256,7 +251,7 @@ TEST(FilterCompiled, MatchesInterpreterOnCanonicalPrograms) {
   Fixture fx;
   FilterProgram send;
   send.push_size().pop_field(fx.f_len);
-  send.digest(DigestKind::kFletcher32).pop_field(fx.f_sum);
+  send.digest().pop_field(fx.f_sum);
   send.push_size().push_const(64).op(FilterOp::kGt).abort_if(0);
   send.ret(1);
   send.validate(fx.reg.size());

@@ -235,20 +235,30 @@ TEST(Gossip, ViewChangesPropagateAndEchoBack) {
   EXPECT_EQ(g.stability(), g.last_seq());
 }
 
-// Frames emitted by layers *below* the gossip layer (window acks,
-// heartbeats) carry an all-zero gossip region. That region must read as
-// "no information": no ack regression, no view regression, no spurious
-// gossip counted.
+// Frames emitted by layers *below* the gossip layer (window acks, NAKs)
+// carry an all-zero gossip region. That region must read as "no
+// information": no ack regression, no view regression, no spurious gossip
+// counted.
 TEST(Gossip, ZeroedGossipRegionsAreHarmless) {
   World w;
   auto& hub = w.add_node("hub");
   auto& m0 = w.add_node("m0");
   McastOptions o;
   o.beacon_interval = vt_ms(10);
-  HeartbeatConfig hb;  // extra below-gossip emissions
-  hb.interval = vt_ms(5);
-  o.conn.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
+  // Extra below-gossip emissions: a standalone window ack for every
+  // sequenced frame, beacons included.
+  o.conn.engine.stack.spec.find(LayerSpec::Type::kWindow)->window.ack_every = 1;
   McastGroup g(w, hub, {&m0}, o);
+  auto acks_sent = [&] {
+    std::uint64_t n = 0;
+    for (Endpoint* ep : {g.sender_endpoint(0), g.member_endpoint(0)}) {
+      n += dynamic_cast<const WindowLayer&>(
+               *ep->engine().stack().find(LayerKind::kWindow))
+               .stats()
+               .acks_sent;
+    }
+    return n;
+  };
 
   const auto payload = pattern(16);
   for (int i = 0; i < 5; ++i) {
@@ -258,10 +268,12 @@ TEST(Gossip, ZeroedGossipRegionsAreHarmless) {
   ASSERT_EQ(g.stability(), g.last_seq());
   const std::uint16_t epoch = g.view().epoch();
   const std::uint64_t acks = g.sender_gossip(0)->stats().acks_seen;
+  const std::uint64_t window_acks = acks_sent();
 
-  // A long idle stretch full of heartbeats and window acks (all with
+  // A long idle stretch full of beacons and window acks (the acks with
   // zeroed gossip): nothing may regress.
   w.run_for(vt_ms(300));
+  EXPECT_GT(acks_sent(), window_acks + 20);
   EXPECT_EQ(g.stability(), g.last_seq());
   EXPECT_EQ(g.view().epoch(), epoch);
   EXPECT_TRUE(g.view().converged());

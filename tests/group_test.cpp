@@ -1,8 +1,9 @@
-// Tests: the heartbeat (keepalive) layer and the custom-layer extension
-// hook.
+// Tests: keeping an idle link audible with gossip beacons, and the
+// custom-layer extension hook.
 #include <gtest/gtest.h>
 
 #include "horus/world.h"
+#include "test_layers.h"
 
 namespace pa {
 namespace {
@@ -12,27 +13,25 @@ TEST(Heartbeat, PeerConsideredAliveWhileHeartbeating) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  HeartbeatConfig hb;
-  hb.interval = vt_ms(10);
-  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer(hb));
+  opt.engine.stack.spec.push_top(beacon_layer(vt_ms(10)));
   auto [ea, eb] = w.connect(a, b, opt);
 
-  // One message to open the connection, then silence except heartbeats.
+  // One message to open the connection, then silence except beacons.
   eb->on_deliver([](std::span<const std::uint8_t>) {});
   ea->send(std::vector<std::uint8_t>{1});
   w.run_for(vt_ms(300));
 
-  auto* hb_a = dynamic_cast<HeartbeatLayer*>(
+  auto* hb_a = dynamic_cast<group::GroupGossipLayer*>(
       ea->engine().stack().find(LayerKind::kCustom));
-  auto* hb_b = dynamic_cast<HeartbeatLayer*>(
+  auto* hb_b = dynamic_cast<group::GroupGossipLayer*>(
       eb->engine().stack().find(LayerKind::kCustom));
   ASSERT_NE(hb_a, nullptr);
   ASSERT_NE(hb_b, nullptr);
-  // Both sides stay audible: each sends heartbeats and hears the other's.
-  EXPECT_GT(hb_a->stats().heartbeats_sent, 10u);
-  EXPECT_GT(hb_b->stats().heartbeats_sent, 10u);
-  EXPECT_GT(hb_a->stats().heartbeats_received, 10u);
-  EXPECT_GT(hb_b->stats().heartbeats_received, 10u);
+  // Both sides stay audible: each sends beacons and hears the other's.
+  EXPECT_GT(hb_a->stats().beacons_attempted, 10u);
+  EXPECT_GT(hb_b->stats().beacons_attempted, 10u);
+  EXPECT_GT(hb_a->stats().beacons_received, 10u);
+  EXPECT_GT(hb_b->stats().beacons_received, 10u);
 }
 
 TEST(Heartbeat, DataTrafficStaysOnFastPath) {
@@ -40,7 +39,7 @@ TEST(Heartbeat, DataTrafficStaysOnFastPath) {
   auto& a = w.add_node("a");
   auto& b = w.add_node("b");
   ConnOptions opt;
-  opt.engine.stack.spec.push_top(LayerSpec::heartbeat_layer({}));
+  opt.engine.stack.spec.push_top(beacon_layer(vt_ms(50)));
   auto [ea, eb] = w.connect(a, b, opt);
   int n = 0;
   eb->on_deliver([&](std::span<const std::uint8_t>) { ++n; });
@@ -51,7 +50,8 @@ TEST(Heartbeat, DataTrafficStaysOnFastPath) {
   }
   w.run_for(vt_ms(40));
   EXPECT_EQ(n, 30);
-  // The hb=0 bit is part of the predicted header: data stays fast.
+  // The beacon bit (0 on data) is part of the predicted header: data
+  // stays fast.
   EXPECT_GT(eb->engine().stats().fast_delivers, 25u);
 }
 

@@ -556,45 +556,6 @@ TEST(RouterChurn, QuotaIsPerCookieAndClearedByASuccessfulIdent) {
   EXPECT_EQ(r.route(good, vt_ms(1)), &eb->engine());
 }
 
-TEST(RouterChurn, IdleCookieReaperForgetsQuietMappings) {
-  World w((WorldConfig()));
-  auto& a = w.add_node("a");
-  auto& b = w.add_node("b");
-  // Two connections: one engine per cookie (a second cookie on the SAME
-  // engine would read as an epoch bump and supersede the first mapping).
-  auto [e1a, e1b] = w.connect(a, b, ConnOptions{});
-  auto [e2a, e2b] = w.connect(a, b, ConnOptions{});
-  (void)e1a;
-  (void)e2a;
-
-  Router& r = b.router();
-  r.set_churn_config(
-      {.cookie_idle_timeout = vt_ms(200), .reap_interval = vt_ms(50)});
-
-  r.register_cookie(0x1d1eull, &e1b->engine());
-  r.register_cookie(0xf10ull, &e2b->engine());
-  const std::size_t table0 = r.cookie_table_size();
-
-  std::vector<std::uint8_t> active(kPreambleBytes);
-  encode_preamble(active.data(), Preamble{false, Endian::kBig, 0xf10ull});
-  // Keep 0xf10 warm past the idle horizon; 0x1d1e never speaks.
-  for (int k = 1; k <= 8; ++k) {
-    EXPECT_EQ(r.route(active, vt_ms(60) * k), &e2b->engine());
-  }
-  EXPECT_EQ(r.cookie_table_size(), table0 - 1);
-  EXPECT_EQ(r.stats().cookies_reaped, 1u);
-
-  // The reaped cookie is unknown (not stale): a live peer re-identifies.
-  std::vector<std::uint8_t> idle(kPreambleBytes);
-  encode_preamble(idle.data(), Preamble{false, Endian::kBig, 0x1d1eull});
-  EXPECT_EQ(r.route(idle, vt_ms(60) * 9), nullptr);
-  EXPECT_GT(r.stats().drops[DropReason::kUnknownCookie], 0u);
-  // Re-registration stamps the router's current time: the mapping is live
-  // again, not instantly reapable.
-  r.register_cookie(0x1d1eull, &e1b->engine());
-  EXPECT_EQ(r.route(idle, vt_ms(60) * 9 + vt_ms(1)), &e1b->engine());
-}
-
 TEST(RouterChurn, StormRaisesGovernorLadder) {
   World w((WorldConfig()));
   auto& a = w.add_node("a");

@@ -414,7 +414,6 @@ TEST(World, ConnectPassesEngineConfigThrough) {
   opt.engine.use_compiled_filters = false;
   opt.engine.enable_packing = false;
   opt.engine.variable_packing = true;
-  opt.engine.max_recv_queue = 7;
   opt.engine.use_message_pool = false;
   opt.engine.cookie_preagreed = true;
   opt.engine.always_send_conn_ident = true;
@@ -434,7 +433,6 @@ TEST(World, ConnectPassesEngineConfigThrough) {
     EXPECT_FALSE(c.use_compiled_filters);
     EXPECT_FALSE(c.enable_packing);
     EXPECT_TRUE(c.variable_packing);
-    EXPECT_EQ(c.max_recv_queue, 7u);
     EXPECT_FALSE(c.use_message_pool);
     EXPECT_TRUE(c.cookie_preagreed);
     EXPECT_TRUE(c.always_send_conn_ident);

@@ -1,5 +1,5 @@
 // Unit + property tests for the canonical protocol layers, driven through a
-// small harness (no engines): window, seq, frag, bottom, meter — plus the
+// small harness (no engines): window, seq, frag, bottom — plus the
 // canonical-form property (pre phases never mutate protocol state).
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "filter/interp.h"
 #include "horus/stack.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace pa {
@@ -620,23 +621,6 @@ TEST(BottomLayer, ConnIdentRoundTrip) {
   // The peer's outgoing view (our incoming expectation) matches:
   r.layer->write_conn_ident(v, /*incoming=*/true);
   EXPECT_TRUE(r.layer->match_conn_ident(v));
-}
-
-// ---------------------------------------------------------------------------
-// MeterLayer
-// ---------------------------------------------------------------------------
-
-TEST(MeterLayer, CountsTraffic) {
-  Rig<MeterLayer> r;
-  r.send(pattern(10));
-  r.send(pattern(20));
-  EXPECT_EQ(r.layer->stats().msgs_sent, 2u);
-  EXPECT_EQ(r.layer->stats().bytes_sent, 30u);
-  Message m = Message::with_payload(pattern(7));
-  r.prep(m);
-  r.deliver(std::move(m));
-  EXPECT_EQ(r.layer->stats().msgs_delivered, 1u);
-  EXPECT_EQ(r.layer->stats().bytes_delivered, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "horus/world.h"
+#include "test_layers.h"
 #include "util/rng.h"
 
 namespace pa {
@@ -24,7 +25,7 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   opt.use_pa = rng.chance(0.7);
   const bool frag = rng.chance(0.8);
   const bool seq = rng.chance(0.7);
-  const bool meter = rng.chance(0.3);
+  const bool pass = rng.chance(0.3);
   const bool nak = rng.chance(0.25);
   std::uint64_t windows = 0;
   WindowConfig win;
@@ -35,7 +36,7 @@ TEST_P(Matrix, ExactInOrderDelivery) {
   }
   const FragConfig frag_cfg{64 + rng.next_below(512)};
   StackSpec s;
-  if (meter) s.add(LayerSpec::meter());
+  if (pass) s.add(pass_layer());
   if (frag) s.add(LayerSpec::frag_layer(frag_cfg));
   if (seq) s.add(LayerSpec::seq_layer());
   if (nak) s.add(LayerSpec::nak_layer());

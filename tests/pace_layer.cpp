@@ -1,7 +1,6 @@
-#include "layers/pace_layer.h"
+#include "pace_layer.h"
 
 namespace pa {
-namespace {}  // namespace
 
 void PaceLayer::post_send(const Message& msg, const HeaderView&,
                           LayerOps& ops) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "horus/rpc.h"
+#include "pace_layer.h"
 
 namespace pa {
 namespace {

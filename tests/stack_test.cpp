@@ -3,6 +3,7 @@
 
 #include "horus/report.h"
 #include "horus/world.h"
+#include "test_layers.h"
 
 namespace pa {
 namespace {
@@ -18,16 +19,16 @@ TEST(Stack, StandardCompositionOrder) {
 
 TEST(Stack, AllOptionsComposition) {
   Stack s{StackSpec{}
-              .add(LayerSpec::meter())
-              .add(LayerSpec::heartbeat_layer({}))
+              .add(pass_layer())
+              .add(beacon_layer(vt_ms(25)))
               .add(LayerSpec::frag_layer({/*threshold=*/8192}))
               .add(LayerSpec::seq_layer())
               .add(LayerSpec::window_layer({}))
               .add(LayerSpec::window_layer({}))
               .add(LayerSpec::bottom_layer({}))};
   ASSERT_EQ(s.size(), 7u);
-  EXPECT_EQ(s.layer(0).name(), "meter");
-  EXPECT_EQ(s.layer(1).name(), "heartbeat");
+  EXPECT_EQ(s.layer(0).name(), "pass");
+  EXPECT_EQ(s.layer(1).name(), "group-gossip");
   EXPECT_EQ(s.layer(2).name(), "frag");
   EXPECT_EQ(s.layer(5).name(), "window");
 }

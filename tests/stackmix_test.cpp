@@ -170,8 +170,8 @@ TEST(StackMix, EveryValidCombinationRoundTripsUnderClassic) {
 }
 
 // The after-every-event prediction check over the stacks outside the
-// matrix: a NAK protocol, a heartbeat, the doubled window, and group gossip
-// (whose predicted gossip moves in post phases).
+// matrix: a NAK protocol, the doubled window, and group gossip (whose
+// predicted gossip moves in post phases).
 TEST(StackMix, PredictionsStayFreshOnTheOtherStacks) {
   auto with = [](StackSpec spec) {
     ConnOptions o;
@@ -184,13 +184,6 @@ TEST(StackMix, PredictionsStayFreshOnTheOtherStacks) {
     s.add(frag).add(LayerSpec::seq_layer()).add(LayerSpec::nak_layer());
     s.add(LayerSpec::bottom_layer({}));
     run_conn("nak", with(s));
-  }
-  {
-    StackSpec s;
-    s.add(LayerSpec::heartbeat_layer({/*interval=*/vt_ms(2)})).add(frag);
-    s.add(LayerSpec::window_layer({})).add(LayerSpec::bottom_layer({}));
-    // The heartbeat re-arms forever: stop well after the traffic.
-    run_conn("heartbeat", with(s), vt_ms(100));
   }
   {
     StackSpec s;

@@ -96,25 +96,6 @@ TEST(Checksum, DetectsBitFlip) {
   EXPECT_NE(crc32c(data), before);
 }
 
-TEST(Checksum, FletcherDetectsSwap) {
-  std::vector<std::uint8_t> a{1, 2, 3, 4};
-  std::vector<std::uint8_t> b{1, 2, 4, 3};
-  EXPECT_NE(fletcher32(a), fletcher32(b));
-}
-
-TEST(Checksum, InetChecksumZeroes) {
-  std::vector<std::uint8_t> z(10, 0);
-  EXPECT_EQ(inet_checksum(z), 0xffffu);
-}
-
-TEST(Checksum, DigestDispatch) {
-  std::vector<std::uint8_t> d{5, 6, 7};
-  EXPECT_EQ(digest(DigestKind::kCrc32c, d), crc32c(d));
-  EXPECT_EQ(digest(DigestKind::kFletcher32, d), fletcher32(d));
-  EXPECT_EQ(digest(DigestKind::kSum16, d), inet_checksum(d));
-  EXPECT_EQ(digest(DigestKind::kXor8, d), 5u ^ 6u ^ 7u);
-}
-
 TEST(Hexdump, Format) {
   std::vector<std::uint8_t> d{'H', 'i', 0x00, 0xff};
   std::string out = hexdump(d);
